@@ -148,16 +148,17 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
 
 
 def form_pow(f: BQForm, n: int) -> BQForm:
-    result = principal_form(f.disc)
+    one = principal_form(f.disc)
     if n < 0:
         f, n = inverse(f), -n
-    base = reduce_form(f)
+    result, base = None, reduce_form(f)
     while n:
         if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
+            result = base if result is None else compose(result, base)
         n >>= 1
-    return result
+        if n:
+            base = compose(base, base)
+    return one if result is None else result
 
 
 def reduced_forms(disc: int) -> list[BQForm]:
@@ -191,18 +192,23 @@ def class_number(p: int) -> int:
     return class_number_of_disc(-p)
 
 
-def class_order(f: BQForm) -> int:
-    """Order of the class of f in the class group of its discriminant."""
+def class_order(f: BQForm, h: int | None = None) -> int:
+    """Order of the class of f in the class group of its discriminant.
+
+    `h` is the class number when the caller has it already (any multiple
+    of the order will do); otherwise the reduced forms are counted.  From
+    k = h, each prime l of h is divided out of k while f^(k/l) stays
+    principal: O(omega(h) * log h) compositions.
+    """
+    if h is None:
+        h = class_number_of_disc(f.disc)
     one = principal_form(f.disc)
-    acc = reduce_form(f)
-    k = 1
-    h = class_number_of_disc(f.disc)
-    while acc != one:
-        acc = compose(acc, f)
-        k += 1
-        if k > h:
-            raise InternalCheckError(f"order of {f} exceeds class number {h}")
-    assert h % k == 0
+    if form_pow(f, h) != one:
+        raise InternalCheckError(f"order of {f} does not divide the class number {h}")
+    k = h
+    for ell, _ in factor(h).factors:
+        while k % ell == 0 and form_pow(f, k // ell) == one:
+            k //= ell
     return k
 
 
@@ -228,7 +234,7 @@ def prime_form(disc: int, q: int) -> BQForm:
 
 
 def ideal_class_of_eta_datum(
-    k_disc: int, level: int, r: Mapping[int, int]
+    k_disc: int, level: int, r: Mapping[int, int], h: int | None = None
 ) -> tuple[BQForm, int, int]:
     """Class data of the square root of the inverted eta-ideal product.
 
@@ -236,6 +242,7 @@ def ideal_class_of_eta_datum(
     the divisor ideals are powers of one prime above p, so the product
     over r collapses to an exponent e; r is a square ideal exactly when e
     is even.  Returns (class of the root ideal, its order o, h_K / o).
+    `h` is h_K when the caller has it already.
     """
     p0 = _level_prime(level)
     if jacobi(k_disc, p0) != 1:
@@ -250,9 +257,9 @@ def ideal_class_of_eta_datum(
     if e % 2:
         raise ValidationError("not a square ideal: odd prime exponent in the product")
     cls = form_pow(prime_form(k_disc, p0), -e // 2)
-    o = class_order(cls)
-    h = class_number_of_disc(k_disc)
-    assert h % o == 0
+    if h is None:
+        h = class_number_of_disc(k_disc)
+    o = class_order(cls, h)
     return cls, o, h // o
 
 

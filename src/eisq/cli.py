@@ -59,6 +59,14 @@ def _emit(doc: dict, fmt: str, table_lines, out):
             out.write(line + "\n")
 
 
+def _int_list(text: str, what: str) -> list[int]:
+    """A comma-separated list of integers, or a validation error."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"bad {what} {text!r}, expected comma-separated integers") from None
+
+
 def _fmt_arg(sub):
     sub.add_argument("--format", choices=("table", "json", "tsv"), default="table")
 
@@ -120,6 +128,8 @@ def _cmd_selmer(args, out) -> int:
             lo, hi = (int(x) for x in args.d_range.split(".."))
         except ValueError:
             raise ValidationError(f"bad range {args.d_range!r}, expected LO..HI")
+        if lo > hi:
+            raise ValidationError(f"empty range {args.d_range!r}: LO exceeds HI")
         rows = []
         for d in selmer.admissible_twists(args.p, max(abs(lo), abs(hi))):
             if lo <= d <= hi:
@@ -167,7 +177,7 @@ def _cmd_selmer(args, out) -> int:
 
 def _parse_exponents(n: int, text: str) -> dict[int, int]:
     divs = etacusp.divisors(n)
-    parts = [int(x) for x in text.split(",")]
+    parts = _int_list(text, "exponents")
     if len(parts) != len(divs):
         raise ValidationError(
             f"level {n} has {len(divs)} divisors {divs}; got {len(parts)} exponents"
@@ -298,7 +308,7 @@ def _cmd_heegner(args, out) -> int:
 def _cmd_eigencheck(args, out) -> int:
     primes = None
     if args.primes:
-        primes = [int(x) for x in args.primes.split(",")]
+        primes = _int_list(args.primes, "primes")
     report = modforms.eisenstein_eigencheck(args.p, args.prec, primes)
     doc = {
         "p": report.p,

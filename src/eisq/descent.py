@@ -84,7 +84,7 @@ def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
     p0 = etacusp._level_prime(level)[0]
     h = classgroup.class_number_of_disc(k_disc)
     split_ok = k_disc % p0 != 0 and splits_in(k_disc, p0)
-    o_p = classgroup.class_order(classgroup.prime_form(k_disc, p0)) if split_ok else None
+    o_p = classgroup.class_order(classgroup.prime_form(k_disc, p0), h) if split_ok else None
     return HeegnerSetup(level, k_disc, h, roots_of_unity(k_disc), split_ok, o_p)
 
 
@@ -248,7 +248,7 @@ def verdict_rational_divisor(
     p0 = etacusp._level_prime(level)[0]
     exponent = sum(rd * valuation(d, p0) for d, rd in r.items() if d > 1)
     if setup.split_ok:
-        _, o_r, h_r = classgroup.ideal_class_of_eta_datum(k_disc, level, r)
+        _, o_r, h_r = classgroup.ideal_class_of_eta_datum(k_disc, level, r, setup.h_k)
         nontrivial = exponent != 0
         vq_h, vq_n = valuation(h_r, q) if h_r else 0, valuation(n, q)
         val_ok = vq_h < vq_n

@@ -4,7 +4,6 @@ lattice arithmetic (Smith normal form)."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,7 @@ class CuspOrbit:
 
 
 def cusp_orbits(n: int) -> list[CuspOrbit]:
-    _level_prime(n)
+    p0, k = _level_prime(n)
     out = []
     for d in divisors(n):
         m = math.gcd(d, n // d)
@@ -53,19 +52,9 @@ def cusp_orbits(n: int) -> list[CuspOrbit]:
         for q, e in factor(m).factors if m > 1 else ():
             phi *= q ** (e - 1) * (q - 1)
         out.append(CuspOrbit(d, phi, n // math.gcd(d * d, n), m))
-    assert sum(o.size for o in out) == _cusp_count(n)
+    # X0(p) has 2 cusps and X0(p^2) has p + 1
+    assert sum(o.size for o in out) == (2 if k == 1 else p0 + 1)
     return out
-
-
-def _cusp_count(n: int) -> int:
-    total = 0
-    for d in divisors(n):
-        m = math.gcd(d, n // d)
-        phi = 1
-        for q, e in factor(m).factors if m > 1 else ():
-            phi *= q ** (e - 1) * (q - 1)
-        total += phi
-    return total
 
 
 @dataclass(frozen=True)
@@ -281,29 +270,31 @@ def invariant_factors(generators: Sequence[Sequence[int]], rank: int) -> list[in
 
 
 def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
-    """Generating set of the lattice of Ligozat-valid exponent vectors."""
+    """A basis of the lattice of Ligozat-valid exponent vectors.
+
+    The lattice is the kernel of Z^tau -> Z + Z/24 + Z/24 + Z/2 given by the
+    four forms of `ligozat_check`, i.e. the projection onto the exponent
+    coordinates of the integer kernel of A = [forms | -diag(24, 24, 2)]
+    (Cohen, GTM 138, section 2.4).  With S = U*A^T*V in Smith form, the rows
+    of U opposite the zero rows of S span that kernel.  The projection is
+    injective (zero exponents force zero slack), so tau - 1 vectors come out.
+    """
+    p0, _ = _level_prime(n)
     divs = divisors(n)
     tau = len(divs)
-    # sum-zero base vectors e_i - e_last, scaled by 24, always qualify
-    base = []
-    for i in range(tau - 1):
-        v = {divs[i]: 24, divs[-1]: -24}
-        base.append(v)
-    # coset representatives modulo 24 * (sum-zero lattice)
-    reps = []
-    span = [range(24)] * (tau - 1)
-    for combo in itertools.product(*span):
-        if not any(combo):
-            continue
-        vec = {d: 0 for d in divs}
-        for i, c in enumerate(combo):
-            vec[divs[i]] += c
-            vec[divs[-1]] -= c
-        if ligozat_check(n, vec).ok:
-            reps.append({d: v for d, v in vec.items() if v})
-    for v in base:
-        assert ligozat_check(n, v).ok
-    return base + reps
+    forms = ([1] * tau, divs, [n // d for d in divs], [valuation(d, p0) for d in divs])
+    # A^T: a row per exponent, then a row per slack variable of forms 1-3
+    rows = [[form[i] for form in forms] for i in range(tau)]
+    rows += [[-m if j == i else 0 for j in range(4)] for i, m in ((1, 24), (2, 24), (3, 2))]
+    s, u = _snf_with_left(rows)
+    kernel = [u[i][:tau] for i, row in enumerate(s) if not any(row)]
+    if len(kernel) != tau - 1:
+        raise InternalCheckError(f"Ligozat lattice at level {n} has rank {len(kernel)}, not {tau - 1}")
+    basis = [{d: v for d, v in zip(divs, vec) if v} for vec in kernel]
+    for r in basis:
+        if not ligozat_check(n, r).ok:
+            raise InternalCheckError(f"Ligozat basis vector {r} at level {n} is not rational")
+    return basis
 
 
 def cuspidal_class_order(n: int, div: CuspDivisor, shuffle_check: bool = True) -> int:

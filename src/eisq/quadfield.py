@@ -146,14 +146,6 @@ class PlaceK:
     def residue_degree(self) -> int:
         return 2 if self.kind == INERT else 1
 
-    @property
-    def local_uniformizer(self) -> Union["QuadInt", int]:
-        """sqrt(-p) at the ramified place; the rational prime q otherwise
-        (q stays prime in the completion for both split and inert kinds)."""
-        if self.kind == RAMIFIED:
-            return FieldCtx(self.p).pi()
-        return self.q
-
     def label(self) -> str:
         if self.kind == RAMIFIED:
             return "pi"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from eisq.classgroup import (
     reduce_form,
     reduced_forms,
 )
-from eisq.errors import ValidationError
+from eisq.errors import InternalCheckError, ValidationError
 
 
 def test_class_number_examples():
@@ -73,6 +74,48 @@ def test_class_order():
         assert h % 2 == 1  # genus theory for prime discriminants
         for f in reduced_forms(-p):
             assert h % class_order(f) == 0
+
+
+def _orders_by_stepping(forms):
+    """Orders of the given classes by composing until the principal form.
+
+    One cycle f, f^2, ..., f^k = 1 also gives the order k / gcd(j, k) of
+    each power f^j on it, so each cycle is walked once."""
+    known = {}
+    for f in forms:
+        if f in known:
+            continue
+        one = principal_form(f.disc)
+        powers = [reduce_form(f)]
+        while powers[-1] != one:
+            powers.append(compose(powers[-1], f))
+        k = len(powers)
+        for j, g in enumerate(powers, start=1):
+            known.setdefault(g, k // math.gcd(j, k))
+    return known
+
+
+def test_class_order_against_stepping():
+    # every primitive reduced form with |D| < 2000.  Where some reduced
+    # forms are imprimitive, class_number_of_disc counts them too, so the
+    # class number (the number of primitive forms) is passed in
+    checked = 0
+    for disc in range(-3, -2000, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        all_forms = reduced_forms(disc)
+        forms = [f for f in all_forms if math.gcd(f.a, f.b, f.c) == 1]
+        h = None if len(forms) == len(all_forms) else len(forms)
+        want = _orders_by_stepping(forms)
+        for f in forms:
+            assert class_order(f, h) == want[f], (disc, f)
+            checked += 1
+    assert checked > 12000
+
+
+def test_class_order_rejects_wrong_class_number():
+    with pytest.raises(InternalCheckError):
+        class_order(BQForm(2, 1, 3), 2)  # the class has order 3, h(-23) = 3
 
 
 def test_prime_form_examples():

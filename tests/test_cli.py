@@ -1,6 +1,6 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, canonical_json, main
 
@@ -183,3 +183,30 @@ def test_no_floats_anywhere():
                     walk(v)
 
         walk(json.loads(out))
+
+
+def run_cli_err(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_bad_integer_lists_exit_2():
+    for argv in (
+        ("eta", "--N", "49", "--r", "a,b,c"),
+        ("eta", "--N", "49", "--r", "1,,-1"),
+        ("eigencheck", "--p", "5", "--primes", "2,x"),
+    ):
+        code, out, err = run_cli_err(*argv)
+        assert code == EXIT_VALIDATION, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_reversed_range_exit_2():
+    code, out, err = run_cli_err("selmer", "--p", "7", "--d-range", "5..1")
+    assert code == EXIT_VALIDATION
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli_err("selmer", "--p", "7", "--d-range", "5..5")
+    assert code == EXIT_OK and "d=5" in out

@@ -30,6 +30,29 @@ def test_roots_of_unity():
     assert roots_of_unity(-7) == 2
 
 
+def test_one_form_enumeration_per_setup_and_verdict(monkeypatch):
+    import eisq.classgroup as classgroup
+
+    calls = []
+    enumerate_forms = classgroup.reduced_forms
+
+    def counted(disc):
+        calls.append(disc)
+        return enumerate_forms(disc)
+
+    monkeypatch.setattr(classgroup, "reduced_forms", counted)
+    for level, disc in ((11, -7), (97, -1003), (13 * 13, -23), (61 * 61, -2711)):
+        calls.clear()
+        heegner_setup(level, disc)
+        assert calls == [disc], (level, disc)
+    for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):
+        r = special_function(P2_LEVEL, p)
+        div = CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
+        calls.clear()
+        verdict_rational_divisor(p * p, r, div, disc, q)
+        assert calls == [disc], (p, disc)
+
+
 def test_heegner_setup():
     s = heegner_setup(11, -7)
     assert s.h_k == 1 and s.split_ok and s.prime_order == 1

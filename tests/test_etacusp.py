@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -68,6 +69,32 @@ def test_eta_divisor_degree_zero_on_lattice():
             image = eta_divisor(n, combo)
             assert image.degree() == 0
             assert image.is_integral()
+
+
+def _enumerated_lattice(n):
+    """Generators of the Ligozat lattice by enumeration: 24 * (e_d - e_N)
+    for every divisor d < N, and every residue sum c_d * (e_d - e_N) with
+    0 <= c_d < 24 that passes ligozat_check; 24^(tau-1) checks."""
+    divs = divisors(n)
+    gens = [[24 * (d == e) - 24 * (e == n) for e in divs] for d in divs[:-1]]
+    for combo in itertools.product(range(24), repeat=len(divs) - 1):
+        vec = list(combo) + [-sum(combo)]
+        if any(combo) and ligozat_check(n, dict(zip(divs, vec))).ok:
+            gens.append(vec)
+    return gens
+
+
+def test_eta_lattice_basis_spans_the_enumerated_lattice():
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for n in (p, p * p):
+            divs = divisors(n)
+            basis = [[r.get(d, 0) for d in divs] for r in eta_exponent_lattice(n)]
+            assert len(basis) == len(divs) - 1
+            enumerated = _enumerated_lattice(n)
+            for v in enumerated:
+                assert lattice_order(basis, v) == 1, (n, v)
+            for b in basis:
+                assert lattice_order(enumerated, b) == 1, (n, b)
 
 
 def test_cuspidal_class_order_prime_levels():

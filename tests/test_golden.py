@@ -1,0 +1,144 @@
+"""Byte-identity of CLI output and library reprs against committed files.
+
+Each case is a CLI invocation (exit code and stdout bytes are compared) or
+a library call whose `repr` is compared.  The files under `tests/golden/`
+were written by an earlier version of eisq; a change that alters any byte
+of these outputs fails here.  To rewrite them on purpose:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from eisq import descent, etacusp
+from eisq.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+CLI_CASES = {
+    "classnum-p23": ["classnum", "--p", "23"],
+    "classnum-p7-json": ["classnum", "--p", "7", "--format", "json"],
+    "classnum-disc1003-json": ["classnum", "--disc", "-1003", "--format", "json"],
+    "classnum-disc84-tsv": ["classnum", "--disc", "-84", "--format", "tsv"],
+    "classnum-bad-p": ["classnum", "--p", "4"],
+    "classnum-no-args": ["classnum"],
+    "selmer-m11-oracle": ["selmer", "--p", "7", "--d", "-11", "--oracle"],
+    "selmer-m11-oracle-json": ["selmer", "--p", "7", "--d", "-11", "--oracle", "--format", "json"],
+    "selmer-d5-json": ["selmer", "--p", "7", "--d", "5", "--format", "json"],
+    "selmer-p31-json": ["selmer", "--p", "31", "--d", "-3", "--format", "json"],
+    "selmer-range-tsv": ["selmer", "--p", "7", "--d-range", "-60..60", "--format", "tsv"],
+    "selmer-range-oracle-tsv": ["selmer", "--p", "7", "--d-range", "-40..40", "--oracle", "--format", "tsv"],
+    "selmer-range-json": ["selmer", "--p", "23", "--d-range", "-40..40", "--format", "json"],
+    "selmer-no-d": ["selmer", "--p", "7"],
+    "eta-11-special": ["eta", "--N", "11", "--special"],
+    "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
+    "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],
+    "eta-121-special": ["eta", "--N", "121", "--special"],
+    "eta-169-special-json": ["eta", "--N", "169", "--special", "--format", "json"],
+    "eta-11-r": ["eta", "--N", "11", "--r", "12,-12"],
+    "eta-49-r-json": ["eta", "--N", "49", "--r=-1,8,-7", "--format", "json"],
+    "eta-r-dash-usage": ["eta", "--N", "49", "--r", "-1,8,-7"],
+    "eta-169-r-json": ["eta", "--N", "169", "--r", "24,0,-24", "--format", "json"],
+    "eta-49-r-failing": ["eta", "--N", "49", "--r", "1,-1,0"],
+    "eta-121-r-failing-json": ["eta", "--N", "121", "--r", "2,-2,0", "--format", "json"],
+    "eta-wrong-count": ["eta", "--N", "49", "--r", "1,-1"],
+    "eta-bad-level": ["eta", "--N", "12", "--special"],
+    "heegner-p11": ["heegner", "--p", "11", "--K", "-7", "--q", "5"],
+    "heegner-p11-inconclusive": ["heegner", "--p", "11", "--K", "-79", "--q", "5"],
+    "heegner-p61-json": ["heegner", "--p", "61", "--K", "-2711", "--q", "5", "--format", "json"],
+    "heegner-bad-q": ["heegner", "--p", "37", "--K", "-1003", "--q", "3"],
+    "heegner-p73-q2-json": ["heegner", "--p", "73", "--K", "-19", "--q", "2", "--format", "json"],
+    "heegner-p2-13": ["heegner", "--p2", "13", "--K", "-3", "--q", "7"],
+    "heegner-p2-13-json": ["heegner", "--p2", "13", "--K", "-23", "--q", "7", "--format", "json"],
+    "heegner-p2-41-json": ["heegner", "--p2", "41", "--K", "-1439", "--q", "7", "--format", "json"],
+    "heegner-p2-101": ["heegner", "--p2", "101", "--K", "-9983", "--q", "17"],
+    "heegner-ns73": ["heegner", "--ns", "73", "--K", "-19"],
+    "heegner-ns89-json": ["heegner", "--ns", "89", "--format", "json"],
+    "heegner-p-no-q": ["heegner", "--p", "11", "--K", "-7"],
+    "heegner-no-args": ["heegner"],
+    "eigencheck-p5": ["eigencheck", "--p", "5", "--prec", "200"],
+    "eigencheck-p7-json": ["eigencheck", "--p", "7", "--prec", "40", "--format", "json"],
+    "eigencheck-primes-json": ["eigencheck", "--p", "11", "--prec", "60", "--primes", "2,3,11", "--format", "json"],
+}
+
+
+def _verdict(level, r, coeffs, disc, q):
+    div = etacusp.CuspDivisor.from_map(level, coeffs)
+    return descent.verdict_rational_divisor(level, r, div, disc, q)
+
+
+def _canonical_p2(p):
+    return {1: -1, p: p + 1, p * p: -p}, {p: 1, p * p: -(p - 1)}
+
+
+LIBRARY_CASES = {
+    "cuspidal-invariants": lambda: [etacusp.cuspidal_group_invariants(p) for p in (5, 7, 11, 13, 37, 97)],
+    "verdict-prime-level": lambda: [
+        _verdict(11, {1: 12, 11: -12}, {1: 1, 11: -1}, -7, 5),
+        _verdict(11, {1: 12, 11: -12}, {1: 1, 11: -1}, -79, 5),
+    ],
+    "verdict-p2-level": lambda: [
+        _verdict(p * p, *_canonical_p2(p), disc, q)
+        for p, disc, q in (
+            (11, -7, 5),
+            (13, -3, 7),
+            (13, -23, 7),
+            (29, -1003, 7),
+            (41, -1439, 5),
+            (61, -2711, 5),
+            (61, -10007, 31),
+            (101, -9983, 17),
+            (101, -5867, 5),
+        )
+    ],
+}
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+def run_library(call):
+    return 0, "".join(repr(x) + "\n" for x in call())
+
+
+def _all_cases():
+    for name, argv in CLI_CASES.items():
+        yield name, lambda argv=argv: run_cli(argv)
+    for name, call in LIBRARY_CASES.items():
+        yield name, lambda call=call: run_library(call)
+
+
+@pytest.mark.parametrize("name", list(CLI_CASES) + list(LIBRARY_CASES))
+def test_golden(name):
+    run = dict(_all_cases())[name]
+    code, out = run()
+    exits = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == exits[name]
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    exits = {}
+    for name, run in _all_cases():
+        code, out = run()
+        exits[name] = code
+        (GOLDEN / f"{name}.stdout").write_bytes(out.encode())
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(write_golden())
