@@ -12,6 +12,7 @@ from .errors import FactorizationIncomplete, ValidationError
 # Deterministic Miller-Rabin base set: correct for all n < 3.3 * 10^24
 # (Sorenson-Webster), in particular for all n < 2^64.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_EXTRA_BASES = 12
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -39,10 +40,10 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def is_prime(n: int, extra_rounds: int = 12) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test, deterministic for |n| < 2^64 (fixed Miller-Rabin bases).
 
-    Beyond 2^64 the fixed bases are supplemented with `extra_rounds` further
+    Beyond 2^64 the fixed bases are supplemented with MR_EXTRA_BASES further
     prime bases; still deterministic output, probabilistically correct.
     """
     if n < 2:
@@ -61,7 +62,7 @@ def is_prime(n: int, extra_rounds: int = 12) -> bool:
     if n >= 1 << 64:
         extra = []
         cand = 41
-        while len(extra) < extra_rounds:
+        while len(extra) < MR_EXTRA_BASES:
             if all(cand % b for b in MR_BASES if b * b <= cand):
                 extra.append(cand)
             cand += 2
@@ -262,7 +263,7 @@ def _roots_minus_p(p: int, m: int) -> list[int]:
     return sorted(set(roots))
 
 
-DEFAULT_CORNACCHIA_SWEEP = 4 * 10**8
+CORNACCHIA_SWEEP = 4 * 10**8
 
 
 def _cornacchia_solutions(p: int, m: int, sweep: bool) -> Iterator[tuple[int, int]]:
@@ -300,30 +301,26 @@ def _cornacchia_solutions(p: int, m: int, sweep: bool) -> Iterator[tuple[int, in
                 yield (s, t)
 
 
-def all_norm_equation_solutions(
-    p: int, m: int, exhaustive_threshold: int = DEFAULT_CORNACCHIA_SWEEP
-) -> Iterator[tuple[int, int]]:
+def all_norm_equation_solutions(p: int, m: int) -> Iterator[tuple[int, int]]:
     """All nonnegative (s, t) with s^2 + p*t^2 = 4m, deduplicated."""
     if p % 4 != 3 or not is_prime(p):
         raise ValidationError(f"norm equation requires prime p = 3 mod 4, got {p}")
     if m < 1 or math.gcd(m, p) != 1:
         raise ValidationError(f"m must be positive and coprime to p, got m={m}")
-    sweep = m <= exhaustive_threshold or m % 2 == 0
+    sweep = m <= CORNACCHIA_SWEEP or m % 2 == 0
     for sol in _cornacchia_solutions(p, m, sweep):
         assert sol[0] ** 2 + p * sol[1] ** 2 == 4 * m
         yield sol
 
 
-def cornacchia_4m(
-    p: int, m: int, exhaustive_threshold: int = DEFAULT_CORNACCHIA_SWEEP
-) -> Optional[tuple[int, int]]:
+def cornacchia_4m(p: int, m: int) -> Optional[tuple[int, int]]:
     """First nonnegative solution (s, t) of s^2 + p*t^2 = 4m, or None.
 
     p must be a prime = 3 (mod 4) coprime to m.  Primary path is the
     modified Cornacchia reduction over all square-root classes of -p mod m;
-    below `exhaustive_threshold` a bounded t-sweep cross-checks "no solution"
-    and picks up imprimitive representations.
+    for m up to CORNACCHIA_SWEEP a bounded t-sweep cross-checks "no
+    solution" and picks up imprimitive representations.
     """
-    for sol in all_norm_equation_solutions(p, m, exhaustive_threshold):
+    for sol in all_norm_equation_solutions(p, m):
         return sol
     return None

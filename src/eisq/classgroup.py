@@ -2,18 +2,20 @@
 
 Forms (A, B, C) of negative discriminant are composed by the classical
 united-forms (Gauss/Dirichlet) procedure and fully reduced afterwards;
-class numbers come from direct enumeration of reduced forms, which is the
-independent oracle the rest of the package leans on.
+class numbers come from direct enumeration of primitive reduced forms,
+which is the independent oracle the rest of the package leans on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .arith import factor, is_prime, jacobi, sqrt_mod, valuation
-from .errors import InternalCheckError, ValidationError
+from .arith import factor, is_prime, jacobi, sqrt_mod
+from .errors import InternalCheckError, ResourceCapError, ValidationError
+
+# reduced_forms loops O(|D|) times; the cap keeps one enumeration to seconds
+MAX_ENUMERATED_DISC = 10**9
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,13 @@ def form_pow(f: BQForm, n: int) -> BQForm:
 
 
 def reduced_forms(disc: int) -> list[BQForm]:
-    """All reduced forms of a negative discriminant, by direct enumeration."""
+    """The primitive reduced forms of a negative discriminant, one per class
+    of the order of that discriminant, by direct enumeration."""
     _check_disc(disc)
+    if -disc > MAX_ENUMERATED_DISC:
+        raise ResourceCapError(
+            f"form enumeration is capped at |D| <= {MAX_ENUMERATED_DISC}, got {disc}"
+        )
     forms = []
     bmax = math.isqrt(-disc // 3)
     for b in range(disc % 2, bmax + 1, 2):
@@ -174,9 +181,10 @@ def reduced_forms(disc: int) -> list[BQForm]:
         while a * a <= m:
             if m % a == 0:
                 c = m // a
-                forms.append(BQForm(a, b, c))
-                if b and b != a and a != c:
-                    forms.append(BQForm(a, -b, c))
+                if math.gcd(a, b, c) == 1:
+                    forms.append(BQForm(a, b, c))
+                    if b and b != a and a != c:
+                        forms.append(BQForm(a, -b, c))
             a += 1
     return sorted(forms, key=lambda f: (f.a, f.b, f.c))
 
@@ -185,11 +193,16 @@ def class_number_of_disc(disc: int) -> int:
     return len(reduced_forms(disc))
 
 
-def class_number(p: int) -> int:
-    """h of Q(sqrt(-p)) for a prime p = 3 (mod 4), p > 3."""
+def field_disc(p: int) -> int:
+    """-p, the discriminant of Q(sqrt(-p)) for a prime p = 3 (mod 4), p > 3."""
     if p <= 3 or p % 4 != 3 or not is_prime(p):
         raise ValidationError(f"class_number requires a prime p > 3, p = 3 mod 4, got {p}")
-    return class_number_of_disc(-p)
+    return -p
+
+
+def class_number(p: int) -> int:
+    """h of Q(sqrt(-p)) for a prime p = 3 (mod 4), p > 3."""
+    return class_number_of_disc(field_disc(p))
 
 
 def class_order(f: BQForm, h: int | None = None) -> int:
@@ -231,42 +244,3 @@ def prime_form(disc: int, q: int) -> BQForm:
         b = q - b
     assert (b * b - disc) % (4 * q) == 0
     return reduce_form(BQForm(q, b, (b * b - disc) // (4 * q)))
-
-
-def ideal_class_of_eta_datum(
-    k_disc: int, level: int, r: Mapping[int, int], h: int | None = None
-) -> tuple[BQForm, int, int]:
-    """Class data of the square root of the inverted eta-ideal product.
-
-    For level p or p^2 with p split in the field of discriminant k_disc,
-    the divisor ideals are powers of one prime above p, so the product
-    over r collapses to an exponent e; r is a square ideal exactly when e
-    is even.  Returns (class of the root ideal, its order o, h_K / o).
-    `h` is h_K when the caller has it already.
-    """
-    p0 = _level_prime(level)
-    if jacobi(k_disc, p0) != 1:
-        raise ValidationError(
-            f"Heegner hypothesis fails: {p0} does not split for discriminant {k_disc}"
-        )
-    e = 0
-    for d, rd in r.items():
-        if level % d:
-            raise ValidationError(f"{d} does not divide the level {level}")
-        e += rd * valuation(d, p0) if d > 1 else 0
-    if e % 2:
-        raise ValidationError("not a square ideal: odd prime exponent in the product")
-    cls = form_pow(prime_form(k_disc, p0), -e // 2)
-    if h is None:
-        h = class_number_of_disc(k_disc)
-    o = class_order(cls, h)
-    return cls, o, h // o
-
-
-def _level_prime(level: int) -> int:
-    if is_prime(level):
-        return level
-    root = math.isqrt(level)
-    if root * root == level and is_prime(root):
-        return root
-    raise ValidationError(f"supported levels are p and p^2, got {level}")

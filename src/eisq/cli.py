@@ -43,17 +43,18 @@ def canonical_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
+def _write_tsv_row(row: dict, out):
+    """One line of tab-separated values in sorted key order, each a compact JSON value."""
+    flat = _jsonable(row)
+    out.write("\t".join(json.dumps(flat[k], separators=(",", ":")) for k in sorted(flat)) + "\n")
+
+
 def _emit(doc: dict, fmt: str, table_lines, out):
     if fmt == "json":
         out.write(canonical_json(doc) + "\n")
     elif fmt == "tsv":
         for row in doc.get("rows", [doc]):
-            flat = _jsonable(row)
-            keys = sorted(flat) if isinstance(flat, dict) else range(len(flat))
-            out.write(
-                "\t".join(json.dumps(_jsonable(flat[k]), separators=(",", ":")) for k in keys)
-                + "\n"
-            )
+            _write_tsv_row(row, out)
     else:
         for line in table_lines:
             out.write(line + "\n")
@@ -78,17 +79,12 @@ def _cmd_classnum(args, out) -> int:
     if args.disc is None and args.p is None:
         raise ValidationError("classnum needs --p or --disc")
     if args.disc is not None:
-        disc = args.disc
-        forms = classgroup.reduced_forms(disc)
-        doc = {"disc": disc, "h": len(forms), "forms": [[f.a, f.b, f.c] for f in forms]}
-        lines = [f"disc {disc}: h = {len(forms)}"]
+        disc, doc, label = args.disc, {"disc": args.disc}, f"disc {args.disc}"
     else:
-        p = args.p
-        h = classgroup.class_number(p)
-        forms = classgroup.reduced_forms(-p)
-        doc = {"p": p, "h": h, "forms": [[f.a, f.b, f.c] for f in forms]}
-        lines = [f"p = {p}: h = {h}"]
-    lines += [f"  {f}" for f in forms]
+        disc, doc, label = classgroup.field_disc(args.p), {"p": args.p}, f"p = {args.p}"
+    forms = classgroup.reduced_forms(disc)
+    doc.update(h=len(forms), forms=[[f.a, f.b, f.c] for f in forms])
+    lines = [f"{label}: h = {len(forms)}"] + [f"  {f}" for f in forms]
     _emit(doc, args.format, lines, out)
     return EXIT_OK
 
@@ -134,15 +130,12 @@ def _cmd_selmer(args, out) -> int:
         for d in selmer.admissible_twists(args.p, max(abs(lo), abs(hi))):
             if lo <= d <= hi:
                 row = _selmer_row(args.p, d, with_oracle)
-                rows.append(row)
                 if args.format == "tsv":
-                    flat = {
-                        k: row[k]
-                        for k in ("p", "d", "t", "rank", "dim_f2")
-                    }
-                    if with_oracle:
-                        flat["oracle_dim_f2"] = row["oracle_dim_f2"]
-                    out.write("\t".join(str(flat[k]) for k in sorted(flat)) + "\n")
+                    # streamed, one summary row per twist as it is computed
+                    keys = ("p", "d", "t", "rank", "dim_f2", "oracle_dim_f2")
+                    _write_tsv_row({k: row[k] for k in keys if k in row}, out)
+                else:
+                    rows.append(row)
         if args.format == "tsv":
             return EXIT_OK
         doc = {"rows": rows}
@@ -188,9 +181,7 @@ def _parse_exponents(n: int, text: str) -> dict[int, int]:
 def _cmd_eta(args, out) -> int:
     n = args.N
     if args.special:
-        p0, k = etacusp._level_prime(n)
-        kind = etacusp.PRIME_LEVEL if k == 1 else etacusp.P2_LEVEL
-        r = etacusp.special_function(kind, p0)
+        r = etacusp.special_function(n)
     elif args.r:
         r = _parse_exponents(n, args.r)
     else:

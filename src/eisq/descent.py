@@ -81,7 +81,7 @@ class HeegnerSetup:
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
     _check_fundamental(k_disc)
-    p0 = etacusp._level_prime(level)[0]
+    p0 = etacusp.level_prime(level)[0]
     h = classgroup.class_number_of_disc(k_disc)
     split_ok = k_disc % p0 != 0 and splits_in(k_disc, p0)
     o_p = classgroup.class_order(classgroup.prime_form(k_disc, p0), h) if split_ok else None
@@ -245,10 +245,9 @@ def verdict_rational_divisor(
     if n % q:
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
     setup = heegner_setup(level, k_disc)
-    p0 = etacusp._level_prime(level)[0]
-    exponent = sum(rd * valuation(d, p0) for d, rd in r.items() if d > 1)
+    exponent = etacusp.prime_exponent(level, r)
     if setup.split_ok:
-        _, o_r, h_r = classgroup.ideal_class_of_eta_datum(k_disc, level, r, setup.h_k)
+        _, o_r, h_r = ideal_class_of_eta_datum(k_disc, level, r, setup.h_k)
         nontrivial = exponent != 0
         vq_h, vq_n = valuation(h_r, q) if h_r else 0, valuation(n, q)
         val_ok = vq_h < vq_n
@@ -277,11 +276,35 @@ def verdict_rational_divisor(
     return Verdict("rational_divisor", NONTORSION if ok else INCONCLUSIVE, trace)
 
 
+def ideal_class_of_eta_datum(
+    k_disc: int, level: int, r: Mapping[int, int], h: int | None = None
+) -> tuple[classgroup.BQForm, int, int]:
+    """Class data of the square root of the inverted eta-ideal product.
+
+    For level p or p^2 with p split in the field of discriminant k_disc,
+    the divisor ideals are powers of one prime above p, so the product
+    over r collapses to the exponent e of `etacusp.prime_exponent`; r is a
+    square ideal exactly when e is even.  Returns (class of the root ideal,
+    its order o, h_K / o).  `h` is h_K when the caller has it already.
+    """
+    p0 = etacusp.level_prime(level)[0]
+    if jacobi(k_disc, p0) != 1:
+        raise ValidationError(
+            f"Heegner hypothesis fails: {p0} does not split for discriminant {k_disc}"
+        )
+    e = etacusp.prime_exponent(level, r)
+    if e % 2:
+        raise ValidationError("not a square ideal: odd prime exponent in the product")
+    cls = classgroup.form_pow(classgroup.prime_form(k_disc, p0), -e // 2)
+    if h is None:
+        h = classgroup.class_number_of_disc(k_disc)
+    o = classgroup.class_order(cls, h)
+    return cls, o, h // o
+
+
 def _is_special_eta(level: int, r: Mapping[int, int]) -> bool:
-    p0, k = etacusp._level_prime(level)
-    kind = etacusp.PRIME_LEVEL if k == 1 else etacusp.P2_LEVEL
     try:
-        canonical = etacusp.special_function(kind, p0)
+        canonical = etacusp.special_function(level)
     except ValidationError:
         return False
     trimmed = {d: v for d, v in r.items() if v}

@@ -16,11 +16,12 @@ from .errors import InternalCheckError, ValidationError
 EtaExponents = Mapping[int, int]
 
 
-def _level_prime(n: int) -> tuple[int, int]:
-    """(p, k) with n = p^k, k in {1, 2}."""
+def level_prime(n: int) -> tuple[int, int]:
+    """(p, k) with n = p^k, k in {1, 2}: the one place that decides which
+    of the two supported levels n is."""
     if is_prime(n):
         return n, 1
-    root = math.isqrt(n)
+    root = math.isqrt(max(n, 0))
     if root * root == n and is_prime(root):
         return root, 2
     raise ValidationError(f"supported levels are p and p^2, got {n}")
@@ -44,7 +45,7 @@ class CuspOrbit:
 
 
 def cusp_orbits(n: int) -> list[CuspOrbit]:
-    p0, k = _level_prime(n)
+    p0, k = level_prime(n)
     out = []
     for d in divisors(n):
         m = math.gcd(d, n // d)
@@ -84,6 +85,21 @@ def _validated_exponents(n: int, r: EtaExponents) -> dict[int, int]:
     return out
 
 
+def prime_exponent(n: int, r: EtaExponents) -> int:
+    """e = sum_d r_d * v_p(d) at level N = p or p^2, so prod_d d^{r_d} = p^e.
+
+    Over a field in which p splits, the divisor ideals of the eta-product
+    are powers of one prime above p, and e is the exponent of their product.
+    """
+    p0, _ = level_prime(n)
+    e = 0
+    for d, rd in r.items():
+        if d < 1 or n % d:
+            raise ValidationError(f"{d} does not divide the level {n}")
+        e += rd * valuation(d, p0)
+    return e
+
+
 def ligozat_check(n: int, r: EtaExponents) -> LigozatReport:
     """The four rationality conditions for prod_d eta(d z)^{r_d} on X0(N)."""
     rr = _validated_exponents(n, r)
@@ -91,8 +107,7 @@ def ligozat_check(n: int, r: EtaExponents) -> LigozatReport:
     s2 = sum(d * rd for d, rd in rr.items()) % 24 == 0
     s3 = sum((n // d) * rd for d, rd in rr.items()) % 24 == 0
     # prod d^{r_d} is a square iff every prime of N appears to an even power
-    p0, _ = _level_prime(n)
-    s4 = sum(valuation(d, p0) * rd for d, rd in rr.items() if d > 1) % 2 == 0
+    s4 = prime_exponent(n, rr) % 2 == 0
     return LigozatReport(s1, s2, s3, s4)
 
 
@@ -279,10 +294,9 @@ def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
     of U opposite the zero rows of S span that kernel.  The projection is
     injective (zero exponents force zero slack), so tau - 1 vectors come out.
     """
-    p0, _ = _level_prime(n)
     divs = divisors(n)
     tau = len(divs)
-    forms = ([1] * tau, divs, [n // d for d in divs], [valuation(d, p0) for d in divs])
+    forms = ([1] * tau, divs, [n // d for d in divs], [prime_exponent(n, {d: 1}) for d in divs])
     # A^T: a row per exponent, then a row per slack variable of forms 1-3
     rows = [[form[i] for form in forms] for i in range(tau)]
     rows += [[-m if j == i else 0 for j in range(4)] for i, m in ((1, 24), (2, 24), (3, 2))]
@@ -297,7 +311,7 @@ def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
     return basis
 
 
-def cuspidal_class_order(n: int, div: CuspDivisor, shuffle_check: bool = True) -> int:
+def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     """Order of a rational degree-0 cuspidal divisor class in J0(N).
 
     The class group of rational cuspidal divisors is cut out by divisors of
@@ -305,7 +319,7 @@ def cuspidal_class_order(n: int, div: CuspDivisor, shuffle_check: bool = True) -
     via Smith normal form.  A recomputation under a reversed generating
     set guards basis independence.
     """
-    _level_prime(n)
+    level_prime(n)
     if div.level != n:
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:
@@ -316,10 +330,9 @@ def cuspidal_class_order(n: int, div: CuspDivisor, shuffle_check: bool = True) -
         image = eta_divisor(n, r)
         gens.append(image.int_vector())
     order = lattice_order(gens, target)
-    if shuffle_check:
-        again = lattice_order(list(reversed(gens)), target)
-        if again != order:
-            raise InternalCheckError(f"order is basis-dependent: {order} vs {again}")
+    again = lattice_order(list(reversed(gens)), target)
+    if again != order:
+        raise InternalCheckError(f"order is basis-dependent: {order} vs {again}")
     return order
 
 
@@ -377,30 +390,22 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
 
 # --- the two special eta-products ------------------------------------------
 
-PRIME_LEVEL = "prime_level"
-P2_LEVEL = "p2_level"
 
-
-def special_function(kind: str, p: int) -> dict[int, int]:
-    """Exponents of the canonical eta-product whose divisor generates the
-    relevant cuspidal class: (24/m, -24/m) at level p with m = gcd(p-1, 12),
-    and (-1, p+1, -p) at level p^2."""
-    if not is_prime(p) or p < 5:
+def special_function(n: int) -> dict[int, int]:
+    """Exponents of the canonical eta-product of level n = p or p^2, whose
+    divisor generates the relevant cuspidal class: (24/m, -24/m) at level p
+    with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2."""
+    p, k = level_prime(n)
+    if p < 5:
         raise ValidationError(f"need a prime p >= 5, got {p}")
-    if kind == PRIME_LEVEL:
+    if k == 1:
         m = math.gcd(p - 1, 12)
         r = {1: 24 // m, p: -(24 // m)}
-        n = p
         expected = CuspDivisor.from_map(n, {1: (p - 1) // m, p: -((p - 1) // m)})
-    elif kind == P2_LEVEL:
-        r = {1: -1, p: p + 1, p * p: -p}
-        n = p * p
-        order = (p * p - 1) // 24
-        expected = CuspDivisor.from_map(
-            n, {p: order, p * p: -order * (p - 1)}
-        )
     else:
-        raise ValidationError(f"unknown special function kind {kind!r}")
+        r = {1: -1, p: p + 1, n: -p}
+        order = (n - 1) // 24
+        expected = CuspDivisor.from_map(n, {p: order, n: -order * (p - 1)})
     if not ligozat_check(n, r).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
     image = eta_divisor(n, r)

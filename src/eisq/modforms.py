@@ -162,25 +162,24 @@ class EigenReport:
         return tuple(r.ell for r in self.results if r.status == "insufficient_precision")
 
 
-def eisenstein_eigencheck(
-    p: int, prec: int, primes: Optional[Sequence[int]] = None, min_retained: int = MIN_RETAINED
-) -> EigenReport:
+def eisenstein_eigencheck(p: int, prec: int, primes: Optional[Sequence[int]] = None) -> EigenReport:
     """Check T_ell delta = (1+ell) delta for ell != p and U_p delta = 0.
 
+    U_p is part of the Eisenstein ideal check, so it is always included.
     Operators shrink precision by a factor ell; an ell retaining fewer than
-    `min_retained` coefficients is reported as insufficient rather than
+    MIN_RETAINED coefficients is reported as insufficient rather than
     asserted.  Raises when no requested operator is checkable at all.
     """
     delta = delta_series(p, prec)
     if primes is None:
         primes = [ell for ell in (2, 3, 5, 7, 11, 13) if ell != p]
     results = []
-    for ell in sorted(set(primes)):
+    for ell in sorted(set(primes) | {p}):
         if not is_prime(ell):
             raise ValidationError(f"{ell} is not prime")
+        op = "U" if ell == p else "T"
         retained = prec // ell
-        if retained < min_retained:
-            op = "U" if ell == p else "T"
+        if retained < MIN_RETAINED:
             results.append(EigenResult(ell, op, "insufficient_precision", retained))
             continue
         if ell == p:
@@ -189,27 +188,14 @@ def eisenstein_eigencheck(
         else:
             image = hecke_t(delta, ell)
             idx = image.agrees_with(delta.scale(1 + ell))
-        op = "U" if ell == p else "T"
         if idx is None:
             results.append(EigenResult(ell, op, "pass", retained))
         else:
             results.append(EigenResult(ell, op, "fail", retained, idx))
-    # U_p is part of the Eisenstein ideal check; include it by default
-    if p not in set(primes):
-        retained = prec // p
-        if retained < min_retained:
-            results.append(EigenResult(p, "U", "insufficient_precision", retained))
-        else:
-            image = hecke_u(delta, p)
-            if image.is_zero():
-                results.append(EigenResult(p, "U", "pass", retained))
-            else:
-                idx = next(i for i, a in enumerate(image.coeffs) if a)
-                results.append(EigenResult(p, "U", "fail", retained, idx))
-    report = EigenReport(p, prec, tuple(sorted(results, key=lambda r: r.ell)))
+    report = EigenReport(p, prec, tuple(results))
     if all(r.status == "insufficient_precision" for r in report.results):
         raise PrecisionError(
-            f"precision {prec} leaves no operator with {min_retained} coefficients"
+            f"precision {prec} leaves no operator with {MIN_RETAINED} coefficients"
         )
     return report
 

@@ -45,9 +45,6 @@ class FieldCtx:
         """sqrt(-p) as an element of Z[w]."""
         return QuadInt(-1, 2, self)
 
-    def one(self) -> "QuadInt":
-        return QuadInt(1, 0, self)
-
 
 @dataclass(frozen=True)
 class QuadInt:
@@ -117,14 +114,6 @@ class QuadInt:
 
     def __repr__(self) -> str:
         return f"({self.a}{self.b:+d}w; p={self.ctx.p})"
-
-
-def conjugate(x: QuadInt) -> QuadInt:
-    return x.conjugate()
-
-
-def norm(x: QuadInt) -> int:
-    return x.norm()
 
 
 @dataclass(frozen=True)

@@ -138,12 +138,6 @@ class SelmerCandidate:
             self.alpha_bits ^ other.alpha_bits, self.beta_bits ^ other.beta_bits
         )
 
-    def exponents(self, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            tuple((self.alpha_bits >> i) & 1 for i in range(width)),
-            tuple((self.beta_bits >> i) & 1 for i in range(width)),
-        )
-
 
 def torsion_image(td: TwistDatum) -> tuple[SelmerCandidate, ...]:
     """Image of the rational 2-torsion: {(1,1), (-pi d,1), (1,pi d), (-pi d,pi d)}.

@@ -173,7 +173,7 @@ def test_criterion_09_special_function():
         n = (p * p - 1) // 24
         expected = CuspDivisor.from_map(p * p, {p: n, p * p: -n * (p - 1)})
         assert etacusp.eta_divisor(p * p, r) == expected, p
-        assert etacusp.special_function(etacusp.P2_LEVEL, p) == r
+        assert etacusp.special_function(p * p) == r
 
 
 @criterion(10, "Heegner verdicts: prime level, level p^2, Neumann-Setzer corollary")

@@ -1,23 +1,25 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from eisq.arith import factor, jacobi
 from eisq.classgroup import (
+    MAX_ENUMERATED_DISC,
     BQForm,
     class_number,
     class_number_of_disc,
     class_order,
     compose,
     form_pow,
-    ideal_class_of_eta_datum,
     inverse,
     prime_form,
     principal_form,
     reduce_form,
     reduced_forms,
 )
-from eisq.errors import InternalCheckError, ValidationError
+from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 
 
 def test_class_number_examples():
@@ -96,21 +98,64 @@ def _orders_by_stepping(forms):
 
 
 def test_class_order_against_stepping():
-    # every primitive reduced form with |D| < 2000.  Where some reduced
-    # forms are imprimitive, class_number_of_disc counts them too, so the
-    # class number (the number of primitive forms) is passed in
+    # every primitive reduced form with |D| < 2000
     checked = 0
     for disc in range(-3, -2000, -1):
         if disc % 4 not in (0, 1):
             continue
-        all_forms = reduced_forms(disc)
-        forms = [f for f in all_forms if math.gcd(f.a, f.b, f.c) == 1]
-        h = None if len(forms) == len(all_forms) else len(forms)
+        forms = reduced_forms(disc)
         want = _orders_by_stepping(forms)
         for f in forms:
-            assert class_order(f, h) == want[f], (disc, f)
+            assert class_order(f) == want[f], (disc, f)
             checked += 1
     assert checked > 12000
+
+
+def _kronecker(d, ell):
+    if ell == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    return jacobi(d, ell)
+
+
+def _is_fundamental(d):
+    if d % 4 == 1:
+        return factor(d).is_squarefree()
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and factor(d // 4).is_squarefree()
+
+
+def _fundamental_part(disc):
+    """(D, f) with disc = D*f^2 and D a fundamental discriminant."""
+    f = next(
+        f
+        for f in range(math.isqrt(-disc), 0, -1)
+        if disc % (f * f) == 0 and _is_fundamental(disc // (f * f))
+    )
+    return disc // (f * f), f
+
+
+def test_class_numbers_of_orders():
+    # h(D f^2) = h(D) f / [O_K^x : O^x] * prod_{l | f} (1 - (D/l)/l)
+    assert [class_number_of_disc(d) for d in (-36, -48, -63, -144)] == [2, 2, 4, 4]
+    assert reduced_forms(-36) == [BQForm(1, 0, 9), BQForm(2, 2, 5)]
+    checked = 0
+    for disc in range(-3, -2000, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        d, f = _fundamental_part(disc)
+        if f == 1:
+            continue
+        want = Fraction(class_number_of_disc(d) * f, {-3: 3, -4: 2}.get(d, 1))
+        for ell, _ in factor(f).factors:
+            want *= 1 - Fraction(_kronecker(d, ell), ell)
+        assert class_number_of_disc(disc) == want, (disc, d, f)
+        checked += 1
+    assert checked > 300
+
+
+def test_reduced_forms_cap():
+    assert MAX_ENUMERATED_DISC == 10**9
+    with pytest.raises(ResourceCapError):
+        reduced_forms(-(10**9) - 3)
 
 
 def test_class_order_rejects_wrong_class_number():
@@ -189,25 +234,3 @@ def test_form_pow():
     assert form_pow(f, 3) == principal_form(-23)
     assert form_pow(f, -1) == inverse(f)
     assert form_pow(f, 2) == compose(f, f)
-
-
-def test_ideal_class_of_eta_datum():
-    # level p^2 canonical exponents over a class-number-one Heegner field
-    cls, o, hr = ideal_class_of_eta_datum(-3, 169, {1: -1, 13: 14, 169: -13})
-    assert o == 1 and hr == 1 and cls == principal_form(-3)
-    # zero exponents give the principal class
-    cls, o, hr = ideal_class_of_eta_datum(-7, 121, {1: 0, 11: 0, 121: 0})
-    assert o == 1 and hr == 1
-    # odd prime exponent is not a square ideal
-    with pytest.raises(ValidationError):
-        ideal_class_of_eta_datum(-7, 121, {1: 0, 11: 1, 121: 0})
-    # Heegner hypothesis violation
-    with pytest.raises(ValidationError):
-        ideal_class_of_eta_datum(-23, 49, {1: -1, 7: 8, 49: -7})
-
-
-def test_ideal_class_with_nontrivial_group():
-    # p = 11 splits in disc -79 (h = 5); the eta datum walks the class group
-    cls, o, hr = ideal_class_of_eta_datum(-79, 11, {1: 12, 11: -12})
-    assert o in (1, 5) and o * hr == 5
-    assert form_pow(cls, o) == principal_form(-79)

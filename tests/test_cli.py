@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, canonical_json, main
@@ -197,6 +198,8 @@ def test_bad_integer_lists_exit_2():
         ("eta", "--N", "49", "--r", "a,b,c"),
         ("eta", "--N", "49", "--r", "1,,-1"),
         ("eigencheck", "--p", "5", "--primes", "2,x"),
+        ("eta", "--N=-4", "--special"),
+        ("eta", "--N=-4", "--r", "1,2,3"),
     ):
         code, out, err = run_cli_err(*argv)
         assert code == EXIT_VALIDATION, argv
@@ -210,3 +213,17 @@ def test_reversed_range_exit_2():
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     code, out, _ = run_cli_err("selmer", "--p", "7", "--d-range", "5..5")
     assert code == EXIT_OK and "d=5" in out
+
+
+def test_classnum_non_fundamental_disc():
+    code, out = run_cli("classnum", "--disc", "-36")
+    assert code == EXIT_OK
+    assert out == "disc -36: h = 2\n  (1,0,9)\n  (2,2,5)\n"
+
+
+def test_classnum_disc_beyond_cap_exit_4():
+    start = time.perf_counter()
+    code, out, err = run_cli_err("classnum", "--disc", "-100000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP
+    assert out == "" and err.startswith("resource cap: ") and err.count("\n") == 1

@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from eisq.classgroup import class_number_of_disc
+from eisq.classgroup import class_number_of_disc, form_pow, principal_form
 from eisq.descent import (
     INCONCLUSIVE,
     NONTORSION,
     eisenstein_order_prime_level,
     heegner_setup,
+    ideal_class_of_eta_datum,
     neumann_setzer,
     roots_of_unity,
     splits_in,
@@ -18,7 +19,7 @@ from eisq.descent import (
     verdict_rational_divisor,
 )
 from eisq.errors import ValidationError
-from eisq.etacusp import P2_LEVEL, PRIME_LEVEL, CuspDivisor, special_function
+from eisq.etacusp import CuspDivisor, special_function
 
 # fundamental discriminants with small class numbers, for verdict tables
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40, -43, -47, -52, -67, -79, -163)
@@ -46,7 +47,7 @@ def test_one_form_enumeration_per_setup_and_verdict(monkeypatch):
         heegner_setup(level, disc)
         assert calls == [disc], (level, disc)
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):
-        r = special_function(P2_LEVEL, p)
+        r = special_function(p * p)
         div = CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
         calls.clear()
         verdict_rational_divisor(p * p, r, div, disc, q)
@@ -153,7 +154,7 @@ def test_rational_divisor_specializes_to_prime_level():
         qs = [q for q in (5, 7, 11, 13) if n % q == 0]
         if not qs:
             continue
-        r = special_function(PRIME_LEVEL, p)
+        r = special_function(p)
         div = CuspDivisor.from_map(p, {1: 1, p: -1})
         for q in qs:
             for disc in SMALL_DISCS:
@@ -178,7 +179,7 @@ def test_rational_divisor_specializes_to_p2_level():
         qs = [q for q in (5, 7, 11, 13) if n % q == 0 and (p + 1) % q == 0]
         if not qs:
             continue
-        r = special_function(P2_LEVEL, p)
+        r = special_function(p * p)
         div = CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
         for q in qs:
             for disc in SMALL_DISCS:
@@ -195,7 +196,7 @@ def test_rational_divisor_specializes_to_p2_level():
 
 
 def test_rational_divisor_validation():
-    r = special_function(PRIME_LEVEL, 11)
+    r = special_function(11)
     div = CuspDivisor.from_map(11, {1: 1, 11: -1})
     with pytest.raises(ValidationError):
         verdict_rational_divisor(11, {1: 0, 11: 0}, div, -7, 5)
@@ -226,3 +227,25 @@ def test_traces_are_complete():
     for v in verdicts:
         assert v.reevaluate() == v.conclusion
         assert all(isinstance(t.passed, bool) for t in v.trace)
+
+
+def test_ideal_class_of_eta_datum():
+    # level p^2 canonical exponents over a class-number-one Heegner field
+    cls, o, hr = ideal_class_of_eta_datum(-3, 169, {1: -1, 13: 14, 169: -13})
+    assert o == 1 and hr == 1 and cls == principal_form(-3)
+    # zero exponents give the principal class
+    cls, o, hr = ideal_class_of_eta_datum(-7, 121, {1: 0, 11: 0, 121: 0})
+    assert o == 1 and hr == 1
+    # odd prime exponent is not a square ideal
+    with pytest.raises(ValidationError):
+        ideal_class_of_eta_datum(-7, 121, {1: 0, 11: 1, 121: 0})
+    # Heegner hypothesis violation
+    with pytest.raises(ValidationError):
+        ideal_class_of_eta_datum(-23, 49, {1: -1, 7: 8, 49: -7})
+
+
+def test_ideal_class_with_nontrivial_group():
+    # p = 11 splits in disc -79 (h = 5); the eta datum walks the class group
+    cls, o, hr = ideal_class_of_eta_datum(-79, 11, {1: 12, 11: -12})
+    assert o in (1, 5) and o * hr == 5
+    assert form_pow(cls, o) == principal_form(-79)

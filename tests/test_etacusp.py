@@ -6,8 +6,6 @@ import pytest
 
 from eisq.errors import ValidationError
 from eisq.etacusp import (
-    P2_LEVEL,
-    PRIME_LEVEL,
     CuspDivisor,
     cusp_orbits,
     cuspidal_class_order,
@@ -136,17 +134,17 @@ def test_cuspidal_group_invariants():
 
 
 def test_special_functions():
-    assert special_function(PRIME_LEVEL, 11) == {1: 12, 11: -12}
-    assert special_function(PRIME_LEVEL, 13) == {1: 2, 13: -2}
-    assert special_function(P2_LEVEL, 7) == {1: -1, 7: 8, 49: -7}
+    assert special_function(11) == {1: 12, 11: -12}
+    assert special_function(13) == {1: 2, 13: -2}
+    assert special_function(49) == {1: -1, 7: 8, 49: -7}
     for p in (7, 11, 13, 17, 19):
-        r = special_function(PRIME_LEVEL, p)
+        r = special_function(p)
         assert ligozat_check(p, r).ok
     for p in (5, 7, 11, 13):
-        r = special_function(P2_LEVEL, p)
+        r = special_function(p * p)
         assert ligozat_check(p * p, r).ok
     with pytest.raises(ValidationError):
-        special_function("weird", 7)
+        special_function(15)
 
 
 def test_lattice_order_shuffle_invariance():

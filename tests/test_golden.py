@@ -49,6 +49,9 @@ CLI_CASES = {
     "eta-121-r-failing-json": ["eta", "--N", "121", "--r", "2,-2,0", "--format", "json"],
     "eta-wrong-count": ["eta", "--N", "49", "--r", "1,-1"],
     "eta-bad-level": ["eta", "--N", "12", "--special"],
+    "eta-25-special": ["eta", "--N", "25", "--special"],
+    "eta-5-special-json": ["eta", "--N", "5", "--special", "--format", "json"],
+    "eta-9-special": ["eta", "--N", "9", "--special"],
     "heegner-p11": ["heegner", "--p", "11", "--K", "-7", "--q", "5"],
     "heegner-p11-inconclusive": ["heegner", "--p", "11", "--K", "-79", "--q", "5"],
     "heegner-p61-json": ["heegner", "--p", "61", "--K", "-2711", "--q", "5", "--format", "json"],
@@ -58,6 +61,7 @@ CLI_CASES = {
     "heegner-p2-13-json": ["heegner", "--p2", "13", "--K", "-23", "--q", "7", "--format", "json"],
     "heegner-p2-41-json": ["heegner", "--p2", "41", "--K", "-1439", "--q", "7", "--format", "json"],
     "heegner-p2-101": ["heegner", "--p2", "101", "--K", "-9983", "--q", "17"],
+    "heegner-p2-29": ["heegner", "--p2", "29", "--K", "-7", "--q", "5"],
     "heegner-ns73": ["heegner", "--ns", "73", "--K", "-19"],
     "heegner-ns89-json": ["heegner", "--ns", "89", "--format", "json"],
     "heegner-p-no-q": ["heegner", "--p", "11", "--K", "-7"],
