@@ -53,6 +53,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % sp == 0:
             return False
+    if n < 101 * 101:  # a composite below 101^2 has a prime factor <= 97
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -178,6 +180,17 @@ def valuation(n: int, q: int) -> int:
         n //= q
         e += 1
     return e
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf[m], the smallest prime factor of m, for 2 <= m <= n (spf[0] = 0, spf[1] = 1)."""
+    spf = list(range(n + 1))
+    for ell in range(2, math.isqrt(max(n, 0)) + 1):
+        if spf[ell] == ell:
+            for m in range(ell * ell, n + 1, ell):
+                if spf[m] == m:
+                    spf[m] = ell
+    return spf
 
 
 def sqrt_mod(a: int, q: int) -> Optional[int]:

@@ -180,9 +180,11 @@ def _parse_exponents(n: int, text: str) -> dict[int, int]:
 
 def _cmd_eta(args, out) -> int:
     n = args.N
+    if args.special and args.r is not None:
+        raise ValidationError("eta takes --r or --special, not both")
     if args.special:
         r = etacusp.special_function(n)
-    elif args.r:
+    elif args.r is not None:
         r = _parse_exponents(n, args.r)
     else:
         raise ValidationError("eta needs --r or --special")

@@ -12,6 +12,7 @@ from eisq.arith import (
     factor,
     is_prime,
     jacobi,
+    smallest_prime_factors,
     sqrt_mod,
     valuation,
 )
@@ -82,6 +83,13 @@ def test_is_prime_against_sieve():
                 sieve[j] = False
     for n in range(limit):
         assert is_prime(n) == sieve[n], n
+
+
+def test_smallest_prime_factors_against_factor():
+    spf = smallest_prime_factors(5000)
+    assert spf[:2] == [0, 1] and smallest_prime_factors(0) == [0]
+    for m in range(2, 5001):
+        assert spf[m] == factor(m).factors[0][0], m
 
 
 def test_is_prime_large():

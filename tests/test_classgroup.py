@@ -40,6 +40,49 @@ def test_class_number_examples():
         class_number(13)
 
 
+def _reduced_forms_by_loop(disc):
+    """The primitive reduced forms by the O(|D|) double loop over (b, a)."""
+    forms = []
+    for b in range(disc % 2, math.isqrt(-disc // 3) + 1, 2):
+        m = (b * b - disc) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                if math.gcd(a, b, c) == 1:
+                    forms.append(BQForm(a, b, c))
+                    if b and b != a and a != c:
+                        forms.append(BQForm(a, -b, c))
+            a += 1
+    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+
+
+def test_reduced_forms_against_loop():
+    # every negative discriminant with |D| < 20000, fundamental or not
+    for disc in range(-3, -20000, -1):
+        if disc % 4 in (0, 1):
+            assert reduced_forms(disc) == _reduced_forms_by_loop(disc), disc
+
+
+def test_reduced_forms_against_loop_large():
+    # prime-power-rich discriminants, and prime ones near 10^6 and 10^7
+    for disc in (
+        -4 * 3**6 * 7,
+        -3 * 5**4 * 11**2,
+        -(2**8) * 23,
+        -(2**12) * 7,
+        -4 * 3**10,
+        -3 * 7**6,
+        -8 * 5**6,
+        -3 * 2**20,
+        -999983,
+        -1000004,
+        -9983951,
+        -9999991,
+    ):
+        assert reduced_forms(disc) == _reduced_forms_by_loop(disc), disc
+
+
 def test_compose_identity_and_inverse():
     for disc in (-7, -23, -47, -71):
         one = principal_form(disc)

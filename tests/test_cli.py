@@ -3,7 +3,11 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, canonical_json, main
+from eisq.modforms import MAX_EIGEN_PREC
 
 
 def run_cli(*argv):
@@ -200,6 +204,8 @@ def test_bad_integer_lists_exit_2():
         ("eigencheck", "--p", "5", "--primes", "2,x"),
         ("eta", "--N=-4", "--special"),
         ("eta", "--N=-4", "--r", "1,2,3"),
+        ("eta", "--N", "49", "--r", "1,2,3", "--special"),
+        ("eta", "--N", "49", "--special", "--r=-1,8,-7"),
     ):
         code, out, err = run_cli_err(*argv)
         assert code == EXIT_VALIDATION, argv
@@ -227,3 +233,78 @@ def test_classnum_disc_beyond_cap_exit_4():
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CAP
     assert out == "" and err.startswith("resource cap: ") and err.count("\n") == 1
+
+
+def test_eigencheck_prec_beyond_cap_exit_4():
+    start = time.perf_counter()
+    code, out, err = run_cli_err("eigencheck", "--p", "5", "--prec", str(MAX_EIGEN_PREC + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP
+    assert out == "" and err.startswith("resource cap: ") and err.count("\n") == 1
+
+
+# argv drawn from the real subcommands and options; values are small so
+# each example runs in milliseconds, and biased towards the primes,
+# levels and discriminants that get past validation
+_small = st.one_of(
+    st.integers(-60, 220),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 23, 25, 29, 31, 37, 41, 47, 49, 61, 71, 73, 89, 97, 101, 121, 169]),
+)
+_int = _small.map(str)
+_text = st.one_of(_int, st.sampled_from(["", "x", "1.5", "-", "0", "1..", "5..1"]))
+_list = st.one_of(st.lists(_small, max_size=5).map(lambda xs: ",".join(map(str, xs))), _text)
+_range = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda t: f"{t[0]}..{t[1]}")
+_fmt = st.sampled_from(["table", "json", "tsv", "xml"])
+_disc = st.one_of(st.integers(-400, 10), st.sampled_from([-3, -4, -7, -8, -19, -23, -43, -163, -1003, -2711]))
+_q = st.one_of(st.integers(-3, 40), st.sampled_from([2, 3, 5, 7, 11, 13, 17, 31]))
+_OPTIONS = {
+    "classnum": {"--p": _int, "--disc": st.integers(-3000, 10).map(str), "--format": _fmt},
+    "selmer": {
+        "--p": _int,
+        "--d": st.integers(-60, 60).map(str),
+        "--d-range": st.one_of(_range, _text),
+        "--oracle": None,
+        "--format": _fmt,
+    },
+    "eta": {"--N": _int, "--r": _list, "--special": None, "--format": _fmt},
+    "heegner": {
+        "--p": _int,
+        "--p2": st.one_of(st.integers(-5, 70), st.sampled_from([5, 7, 11, 13, 29, 41, 61])).map(str),
+        "--ns": _int,
+        "--K": _disc.map(str),
+        "--q": _q.map(str),
+        "--format": _fmt,
+    },
+    "eigencheck": {"--p": _int, "--prec": st.integers(-20, 400).map(str), "--primes": _list, "--format": _fmt},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=5, unique=True)):
+        argv.append(name)
+        if options[name] is not None:
+            argv.append(draw(options[name]))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_every_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv: usage, then one error line
+            assert exc.code == EXIT_VALIDATION, argv
+            assert err.getvalue().splitlines()[-1].startswith("eisq"), argv
+            assert ": error: " in err.getvalue().splitlines()[-1], argv
+            return
+    assert code in (0, 2, 3, 4), argv
+    if code == EXIT_OK:
+        assert err.getvalue() == "", argv
+    else:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

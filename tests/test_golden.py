@@ -28,6 +28,9 @@ CLI_CASES = {
     "classnum-disc84-tsv": ["classnum", "--disc", "-84", "--format", "tsv"],
     "classnum-bad-p": ["classnum", "--p", "4"],
     "classnum-no-args": ["classnum"],
+    "classnum-disc9983951-json": ["classnum", "--disc", "-9983951", "--format", "json"],
+    "classnum-disc20412": ["classnum", "--disc", "-20412"],
+    "classnum-disc4375-json": ["classnum", "--disc", "-4375", "--format", "json"],
     "selmer-m11-oracle": ["selmer", "--p", "7", "--d", "-11", "--oracle"],
     "selmer-m11-oracle-json": ["selmer", "--p", "7", "--d", "-11", "--oracle", "--format", "json"],
     "selmer-d5-json": ["selmer", "--p", "7", "--d", "5", "--format", "json"],

@@ -15,6 +15,8 @@ from eisq.modforms import (
     hecke_u,
     sigma,
     sigma_prime,
+    sigma_prime_table,
+    sigma_table,
 )
 
 
@@ -25,6 +27,15 @@ def test_sigma_examples():
     assert [sigma(m) for m in range(1, 9)] == [1, 3, 4, 7, 6, 12, 8, 15]
     with pytest.raises(ValidationError):
         sigma(0)
+
+
+def test_sigma_tables_against_trial_division():
+    n = 10**4
+    assert sigma_table(n) == [0] + [sigma(m) for m in range(1, n + 1)]
+    for p in (5, 7, 101):
+        assert sigma_prime_table(n, p) == [0] + [sigma_prime(m, p) for m in range(1, n + 1)]
+    assert sigma_table(0) == sigma_prime_table(0, 5) == [0]
+    assert sigma_table(1) == sigma_prime_table(1, 5) == [0, 1]
 
 
 def test_delta_series_examples():
