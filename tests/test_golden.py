@@ -31,6 +31,7 @@ CLI_CASES = {
     "classnum-disc9983951-json": ["classnum", "--disc", "-9983951", "--format", "json"],
     "classnum-disc20412": ["classnum", "--disc", "-20412"],
     "classnum-disc4375-json": ["classnum", "--disc", "-4375", "--format", "json"],
+    "classnum-disc3145728-json": ["classnum", "--disc", "-3145728", "--format", "json"],
     "selmer-m11-oracle": ["selmer", "--p", "7", "--d", "-11", "--oracle"],
     "selmer-m11-oracle-json": ["selmer", "--p", "7", "--d", "-11", "--oracle", "--format", "json"],
     "selmer-d5-json": ["selmer", "--p", "7", "--d", "5", "--format", "json"],
@@ -39,6 +40,9 @@ CLI_CASES = {
     "selmer-range-oracle-tsv": ["selmer", "--p", "7", "--d-range", "-40..40", "--oracle", "--format", "tsv"],
     "selmer-range-json": ["selmer", "--p", "23", "--d-range", "-40..40", "--format", "json"],
     "selmer-no-d": ["selmer", "--p", "7"],
+    "selmer-p71-m15-oracle-json": ["selmer", "--p", "71", "--d", "-15", "--oracle", "--format", "json"],
+    "selmer-p71-m1155-oracle-json": ["selmer", "--p", "71", "--d", "-1155", "--oracle", "--format", "json"],
+    "selmer-p47-d21-oracle": ["selmer", "--p", "47", "--d", "21", "--oracle"],
     "eta-11-special": ["eta", "--N", "11", "--special"],
     "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
     "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],
