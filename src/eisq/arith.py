@@ -1,5 +1,6 @@
-"""Exact integer primitives: Jacobi symbols, primality, factoring, modular
-square roots and the norm equation s^2 + p*t^2 = 4m."""
+"""Exact integer primitives: Jacobi symbols, primality, factoring, square
+roots modulo prime powers, the Chinese remainder join and the norm equation
+s^2 + p*t^2 = 4m."""
 
 from __future__ import annotations
 
@@ -235,45 +236,53 @@ def sqrt_mod(a: int, q: int) -> Optional[int]:
     return min(x, q - x)
 
 
-def _sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
-    # All roots of x^2 = a mod q^e, for odd prime q with q not dividing a.
-    r = sqrt_mod(a % q, q)
-    if r is None:
-        return []
-    qk = q
-    for _ in range(e - 1):
-        # Hensel: lift r from mod qk to mod qk*q
-        f = (r * r - a) // qk
-        inv = pow(2 * r, -1, q)
-        r = (r - f * inv % q * qk) % (qk * q)
+def hensel_lift(r: int, a: int, q: int, e: int) -> int:
+    """The root = r (mod q) of x^2 = a (mod q^e), in [0, q^e), for an odd prime
+    q not dividing a and a root r of x^2 = a (mod q).  Newton steps
+    x -> x - (x^2 - a)/(2x) double the precision each time."""
+    k, qk = 1, q
+    while k < e:
+        k = min(2 * k, e)
+        qk = q**k
+        r = (r - (r * r - a) * pow(2 * r, -1, qk)) % qk
+    r %= qk
+    assert (r * r - a) % qk == 0
+    return r
+
+
+def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
+    """All x in [0, q^e) with x^2 = a (mod q^e), sorted, for a prime q and e >= 1.
+
+    When q does not divide 2a, the two roots are the Hensel lifts of the
+    root mod q; otherwise the roots are lifted one power of q at a time by
+    trying the q lifts of each, from the root a mod q (x^2 = x mod 2)."""
+    qe = q**e
+    if q != 2 and a % q:
+        r = sqrt_mod(a, q)
+        if r is None:
+            return []
+        x = hensel_lift(r, a, q, e)
+        return sorted((x, qe - x))
+    roots, qk = [a % q], q
+    while roots and qk < qe:
         qk *= q
-    r %= q**e
-    return sorted({r, q**e - r})
+        roots = [x for r in roots for x in range(r, qk, qk // q) if (x * x - a) % qk == 0]
+    return sorted(roots)
+
+
+def crt(xs: list[int], m: int, ys: list[int], n: int) -> list[int]:
+    """Every z mod m*n with z = x (mod m) and z = y (mod n), m and n coprime."""
+    u = m * pow(m, -1, n)  # 0 mod m, 1 mod n
+    return [(x + (y - x) * u) % (m * n) for x in xs for y in ys]
 
 
 def _roots_minus_p(p: int, m: int) -> list[int]:
     # All solutions of x^2 = -p (mod m) for odd m coprime to p.
-    if m == 1:
-        return [0]
-    roots: Optional[list[int]] = None
-    modulus = 1
+    roots, modulus = [0], 1
     for q, e in factor(m).factors:
-        qe = q**e
-        part = _sqrt_mod_prime_power(-p % qe, q, e)
-        if not part:
-            return []
-        if roots is None:
-            roots, modulus = part, qe
-        else:
-            inv_qe = pow(qe, -1, modulus)
-            inv_mod = pow(modulus, -1, qe)
-            roots = [
-                (a * qe * inv_qe + b * modulus * inv_mod) % (modulus * qe)
-                for a in roots
-                for b in part
-            ]
-            modulus *= qe
-    return sorted(set(roots))
+        roots = crt(roots, modulus, sqrt_mod_prime_power(-p, q, e), q**e)
+        modulus *= q**e
+    return sorted(roots)
 
 
 CORNACCHIA_SWEEP = 4 * 10**8
@@ -325,15 +334,3 @@ def all_norm_equation_solutions(p: int, m: int) -> Iterator[tuple[int, int]]:
         assert sol[0] ** 2 + p * sol[1] ** 2 == 4 * m
         yield sol
 
-
-def cornacchia_4m(p: int, m: int) -> Optional[tuple[int, int]]:
-    """First nonnegative solution (s, t) of s^2 + p*t^2 = 4m, or None.
-
-    p must be a prime = 3 (mod 4) coprime to m.  Primary path is the
-    modified Cornacchia reduction over all square-root classes of -p mod m;
-    for m up to CORNACCHIA_SWEEP a bounded t-sweep cross-checks "no
-    solution" and picks up imprimitive representations.
-    """
-    for sol in all_norm_equation_solutions(p, m):
-        return sol
-    return None

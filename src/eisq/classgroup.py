@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod
+from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 
 # bounds the output of reduced_forms and its time: near |D| = 10^9 one
@@ -166,27 +166,17 @@ def form_pow(f: BQForm, n: int) -> BQForm:
     return one if result is None else result
 
 
-def _crt(xs: list[int], m: int, ys: list[int], n: int) -> list[int]:
-    """Every z mod m*n with z = x (mod m) and z = y (mod n), m and n coprime."""
-    u = m * pow(m, -1, n)  # 0 mod m, 1 mod n
-    return [(x + (y - x) * u) % (m * n) for x in xs for y in ys]
-
-
-def _lift(roots: list[int], q: int, ell: int, disc: int, mod: int) -> list[int]:
-    """The lifts to mod q*ell of the given roots mod q that solve x^2 = disc (mod mod)."""
-    return [x for r in roots for x in range(r, q * ell, q) if (x * x - disc) % mod == 0]
-
-
 def reduced_forms(disc: int) -> list[BQForm]:
     """The primitive reduced forms of a negative discriminant, one per class
     of the order of that discriminant, sorted.
 
     For each a <= sqrt(|D|/3) the b with b^2 = D (mod 4a) are a set of
-    residues mod 2a: with a = 2^k m and m odd, the roots mod 2^(k+2) joined
-    by CRT to the roots mod m.  The roots mod every odd m are built from a
-    smallest-prime-factor sieve, one prime power at a time, so a prime with
-    no root empties the sets of all its multiples.  Cost O(|D|^(1/2+eps))
-    plus the output (Cohen, GTM 138, sections 1.5 and 5.3).
+    residues mod 2a: with a = 2^k m and m odd, the roots mod 2^(k+2), read
+    mod 2^(k+1), joined by CRT to the roots mod m.  The roots mod every odd
+    m are joined over a smallest-prime-factor sieve from the roots mod its
+    prime powers, so a prime with no root empties the sets of all its
+    multiples.  Cost O(|D|^(1/2+eps)) plus the output (Cohen, GTM 138,
+    sections 1.5 and 5.3).
     """
     _check_disc(disc)
     if -disc > MAX_ENUMERATED_DISC:
@@ -198,29 +188,24 @@ def reduced_forms(disc: int) -> list[BQForm]:
     # odd[m]: the x mod m with x^2 = D (mod m), for odd m
     odd: list = [None, [0]] + [None] * (amax - 1)
     for m in range(3, amax + 1, 2):
-        ell, q, rest = spf[m], spf[m], m // spf[m]
+        ell, k, rest = spf[m], 1, m // spf[m]
         while rest % ell == 0:
-            q, rest = q * ell, rest // ell
+            k, rest = k + 1, rest // ell
         if rest > 1:
-            odd[m] = _crt(odd[rest], rest, odd[q], q)
-        elif q > ell:
-            odd[m] = _lift(odd[q // ell], q // ell, ell, disc, q)
-        elif disc % ell == 0:
-            odd[m] = [0]
+            odd[m] = crt(odd[rest], rest, odd[m // rest], m // rest)
         else:
-            r = sqrt_mod(disc, ell)
-            odd[m] = [] if r is None else [r, ell - r]
+            odd[m] = sqrt_mod_prime_power(disc, ell, k)
     # two[k]: the x mod 2^(k+1) with x^2 = D (mod 2^(k+2))
-    two = [[disc % 2]]
+    two: list = []
     while 1 << len(two) <= amax:
-        q = 1 << len(two)
-        two.append(_lift(two[-1], q, 2, disc, 4 * q))
+        k = len(two)
+        two.append(sorted({r % (2 << k) for r in sqrt_mod_prime_power(disc, 2, k + 2)}))
     forms = []
     for a in range(1, amax + 1):
         k = (a & -a).bit_length() - 1
         if not odd[a >> k] or not two[k]:
             continue
-        bs = _crt(two[k], 2 << k, odd[a >> k], a >> k)
+        bs = crt(two[k], 2 << k, odd[a >> k], a >> k)
         for b in sorted(b if b <= a else b - 2 * a for b in bs):
             c = (b * b - disc) // (4 * a)
             if c >= a and (b >= 0 or c != a) and math.gcd(a, b, c) == 1:

@@ -11,6 +11,7 @@ consistency failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -350,7 +351,10 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; every call returns that one
+    object, which `main` reuses, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="eisq",
         description="Exact computations for 2-Selmer ranks of CM twists, "

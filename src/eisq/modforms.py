@@ -60,36 +60,6 @@ class QSeries:
         return all(a == 0 for a in self.coeffs)
 
 
-def sigma(m: int) -> int:
-    """Sum of the positive divisors of m."""
-    if m < 1:
-        raise ValidationError(f"sigma needs m >= 1, got {m}")
-    total = 1
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            power, term = 1, 1
-            while rest % d == 0:
-                rest //= d
-                power *= d
-                term += power
-            total *= term
-        d += 1
-    if rest > 1:
-        total *= 1 + rest
-    return total
-
-
-def sigma_prime(m: int, p: int) -> int:
-    """Sum of the divisors of m coprime to p."""
-    if m < 1:
-        raise ValidationError(f"sigma_prime needs m >= 1, got {m}")
-    while m % p == 0:
-        m //= p
-    return sigma(m)
-
-
 def sigma_table(n: int) -> list[int]:
     """[sigma(0) = 0, sigma(1), ..., sigma(n)] from a smallest-prime-factor
     sieve: sigma(l*q) = (l+1) sigma(q) - l sigma(q/l), the last term only

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .arith import all_norm_equation_solutions, factor, is_prime, jacobi, sqrt_mod, valuation
+from .arith import all_norm_equation_solutions, factor, hensel_lift, is_prime, jacobi, sqrt_mod, valuation
 from .errors import InternalCheckError, ValidationError
 
 SPLIT_FACTOR = "split_factor"
@@ -258,10 +258,13 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
         res = (unit.a + unit.b * v.omega_residue) % q
         assert res != 0
         return (val, jacobi(res, q))
-    # split place: reduce through the q-adic embedding w -> lifted root
+    # split place: reduce through the q-adic embedding w -> (s + 1)/2, where
+    # s = 2w - 1 is the root of s^2 = -p lifted from the residue of w, and
+    # (qk + 1)/2 is 1/2 mod qk
     bound = valuation(n, q) + 1
-    root = _lift_omega_root(ctx, v, bound)
     qk = q**bound
+    s = hensel_lift(2 * v.omega_residue - 1, -ctx.p, q, bound)
+    root = (s + 1) * ((qk + 1) // 2) % qk
     image = (g.a + g.b * root) % qk
     val = 0
     while image % q == 0 and val < bound:
@@ -270,21 +273,6 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     if val >= bound:
         raise InternalCheckError("valuation exceeded norm bound at split place")
     return (val, jacobi(image % q, q))
-
-
-def _lift_omega_root(ctx: FieldCtx, v: PlaceK, precision: int) -> int:
-    # Hensel-lift the residue of w at a split place to a root mod q^precision.
-    q, r = v.q, v.omega_residue
-    c = ctx.omega_norm
-    qk = q
-    while qk < q**precision:
-        step = min(qk * qk, q**precision)
-        f = (r * r - r + c) % step
-        df_inv = pow((2 * r - 1) % step, -1, step)
-        r = (r - f * df_inv) % step
-        qk = step
-    assert (r * r - r + c) % q**precision == 0
-    return r % q**precision
 
 
 def residue_symbol(ctx: FieldCtx, x: Gen, y: Union[PlaceK, QuadInt]) -> int:

@@ -327,12 +327,11 @@ def build_conjugate_graph(td: TwistDatum) -> SelmerGraph:
     return _graph_from_gens(td, td.beta_gens)
 
 
-def verify_conjugation_isomorphism(td: TwistDatum) -> bool:
+def verify_conjugation_isomorphism(td: TwistDatum, g1: SelmerGraph, g2: SelmerGraph) -> bool:
     """The coordinate swap -pi -> pi, f -> fbar, -fbar -> -f, g -> gbar,
-    gbar -> g, Q* -> Q* must carry arrows of the first graph exactly onto
-    arrows of the second."""
-    g1 = build_graph(td)
-    g2 = build_conjugate_graph(td)
+    gbar -> g, Q* -> Q* must carry arrows of the first graph of td exactly
+    onto arrows of the second (g1 and g2, as built by build_graph and
+    build_conjugate_graph)."""
     n3, n1 = len(td.split3), len(td.split1)
     perm = [0]
     perm += list(range(1 + n3, 1 + 2 * n3))  # f_i -> fbar_i slot
@@ -411,7 +410,7 @@ def selmer_rank_graph(td: TwistDatum) -> GraphRankResult:
     coordinate swap is an isomorphism, verified rather than trusted)."""
     g1 = build_graph(td)
     g2 = build_conjugate_graph(td)
-    if not verify_conjugation_isomorphism(td):
+    if not verify_conjugation_isomorphism(td, g1, g2):
         raise InternalCheckError("conjugation map is not a graph isomorphism")
     t1, nontrivial = count_even_partitions(g1)
     t2, _ = count_even_partitions(g2)

@@ -6,17 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisq.arith import (
+    CORNACCHIA_SWEEP,
     Factorization,
     all_norm_equation_solutions,
-    cornacchia_4m,
+    crt,
     factor,
+    hensel_lift,
     is_prime,
     jacobi,
     smallest_prime_factors,
     sqrt_mod,
+    sqrt_mod_prime_power,
     valuation,
 )
 from eisq.errors import FactorizationIncomplete, ValidationError
+
+
+def cornacchia_4m(p, m):
+    """First nonnegative solution (s, t) of s^2 + p*t^2 = 4m, or None."""
+    return next(all_norm_equation_solutions(p, m), None)
 
 
 def test_jacobi_examples():
@@ -144,6 +152,53 @@ def test_sqrt_mod_property():
             assert r <= q - r  # deterministic smaller root
 
 
+def _prime_powers(bound=3000):
+    """(q, e, q^e, roots) for every prime q < 40 and every q^e <= bound, where
+    roots[a] lists every x in [0, q^e) with x^2 = a (mod q^e), in order."""
+    for q in (q for q in range(2, 40) if is_prime(q)):
+        e, qe = 1, q
+        while qe <= bound:
+            roots = [[] for _ in range(qe)]
+            for x in range(qe):
+                roots[x * x % qe].append(x)
+            yield q, e, qe, roots
+            e, qe = e + 1, qe * q
+
+
+def test_sqrt_mod_prime_power_against_brute_force():
+    for q, e, qe, roots in _prime_powers():
+        for a in range(-qe, qe):
+            assert sqrt_mod_prime_power(a, q, e) == roots[a % qe], (a, q, e)
+    assert sqrt_mod_prime_power(-7, 2, 5) == [5, 11, 21, 27]
+
+
+def test_hensel_lift_against_brute_force():
+    for q, e, qe, roots in _prime_powers():
+        if q == 2:
+            continue
+        for a in range(-qe, qe):
+            if a % q == 0:
+                continue
+            for x in roots[a % qe]:
+                for r in (x % q, x % q - q, x % q + q):
+                    assert hensel_lift(r, a, q, e) == x, (r, a, q, e)
+    big = 10**9 + 7
+    x = hensel_lift(sqrt_mod(-23, big), -23, big, 5)
+    assert (x * x + 23) % big**5 == 0 and x % big == sqrt_mod(-23, big)
+
+
+def test_crt_against_brute_force():
+    for m in range(1, 30):
+        for n in range(1, 30):
+            if math.gcd(m, n) != 1:
+                continue
+            xs, ys = list(range(0, m, 2)), list(range(1, n, 3))
+            want = [z for z in range(m * n) if z % m in xs and z % n in ys]
+            got = crt(xs, m, ys, n)
+            assert sorted(got) == want and len(got) == len(xs) * len(ys), (m, n)
+    assert crt([], 3, [1], 5) == crt([2], 3, [], 5) == []
+
+
 def test_cornacchia_examples():
     assert cornacchia_4m(7, 11) == (4, 2)
     assert cornacchia_4m(7, 29) == (2, 4)
@@ -181,6 +236,21 @@ def test_norm_equation_enumerates_primitive_and_imprimitive():
     prim = [s for s in sols if not (s[0] % 59 == 0 and s[1] % 59 == 0)]
     imprim = [s for s in sols if s[0] % 59 == 0 and s[1] % 59 == 0]
     assert prim and imprim
+
+
+def test_norm_equation_above_the_sweep_against_brute_force():
+    # above CORNACCHIA_SWEEP only the square-root classes of -p mod m (joined
+    # by CRT over the primes of m) are searched; at squarefree odd m every
+    # solution is found there
+    cases = ((7, 400000007), (7, 400000147), (23, 400000017), (23, 400000207), (31, 400000355), (31, 400000615))
+    for p, m in cases:
+        assert m > CORNACCHIA_SWEEP and factor(m).is_squarefree() and len(factor(m).factors) >= 3
+        want = set()
+        for t in range(math.isqrt(4 * m // p) + 1):
+            s = math.isqrt(4 * m - p * t * t)
+            if s * s == 4 * m - p * t * t:
+                want.add((s, t))
+        assert want and set(all_norm_equation_solutions(p, m)) == want, (p, m)
 
 
 def test_valuation():

@@ -218,7 +218,7 @@ def test_prime_form_examples():
 def test_prime_form_norm_compatibility():
     # for class number one fields split primes give principal classes,
     # equivalently q is a norm: cross-checked against the norm equation
-    from eisq.arith import cornacchia_4m, is_prime
+    from eisq.arith import all_norm_equation_solutions, is_prime
 
     for p in (7, 11, 19, 43, 67, 163):
         assert class_number_of_disc(-p) == 1
@@ -228,10 +228,10 @@ def test_prime_form_norm_compatibility():
             try:
                 f = prime_form(-p, q)
             except ValidationError:
-                assert cornacchia_4m(p, q) is None  # inert: q is not a norm
+                assert next(all_norm_equation_solutions(p, q), None) is None  # inert: q is not a norm
                 continue
             assert reduce_form(f) == principal_form(-p)
-            assert cornacchia_4m(p, q) is not None
+            assert next(all_norm_equation_solutions(p, q), None) is not None
 
 
 def test_prime_form_represents_its_prime():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import time
@@ -21,6 +22,21 @@ def test_classnum_table():
     code, out = run_cli("classnum", "--p", "23")
     assert code == EXIT_OK
     assert "h = 3" in out and "(2,1,3)" in out
+
+
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert run_cli("classnum", "--p", "7")[0] == EXIT_OK
+    # the parser and its 5 subparsers once at most, however many calls
+    assert len(built) <= 6
 
 
 def test_classnum_json_example():

@@ -13,11 +13,39 @@ from eisq.modforms import (
     eisenstein_eigencheck,
     hecke_t,
     hecke_u,
-    sigma,
-    sigma_prime,
     sigma_prime_table,
     sigma_table,
 )
+
+
+def sigma(m: int) -> int:
+    """Sum of the positive divisors of m, by trial division (the oracle for sigma_table)."""
+    if m < 1:
+        raise ValidationError(f"sigma needs m >= 1, got {m}")
+    total = 1
+    rest = m
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            power, term = 1, 1
+            while rest % d == 0:
+                rest //= d
+                power *= d
+                term += power
+            total *= term
+        d += 1
+    if rest > 1:
+        total *= 1 + rest
+    return total
+
+
+def sigma_prime(m: int, p: int) -> int:
+    """Sum of the divisors of m coprime to p (the oracle for sigma_prime_table)."""
+    if m < 1:
+        raise ValidationError(f"sigma_prime needs m >= 1, got {m}")
+    while m % p == 0:
+        m //= p
+    return sigma(m)
 
 
 def test_sigma_examples():
@@ -25,6 +53,8 @@ def test_sigma_examples():
     assert sigma(1) == 1
     assert sigma_prime(10, 5) == 3
     assert [sigma(m) for m in range(1, 9)] == [1, 3, 4, 7, 6, 12, 8, 15]
+    assert sigma_table(8)[1:] == [1, 3, 4, 7, 6, 12, 8, 15]
+    assert sigma_prime_table(10, 5)[10] == 3
     with pytest.raises(ValidationError):
         sigma(0)
 

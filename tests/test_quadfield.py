@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisq.arith import is_prime, valuation
+from eisq.arith import is_prime, jacobi, valuation
 from eisq.errors import ValidationError
 from eisq.quadfield import (
     INERT,
@@ -279,3 +279,38 @@ def test_local_square_rejects_residue_characteristic_two():
         is_local_square(CTX7, 3, place_two)
     with pytest.raises(ValidationError):
         residue_symbol(CTX7, 3, place_two)
+
+
+def _omega_root_by_trial(p, q, r, k):
+    # the root = r (mod q) of z^2 - z + (1+p)/4 mod q^k, one q-adic digit at a time
+    c, z, qi = (1 + p) // 4, r, q
+    for _ in range(k - 1):
+        z = next(x for x in range(z, qi * q, qi) if (x * x - x + c) % (qi * q) == 0)
+        qi *= q
+    return z
+
+
+def test_split_place_lift_against_trial_lifting():
+    # w - z_j, with z_j the root of w's polynomial mod q^j, has valuation
+    # >= j at the place of that root and 0 at its conjugate; the split-place
+    # local data lift the residue of w to precision v_q(norm) + 1 <= 9
+    from eisq.quadfield import _local_data
+
+    prec = 9
+    for p in (7, 23, 31, 47, 71):
+        ctx = FieldCtx(p)
+        for q in split_primes(ctx, 200):
+            v, vbar = places_above(ctx, q)
+            for place, other in ((v, vbar), (vbar, v)):
+                z = _omega_root_by_trial(p, q, place.omega_residue, prec)
+                zbar = _omega_root_by_trial(p, q, other.omega_residue, prec)
+                for j in range(1, prec - 1):
+                    zj = z % q**j
+                    g = ctx.quad(-zj, 1)
+                    val = valuation(g.norm(), q)
+                    if val + 1 > prec:
+                        continue
+                    assert val >= j and (z - zj) % q ** (val + 1) != 0
+                    unit = (z - zj) // q**val % q
+                    assert _local_data(ctx, g, place) == (val, jacobi(unit, q)), (p, q, j)
+                    assert _local_data(ctx, g, other) == (0, jacobi(zbar - zj, q)), (p, q, j)

@@ -137,13 +137,35 @@ def test_dimension_vs_raw_partition_count():
 def test_conjugation_isomorphism_and_symmetry():
     for p, d in ((7, -11), (7, 65), (23, -39), (31, 57)):
         td = build_twist(p, d)
-        assert verify_conjugation_isomorphism(td)
-        g1, _ = count_even_partitions(build_graph(td))
-        g2, _ = count_even_partitions(build_conjugate_graph(td))
-        assert g1 == g2
+        g1, g2 = build_graph(td), build_conjugate_graph(td)
+        assert verify_conjugation_isomorphism(td, g1, g2)
+        assert count_even_partitions(g1)[0] == count_even_partitions(g2)[0]
         tdc = build_twist(p, d, conjugate_choice=True)
         assert selmer_rank_graph(tdc).t == selmer_rank_graph(td).t
         assert selmer_group_bruteforce(tdc).dim_f2 == selmer_group_bruteforce(td).dim_f2
+
+
+def test_rank_builds_each_graph_once(monkeypatch):
+    from eisq import selmer
+
+    built = []
+    real = selmer._graph_from_gens
+
+    def counting(td, gens):
+        built.append(gens)
+        return real(td, gens)
+
+    monkeypatch.setattr(selmer, "_graph_from_gens", counting)
+    for p, d in ((7, -11), (23, -39), (71, -1155)):
+        td = build_twist(p, d)
+        built.clear()
+        res = selmer_rank_graph(td)
+        assert built == [td.alpha_gens, td.beta_gens]
+        # a graph that is not the conjugate image fails the check
+        arrows = [list(row) for row in res.conjugate_graph.arrows]
+        arrows[0][1] = not arrows[0][1]
+        flipped = SelmerGraph(res.conjugate_graph.labels, tuple(map(tuple, arrows)))
+        assert not verify_conjugation_isomorphism(td, res.graph, flipped)
 
 
 def test_thmm_examples():
