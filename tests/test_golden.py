@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from eisq import descent, etacusp
+from eisq import classgroup, descent, etacusp
 from eisq.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -73,6 +73,15 @@ CLI_CASES = {
     "heegner-ns89-json": ["heegner", "--ns", "89", "--format", "json"],
     "heegner-p-no-q": ["heegner", "--p", "11", "--K", "-7"],
     "heegner-no-args": ["heegner"],
+    "heegner-p97-q2-h6368-json": ["heegner", "--p", "97", "--K", "-9983951", "--q", "2", "--format", "json"],
+    "heegner-p97-q2-prime-disc-json": ["heegner", "--p", "97", "--K", "-9983983", "--q", "2", "--format", "json"],
+    "heegner-p61-disc99990007-json": ["heegner", "--p", "61", "--K", "-99990007", "--q", "5", "--format", "json"],
+    "heegner-p2-89-disc10000004-json": ["heegner", "--p2", "89", "--K", "-10000004", "--q", "5", "--format", "json"],
+    "heegner-p2-139-disc9999015": ["heegner", "--p2", "139", "--K", "-9999015", "--q", "7"],
+    "heegner-ns73-disc9990047-json": ["heegner", "--ns", "73", "--K", "-9990047", "--format", "json"],
+    "heegner-ns73-not-disc-json": ["heegner", "--ns", "73", "--K", "-9990121", "--format", "json"],
+    "heegner-p11-not-fundamental": ["heegner", "--p", "11", "--K", "-36", "--q", "5"],
+    "heegner-p2-13-not-fundamental-even": ["heegner", "--p2", "13", "--K", "-24012", "--q", "7"],
     "eigencheck-p5": ["eigencheck", "--p", "5", "--prec", "200"],
     "eigencheck-p7-json": ["eigencheck", "--p", "7", "--prec", "40", "--format", "json"],
     "eigencheck-primes-json": ["eigencheck", "--p", "11", "--prec", "60", "--primes", "2,3,11", "--format", "json"],
@@ -88,7 +97,21 @@ def _canonical_p2(p):
     return {1: -1, p: p + 1, p * p: -p}, {p: 1, p * p: -(p - 1)}
 
 
+def _class_orders():
+    discs = (-3, -4, -36, -84, -1003, -4375, -20412, -236196, -3145728, -9983951, -10000004, -99990007)
+    counts = [(d, classgroup.class_number_of_disc(d)) for d in discs]
+    # every 97th form of three non-fundamental discriminants, order from h = None
+    orders = [
+        (f, classgroup.class_order(f))
+        for d in (-20412, -4 * 3**10, -3 * 2**20)
+        for f in classgroup.reduced_forms(d)[1::97]
+    ]
+    split = [classgroup.class_order(classgroup.prime_form(-9983951, 97))]
+    return counts + orders + split
+
+
 LIBRARY_CASES = {
+    "class-orders": _class_orders,
     "cuspidal-invariants": lambda: [etacusp.cuspidal_group_invariants(p) for p in (5, 7, 11, 13, 37, 97)],
     "verdict-prime-level": lambda: [
         _verdict(11, {1: 12, 11: -12}, {1: 1, 11: -1}, -7, 5),
@@ -107,6 +130,10 @@ LIBRARY_CASES = {
             (101, -9983, 17),
             (101, -5867, 5),
         )
+    ],
+    "verdict-p2-level-large-disc": lambda: [
+        _verdict(p * p, *_canonical_p2(p), disc, q)
+        for p, disc, q in ((89, -10000004, 5), (89, -10000004, 11), (139, -9999015, 7), (97, -9983951, 7))
     ],
 }
 
