@@ -1,11 +1,13 @@
 """Class groups of imaginary quadratic orders via binary quadratic forms.
 
-Forms (A, B, C) of negative discriminant are composed by the classical
-united-forms (Gauss/Dirichlet) procedure and fully reduced afterwards;
-class numbers come from direct enumeration of primitive reduced forms,
-which is the independent oracle the rest of the package leans on.  The
-enumeration walks the leading coefficients a <= sqrt(|D|/3) with the
-square roots of D mod 4a, so it costs about sqrt(|D|) plus its output.
+Forms (A, B, C) of negative discriminant are composed by two extended gcds
+(Cohen's united-forms algorithm) and fully reduced afterwards.  The
+primitive reduced forms are enumerated by walking the leading coefficients
+a <= sqrt(|D|/3) with the square roots of D mod 4a, so a list costs about
+sqrt(|D|) plus its output.  At a fundamental discriminant the class number
+is counted from the number of those roots and lists only the forms with
+a > sqrt(|D|/4); the enumeration stays the independent oracle the rest of
+the package leans on.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 
-# bounds the output of reduced_forms and its time: near |D| = 10^9 one
+# caps reduced_forms and class_number_of_disc: near |D| = 10^9 one
 # enumeration lists 9-23 thousand forms in 0.06-0.10 s (2-core Xeon VM)
 MAX_ENUMERATED_DISC = 10**9
 
@@ -72,48 +74,6 @@ def inverse(f: BQForm) -> BQForm:
     return reduce_form(BQForm(f.a, -f.b, f.c))
 
 
-def _transform(f: BQForm, alpha: int, beta: int, gamma: int, delta: int) -> BQForm:
-    # action of the SL2(Z) matrix [[alpha, beta], [gamma, delta]]
-    assert alpha * delta - beta * gamma == 1
-    a, b, c = f.a, f.b, f.c
-    a2 = a * alpha * alpha + b * alpha * gamma + c * gamma * gamma
-    b2 = 2 * a * alpha * beta + b * (alpha * delta + beta * gamma) + 2 * c * gamma * delta
-    c2 = a * beta * beta + b * beta * delta + c * delta * delta
-    return BQForm(a2, b2, c2)
-
-
-def _coprime_representative(f: BQForm, m: int) -> BQForm:
-    """An SL2(Z)-equivalent form whose leading coefficient is coprime to m."""
-    if math.gcd(f.a, m) == 1:
-        return f
-    # CRT a primitive vector (x, y) with f(x, y) nonzero mod every prime of m
-    x, y, modulus = 0, 1, 1
-    for ell, _ in factor(m).factors:
-        for xe, ye in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)):
-            if (f.a * xe * xe + f.b * xe * ye + f.c * ye * ye) % ell:
-                break
-        else:  # primitive forms are nonzero mod every prime
-            raise InternalCheckError(f"{f} vanishes identically mod {ell}")
-        if modulus == 1:
-            x, y, modulus = xe, ye, ell
-        else:
-            inv_m, inv_e = pow(modulus, -1, ell), pow(ell, -1, modulus)
-            x = (x * ell * inv_e + xe * modulus * inv_m) % (modulus * ell)
-            y = (y * ell * inv_e + ye * modulus * inv_m) % (modulus * ell)
-            modulus *= ell
-    if x == 0:
-        x = modulus
-    k = 0
-    while math.gcd(x, y + k * modulus) != 1:
-        k += 1
-    y += k * modulus
-    g, u, v = _xgcd(x, y)
-    assert g == 1
-    out = _transform(f, x, -v, y, u)
-    assert math.gcd(out.a, m) == 1 and out.disc == f.disc
-    return out
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -127,28 +87,35 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def compose(f1: BQForm, f2: BQForm) -> BQForm:
-    """Reduced Gauss composite of two forms of equal discriminant.
+    """Reduced Gauss composite of two primitive positive definite forms of
+    equal discriminant.
 
-    Dirichlet composition on united representatives: replace f2 by an
-    equivalent form with leading coefficient coprime to a1, pick the
-    common middle coefficient B = b1 (mod 2a1), B = b2 (mod 2a2), and
-    compose to (a1*a2, B, (B^2-D)/(4*a1*a2)); then reduce.
+    With a1 <= a2 and s = (b1 + b2)/2, two extended gcds
+    d = gcd(a2, a1) = u*a2 + v*a1 and d1 = gcd(s, d) = x*s + y*d give the
+    united form (a1*a2/d1^2, b2 + 2*(a2/d1)*r, c3) with
+    r = -u*y*(b2 - s) - x*c2 mod a1/d1, which is then reduced (Cohen,
+    GTM 138, Algorithm 5.4.7).
     """
     if f1.disc != f2.disc:
         raise ValidationError(f"discriminant mismatch: {f1.disc} vs {f2.disc}")
+    if f1.a <= 0 or f2.a <= 0:
+        raise ValidationError(f"positive definite forms only, got {f1} and {f2}")
     disc = f1.disc
-    g1 = reduce_form(f1)
-    g2 = _coprime_representative(reduce_form(f2), g1.a)
-    a1, b1 = g1.a, g1.b
-    a2, b2 = g2.a, g2.b
-    assert math.gcd(a1, a2) == 1 and (b1 - b2) % 2 == 0
-    k = (b2 - b1) // 2 * pow(a1, -1, a2) % a2
-    bb = b1 + 2 * a1 * k
-    assert (bb - b1) % (2 * a1) == 0 and (bb - b2) % (2 * a2) == 0
-    a3 = a1 * a2
-    assert (bb * bb - disc) % (4 * a3) == 0
-    out = reduce_form(BQForm(a3, bb, (bb * bb - disc) // (4 * a3)))
-    assert out.disc == disc
+    if f1.a > f2.a:
+        f1, f2 = f2, f1
+    a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
+    s = (f1.b + b2) // 2
+    # the shortcuts skip a Euclid call when a1 | a2 (every squaring) or d | s (d = 1 mostly)
+    d, u, _ = (a1, 0, 1) if a2 % a1 == 0 else _xgcd(a2, a1)
+    d1, x, y = (d, 0, 1) if s % d == 0 else _xgcd(s, d)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-u * y * (b2 - s) - x * c2) % v1
+    b3, a3 = b2 + 2 * v2 * r, v1 * v2
+    if (b3 * b3 - disc) % (4 * a3):
+        raise InternalCheckError(f"composite of {f1} and {f2}: 4*{a3} does not divide {b3}^2 - ({disc})")
+    out = reduce_form(BQForm(a3, b3, (b3 * b3 - disc) // (4 * a3)))
+    if out.disc != disc:
+        raise InternalCheckError(f"composite of {f1} and {f2} has discriminant {out.disc}")
     return out
 
 
@@ -166,6 +133,75 @@ def form_pow(f: BQForm, n: int) -> BQForm:
     return one if result is None else result
 
 
+def _check_enumerable(disc: int):
+    _check_disc(disc)
+    if -disc > MAX_ENUMERATED_DISC:
+        raise ResourceCapError(
+            f"form enumeration is capped at |D| <= {MAX_ENUMERATED_DISC}, got {disc}"
+        )
+
+
+def is_fundamental(disc: int) -> bool:
+    """Whether a negative discriminant is fundamental: D = 1 (mod 4) squarefree,
+    or D = 4m with m = 2, 3 (mod 4) squarefree."""
+    _check_disc(disc)
+    if disc % 4 == 1:
+        return factor(disc).is_squarefree()
+    m = disc // 4
+    return m % 4 in (2, 3) and factor(m).is_squarefree()
+
+
+def _two_adic_roots(disc: int, amax: int) -> list[list[int]]:
+    """two[k] for 2^k <= amax: the x mod 2^(k+1) with x^2 = D (mod 2^(k+2)), sorted.
+
+    The roots mod 2^(j+1) are the lifts r and r + 2^j of the roots r mod 2^j
+    that still solve the congruence, so the chain is one lift step a level."""
+    roots, mod, two = [disc % 2], 2, []  # the roots mod 2: x^2 = x (mod 2)
+    while 1 << len(two) <= amax:
+        while mod < 4 << len(two):
+            roots = [x for r in roots for x in (r, r + mod) if (x * x - disc) % (2 * mod) == 0]
+            mod *= 2
+        two.append(sorted({r % (mod // 2) for r in roots}))
+    return two
+
+
+def _odd_roots(disc: int, spf: list[int]):
+    """roots(m): the x mod m with x^2 = D (mod m), for odd m covered by the
+    sieve `spf`, joined by CRT from the roots mod its prime powers and kept,
+    so each set is built once from smaller ones."""
+    memo: list = [None, [0]] + [None] * (len(spf) - 2)
+
+    def roots(m: int) -> list[int]:
+        if memo[m] is None:
+            ell, k, rest = spf[m], 1, m // spf[m]
+            while rest % ell == 0:
+                k, rest = k + 1, rest // ell
+            if rest > 1:
+                memo[m] = crt(roots(rest), rest, roots(m // rest), m // rest)
+            else:
+                memo[m] = sqrt_mod_prime_power(disc, ell, k)
+        return memo[m]
+
+    return roots
+
+
+def _forms_with_leading(disc: int, leading, two: list[list[int]], roots) -> list[BQForm]:
+    """The primitive reduced forms (a, b, c) for a in `leading`, in order of
+    (a, b): b runs over the roots of b^2 = D (mod 4a) in (-a, a], the CRT
+    join of two[k] and roots(m) for a = 2^k m with m odd."""
+    forms = []
+    for a in leading:
+        k = (a & -a).bit_length() - 1
+        odd = roots(a >> k) if two[k] else None
+        if not odd:
+            continue
+        for b in sorted(b if b <= a else b - 2 * a for b in crt(two[k], 2 << k, odd, a >> k)):
+            c = (b * b - disc) // (4 * a)
+            if c >= a and (b >= 0 or c != a) and math.gcd(a, b, c) == 1:
+                forms.append(BQForm(a, b, c))
+    return forms
+
+
 def reduced_forms(disc: int) -> list[BQForm]:
     """The primitive reduced forms of a negative discriminant, one per class
     of the order of that discriminant, sorted.
@@ -178,43 +214,45 @@ def reduced_forms(disc: int) -> list[BQForm]:
     multiples.  Cost O(|D|^(1/2+eps)) plus the output (Cohen, GTM 138,
     sections 1.5 and 5.3).
     """
-    _check_disc(disc)
-    if -disc > MAX_ENUMERATED_DISC:
-        raise ResourceCapError(
-            f"form enumeration is capped at |D| <= {MAX_ENUMERATED_DISC}, got {disc}"
-        )
+    _check_enumerable(disc)
     amax = math.isqrt(-disc // 3)
-    spf = smallest_prime_factors(amax)
-    # odd[m]: the x mod m with x^2 = D (mod m), for odd m
-    odd: list = [None, [0]] + [None] * (amax - 1)
-    for m in range(3, amax + 1, 2):
-        ell, k, rest = spf[m], 1, m // spf[m]
-        while rest % ell == 0:
-            k, rest = k + 1, rest // ell
-        if rest > 1:
-            odd[m] = crt(odd[rest], rest, odd[m // rest], m // rest)
-        else:
-            odd[m] = sqrt_mod_prime_power(disc, ell, k)
-    # two[k]: the x mod 2^(k+1) with x^2 = D (mod 2^(k+2))
-    two: list = []
-    while 1 << len(two) <= amax:
-        k = len(two)
-        two.append(sorted({r % (2 << k) for r in sqrt_mod_prime_power(disc, 2, k + 2)}))
-    forms = []
-    for a in range(1, amax + 1):
-        k = (a & -a).bit_length() - 1
-        if not odd[a >> k] or not two[k]:
-            continue
-        bs = crt(two[k], 2 << k, odd[a >> k], a >> k)
-        for b in sorted(b if b <= a else b - 2 * a for b in bs):
-            c = (b * b - disc) // (4 * a)
-            if c >= a and (b >= 0 or c != a) and math.gcd(a, b, c) == 1:
-                forms.append(BQForm(a, b, c))
-    return forms
+    two = _two_adic_roots(disc, amax)
+    roots = _odd_roots(disc, smallest_prime_factors(amax))
+    return _forms_with_leading(disc, range(1, amax + 1), two, roots)
 
 
 def class_number_of_disc(disc: int) -> int:
-    return len(reduced_forms(disc))
+    """The class number of the order of discriminant D (|D| under the cap).
+
+    At a fundamental D every form is primitive, and for a <= sqrt(|D|/4)
+    every root b in (-a, a] of b^2 = D (mod 4a) gives a reduced form, since
+    then c >= a with c = a only at b = 0.  So h adds up the number of those
+    roots there, which is multiplicative in a: the 2-adic count times, over
+    the odd l^e exactly dividing a, 1 + (D/l) when l does not divide D, 1
+    when e = 1 and l | D, and 0 when e > 1 and l | D.  Only the band
+    sqrt(|D|/4) < a <= sqrt(|D|/3) lists its forms.  One Jacobi symbol per
+    odd prime up to sqrt(|D|/3), no form list (Cohen, GTM 138, section 5.3).
+    A non-fundamental D counts `reduced_forms`.
+    """
+    _check_enumerable(disc)
+    if not is_fundamental(disc):
+        return len(reduced_forms(disc))
+    amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
+    spf = smallest_prime_factors(amax)
+    two = _two_adic_roots(disc, amax)
+    # count[m]: the number of x mod m with x^2 = D (mod m) for odd m, 0 at even m
+    count = [0, 1] + [0] * (amax - 1)
+    for m in range(3, amax + 1, 2):
+        ell = spf[m]
+        if ell == m:
+            count[m] = 1 + jacobi(disc, m)
+        elif (m // ell) % ell:
+            count[m] = count[ell] * count[m // ell]
+        elif disc % ell:
+            count[m] = count[m // ell]
+    h = sum(len(two[k]) * sum(count[: (half >> k) + 1]) for k in range(len(two)))
+    band = [a for a in range(half + 1, amax + 1) if count[a // (a & -a)]]
+    return h + len(_forms_with_leading(disc, band, two, _odd_roots(disc, spf)))
 
 
 def field_disc(p: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import classgroup, etacusp
-from .arith import factor, is_prime, jacobi, valuation
+from .arith import is_prime, jacobi, valuation
 from .errors import ValidationError
 
 NONTORSION = "nontorsion"
@@ -50,18 +50,6 @@ def roots_of_unity(k_disc: int) -> int:
     return 2
 
 
-def _check_fundamental(k_disc: int):
-    if k_disc >= 0 or k_disc % 4 not in (0, 1):
-        raise ValidationError(f"not a negative discriminant: {k_disc}")
-    if k_disc % 4 == 1:
-        if not factor(k_disc).is_squarefree():
-            raise ValidationError(f"discriminant {k_disc} is not fundamental")
-    else:
-        m = k_disc // 4
-        if m % 4 not in (2, 3) or not factor(m).is_squarefree():
-            raise ValidationError(f"discriminant {k_disc} is not fundamental")
-
-
 def splits_in(k_disc: int, q: int) -> bool:
     """Whether an odd prime q not dividing the discriminant splits in K."""
     if q == 2 or not is_prime(q) or k_disc % q == 0:
@@ -80,7 +68,10 @@ class HeegnerSetup:
 
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
-    _check_fundamental(k_disc)
+    if k_disc >= 0 or k_disc % 4 not in (0, 1):
+        raise ValidationError(f"not a negative discriminant: {k_disc}")
+    if not classgroup.is_fundamental(k_disc):
+        raise ValidationError(f"discriminant {k_disc} is not fundamental")
     p0 = etacusp.level_prime(level)[0]
     h = classgroup.class_number_of_disc(k_disc)
     split_ok = k_disc % p0 != 0 and splits_in(k_disc, p0)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arith import factor, is_prime, valuation
+from .arith import is_prime, valuation
 from .errors import InternalCheckError, ValidationError
 
 # An eta-product is encoded by its exponent map {divisor d of N: r_d}.
@@ -28,10 +28,9 @@ def level_prime(n: int) -> tuple[int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    out = [1]
-    for q, e in factor(n).factors:
-        out = [d * q**k for d in out for k in range(e + 1)]
-    return sorted(out)
+    """1, p and, at level p^2, p^2: the divisors of a level n = p^k."""
+    p0, k = level_prime(n)
+    return [p0**j for j in range(k + 1)]
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,8 @@ def cusp_orbits(n: int) -> list[CuspOrbit]:
     p0, k = level_prime(n)
     out = []
     for d in divisors(n):
-        m = math.gcd(d, n // d)
-        phi = 1
-        for q, e in factor(m).factors if m > 1 else ():
-            phi *= q ** (e - 1) * (q - 1)
+        m = math.gcd(d, n // d)  # 1, or p0 for d = p0 at level p0^2
+        phi = m - 1 if m > 1 else 1
         out.append(CuspOrbit(d, phi, n // math.gcd(d * d, n), m))
     # X0(p) has 2 cusps and X0(p^2) has p + 1
     assert sum(o.size for o in out) == (2 if k == 1 else p0 + 1)

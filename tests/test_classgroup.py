@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from eisq.arith import factor, jacobi
+from eisq.arith import factor, jacobi, sqrt_mod_prime_power
 from eisq.classgroup import (
     MAX_ENUMERATED_DISC,
     BQForm,
+    _two_adic_roots,
     class_number,
     class_number_of_disc,
     class_order,
     compose,
     form_pow,
     inverse,
+    is_fundamental,
     prime_form,
     principal_form,
     reduce_form,
@@ -64,23 +66,172 @@ def test_reduced_forms_against_loop():
             assert reduced_forms(disc) == _reduced_forms_by_loop(disc), disc
 
 
+# prime-power-rich discriminants, and prime ones near 10^6 and 10^7
+LARGE_DISCS = (
+    -4 * 3**6 * 7,
+    -3 * 5**4 * 11**2,
+    -(2**8) * 23,
+    -(2**12) * 7,
+    -4 * 3**10,
+    -3 * 7**6,
+    -8 * 5**6,
+    -3 * 2**20,
+    -999983,
+    -1000004,
+    -9983951,
+    -9999991,
+)
+
+
 def test_reduced_forms_against_loop_large():
-    # prime-power-rich discriminants, and prime ones near 10^6 and 10^7
-    for disc in (
-        -4 * 3**6 * 7,
-        -3 * 5**4 * 11**2,
-        -(2**8) * 23,
-        -(2**12) * 7,
-        -4 * 3**10,
-        -3 * 7**6,
-        -8 * 5**6,
-        -3 * 2**20,
-        -999983,
-        -1000004,
-        -9983951,
-        -9999991,
-    ):
+    for disc in LARGE_DISCS:
         assert reduced_forms(disc) == _reduced_forms_by_loop(disc), disc
+
+
+def test_two_adic_roots_against_direct_lifts():
+    # each level of the incremental chain equals the roots mod 2^(k+2) from 2 up
+    for disc in (-3, -4, -7, -8, -15, -20, -23, -24, -39, -40, -84) + LARGE_DISCS:
+        amax = math.isqrt(-disc // 3)
+        two = _two_adic_roots(disc, amax)
+        assert len(two) == amax.bit_length()
+        for k, roots in enumerate(two):
+            assert roots == sorted({r % (2 << k) for r in sqrt_mod_prime_power(disc, 2, k + 2)}), (disc, k)
+
+
+def _is_fundamental_by_definition(disc):
+    """No square f^2 > 1 leaves a discriminant D / f^2 = 0, 1 (mod 4)."""
+    return all(
+        (disc // (f * f)) % 4 not in (0, 1)
+        for f in range(2, math.isqrt(-disc) + 1)
+        if disc % (f * f) == 0
+    )
+
+
+def test_is_fundamental_against_definition():
+    fundamental = 0
+    for disc in range(-3, -20000, -1):
+        if disc % 4 in (0, 1):
+            want = _is_fundamental_by_definition(disc)
+            assert is_fundamental(disc) == want, disc
+            fundamental += want
+    assert fundamental == 6079
+    with pytest.raises(ValidationError):
+        is_fundamental(-5)
+
+
+def test_class_number_count_against_enumeration():
+    # every fundamental |D| < 20000: the root count below sqrt(|D|/4) plus the
+    # listed band must equal the number of enumerated forms
+    for disc in range(-3, -20000, -1):
+        if disc % 4 in (0, 1) and is_fundamental(disc):
+            assert class_number_of_disc(disc) == len(reduced_forms(disc)), disc
+
+
+def test_class_number_count_against_enumeration_large():
+    # the large list (non-fundamental ones take the enumeration), and random
+    # fundamental discriminants up to 10^8
+    rng = random.Random(8)
+    discs = list(LARGE_DISCS)
+    while len(discs) < len(LARGE_DISCS) + 12:
+        disc = -rng.randrange(10**4, 10**8)
+        if disc % 4 in (0, 1) and is_fundamental(disc):
+            discs.append(disc)
+    for disc in discs:
+        assert class_number_of_disc(disc) == len(reduced_forms(disc)), disc
+    assert class_number_of_disc(-9983951) == 6368
+
+
+def _transform(f, alpha, beta, gamma, delta):
+    # action of the SL2(Z) matrix [[alpha, beta], [gamma, delta]]
+    assert alpha * delta - beta * gamma == 1
+    a, b, c = f.a, f.b, f.c
+    a2 = a * alpha * alpha + b * alpha * gamma + c * gamma * gamma
+    b2 = 2 * a * alpha * beta + b * (alpha * delta + beta * gamma) + 2 * c * gamma * delta
+    c2 = a * beta * beta + b * beta * delta + c * delta * delta
+    return BQForm(a2, b2, c2)
+
+
+def _coprime_representative(f, m):
+    """An SL2(Z)-equivalent form whose leading coefficient is coprime to m."""
+    if math.gcd(f.a, m) == 1:
+        return f
+    # CRT a primitive vector (x, y) with f(x, y) nonzero mod every prime of m
+    x, y, modulus = 0, 1, 1
+    for ell, _ in factor(m).factors:
+        for xe, ye in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)):
+            if (f.a * xe * xe + f.b * xe * ye + f.c * ye * ye) % ell:
+                break
+        else:  # primitive forms are nonzero mod every prime
+            raise AssertionError(f"{f} vanishes identically mod {ell}")
+        if modulus == 1:
+            x, y, modulus = xe, ye, ell
+        else:
+            inv_m, inv_e = pow(modulus, -1, ell), pow(ell, -1, modulus)
+            x = (x * ell * inv_e + xe * modulus * inv_m) % (modulus * ell)
+            y = (y * ell * inv_e + ye * modulus * inv_m) % (modulus * ell)
+            modulus *= ell
+    if x == 0:
+        x = modulus
+    k = 0
+    while math.gcd(x, y + k * modulus) != 1:
+        k += 1
+    y += k * modulus
+    g, u, v = _xgcd(x, y)
+    assert g == 1
+    out = _transform(f, x, -v, y, u)
+    assert math.gcd(out.a, m) == 1 and out.disc == f.disc
+    return out
+
+
+def _xgcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _compose_by_coprime_representative(f1, f2):
+    """Dirichlet composition on united representatives: replace f2 by an
+    equivalent form with leading coefficient coprime to a1, pick the common
+    middle coefficient B = b1 (mod 2a1), B = b2 (mod 2a2), and compose to
+    (a1*a2, B, (B^2-D)/(4*a1*a2)); then reduce."""
+    disc = f1.disc
+    g1 = reduce_form(f1)
+    g2 = _coprime_representative(reduce_form(f2), g1.a)
+    a1, b1 = g1.a, g1.b
+    a2, b2 = g2.a, g2.b
+    assert math.gcd(a1, a2) == 1 and (b1 - b2) % 2 == 0
+    k = (b2 - b1) // 2 * pow(a1, -1, a2) % a2
+    bb = b1 + 2 * a1 * k
+    a3 = a1 * a2
+    assert (bb * bb - disc) % (4 * a3) == 0
+    return reduce_form(BQForm(a3, bb, (bb * bb - disc) // (4 * a3)))
+
+
+def test_compose_against_coprime_representative():
+    # random pairs of primitive forms, reduced or not, over fundamental and
+    # non-fundamental discriminants
+    rng = random.Random(3)
+    checked = nonfundamental = 0
+    discs = [-rng.randrange(3, 10**6) for _ in range(400)] + list(LARGE_DISCS[:8])
+    for disc in discs:
+        if disc % 4 not in (0, 1):
+            continue
+        forms = reduced_forms(disc)
+        nonfundamental += not is_fundamental(disc)
+        for _ in range(15):
+            f1, f2 = rng.choice(forms), rng.choice(forms)
+            if rng.random() < 0.3:  # an unreduced representative of the same class
+                t = rng.randrange(-3, 4)
+                f2 = BQForm(f2.a, f2.b + 2 * t * f2.a, f2.a * t * t + f2.b * t + f2.c)
+            assert compose(f1, f2) == _compose_by_coprime_representative(f1, f2), (f1, f2)
+            checked += 1
+    assert checked > 2500 and nonfundamental > 20
 
 
 def test_compose_identity_and_inverse():

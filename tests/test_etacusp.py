@@ -33,6 +33,18 @@ def test_cusp_orbits():
         cusp_orbits(12)
 
 
+def test_divisors_and_cusp_count_against_trial_division():
+    # every level p and p^2 with 5 <= p < 200: the divisors by trial division,
+    # and the orbit sizes phi(gcd(d, N/d)) adding up to the cusp count
+    for p in (q for q in range(5, 200) if all(q % r for r in range(2, q))):
+        for n, cusps in ((p, 2), (p * p, p + 1)):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+            assert sum(o.size for o in cusp_orbits(n)) == cusps
+    for n in (1, 12, 5**3, 35):
+        with pytest.raises(ValidationError):
+            divisors(n)
+
+
 def test_ligozat_examples():
     assert ligozat_check(121, {1: 12, 11: -12}).ok
     assert ligozat_check(11, {1: 12, 11: -12}).ok
