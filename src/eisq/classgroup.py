@@ -143,12 +143,28 @@ def _check_enumerable(disc: int):
 
 def is_fundamental(disc: int) -> bool:
     """Whether a negative discriminant is fundamental: D = 1 (mod 4) squarefree,
-    or D = 4m with m = 2, 3 (mod 4) squarefree."""
+    or D = 4m with m = 2, 3 (mod 4) squarefree.
+
+    Squarefreeness by trial division up to the cube root of what is left:
+    its prime factors are then larger than that root, so there are at most
+    two of them, and it has a square factor only when it is a square."""
     _check_disc(disc)
     if disc % 4 == 1:
-        return factor(disc).is_squarefree()
-    m = disc // 4
-    return m % 4 in (2, 3) and factor(m).is_squarefree()
+        m = -disc
+    elif (disc // 4) % 4 in (2, 3):
+        m = -disc // 4
+        if m % 2 == 0:
+            m //= 2  # m = 2 (mod 4): its one factor 2
+    else:
+        return False
+    ell = 3
+    while ell * ell * ell <= m:
+        if m % ell == 0:
+            m //= ell
+            if m % ell == 0:
+                return False
+        ell += 2
+    return m == 1 or math.isqrt(m) ** 2 != m
 
 
 def _two_adic_roots(disc: int, amax: int) -> list[list[int]]:
@@ -271,7 +287,8 @@ def class_order(f: BQForm, h: int | None = None) -> int:
     """Order of the class of f in the class group of its discriminant.
 
     `h` is the class number when the caller has it already (any multiple
-    of the order will do); otherwise the reduced forms are counted.  From
+    of the order will do); otherwise `class_number_of_disc` gives it, with
+    no form list at a fundamental discriminant.  From
     k = h, each prime l of h is divided out of k while f^(k/l) stays
     principal: O(omega(h) * log h) compositions.
     """

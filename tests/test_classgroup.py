@@ -119,6 +119,19 @@ def test_is_fundamental_against_definition():
         is_fundamental(-5)
 
 
+def test_is_fundamental_against_factor_large():
+    # squares of primes above the cube root, products of two large primes,
+    # and random discriminants up to the cap, against the factorization
+    p, q = 10007, 10009
+    for disc in (-3 * p * p, -8 * p * p, -7 * 31607**2, -p * q, -24 * p * q, -20 * p * p, -(q**2) * p):
+        assert disc % 4 in (0, 1) and is_fundamental(disc) == _is_fundamental(disc), disc
+    rng = random.Random(4)
+    for _ in range(3000):
+        disc = -rng.randrange(3, MAX_ENUMERATED_DISC)
+        if disc % 4 in (0, 1):
+            assert is_fundamental(disc) == _is_fundamental(disc), disc
+
+
 def test_class_number_count_against_enumeration():
     # every fundamental |D| < 20000: the root count below sqrt(|D|/4) plus the
     # listed band must equal the number of enumerated forms
