@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -181,7 +182,7 @@ def _two_adic_roots(disc: int, amax: int) -> list[list[int]]:
     return two
 
 
-def _odd_roots(disc: int, spf: list[int]):
+def _odd_roots(disc: int, spf: list[int]) -> Callable[[int], list[int]]:
     """roots(m): the x mod m with x^2 = D (mod m), for odd m covered by the
     sieve `spf`, joined by CRT from the roots mod its prime powers and kept,
     so each set is built once from smaller ones."""
@@ -201,7 +202,9 @@ def _odd_roots(disc: int, spf: list[int]):
     return roots
 
 
-def _forms_with_leading(disc: int, leading, two: list[list[int]], roots) -> list[BQForm]:
+def _forms_with_leading(
+    disc: int, leading: Iterable[int], two: list[list[int]], roots: Callable[[int], list[int]]
+) -> list[BQForm]:
     """The primitive reduced forms (a, b, c) for a in `leading`, in order of
     (a, b): b runs over the roots of b^2 = D (mod 4a) in (-a, a], the CRT
     join of two[k] and roots(m) for a = 2^k m with m odd."""
