@@ -85,6 +85,11 @@ CLI_CASES = {
     "eigencheck-p5": ["eigencheck", "--p", "5", "--prec", "200"],
     "eigencheck-p7-json": ["eigencheck", "--p", "7", "--prec", "40", "--format", "json"],
     "eigencheck-primes-json": ["eigencheck", "--p", "11", "--prec", "60", "--primes", "2,3,11", "--format", "json"],
+    "eigencheck-p1009-prec10000-json": ["eigencheck", "--p", "1009", "--prec", "10000", "--format", "json"],
+    "eigencheck-p2-prec5000": ["eigencheck", "--p", "2", "--prec", "5000"],
+    "eigencheck-p3-prec10000-primes-json": [
+        "eigencheck", "--p", "3", "--prec", "10000", "--primes", "2,3,97", "--format", "json"
+    ],
 }
 
 
