@@ -138,7 +138,7 @@ def _check_enumerable(disc: int):
     _check_disc(disc)
     if -disc > MAX_ENUMERATED_DISC:
         raise ResourceCapError(
-            f"form enumeration is capped at |D| <= {MAX_ENUMERATED_DISC}, got {disc}"
+            f"discriminants are capped at |D| <= {MAX_ENUMERATED_DISC}, got {disc}"
         )
 
 

@@ -26,7 +26,20 @@ EXIT_INTERNAL = 3
 EXIT_CAP = 4
 
 
+_EXACT_SCALARS = frozenset((int, str, bool, type(None)))
+_INT_ONLY = frozenset((int,))
+
+
 def _jsonable(obj):
+    # fast path on exact types: scalars, and flat lists of ints such as the
+    # [a, b, c] of each form; subclasses take the checks below
+    kind = type(obj)
+    if kind in _EXACT_SCALARS:
+        return obj
+    if kind is list or kind is tuple:
+        if set(map(type, obj)) <= _INT_ONLY:
+            return list(obj)
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, bool) or isinstance(obj, int) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, Fraction):
@@ -85,7 +98,9 @@ def _cmd_classnum(args, out) -> int:
         disc, doc, label = classgroup.field_disc(args.p), {"p": args.p}, f"p = {args.p}"
     forms = classgroup.reduced_forms(disc)
     doc.update(h=len(forms), forms=[[f.a, f.b, f.c] for f in forms])
-    lines = [f"{label}: h = {len(forms)}"] + [f"  {f}" for f in forms]
+    lines = []  # one line per form, built only when the table is printed
+    if args.format == "table":
+        lines = [f"{label}: h = {len(forms)}"] + [f"  {f}" for f in forms]
     _emit(doc, args.format, lines, out)
     return EXIT_OK
 

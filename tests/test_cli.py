@@ -3,11 +3,15 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, canonical_json, main
+from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, _jsonable, canonical_json, main
+from eisq.errors import InternalCheckError
 from eisq.modforms import MAX_EIGEN_PREC
 
 
@@ -206,6 +210,15 @@ def test_no_floats_anywhere():
         walk(json.loads(out))
 
 
+def test_jsonable_nested_values():
+    doc = {"a": [Fraction(1, 2), (3, True, None)], 5: ([1, 2], (Fraction(-4, 6),)), "b": [True, 1, False]}
+    assert _jsonable(doc) == {"a": [[1, 2], [3, True, None]], "5": [[1, 2], [[-2, 3]]], "b": [True, 1, False]}
+    assert canonical_json(doc) == '{"5":[[1,2],[[-2,3]]],"a":[[1,2],[3,true,null]],"b":[true,1,false]}'
+    for bad in ({"x": [1, [2, 1.5]]}, (1, 2.0), [Fraction(1, 2), {"y": (0.5,)}]):
+        with pytest.raises(InternalCheckError, match="floats are not allowed"):
+            _jsonable(bad)
+
+
 def run_cli_err(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -249,6 +262,14 @@ def test_classnum_disc_beyond_cap_exit_4():
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CAP
     assert out == "" and err.startswith("resource cap: ") and err.count("\n") == 1
+
+
+def test_heegner_disc_beyond_cap_exit_4():
+    # the verdict lists no forms, so the message names the cap on |D| itself
+    code, out, err = run_cli_err("heegner", "--p", "11", "--K", "-1000000007", "--q", "5")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == "resource cap: discriminants are capped at |D| <= 1000000000, got -1000000007\n"
 
 
 def test_eigencheck_prec_beyond_cap_exit_4():

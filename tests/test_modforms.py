@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from eisq.errors import PrecisionError, ValidationError
+from eisq import modforms
+from eisq.errors import InternalCheckError, PrecisionError, ValidationError
 from eisq.modforms import (
     QSeries,
     delta_cusp_constants,
@@ -64,6 +65,12 @@ def test_sigma_tables_against_trial_division():
     assert sigma_table(n) == [0] + [sigma(m) for m in range(1, n + 1)]
     for p in (5, 7, 101):
         assert sigma_prime_table(n, p) == [0] + [sigma_prime(m, p) for m in range(1, n + 1)]
+    # every small n, so that each square d^2 <= n is the last entry of some
+    # table, with p = 2, p above sqrt(n) and p above n
+    for n in range(201):
+        assert sigma_table(n) == [0] + [sigma(m) for m in range(1, n + 1)]
+        for p in (2, 3, 97, 10007):
+            assert sigma_prime_table(n, p) == [0] + [sigma_prime(m, p) for m in range(1, n + 1)], (n, p)
     assert sigma_table(0) == sigma_prime_table(0, 5) == [0]
     assert sigma_table(1) == sigma_prime_table(1, 5) == [0, 1]
 
@@ -80,6 +87,48 @@ def test_delta_identity_with_eisenstein_pair():
     # construction asserts delta = (e(pz) - e(z))/24 internally; exercise it
     for p in (5, 7, 11, 13):
         delta_series(p, 500)
+
+
+def _perturbed(table_fn, index):
+    def perturbed(*args):
+        table = table_fn(*args)
+        table[index] += 1
+        return table
+
+    return perturbed
+
+
+def test_delta_identity_names_first_bad_index(monkeypatch):
+    # the sigma' side comes from sigma_prime_table alone: a wrong entry there,
+    # whether p divides its index or not, fails the identity at that index
+    original = modforms.sigma_prime_table
+    for index in (37, 10):
+        monkeypatch.setattr(modforms, "sigma_prime_table", _perturbed(original, index))
+        with pytest.raises(InternalCheckError, match=f"^delta identity fails at {index} for p = 5$"):
+            delta_series(5, 100)
+    monkeypatch.setattr(modforms, "sigma_prime_table", original)
+    monkeypatch.setattr(modforms, "sigma_table", _perturbed(modforms.sigma_table, 41))
+    with pytest.raises(InternalCheckError, match="^delta identity fails at 41 for p = 5$"):
+        delta_series(5, 100)
+
+
+def test_eigencheck_reports_first_discrepancy(monkeypatch):
+    # a_10 of delta at p = 5 raised by one: T_2 delta gains a_10 at m = 5
+    # and 2 a_10 at m = 20 while 3 delta changes at 10, so m = 5 is first;
+    # T_3 delta gains 3 a_10 at m = 30 and 4 delta changes at 10; U_5 delta
+    # gains a_10 at m = 2
+    d = delta_series(5, 120)
+    bad = dataclasses.replace(d, coeffs=d.coeffs[:10] + (d.coeffs[10] + 1,) + d.coeffs[11:])
+    monkeypatch.setattr(modforms, "delta_series", lambda p, prec: bad)
+    rep = eisenstein_eigencheck(5, 120, primes=[2, 3, 13])
+    assert not rep.ok
+    got = {(r.operator, r.ell): (r.status, r.retained, r.first_discrepancy) for r in rep.results}
+    assert got == {
+        ("T", 2): ("fail", 60, 5),
+        ("T", 3): ("fail", 40, 10),
+        ("U", 5): ("fail", 24, 2),
+        ("T", 13): ("insufficient_precision", 9, None),
+    }
 
 
 def test_hecke_examples():
