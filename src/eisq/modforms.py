@@ -54,14 +54,19 @@ class QSeries:
 
     def agrees_with(self, other: "QSeries") -> Optional[int]:
         """Index of the first differing coefficient over the common prefix, or None."""
-        n = self._common(other)
-        for m in range(n + 1):
-            if self.coeffs[m] != other.coeffs[m]:
-                return m
-        return None
+        self._common(other)
+        return _first_difference(self.coeffs, other.coeffs)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
+
+
+def _first_difference(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
+    """Index of the first differing entry over the common prefix of a and b,
+    or None; equal sequences take one whole-sequence comparison."""
+    if a == b:
+        return None
+    return next((m for m, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
 def sigma_table(n: int) -> list[int]:
@@ -120,8 +125,8 @@ def delta_series(p: int, prec: int) -> QSeries:
     e_pz = [0] * (n + 1)
     e_pz[::p] = e[: n // p + 1]
     want = list(map(add, e, map(mul, coeffs, repeat(24))))  # e(z) + 24 delta
-    if e_pz != want:
-        bad = next(m for m, (a, b) in enumerate(zip(e_pz, want)) if a != b)
+    bad = _first_difference(e_pz, want)
+    if bad is not None:
         raise InternalCheckError(f"delta identity fails at {bad} for p = {p}")
     return QSeries(p * p, tuple(coeffs))
 
@@ -199,11 +204,8 @@ def eisenstein_eigencheck(p: int, prec: int, primes: Optional[Sequence[int]] = N
         image = (hecke_u(delta, p) if ell == p else hecke_t(delta, ell)).coeffs
         value = 0 if ell == p else 1 + ell
         want = tuple(map(mul, delta.coeffs[: len(image)], repeat(value)))
-        if image == want:
-            results.append(EigenResult(ell, op, "pass", retained))
-        else:
-            idx = next(m for m, (a, b) in enumerate(zip(image, want)) if a != b)
-            results.append(EigenResult(ell, op, "fail", retained, idx))
+        idx = _first_difference(image, want)
+        results.append(EigenResult(ell, op, "pass" if idx is None else "fail", retained, idx))
     report = EigenReport(p, prec, tuple(results))
     if all(r.status == "insufficient_precision" for r in report.results):
         raise PrecisionError(
