@@ -6,7 +6,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
