@@ -26,21 +26,17 @@ EXIT_INTERNAL = 3
 EXIT_CAP = 4
 
 
-_EXACT_SCALARS = frozenset((int, str, bool, type(None)))
 _INT_ONLY = frozenset((int,))
 
 
 def _jsonable(obj):
-    # fast path on exact types: scalars, and flat lists of ints such as the
-    # [a, b, c] of each form; subclasses take the checks below
-    kind = type(obj)
-    if kind in _EXACT_SCALARS:
-        return obj
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
+        # a flat list of exact ints, such as the [a, b, c] of each form, is
+        # copied whole
         if set(map(type, obj)) <= _INT_ONLY:
             return list(obj)
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None or isinstance(obj, str):
+    if isinstance(obj, (int, str)) or obj is None:  # bool is an int
         return obj
     if isinstance(obj, Fraction):
         return [obj.numerator, obj.denominator]
@@ -48,8 +44,6 @@ def _jsonable(obj):
         raise InternalCheckError("floats are not allowed in output")
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     raise InternalCheckError(f"cannot serialize {type(obj)}")
 
 

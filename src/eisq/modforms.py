@@ -54,8 +54,11 @@ class QSeries:
 
     def agrees_with(self, other: "QSeries") -> Optional[int]:
         """Index of the first differing coefficient over the common prefix, or None."""
-        self._common(other)
-        return _first_difference(self.coeffs, other.coeffs)
+        n = self._common(other)
+        for m in range(n + 1):
+            if self.coeffs[m] != other.coeffs[m]:
+                return m
+        return None
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
