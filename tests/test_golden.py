@@ -43,6 +43,8 @@ CLI_CASES = {
     "selmer-p71-m15-oracle-json": ["selmer", "--p", "71", "--d", "-15", "--oracle", "--format", "json"],
     "selmer-p71-m1155-oracle-json": ["selmer", "--p", "71", "--d", "-1155", "--oracle", "--format", "json"],
     "selmer-p47-d21-oracle": ["selmer", "--p", "47", "--d", "21", "--oracle"],
+    "selmer-p7-17-vertices-json": ["selmer", "--p", "7", "--d", "-2943050537207", "--format", "json"],
+    "selmer-range-200001-tsv": ["selmer", "--p", "7", "--d-range", "200001..200021", "--format", "tsv"],
     "eta-11-special": ["eta", "--N", "11", "--special"],
     "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
     "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],
