@@ -5,6 +5,7 @@ s^2 + p*t^2 = 4m."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -186,11 +187,17 @@ def valuation(n: int, q: int) -> int:
 def smallest_prime_factors(n: int) -> list[int]:
     """spf[m], the smallest prime factor of m, for 2 <= m <= n (spf[0] = 0, spf[1] = 1)."""
     spf = list(range(n + 1))
-    for ell in range(2, math.isqrt(max(n, 0)) + 1):
-        if spf[ell] == ell:
-            for m in range(ell * ell, n + 1, ell):
-                if spf[m] == m:
-                    spf[m] = ell
+    if n < 4:
+        return spf
+    root = math.isqrt(n)
+    # the primes up to sqrt(n), largest first, so the smallest prime dividing m writes spf[m] last
+    if root <= _SMALL_PRIMES[-1]:
+        primes = _SMALL_PRIMES[bisect_right(_SMALL_PRIMES, root) - 1 :: -1]
+    else:
+        small = smallest_prime_factors(root)
+        primes = [ell for ell in range(root, 1, -1) if small[ell] == ell]
+    for ell in primes:
+        spf[ell * ell :: ell] = [ell] * ((n - ell * ell) // ell + 1)
     return spf
 
 

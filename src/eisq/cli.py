@@ -137,15 +137,14 @@ def _cmd_selmer(args, out) -> int:
         if lo > hi:
             raise ValidationError(f"empty range {args.d_range!r}: LO exceeds HI")
         rows = []
-        for d in selmer.admissible_twists(args.p, max(abs(lo), abs(hi))):
-            if lo <= d <= hi:
-                row = _selmer_row(args.p, d, with_oracle)
-                if args.format == "tsv":
-                    # streamed, one summary row per twist as it is computed
-                    keys = ("p", "d", "t", "rank", "dim_f2", "oracle_dim_f2")
-                    _write_tsv_row({k: row[k] for k in keys if k in row}, out)
-                else:
-                    rows.append(row)
+        for d in selmer.admissible_twists_between(args.p, lo, hi):
+            row = _selmer_row(args.p, d, with_oracle)
+            if args.format == "tsv":
+                # streamed, one summary row per twist as it is computed
+                keys = ("p", "d", "t", "rank", "dim_f2", "oracle_dim_f2")
+                _write_tsv_row({k: row[k] for k in keys if k in row}, out)
+            else:
+                rows.append(row)
         if args.format == "tsv":
             return EXIT_OK
         doc = {"rows": rows}

@@ -24,7 +24,15 @@ Gen = Union[QuadInt, int]
 
 def oracle_cap() -> int:
     env = os.environ.get("EISQ_ORACLE_CAP")
-    return int(env) if env else DEFAULT_PAIR_CAP
+    if not env:
+        return DEFAULT_PAIR_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"EISQ_ORACLE_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass
@@ -391,6 +399,34 @@ def count_even_partitions(graph: SelmerGraph, vertex_cap: int = PARTITION_VERTEX
     return t, nontrivial
 
 
+def laplacian_corank(graph: SelmerGraph) -> int:
+    """dim_F2 of the kernel of D_in + A^T, the number of even partitions
+    being 2^(corank - 1).
+
+    Row y is the in-arrow mask of y, plus bit y when y has odd in-degree:
+    a vertex set S is even exactly when every row meets S in an even number
+    of bits (for y in S, the arrows into y from outside S are indeg(y) less
+    those from S).  This is the Monsky-matrix form of the even-graph
+    criterion; elimination keeps one pivot per leading bit, O(n^2) word
+    operations on bitmask rows."""
+    n = graph.size
+    pivots: dict[int, int] = {}
+    for y in range(n):
+        row = 0
+        for x in range(n):
+            if graph.arrows[x][y]:
+                row |= 1 << x
+        if row.bit_count() & 1:
+            row |= 1 << y
+        while row:
+            lead = row.bit_length()
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return n - len(pivots)
+
+
 @dataclass(frozen=True)
 class GraphRankResult:
     d: int
@@ -406,14 +442,16 @@ class GraphRankResult:
 def selmer_rank_graph(td: TwistDatum) -> GraphRankResult:
     """Rank of the 2-Selmer group by the graph criterion: 1 + 2t.
 
-    Also recomputes t on the companion graph and asserts agreement (the
-    coordinate swap is an isomorphism, verified rather than trusted)."""
+    t comes from the even partitions of the first graph; the companion
+    graph (the coordinate swap is an isomorphism, verified rather than
+    trusted) gives it again by the independent Laplacian corank, and the
+    two must agree."""
     g1 = build_graph(td)
     g2 = build_conjugate_graph(td)
     if not verify_conjugation_isomorphism(td, g1, g2):
         raise InternalCheckError("conjugation map is not a graph isomorphism")
     t1, nontrivial = count_even_partitions(g1)
-    t2, _ = count_even_partitions(g2)
+    t2 = laplacian_corank(g2) - 1
     if t1 != t2:
         raise InternalCheckError(f"partition counts disagree: {t1} vs {t2}")
     return GraphRankResult(
@@ -465,13 +503,19 @@ def thmm_verdict(td: TwistDatum) -> MinimalityReport:
     )
 
 
-def admissible_twists(p: int, limit: int):
+def admissible_twists(p: int, limit: int) -> list[int]:
     """All squarefree d = 1 (mod 4) with |d| <= limit and gcd(d, 2p) = 1."""
+    return admissible_twists_between(p, -limit, limit)
+
+
+def admissible_twists_between(p: int, lo: int, hi: int) -> list[int]:
+    """The admissible d with lo <= d <= hi, sorted by |d|: only the |d|
+    that the range reaches are walked, and each odd |d| has one sign with
+    d = 1 (mod 4)."""
+    low = 1 if lo <= 0 <= hi else min(abs(lo), abs(hi)) | 1
     out = []
-    for absd in range(1, limit + 1, 2):
-        for d in (absd, -absd):
-            if d % 4 != 1 or math.gcd(d, 2 * p) != 1:
-                continue
-            if factor(d).is_squarefree():
-                out.append(d)
-    return sorted(out, key=abs)
+    for absd in range(low, max(abs(lo), abs(hi)) + 1, 2):
+        d = absd if absd % 4 == 1 else -absd
+        if lo <= d <= hi and math.gcd(d, 2 * p) == 1 and factor(d).is_squarefree():
+            out.append(d)
+    return out

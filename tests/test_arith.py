@@ -100,6 +100,21 @@ def test_smallest_prime_factors_against_factor():
         assert spf[m] == factor(m).factors[0][0], m
 
 
+def _spf_by_marking(n):
+    spf = list(range(n + 1))
+    for ell in range(2, math.isqrt(max(n, 0)) + 1):
+        if spf[ell] == ell:
+            for m in range(ell * ell, n + 1, ell):
+                if spf[m] == m:
+                    spf[m] = ell
+    return spf
+
+
+def test_smallest_prime_factors_against_marking():
+    for n in [*range(-2, 500), 10**4, 10**5 + 7]:
+        assert smallest_prime_factors(n) == _spf_by_marking(n), n
+
+
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**19 - 1))

@@ -92,6 +92,15 @@ def test_selmer_cap_exit():
         del os.environ["EISQ_ORACLE_CAP"]
 
 
+def test_bad_oracle_cap_exit_2(monkeypatch):
+    for value in ("abc", "-5", "0", "4.5"):
+        monkeypatch.setenv("EISQ_ORACLE_CAP", value)
+        code, out, err = run_cli_err("selmer", "--p", "7", "--d", "-11", "--oracle")
+        assert code == EXIT_VALIDATION, value
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: EISQ_ORACLE_CAP must be a positive integer"), err
+
+
 def test_eta_special():
     code, out = run_cli("eta", "--N", "49", "--special")
     assert code == EXIT_OK
@@ -247,6 +256,20 @@ def test_reversed_range_exit_2():
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     code, out, _ = run_cli_err("selmer", "--p", "7", "--d-range", "5..5")
     assert code == EXIT_OK and "d=5" in out
+
+
+def test_sweep_cost_follows_the_range():
+    start = time.perf_counter()
+    code, out = run_cli("selmer", "--p", "7", "--d-range", "2000001..2000021", "--format", "tsv")
+    elapsed = time.perf_counter() - start
+    # d = 1 (mod 4), prime to 7 and squarefree (isqrt(2000021) = 1414)
+    admissible = [
+        d for d in range(2000001, 2000022, 4) if d % 7 and all(d % (q * q) for q in range(3, 1415, 2))
+    ]
+    assert code == EXIT_OK
+    assert [int(line.split("\t")[0]) for line in out.splitlines()] == admissible
+    assert admissible == [2000001, 2000013, 2000017, 2000021]
+    assert elapsed < 1.0, elapsed
 
 
 def test_classnum_non_fundamental_disc():

@@ -1,7 +1,11 @@
+import math
+import random
+
 import pytest
 
+from eisq import selmer
 from eisq.arith import is_prime
-from eisq.errors import ResourceCapError, ValidationError
+from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 from eisq.quadfield import places_above, residue_symbol
 from eisq.selmer import (
     SelmerCandidate,
@@ -11,6 +15,7 @@ from eisq.selmer import (
     build_graph,
     build_twist,
     count_even_partitions,
+    laplacian_corank,
     member_local,
     selmer_group_bruteforce,
     selmer_rank_graph,
@@ -145,9 +150,49 @@ def test_conjugation_isomorphism_and_symmetry():
         assert selmer_group_bruteforce(tdc).dim_f2 == selmer_group_bruteforce(td).dim_f2
 
 
-def test_rank_builds_each_graph_once(monkeypatch):
-    from eisq import selmer
+def test_laplacian_corank_against_even_partitions_random():
+    rng = random.Random(20161226)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        density = rng.random()
+        arrows = tuple(
+            tuple(i != j and rng.random() < density for j in range(n)) for i in range(n)
+        )
+        graph = SelmerGraph(tuple(str(i) for i in range(n)), arrows)
+        assert laplacian_corank(graph) - 1 == count_even_partitions(graph)[0], arrows
 
+
+def test_laplacian_corank_against_even_partitions_twists():
+    for p in (7, 23, 31, 47, 71):
+        for d in admissible_twists(p, 400):
+            td = build_twist(p, d)
+            for graph in (build_graph(td), build_conjugate_graph(td)):
+                assert laplacian_corank(graph) - 1 == count_even_partitions(graph)[0], (p, d)
+
+
+def test_rank_runs_one_partition_pass(monkeypatch):
+    calls = []
+    real = selmer.count_even_partitions
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(selmer, "count_even_partitions", counting)
+    for p, d in ((7, -11), (7, 57), (23, -39), (71, -1155)):
+        calls.clear()
+        res = selmer_rank_graph(build_twist(p, d))
+        assert calls == [res.graph], (p, d)
+
+
+def test_corank_disagreement_is_an_internal_error(monkeypatch):
+    real = selmer.laplacian_corank
+    monkeypatch.setattr(selmer, "laplacian_corank", lambda graph: real(graph) + 1)
+    with pytest.raises(InternalCheckError, match="partition counts disagree"):
+        selmer_rank_graph(build_twist(7, -11))
+
+
+def test_rank_builds_each_graph_once(monkeypatch):
     built = []
     real = selmer._graph_from_gens
 
@@ -249,6 +294,26 @@ def test_admissible_twists():
     assert 1 in ds and 5 in ds and -3 in ds and -11 in ds
     assert all(d % 4 == 1 and d % 7 and d % 2 for d in ds)
     assert 21 not in ds and -7 not in ds
+
+
+def _admissible_by_filter(p, lo, hi):
+    # every |d| up to the larger bound, then the range: the walk the sweep used to do
+    bound = max(abs(lo), abs(hi))
+    ds = [
+        d
+        for absd in range(1, bound + 1, 2)
+        for d in (absd, -absd)
+        if d % 4 == 1 and d % p and all(d % (q * q) for q in range(3, math.isqrt(absd) + 1, 2))
+    ]
+    return [d for d in sorted(ds, key=abs) if lo <= d <= hi]
+
+
+def test_admissible_twists_between_against_filter():
+    for p in (7, 23):
+        for lo, hi in ((5000, 5200), (-5200, -5000), (-5200, 5200), (-37, 41), (1, 1), (-3, -3), (0, 0), (-21, -2)):
+            expected = _admissible_by_filter(p, lo, hi)
+            assert selmer.admissible_twists_between(p, lo, hi) == expected, (p, lo, hi)
+    assert admissible_twists(7, 400) == _admissible_by_filter(7, -400, 400)
 
 
 def test_oracle_equivalence_large_class_numbers():
