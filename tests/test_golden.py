@@ -45,6 +45,10 @@ CLI_CASES = {
     "selmer-p47-d21-oracle": ["selmer", "--p", "47", "--d", "21", "--oracle"],
     "selmer-p7-17-vertices-json": ["selmer", "--p", "7", "--d", "-2943050537207", "--format", "json"],
     "selmer-range-200001-tsv": ["selmer", "--p", "7", "--d-range", "200001..200021", "--format", "tsv"],
+    "selmer-p23-m1000000007-oracle-json": [
+        "selmer", "--p", "23", "--d", "-1000000007", "--oracle", "--format", "json"
+    ],
+    "selmer-p47-m1000000007-json": ["selmer", "--p", "47", "--d", "-1000000007", "--format", "json"],
     "eta-11-special": ["eta", "--N", "11", "--special"],
     "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
     "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],
