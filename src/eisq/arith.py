@@ -1,13 +1,13 @@
 """Exact integer primitives: Jacobi symbols, primality, factoring, square
-roots modulo prime powers, the Chinese remainder join and the norm equation
-s^2 + p*t^2 = 4m."""
+roots modulo prime powers, the Chinese remainder join and the Cornacchia
+step for s^2 + p*t^2 = 4m."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import FactorizationIncomplete, ValidationError
 
@@ -283,61 +283,24 @@ def crt(xs: list[int], m: int, ys: list[int], n: int) -> list[int]:
     return [(x + (y - x) * u) % (m * n) for x in xs for y in ys]
 
 
-def _roots_minus_p(p: int, m: int) -> list[int]:
-    # All solutions of x^2 = -p (mod m) for odd m coprime to p.
-    roots, modulus = [0], 1
-    for q, e in factor(m).factors:
-        roots = crt(roots, modulus, sqrt_mod_prime_power(-p, q, e), q**e)
-        modulus *= q**e
-    return sorted(roots)
+def cornacchia(p: int, r: int, m: int) -> Optional[tuple[int, int]]:
+    """The solution (s, t), s and t >= 0, of s^2 + p*t^2 = 4m that belongs to
+    the square root r of -p mod m, or None when that root has none.
 
-
-CORNACCHIA_SWEEP = 4 * 10**8
-
-
-def _cornacchia_solutions(p: int, m: int, sweep: bool) -> Iterator[tuple[int, int]]:
-    # Verified solutions of s^2 + p*t^2 = 4m, nonnegative s and t.
-    # Modified Cornacchia on every square-root class of -p mod m (m odd),
-    # scanning the full Euclid remainder chain; optional exhaustive t-sweep.
-    seen = set()
-    target = 4 * m
-    bound = math.isqrt(target)
-    if m % 2 == 1:
-        for r in _roots_minus_p(p, m):
-            if r % 2 == 1:
-                x0 = r
-            elif r:
-                x0 = 2 * m - r
-            else:
-                continue
-            a, b = 2 * m, x0 % (2 * m)
-            while b:
-                if b <= bound:
-                    rem = target - b * b
-                    if rem % p == 0:
-                        t = math.isqrt(rem // p)
-                        if t * t * p == rem and (b, t) not in seen:
-                            seen.add((b, t))
-                            yield (b, t)
-                a, b = b, a % b
-    if sweep:
-        # smallest t first; covers imprimitive and even-m cases
-        for t in range(math.isqrt(target // p) + 1):
-            rem = target - p * t * t
-            s = math.isqrt(rem)
-            if s * s == rem and (s, t) not in seen:
-                seen.add((s, t))
-                yield (s, t)
-
-
-def all_norm_equation_solutions(p: int, m: int) -> Iterator[tuple[int, int]]:
-    """All nonnegative (s, t) with s^2 + p*t^2 = 4m, deduplicated."""
-    if p % 4 != 3 or not is_prime(p):
-        raise ValidationError(f"norm equation requires prime p = 3 mod 4, got {p}")
-    if m < 1 or math.gcd(m, p) != 1:
-        raise ValidationError(f"m must be positive and coprime to p, got m={m}")
-    sweep = m <= CORNACCHIA_SWEEP or m % 2 == 0
-    for sol in _cornacchia_solutions(p, m, sweep):
-        assert sol[0] ** 2 + p * sol[1] ** 2 == 4 * m
-        yield sol
-
+    For p = 3 (mod 4), p > 0, and an odd m > 1 coprime to p.  One modified
+    Cornacchia step (Cohen, GTM 138, Alg. 1.5.3): the root of the right
+    parity, then Euclid on (2m, root) down to the first remainder <= 2 sqrt(m).
+    """
+    if p < 3 or p % 4 != 3 or m < 3 or math.gcd(m, 2 * p) != 1 or (r * r + p) % m:
+        raise ValidationError(
+            f"cornacchia needs p = 3 mod 4, an odd m > 1 coprime to p and r^2 = -p mod m, "
+            f"got p={p}, r={r}, m={m}"
+        )
+    a, b, bound = 2 * m, r % m, math.isqrt(4 * m)
+    if b % 2 == 0:
+        b = m - b  # the odd root, so b^2 = -p (mod 4m)
+    while b > bound:
+        a, b = b, a % b
+    rem = 4 * m - b * b
+    t = math.isqrt(rem // p)
+    return (b, t) if p * t * t == rem else None

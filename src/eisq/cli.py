@@ -129,6 +129,8 @@ def _selmer_row(p: int, d: int, with_oracle: bool) -> dict:
 
 def _cmd_selmer(args, out) -> int:
     with_oracle = args.oracle
+    if args.d is not None and args.d_range is not None:
+        raise ValidationError("selmer takes --d or --d-range, not both")
     if args.d_range:
         try:
             lo, hi = (int(x) for x in args.d_range.split(".."))
@@ -265,6 +267,11 @@ def _verdict_lines(v: descent.Verdict) -> list[str]:
 
 
 def _cmd_heegner(args, out) -> int:
+    given = [flag for flag, value in (("--p", args.p), ("--p2", args.p2), ("--ns", args.ns)) if value is not None]
+    if len(given) > 1:
+        raise ValidationError(f"heegner takes one of --p, --p2, --ns, got {' and '.join(given)}")
+    if args.ns is not None and args.q is not None:
+        raise ValidationError("heegner --ns takes no --q")
     if args.ns is not None:
         p = args.ns
         ns = descent.neumann_setzer(p)

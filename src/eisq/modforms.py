@@ -29,40 +29,6 @@ class QSeries:
     level: int
     coeffs: tuple[int, ...]
 
-    @property
-    def prec(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> int:
-        return self.coeffs[m]
-
-    def _common(self, other: "QSeries") -> int:
-        if self.level != other.level:
-            raise ValidationError("level mismatch between series")
-        return min(self.prec, other.prec)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        return QSeries(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs[: n + 1])))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        return QSeries(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs[: n + 1])))
-
-    def scale(self, k: int) -> "QSeries":
-        return QSeries(self.level, tuple(k * a for a in self.coeffs))
-
-    def agrees_with(self, other: "QSeries") -> Optional[int]:
-        """Index of the first differing coefficient over the common prefix, or None."""
-        n = self._common(other)
-        for m in range(n + 1):
-            if self.coeffs[m] != other.coeffs[m]:
-                return m
-        return None
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
 
 def _first_difference(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
     """Index of the first differing entry over the common prefix of a and b,

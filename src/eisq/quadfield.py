@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .arith import all_norm_equation_solutions, factor, hensel_lift, is_prime, jacobi, sqrt_mod, valuation
+from .arith import cornacchia, hensel_lift, is_prime, jacobi, sqrt_mod, sqrt_mod_prime_power, valuation
 from .errors import InternalCheckError, ValidationError
 
 SPLIT_FACTOR = "split_factor"
@@ -102,16 +102,6 @@ class QuadInt:
             raise ValidationError(f"{self} is not divisible by {other}")
         return QuadInt(num.a // n, num.b // n, self.ctx)
 
-    def content_at(self, q: int) -> int:
-        """Largest e with q^e dividing both coordinates."""
-        if self.is_zero():
-            raise ValidationError("content of 0 is undefined")
-        if self.a == 0:
-            return valuation(self.b, q)
-        if self.b == 0:
-            return valuation(self.a, q)
-        return min(valuation(self.a, q), valuation(self.b, q))
-
     def __repr__(self) -> str:
         return f"({self.a}{self.b:+d}w; p={self.ctx.p})"
 
@@ -179,37 +169,6 @@ def _omega_roots(ctx: FieldCtx, q: int) -> tuple[int, int]:
     return (min(r1, r2), max(r1, r2))
 
 
-def place_of_prime_element(ctx: FieldCtx, x: QuadInt) -> PlaceK:
-    """The unique place where a generator of a prime power has positive valuation.
-
-    Requires norm(x) to be a power of a single rational prime and x to be
-    primitive (not divisible by that prime) unless the prime is p.
-    """
-    n = x.norm()
-    if n <= 1:
-        raise ValidationError(f"{x} is a unit or zero")
-    q = _single_prime_base(n)
-    if q == ctx.p:
-        return places_above(ctx, q)[0]
-    if q == 2:
-        raise ValidationError("places above 2 are unsupported")
-    if classify_prime(ctx, q) == INERT:
-        raise ValidationError(f"{x} has inert norm base {q}, not a split generator")
-    if x.content_at(q) > 0:
-        raise ValidationError(f"{x} is divisible by {q}; no single place above it")
-    for v in places_above(ctx, q):
-        if (x.a + x.b * v.omega_residue) % q == 0:
-            return v
-    raise InternalCheckError(f"no place above {q} contains {x}")
-
-
-def _single_prime_base(n: int) -> int:
-    factors = factor(n).factors
-    if len(factors) != 1:
-        raise ValidationError(f"norm {n} is not a prime power")
-    return factors[0][0]
-
-
 # --- formal products -------------------------------------------------------
 
 Gen = Union[QuadInt, int]
@@ -275,12 +234,11 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     return (val, jacobi(image % q, q))
 
 
-def residue_symbol(ctx: FieldCtx, x: Gen, y: Union[PlaceK, QuadInt]) -> int:
-    """Quadratic residue symbol of x in the residue field at y (+1 or -1).
+def residue_symbol(ctx: FieldCtx, x: Gen, v: PlaceK) -> int:
+    """Quadratic residue symbol of x in the residue field at v (+1 or -1).
 
-    x must be a unit at y; y is a place or a generator of a prime power.
+    x must be a unit at v.
     """
-    v = y if isinstance(y, PlaceK) else place_of_prime_element(ctx, y)
     if v.q == 2:
         raise ValidationError("residue characteristic 2 is unsupported")
     val, sym = _local_data(ctx, x, v)
@@ -317,30 +275,32 @@ def split_generator(
 ) -> QuadInt:
     """Generator f = a + b*w of the h-th power of a prime above a split q.
 
-    Normalization: norm(f) = q^h, a = 1 (mod 4); the 2-adic valuation of b
-    is 1 for q = 3 (mod 4) and at least 2 for q = 1 (mod 4) (automatic,
-    asserted).  Of the residual conjugate pair the representative with
-    b > 0 is preferred, then the larger a; `conjugate_choice` flips to the
-    other one (all downstream results are conjugation-symmetric).
+    s = 2a + b and t = b solve s^2 + p*t^2 = 4q^h; one Cornacchia step on a
+    square root of -p mod q^h finds (|s|, |t|), and the signs give f, -f,
+    fbar and -fbar.  Normalization: norm(f) = q^h, a = 1 (mod 4); the
+    2-adic valuation of b is 1 for q = 3 (mod 4) and at least 2 for
+    q = 1 (mod 4) (automatic, asserted).  Of the residual conjugate pair the
+    representative with b > 0 is preferred, then the larger a;
+    `conjugate_choice` flips to the other one (all downstream results are
+    conjugation-symmetric).
     """
+    if ctx.p % 8 != 7:
+        raise ValidationError(
+            f"normalized split generators need 2 to split in Q(sqrt(-{ctx.p})), "
+            f"that is p = 7 mod 8, got p = {ctx.p}"
+        )
     if classify_prime(ctx, q) != "split":
         raise ValidationError(f"{q} does not split in Q(sqrt(-{ctx.p}))")
     if h < 1 or h % 2 == 0:
         raise ValidationError(f"class number must be odd and positive, got {h}")
     m = q**h
-    candidates = []
-    for s, t in all_norm_equation_solutions(ctx.p, m):
-        if t == 0 or (s % q == 0 and t % q == 0):
-            continue  # rational or imprimitive: not a generator of a single prime
-        for b in (t, -t):
-            for ssign in (s, -s):
-                if (ssign - b) % 2:
-                    continue
-                a = (ssign - b) // 2
-                if a % 4 == 1:
-                    candidates.append(ctx.quad(a, b))
-        if candidates:
-            break
+    sol = cornacchia(ctx.p, sqrt_mod_prime_power(-ctx.p, q, h)[0], m)
+    if sol is None:
+        raise InternalCheckError(f"no generator of a prime above {q} to the power {h} found")
+    s, t = sol
+    candidates = [
+        ctx.quad((ss - b) // 2, b) for b in (t, -t) for ss in (s, -s) if (ss - b) // 2 % 4 == 1
+    ]
     if len(candidates) != 2:
         raise InternalCheckError(
             f"expected one conjugate pair of normalized generators for {q}^{h}, "

@@ -52,6 +52,7 @@ class TwistDatum:
     places: list[PlaceK]
     alpha_gens: list[tuple[str, Gen]]
     beta_gens: list[tuple[str, Gen]]
+    gen_places: list[PlaceK]  # the place of generator i of either shape
     _local_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -64,6 +65,9 @@ class TwistDatum:
 
 def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
     """Validate and factor a twist parameter, then build places and generators.
+
+    d is the one number factored: the generator of each split q and its
+    place come from q itself.
 
     Requires p = 7 (mod 8) (so 2 splits and the graph machinery applies),
     and d squarefree, = 1 (mod 4), coprime to 2p."""
@@ -84,12 +88,19 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
     split3: list[tuple[int, QuadInt]] = []
     split1: list[tuple[int, QuadInt]] = []
     inert: list[int] = []
+    places = quadfield.places_above(ctx, p)
+    # q -> its places, for a split q the place of its generator first
+    above: dict[int, list[PlaceK]] = {}
     for q in fac.primes():
-        if quadfield.classify_prime(ctx, q) == "split":
-            gen = quadfield.split_generator(ctx, q, h, conjugate_choice)
-            (split3 if q % 4 == 3 else split1).append((q, gen))
-        else:
+        above[q] = quadfield.places_above(ctx, q)
+        places += above[q]
+        if above[q][0].kind == quadfield.INERT:
             inert.append(q)
+            continue
+        gen = quadfield.split_generator(ctx, q, h, conjugate_choice)
+        if (gen.a + gen.b * above[q][0].omega_residue) % q:
+            above[q].reverse()
+        (split3 if q % 4 == 3 else split1).append((q, gen))
     recomposed = 1
     for q, _ in split3:
         recomposed *= -q
@@ -99,28 +110,31 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
         recomposed *= q if q % 4 == 1 else -q
     if recomposed != d:
         raise InternalCheckError(f"sign decomposition failed: {recomposed} != {d}")
-    places = quadfield.places_above(ctx, p)
-    for q in fac.primes():
-        places += quadfield.places_above(ctx, q)
     pi = ctx.pi()
     alpha_gens: list[tuple[str, Gen]] = [("-pi", -pi)]
     beta_gens: list[tuple[str, Gen]] = [("pi", pi)]
+    gen_places = [places[0]]
     for q, f in split3:
         alpha_gens.append((f"f({q})", f))
         beta_gens.append((f"-f({q})", -f))
+        gen_places.append(above[q][0])
     for q, f in split3:
         alpha_gens.append((f"-fbar({q})", -f.conjugate()))
         beta_gens.append((f"fbar({q})", f.conjugate()))
+        gen_places.append(above[q][1])
     for q, g in split1:
         alpha_gens.append((f"g({q})", g))
         beta_gens.append((f"g({q})", g))
+        gen_places.append(above[q][0])
     for q, g in split1:
         alpha_gens.append((f"gbar({q})", g.conjugate()))
         beta_gens.append((f"gbar({q})", g.conjugate()))
+        gen_places.append(above[q][1])
     for q in inert:
         qs = q if q % 4 == 1 else -q
         alpha_gens.append((str(qs), qs))
         beta_gens.append((str(qs), qs))
+        gen_places.append(above[q][0])
     return TwistDatum(
         ctx=ctx,
         d=d,
@@ -131,6 +145,7 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
         places=places,
         alpha_gens=alpha_gens,
         beta_gens=beta_gens,
+        gen_places=gen_places,
     )
 
 
@@ -303,13 +318,6 @@ class SelmerGraph:
 
 
 def _graph_from_gens(td: TwistDatum, gens: list[tuple[str, Gen]]) -> SelmerGraph:
-    ctx = td.ctx
-    places = []
-    for label, g in gens:
-        if isinstance(g, int):
-            places.append(quadfield.places_above(ctx, abs(g))[0])
-        else:
-            places.append(quadfield.place_of_prime_element(ctx, g))
     n = len(gens)
     arrows = []
     for i in range(n):
@@ -318,7 +326,7 @@ def _graph_from_gens(td: TwistDatum, gens: list[tuple[str, Gen]]) -> SelmerGraph
             if i == j:
                 row.append(False)
             else:
-                sym = quadfield.residue_symbol(ctx, gens[i][1], places[j])
+                sym = quadfield.residue_symbol(td.ctx, gens[i][1], td.gen_places[j])
                 row.append(sym == -1)
         arrows.append(tuple(row))
     return SelmerGraph(tuple(label for label, _ in gens), tuple(arrows))

@@ -127,13 +127,11 @@ def test_criterion_06_reciprocity():
                 continue
             f = quadfield.split_generator(ctx, q, h)
             fbar = f.conjugate()
-            s1 = quadfield.residue_symbol(ctx, f, pi_place) * quadfield.residue_symbol(ctx, pi, f)
-            s2 = quadfield.residue_symbol(ctx, fbar, pi_place) * quadfield.residue_symbol(
-                ctx, pi, fbar
-            )
-            s3 = quadfield.residue_symbol(ctx, f, pi_place) == quadfield.residue_symbol(
-                ctx, fbar, f
-            )
+            # the place above q that f lies in, then the one of fbar
+            v, vbar = sorted(quadfield.places_above(ctx, q), key=lambda u: (f.a + f.b * u.omega_residue) % q)
+            s1 = quadfield.residue_symbol(ctx, f, pi_place) * quadfield.residue_symbol(ctx, pi, v)
+            s2 = quadfield.residue_symbol(ctx, fbar, pi_place) * quadfield.residue_symbol(ctx, pi, vbar)
+            s3 = quadfield.residue_symbol(ctx, f, pi_place) == quadfield.residue_symbol(ctx, fbar, v)
             assert s1 == 1 and s3, (p, q)
             assert s2 == (-1 if q % 4 == 3 else 1), (p, q)
             seen[q % 4] += 1

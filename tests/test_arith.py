@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisq.arith import (
-    CORNACCHIA_SWEEP,
     Factorization,
-    all_norm_equation_solutions,
+    cornacchia,
     crt,
     factor,
     hensel_lift,
@@ -22,9 +21,27 @@ from eisq.arith import (
 from eisq.errors import FactorizationIncomplete, ValidationError
 
 
-def cornacchia_4m(p, m):
-    """First nonnegative solution (s, t) of s^2 + p*t^2 = 4m, or None."""
-    return next(all_norm_equation_solutions(p, m), None)
+def norm_equation_sweep(p, m):
+    """Every nonnegative (s, t) with s^2 + p*t^2 = 4m, smallest t first."""
+    out = []
+    for t in range(math.isqrt(4 * m // p) + 1):
+        s = math.isqrt(4 * m - p * t * t)
+        if s * s == 4 * m - p * t * t:
+            out.append((s, t))
+    return out
+
+
+def is_primitive(s, t):
+    # (s + t*sqrt(-p))/2 = a + b*w with a = (s - t)/2 and b = t is not divisible by an integer > 1
+    return math.gcd((s - t) // 2, t) == 1
+
+
+def cornacchia_4m(p, m, roots=None):
+    """The solutions of s^2 + p*t^2 = 4m that Cornacchia finds over every square
+    root of -p mod m (by trial when not given)."""
+    if roots is None:
+        roots = [r for r in range(m) if (r * r + p) % m == 0]
+    return {cornacchia(p, r, m) for r in roots} - {None}
 
 
 def test_jacobi_examples():
@@ -215,57 +232,63 @@ def test_crt_against_brute_force():
 
 
 def test_cornacchia_examples():
-    assert cornacchia_4m(7, 11) == (4, 2)
-    assert cornacchia_4m(7, 29) == (2, 4)
-    assert cornacchia_4m(7, 3) is None
-    assert cornacchia_4m(7, 1) == (2, 0)
+    assert cornacchia(7, 2, 11) == cornacchia(7, 9, 11) == (4, 2)
+    assert cornacchia_4m(7, 29) == {(2, 4)}
+    assert cornacchia_4m(7, 3) == set()  # -7 is not a square mod 3
+    # 3 splits in Q(sqrt(-23)) but its primes are not principal; their cubes are
+    assert cornacchia(23, 1, 3) is None and cornacchia(23, 2, 3) is None
+    assert cornacchia_4m(23, 27) == {(4, 2)}
 
 
 def test_cornacchia_identity_property():
+    # the step finds exactly the primitive solutions, one root at a time
     for p in (7, 23, 31, 47):
-        for m in range(1, 400):
+        for m in range(3, 400, 2):
             if math.gcd(m, p) != 1:
                 continue
-            sol = cornacchia_4m(p, m)
-            if sol is not None:
-                s, t = sol
+            want = {(s, t) for s, t in norm_equation_sweep(p, m) if is_primitive(s, t)}
+            got = cornacchia_4m(p, m)
+            assert got == want, (p, m)
+            for s, t in got:
                 assert s >= 0 and t >= 0 and s * s + p * t * t == 4 * m
-            else:
-                # exhaustive confirmation that no solution exists
-                for t in range(math.isqrt(4 * m // p) + 1):
-                    s2 = 4 * m - p * t * t
-                    assert math.isqrt(s2) ** 2 != s2
 
 
 def test_cornacchia_rejects_bad_input():
     with pytest.raises(ValidationError):
-        cornacchia_4m(13, 5)  # 13 = 1 mod 4
+        cornacchia(13, 1, 7)  # 13 = 1 mod 4
     with pytest.raises(ValidationError):
-        cornacchia_4m(7, 14)  # shares a factor with p
+        cornacchia(7, 0, 21)  # shares a factor with p
+    with pytest.raises(ValidationError):
+        cornacchia(7, 2, 22)  # even m
+    with pytest.raises(ValidationError):
+        cornacchia(7, 3, 11)  # 3^2 != -7 mod 11
+    with pytest.raises(ValidationError):
+        cornacchia(7, 0, 1)
 
 
-def test_norm_equation_enumerates_primitive_and_imprimitive():
+def test_cornacchia_finds_the_primitive_solution_only():
     # 59 = norm(5 + 2w) in disc -23, so 59^3 has a primitive and an
-    # imprimitive representation; both must appear
-    sols = list(all_norm_equation_solutions(23, 59**3))
-    prim = [s for s in sols if not (s[0] % 59 == 0 and s[1] % 59 == 0)]
-    imprim = [s for s in sols if s[0] % 59 == 0 and s[1] % 59 == 0]
-    assert prim and imprim
+    # imprimitive representation; the step returns the primitive one from
+    # either root
+    m = 59**3
+    sols = norm_equation_sweep(23, m)
+    prim = [x for x in sols if not (x[0] % 59 == 0 and x[1] % 59 == 0)]
+    imprim = [x for x in sols if x[0] % 59 == 0 and x[1] % 59 == 0]
+    assert len(prim) == 1 and imprim
+    assert cornacchia_4m(23, m, sqrt_mod_prime_power(-23, 59, 3)) == set(prim)
 
 
-def test_norm_equation_above_the_sweep_against_brute_force():
-    # above CORNACCHIA_SWEEP only the square-root classes of -p mod m (joined
-    # by CRT over the primes of m) are searched; at squarefree odd m every
-    # solution is found there
+def test_cornacchia_on_large_squarefree_m_against_brute_force():
+    # the square roots of -p mod m are joined by CRT over the primes of m;
+    # at squarefree m every solution is primitive and found by one of them
     cases = ((7, 400000007), (7, 400000147), (23, 400000017), (23, 400000207), (31, 400000355), (31, 400000615))
     for p, m in cases:
-        assert m > CORNACCHIA_SWEEP and factor(m).is_squarefree() and len(factor(m).factors) >= 3
-        want = set()
-        for t in range(math.isqrt(4 * m // p) + 1):
-            s = math.isqrt(4 * m - p * t * t)
-            if s * s == 4 * m - p * t * t:
-                want.add((s, t))
-        assert want and set(all_norm_equation_solutions(p, m)) == want, (p, m)
+        assert factor(m).is_squarefree() and len(factor(m).factors) >= 3
+        roots, modulus = [0], 1
+        for q, _ in factor(m).factors:
+            roots, modulus = crt(roots, modulus, sqrt_mod_prime_power(-p, q, 1), q), modulus * q
+        want = set(norm_equation_sweep(p, m))
+        assert want and cornacchia_4m(p, m, roots) == want, (p, m)
 
 
 def test_valuation():

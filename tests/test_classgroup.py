@@ -382,7 +382,9 @@ def test_prime_form_examples():
 def test_prime_form_norm_compatibility():
     # for class number one fields split primes give principal classes,
     # equivalently q is a norm: cross-checked against the norm equation
-    from eisq.arith import all_norm_equation_solutions, is_prime
+    # s^2 + p*t^2 = 4q, by an exhaustive t-sweep at inert q and by the
+    # Cornacchia step at split q
+    from eisq.arith import cornacchia, is_prime, sqrt_mod
 
     for p in (7, 11, 19, 43, 67, 163):
         assert class_number_of_disc(-p) == 1
@@ -392,10 +394,12 @@ def test_prime_form_norm_compatibility():
             try:
                 f = prime_form(-p, q)
             except ValidationError:
-                assert next(all_norm_equation_solutions(p, q), None) is None  # inert: q is not a norm
+                # inert: q is not a norm
+                rems = [4 * q - p * t * t for t in range(math.isqrt(4 * q // p) + 1)]
+                assert all(math.isqrt(r) ** 2 != r for r in rems)
                 continue
             assert reduce_form(f) == principal_form(-p)
-            assert next(all_norm_equation_solutions(p, q), None) is not None
+            assert cornacchia(p, sqrt_mod(-p, q), q) is not None
 
 
 def test_prime_form_represents_its_prime():

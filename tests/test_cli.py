@@ -272,6 +272,35 @@ def test_sweep_cost_follows_the_range():
     assert elapsed < 1.0, elapsed
 
 
+def test_conflicting_flags_exit_2():
+    for argv in (
+        ("selmer", "--p", "7", "--d", "5", "--d-range", "1..10"),
+        ("heegner", "--p", "11", "--p2", "13", "--K", "-7", "--q", "5"),
+        ("heegner", "--ns", "73", "--p", "11", "--K", "-19", "--q", "5"),
+        ("heegner", "--ns", "73", "--K", "-19", "--q", "5"),
+    ):
+        code, out, err = run_cli_err(*argv)
+        assert code == EXIT_VALIDATION, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_large_split_prime_with_oracle():
+    # d is prime and splits; its generator comes from d, with no rho on d^3
+    start = time.perf_counter()
+    code, out = run_cli("selmer", "--p", "23", "--d", "-100000000000139", "--oracle", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    row = json.loads(out)
+    assert row["oracle_agrees"] and row["oracle_dim_f2"] == row["dim_f2"] == 4
+
+
+def test_large_split_prime_h5():
+    start = time.perf_counter()
+    code, out = run_cli("selmer", "--p", "47", "--d", "-100000000003", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and json.loads(out)["generators"] == ["-pi", "f(100000000003)", "-fbar(100000000003)"]
+
+
 def test_classnum_non_fundamental_disc():
     code, out = run_cli("classnum", "--disc", "-36")
     assert code == EXIT_OK

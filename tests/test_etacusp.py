@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from eisq.arith import is_prime
 from eisq.errors import ValidationError
 from eisq.etacusp import (
     CuspDivisor,
@@ -143,6 +145,22 @@ def test_cuspidal_group_invariants():
     assert rep11.invariants == (5, 5) and rep11.matches_12
     rep13 = cuspidal_group_invariants(13)
     assert rep13.invariants == (7,) and rep13.matches_12
+
+
+def test_cuspidal_table_closed_form():
+    # the invariants are (a, a*b) without its 1s, a = (p-1)/(p-1, 12) and
+    # b = (p+1)/(p+1, 12), for every prime 5 <= p < 2000
+    count = 0
+    for p in range(5, 2000):
+        if not is_prime(p):
+            continue
+        a = (p - 1) // math.gcd(p - 1, 12)
+        b = (p + 1) // math.gcd(p + 1, 12)
+        rep = cuspidal_group_invariants(p)
+        assert rep.invariants == tuple(x for x in (a, a * b) if x != 1), p
+        assert rep.matches_12, p
+        count += 1
+    assert count == 301
 
 
 def test_special_functions():

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -10,7 +11,6 @@ from eisq.modforms import (
     QSeries,
     delta_cusp_constants,
     delta_series,
-    eisenstein_e,
     eisenstein_eigencheck,
     hecke_t,
     hecke_u,
@@ -135,10 +135,10 @@ def test_hecke_examples():
     d5 = delta_series(5, 200)
     t2 = hecke_t(d5, 2)
     assert t2.coeffs[1:5] == (3, 9, 12, 21)
-    assert t2.agrees_with(d5.scale(3)) is None
-    assert hecke_u(d5, 5).is_zero()
+    assert t2.coeffs == tuple(3 * a for a in d5.coeffs[: len(t2.coeffs)])
+    assert not any(hecke_u(d5, 5).coeffs)
     t3 = hecke_t(d5, 3)
-    assert t3.agrees_with(d5.scale(4)) is None
+    assert t3.coeffs == tuple(4 * a for a in d5.coeffs[: len(t3.coeffs)])
     with pytest.raises(ValidationError):
         hecke_t(d5, 5)
     with pytest.raises(ValidationError):
@@ -154,13 +154,11 @@ def test_hecke_linear_and_commuting():
         prec = 120
         f = QSeries(level, tuple(rng.randrange(-9, 10) for _ in range(prec + 1)))
         g = QSeries(level, tuple(rng.randrange(-9, 10) for _ in range(prec + 1)))
+        f_plus_g = QSeries(level, tuple(map(add, f.coeffs, g.coeffs)))
         for ell in (2, 3):
-            lhs = hecke_t(f, ell) + hecke_t(g, ell)
-            rhs = hecke_t(f + g, ell)
-            assert lhs.agrees_with(rhs) is None
-        a = hecke_t(hecke_t(f, 2), 3)
-        b = hecke_t(hecke_t(f, 3), 2)
-        assert a.agrees_with(b) is None
+            lhs = tuple(map(add, hecke_t(f, ell).coeffs, hecke_t(g, ell).coeffs))
+            assert lhs == hecke_t(f_plus_g, ell).coeffs
+        assert hecke_t(hecke_t(f, 2), 3).coeffs == hecke_t(hecke_t(f, 3), 2).coeffs
 
 
 def test_eigencheck_passes():
@@ -182,8 +180,7 @@ def test_eigencheck_negative_control():
     d = delta_series(5, 120)
     bad = dataclasses.replace(d, coeffs=d.coeffs[:9] + (d.coeffs[9] + 1,) + d.coeffs[10:])
     t2 = hecke_t(bad, 2)
-    idx = t2.agrees_with(bad.scale(3))
-    assert idx is not None
+    assert t2.coeffs != tuple(3 * a for a in bad.coeffs[: len(t2.coeffs)])
 
 
 def test_cusp_constants():
@@ -192,12 +189,7 @@ def test_cusp_constants():
     assert delta_cusp_constants(11) == (Fraction(5, 11), Fraction(-50, 11))
 
 
-def test_level_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        eisenstein_e(5, 10) + delta_series(5, 10)
-
-
 def test_precision_bookkeeping():
     d = delta_series(7, 100)
-    assert hecke_t(d, 3).prec == 33
-    assert hecke_u(d, 7).prec == 14
+    assert len(hecke_t(d, 3).coeffs) == 34
+    assert len(hecke_u(d, 7).coeffs) == 15

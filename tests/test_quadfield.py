@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisq.arith import is_prime, jacobi, valuation
+from eisq.arith import is_prime, jacobi, sqrt_mod_prime_power, valuation
+from eisq.classgroup import class_number
 from eisq.errors import ValidationError
 from eisq.quadfield import (
     INERT,
@@ -14,7 +16,6 @@ from eisq.quadfield import (
     FieldCtx,
     classify_prime,
     is_local_square,
-    place_of_prime_element,
     places_above,
     residue_symbol,
     split_generator,
@@ -37,6 +38,11 @@ def split_primes(ctx, bound):
         for q in range(3, bound, 2)
         if is_prime(q) and q != ctx.p and classify_prime(ctx, q) == "split"
     ]
+
+
+def places_containing(ctx, q, x):
+    """The places above the split prime q at which x reduces to 0."""
+    return [v for v in places_above(ctx, q) if (x.a + x.b * v.omega_residue) % q == 0]
 
 
 def test_ctx_validation():
@@ -123,7 +129,63 @@ def test_split_generator_normalization_sweep():
                 else:
                     assert valuation(cand.b, 2) >= 2
             # the two choices generate conjugate prime powers
-            assert place_of_prime_element(ctx, f) != place_of_prime_element(ctx, g)
+            assert len(places_containing(ctx, q, f)) == len(places_containing(ctx, q, g)) == 1
+            assert places_containing(ctx, q, f) != places_containing(ctx, q, g)
+
+
+def old_split_generator(ctx, q, h, conjugate_choice):
+    """The generator search that the single Cornacchia step replaced, as the
+    oracle: solutions of s^2 + p*t^2 = 4q^h from the whole Euclid remainder
+    chain of both square roots of -p mod q^h, then, at q^h <= 4*10^8, the
+    exhaustive t-sweep; the first primitive solution gives the candidates,
+    chosen as split_generator documents."""
+    p, m = ctx.p, q**h
+    bound = math.isqrt(4 * m)
+    sols = []
+    for r in sqrt_mod_prime_power(-p, q, h):
+        a, b = 2 * m, r if r % 2 else 2 * m - r
+        while b:
+            if b <= bound and (4 * m - b * b) % p == 0:
+                t = math.isqrt((4 * m - b * b) // p)
+                if p * t * t == 4 * m - b * b:
+                    sols.append((b, t))
+            a, b = b, a % b
+    if m <= 4 * 10**8:
+        for t in range(math.isqrt(4 * m // p) + 1):
+            s = math.isqrt(4 * m - p * t * t)
+            if s * s == 4 * m - p * t * t:
+                sols.append((s, t))
+    for s, t in sols:
+        if t == 0 or (s % q == 0 and t % q == 0):
+            continue
+        cands = [ctx.quad((ss - b) // 2, b) for b in (t, -t) for ss in (s, -s) if (ss - b) // 2 % 4 == 1]
+        if cands:
+            assert len(cands) == 2
+            cands.sort(key=lambda f: (f.b > 0, f.a), reverse=True)
+            return cands[1] if conjugate_choice else cands[0]
+    return None
+
+
+def test_split_generator_against_the_old_search():
+    cases = 0
+    for p in range(7, 400, 8):
+        if not is_prime(p):
+            continue
+        ctx = FieldCtx(p)
+        h = class_number(p)
+        for q in split_primes(ctx, 2000):
+            for choice in (False, True):
+                assert split_generator(ctx, q, h, choice) == old_split_generator(ctx, q, h, choice), (p, q, choice)
+                cases += 1
+    assert cases == 5860
+
+
+def test_split_generator_needs_two_split():
+    # a = 1 (mod 4) leaves one conjugate pair only when 2 splits, p = 7 (mod 8)
+    with pytest.raises(ValidationError, match="p = 7 mod 8"):
+        split_generator(FieldCtx(11), 3, 1)
+    with pytest.raises(ValidationError, match="p = 7 mod 8"):
+        split_generator(FieldCtx(19), 5, 1)
 
 
 def test_residue_symbol_examples():
@@ -196,11 +258,13 @@ def test_symbol_reciprocity_laws():
         for q in split_primes(ctx, 500):
             f = split_generator(ctx, q, h)
             fbar = f.conjugate()
-            lhs = residue_symbol(ctx, f, pi_place) * residue_symbol(ctx, pi, f)
-            mid = residue_symbol(ctx, fbar, pi_place) * residue_symbol(ctx, pi, fbar)
+            [v] = places_containing(ctx, q, f)
+            [vbar] = places_containing(ctx, q, fbar)
+            lhs = residue_symbol(ctx, f, pi_place) * residue_symbol(ctx, pi, v)
+            mid = residue_symbol(ctx, fbar, pi_place) * residue_symbol(ctx, pi, vbar)
             assert lhs == 1
             assert mid == (-1 if q % 4 == 3 else 1)
-            assert residue_symbol(ctx, f, pi_place) == residue_symbol(ctx, fbar, f)
+            assert residue_symbol(ctx, f, pi_place) == residue_symbol(ctx, fbar, v)
             if q % 4 == 3:
                 seen3 += 1
             else:

@@ -1,9 +1,12 @@
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
 
-from eisq import selmer
+import eisq
+from eisq import arith, selmer
 from eisq.arith import is_prime
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 from eisq.quadfield import places_above, residue_symbol
@@ -334,3 +337,44 @@ def test_two_split_primes_instance():
     graph = selmer_rank_graph(td)
     brute = selmer_group_bruteforce(td)
     assert brute.dim_f2 == graph.dim_f2
+
+
+def test_twist_factors_d_only(monkeypatch):
+    # every module's binding of factor counts its calls; the generator of
+    # each split q and its place come from q itself, so d is factored once
+    calls = []
+    real = arith.factor
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    patched = []
+    for info in pkgutil.iter_modules(eisq.__path__):
+        module = importlib.import_module(f"eisq.{info.name}")
+        if getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", counting)
+            patched.append(info.name)
+    assert {"arith", "selmer"} <= set(patched)
+    for p, d in ((7, -11), (23, -39), (71, -1155), (23, -100000000003), (47, -1000000007), (7, -2943050537207)):
+        calls.clear()
+        selmer_rank_graph(build_twist(p, d))
+        assert calls == [d], (p, d)
+
+
+def test_generator_places():
+    # generator i of either shape lies at place i: pi at the ramified place,
+    # f and fbar at the two places above their q, Q* at its inert place
+    for p, d in ((7, -11), (23, -39), (71, -1155), (47, 21), (7, 5 * 29 * 53)):
+        td = build_twist(p, d)
+        assert len(td.gen_places) == td.width
+        for (_, x), (_, y), v in zip(td.alpha_gens, td.beta_gens, td.gen_places):
+            if isinstance(x, int):
+                assert x == y and v.kind == "inert" and v.q == abs(x)
+                continue
+            assert x in (y, -y) and x.norm() % v.q == 0
+            if v.kind == "ramified":
+                assert x.norm() == p
+            else:
+                assert (x.a + x.b * v.omega_residue) % v.q == 0
+                assert [u for u in places_above(td.ctx, v.q) if (x.a + x.b * u.omega_residue) % v.q == 0] == [v]
