@@ -86,6 +86,8 @@ def _fmt_arg(sub):
 def _cmd_classnum(args, out) -> int:
     if args.disc is None and args.p is None:
         raise ValidationError("classnum needs --p or --disc")
+    if args.disc is not None and args.p is not None:
+        raise ValidationError("classnum takes --p or --disc, not both")
     if args.disc is not None:
         disc, doc, label = args.disc, {"disc": args.disc}, f"disc {args.disc}"
     else:

@@ -274,6 +274,7 @@ def test_sweep_cost_follows_the_range():
 
 def test_conflicting_flags_exit_2():
     for argv in (
+        ("classnum", "--p", "7", "--disc", "-23"),
         ("selmer", "--p", "7", "--d", "5", "--d-range", "1..10"),
         ("heegner", "--p", "11", "--p2", "13", "--K", "-7", "--q", "5"),
         ("heegner", "--ns", "73", "--p", "11", "--K", "-19", "--q", "5"),
