@@ -3,9 +3,12 @@
 Each case is a CLI invocation (exit code and stdout bytes are compared) or
 a library call whose `repr` is compared.  The files under `tests/golden/`
 were written by an earlier version of eisq; a change that alters any byte
-of these outputs fails here.  To rewrite them on purpose:
+of these outputs fails here.  Running this file writes the cases that have
+no file yet and leaves every recorded one as it is; to rewrite recorded
+cases on purpose, name them:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py              # new cases only
+    PYTHONPATH=src python tests/test_golden.py eta-11-r     # rewrite eta-11-r
 """
 
 import io
@@ -65,6 +68,9 @@ CLI_CASES = {
     "eta-25-special": ["eta", "--N", "25", "--special"],
     "eta-5-special-json": ["eta", "--N", "5", "--special", "--format", "json"],
     "eta-9-special": ["eta", "--N", "9", "--special"],
+    "eta-1009-special": ["eta", "--N", "1009", "--special"],
+    "eta-1018081-special-json": ["eta", "--N", "1018081", "--special", "--format", "json"],
+    "eta-1018081-r-json": ["eta", "--N", "1018081", "--r", "24,0,-24", "--format", "json"],
     "heegner-p11": ["heegner", "--p", "11", "--K", "-7", "--q", "5"],
     "heegner-p11-inconclusive": ["heegner", "--p", "11", "--K", "-79", "--q", "5"],
     "heegner-p61-json": ["heegner", "--p", "61", "--K", "-2711", "--q", "5", "--format", "json"],
@@ -88,6 +94,7 @@ CLI_CASES = {
     "heegner-ns73-not-disc-json": ["heegner", "--ns", "73", "--K", "-9990121", "--format", "json"],
     "heegner-p11-not-fundamental": ["heegner", "--p", "11", "--K", "-36", "--q", "5"],
     "heegner-p2-13-not-fundamental-even": ["heegner", "--p2", "13", "--K", "-24012", "--q", "7"],
+    "heegner-p1009-disc1000015-q7": ["heegner", "--p", "1009", "--K", "-1000015", "--q", "7"],
     "eigencheck-p5": ["eigencheck", "--p", "5", "--prec", "200"],
     "eigencheck-p7-json": ["eigencheck", "--p", "7", "--prec", "40", "--format", "json"],
     "eigencheck-primes-json": ["eigencheck", "--p", "11", "--prec", "60", "--primes", "2,3,11", "--format", "json"],
@@ -124,6 +131,7 @@ def _class_orders():
 LIBRARY_CASES = {
     "class-orders": _class_orders,
     "cuspidal-invariants": lambda: [etacusp.cuspidal_group_invariants(p) for p in (5, 7, 11, 13, 37, 97)],
+    "cuspidal-invariants-1009-1153": lambda: [etacusp.cuspidal_group_invariants(p) for p in (1009, 1153)],
     "verdict-prime-level": lambda: [
         _verdict(11, {1: 12, 11: -12}, {1: 1, 11: -1}, -7, 5),
         _verdict(11, {1: 12, 11: -12}, {1: 1, 11: -1}, -79, 5),
@@ -146,6 +154,8 @@ LIBRARY_CASES = {
         _verdict(p * p, *_canonical_p2(p), disc, q)
         for p, disc, q in ((89, -10000004, 5), (89, -10000004, 11), (139, -9999015, 7), (97, -9983951, 7))
     ],
+    # p = 1 (mod 12), the largest lattice; q = 577 divides (p^2 - 1)/24
+    "verdict-p2-level-1153": lambda: [_verdict(1153 * 1153, *_canonical_p2(1153), -1000003, 577)],
 }
 
 
@@ -179,15 +189,21 @@ def test_golden(name):
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
-def write_golden():
+def write_golden(names):
+    """Write the named cases, or with no names every case without a file."""
     GOLDEN.mkdir(exist_ok=True)
-    exits = {}
-    for name, run in _all_cases():
-        code, out = run()
-        exits[name] = code
+    codes = GOLDEN / "exit_codes.json"
+    exits = json.loads(codes.read_text()) if codes.exists() else {}
+    cases = dict(_all_cases())
+    unknown = [name for name in names if name not in cases]
+    if unknown:
+        return f"unknown golden cases: {', '.join(unknown)}"
+    for name in names or [n for n in cases if not (GOLDEN / f"{n}.stdout").exists()]:
+        exits[name], out = cases[name]()
         (GOLDEN / f"{name}.stdout").write_bytes(out.encode())
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {name}")
+    codes.write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    sys.exit(write_golden())
+    sys.exit(write_golden(sys.argv[1:]))
