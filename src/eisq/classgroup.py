@@ -241,7 +241,13 @@ def reduced_forms(disc: int) -> list[BQForm]:
 
 
 def class_number_of_disc(disc: int) -> int:
-    """The class number of the order of discriminant D (|D| under the cap).
+    """The class number of the order of discriminant D (|D| under the cap)."""
+    _check_enumerable(disc)
+    return fundamental_class_number(disc) if is_fundamental(disc) else len(reduced_forms(disc))
+
+
+def fundamental_class_number(disc: int) -> int:
+    """The class number at a D that the caller knows is fundamental, |D| under the cap.
 
     At a fundamental D every form is primitive, and for a <= sqrt(|D|/4)
     every root b in (-a, a] of b^2 = D (mod 4a) gives a reduced form, since
@@ -251,11 +257,8 @@ def class_number_of_disc(disc: int) -> int:
     when e = 1 and l | D, and 0 when e > 1 and l | D.  Only the band
     sqrt(|D|/4) < a <= sqrt(|D|/3) lists its forms.  One Jacobi symbol per
     odd prime up to sqrt(|D|/3), no form list (Cohen, GTM 138, section 5.3).
-    A non-fundamental D counts `reduced_forms`.
     """
     _check_enumerable(disc)
-    if not is_fundamental(disc):
-        return len(reduced_forms(disc))
     amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
     spf = smallest_prime_factors(amax)
     two = _two_adic_roots(disc, amax)

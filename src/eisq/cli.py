@@ -11,6 +11,7 @@ consistency failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -207,13 +208,7 @@ def _cmd_eta(args, out) -> int:
         "level": n,
         "exponents": [r.get(d, 0) for d in divs],
         "divisors": divs,
-        "ligozat": {
-            "sum_zero": report.sum_zero,
-            "weighted_mod24": report.weighted_mod24,
-            "dual_mod24": report.dual_mod24,
-            "square_product": report.square_product,
-            "ok": report.ok,
-        },
+        "ligozat": {**dataclasses.asdict(report), "ok": report.ok},
     }
     lines = [
         f"level {n}, exponents {[r.get(d, 0) for d in divs]} on divisors {divs}",
@@ -237,9 +232,7 @@ def _cmd_eta(args, out) -> int:
 
 def _primitive_part(div: etacusp.CuspDivisor) -> etacusp.CuspDivisor:
     vec = div.int_vector()
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*vec)
     return etacusp.CuspDivisor(div.level, tuple(Fraction(x, g) for x in vec))
 
 

@@ -60,11 +60,18 @@ def splits_in(k_disc: int, q: int) -> bool:
 @dataclass(frozen=True)
 class HeegnerSetup:
     level: int
+    p: int  # the prime of the level
     k_disc: int
     h_k: int
     w_k: int
     split_ok: bool  # every prime of the level splits in K
-    prime_order: Optional[int]  # order of the class of the prime above the level prime
+
+    @property
+    def prime_order(self) -> Optional[int]:
+        """Order of the class of a prime above p when p splits, computed on each access."""
+        if not self.split_ok:
+            return None
+        return classgroup.class_order(classgroup.prime_form(self.k_disc, self.p), self.h_k)
 
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
@@ -73,10 +80,9 @@ def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
     if not classgroup.is_fundamental(k_disc):
         raise ValidationError(f"discriminant {k_disc} is not fundamental")
     p0 = etacusp.level_prime(level)[0]
-    h = classgroup.class_number_of_disc(k_disc)
+    h = classgroup.fundamental_class_number(k_disc)
     split_ok = k_disc % p0 != 0 and splits_in(k_disc, p0)
-    o_p = classgroup.class_order(classgroup.prime_form(k_disc, p0), h) if split_ok else None
-    return HeegnerSetup(level, k_disc, h, roots_of_unity(k_disc), split_ok, o_p)
+    return HeegnerSetup(level, p0, k_disc, h, roots_of_unity(k_disc), split_ok)
 
 
 def eisenstein_order_prime_level(p: int) -> int:
@@ -245,7 +251,7 @@ def verdict_rational_divisor(
         val_text = f"v_{q}({h_r}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(a_r) = {o_r}"
     else:
         nontrivial, val_ok, val_text = False, False, "not evaluated"
-    special = _is_special_eta(level, r)
+    special = etacusp.is_special(level, r, image)
     trace = (
         TraceEntry("n*D = div(eta-product)", f"n = {n}", True),
         TraceEntry("Heegner hypothesis", str(setup.split_ok), setup.split_ok),
@@ -291,12 +297,3 @@ def ideal_class_of_eta_datum(
         h = classgroup.class_number_of_disc(k_disc)
     o = classgroup.class_order(cls, h)
     return cls, o, h // o
-
-
-def _is_special_eta(level: int, r: Mapping[int, int]) -> bool:
-    try:
-        canonical = etacusp.special_function(level)
-    except ValidationError:
-        return False
-    trimmed = {d: v for d, v in r.items() if v}
-    return trimmed == {d: v for d, v in canonical.items() if v}

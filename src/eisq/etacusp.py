@@ -1,6 +1,7 @@
 """Eta-products on X0(N) for N = p or p^2: rationality conditions, divisors
 at cusps, and orders of rational cuspidal divisor classes via exact integer
-lattice arithmetic (Smith normal form)."""
+lattice arithmetic (Smith normal form).  Each public function parses its
+level once; private helpers take its divisors [1, p] or [1, p, p^2]."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arith import is_prime, valuation
+from .arith import is_prime
 from .errors import InternalCheckError, ValidationError
 
 # An eta-product is encoded by its exponent map {divisor d of N: r_d}.
@@ -18,12 +19,11 @@ EtaExponents = Mapping[int, int]
 
 def level_prime(n: int) -> tuple[int, int]:
     """(p, k) with n = p^k, k in {1, 2}: the one place that decides which
-    of the two supported levels n is."""
-    if is_prime(n):
-        return n, 1
+    of the two supported levels n is, by one primality test."""
     root = math.isqrt(max(n, 0))
-    if root * root == n and is_prime(root):
-        return root, 2
+    p0, k = (root, 2) if root * root == n else (n, 1)
+    if is_prime(p0):
+        return p0, k
     raise ValidationError(f"supported levels are p and p^2, got {n}")
 
 
@@ -31,6 +31,11 @@ def divisors(n: int) -> list[int]:
     """1, p and, at level p^2, p^2: the divisors of a level n = p^k."""
     p0, k = level_prime(n)
     return [p0**j for j in range(k + 1)]
+
+
+def _orbit_sizes(divs: list[int]) -> list[int]:
+    # phi(gcd(d, N/d)) cusps of each level d: p - 1 at d = p on X0(p^2), else 1
+    return [divs[1] - 1 if len(divs) == 3 and d == divs[1] else 1 for d in divs]
 
 
 @dataclass(frozen=True)
@@ -44,14 +49,13 @@ class CuspOrbit:
 
 
 def cusp_orbits(n: int) -> list[CuspOrbit]:
-    p0, k = level_prime(n)
-    out = []
-    for d in divisors(n):
-        m = math.gcd(d, n // d)  # 1, or p0 for d = p0 at level p0^2
-        phi = m - 1 if m > 1 else 1
-        out.append(CuspOrbit(d, phi, n // math.gcd(d * d, n), m))
+    divs = divisors(n)
+    out = [
+        CuspOrbit(d, size, n // math.gcd(d * d, n), math.gcd(d, n // d))
+        for d, size in zip(divs, _orbit_sizes(divs))
+    ]
     # X0(p) has 2 cusps and X0(p^2) has p + 1
-    assert sum(o.size for o in out) == (2 if k == 1 else p0 + 1)
+    assert sum(o.size for o in out) == (2 if n == divs[1] else divs[1] + 1)
     return out
 
 
@@ -64,22 +68,22 @@ class LigozatReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.sum_zero
-            and self.weighted_mod24
-            and self.dual_mod24
-            and self.square_product
-        )
+        return self.sum_zero and self.weighted_mod24 and self.dual_mod24 and self.square_product
 
 
-def _validated_exponents(n: int, r: EtaExponents) -> dict[int, int]:
-    divs = divisors(n)
-    out = {d: 0 for d in divs}
-    for d, rd in r.items():
-        if d not in out:
-            raise ValidationError(f"{d} is not a divisor of {n}")
-        out[d] = int(rd)
-    return out
+def _check_divisors(divs: list[int], ds) -> None:
+    for d in ds:
+        if d not in divs:
+            raise ValidationError(f"{d} does not divide the level {divs[-1]}")
+
+
+def _validated_exponents(divs: list[int], r: EtaExponents) -> dict[int, int]:
+    _check_divisors(divs, r)
+    return {d: int(r.get(d, 0)) for d in divs}
+
+
+def _prime_exponent(divs: list[int], r: EtaExponents) -> int:
+    return sum(j * r.get(d, 0) for j, d in enumerate(divs))  # v_p(p^j) = j
 
 
 def prime_exponent(n: int, r: EtaExponents) -> int:
@@ -88,24 +92,24 @@ def prime_exponent(n: int, r: EtaExponents) -> int:
     Over a field in which p splits, the divisor ideals of the eta-product
     are powers of one prime above p, and e is the exponent of their product.
     """
-    p0, _ = level_prime(n)
-    e = 0
-    for d, rd in r.items():
-        if d < 1 or n % d:
-            raise ValidationError(f"{d} does not divide the level {n}")
-        e += rd * valuation(d, p0)
-    return e
+    divs = divisors(n)
+    return _prime_exponent(divs, _validated_exponents(divs, r))
 
 
-def ligozat_check(n: int, r: EtaExponents) -> LigozatReport:
-    """The four rationality conditions for prod_d eta(d z)^{r_d} on X0(N)."""
-    rr = _validated_exponents(n, r)
+def _ligozat(divs: list[int], rr: EtaExponents) -> LigozatReport:
+    n = divs[-1]
     s1 = sum(rr.values()) == 0
     s2 = sum(d * rd for d, rd in rr.items()) % 24 == 0
     s3 = sum((n // d) * rd for d, rd in rr.items()) % 24 == 0
     # prod d^{r_d} is a square iff every prime of N appears to an even power
-    s4 = prime_exponent(n, rr) % 2 == 0
+    s4 = _prime_exponent(divs, rr) % 2 == 0
     return LigozatReport(s1, s2, s3, s4)
+
+
+def ligozat_check(n: int, r: EtaExponents) -> LigozatReport:
+    """The four rationality conditions for prod_d eta(d z)^{r_d} on X0(N)."""
+    divs = divisors(n)
+    return _ligozat(divs, _validated_exponents(divs, r))
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,8 @@ class CuspDivisor:
     """A divisor supported on cusps, constant on Galois orbits.
 
     `coeffs[d]` is the multiplicity of each single cusp of level d; the
-    orbit sum D_d corresponds to coeffs with a bare 1 at level d.
+    orbit sum D_d corresponds to coeffs with a bare 1 at level d.  Only
+    `from_map` checks the level; the methods read its divisors off it.
     """
 
     level: int
@@ -122,15 +127,20 @@ class CuspDivisor:
     @staticmethod
     def from_map(level: int, coeffs: Mapping[int, int | Fraction]) -> "CuspDivisor":
         divs = divisors(level)
-        vec = [Fraction(coeffs.get(d, 0)) for d in divs]
-        return CuspDivisor(level, tuple(vec))
+        _check_divisors(divs, coeffs)
+        return CuspDivisor(level, tuple(Fraction(coeffs.get(d, 0)) for d in divs))
+
+    def _divisors(self) -> list[int]:
+        p0 = self.level if len(self.coeffs) == 2 else math.isqrt(self.level)
+        return [p0**j for j in range(len(self.coeffs))]
 
     def coeff(self, d: int) -> Fraction:
-        return self.coeffs[divisors(self.level).index(d)]
+        divs = self._divisors()
+        _check_divisors(divs, [d])
+        return self.coeffs[divs.index(d)]
 
     def degree(self) -> Fraction:
-        sizes = [o.size for o in cusp_orbits(self.level)]
-        return sum(c * s for c, s in zip(self.coeffs, sizes))
+        return sum(c * s for c, s in zip(self.coeffs, _orbit_sizes(self._divisors())))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -144,27 +154,29 @@ class CuspDivisor:
         return CuspDivisor(self.level, tuple(c * k for c in self.coeffs))
 
     def __repr__(self) -> str:
-        divs = divisors(self.level)
-        parts = [f"{c}*[{d}]" for d, c in zip(divs, self.coeffs) if c]
+        parts = [f"{c}*[{d}]" for d, c in zip(self._divisors(), self.coeffs) if c]
         return " + ".join(parts) if parts else "0"
 
 
 def eta_divisor(n: int, r: EtaExponents) -> CuspDivisor:
     """Divisor of prod_d eta(d z)^{r_d} on X0(N), one entry per cusp orbit.
 
-    Order at a cusp of level c: (N / (24*gcd(c^2, N))) * sum_d r_d*gcd(c,d)^2/d.
+    Order at a cusp of level c: the integer sum_d r_d*gcd(c,d)^2*(N/d) over 24*gcd(c^2, N).
     Entries are exact rationals; they are integers whenever the product is
     an actual rational function (Ligozat conditions).
     """
-    rr = _validated_exponents(n, r)
-    coeffs = []
-    for c in divisors(n):
-        total = sum(
-            Fraction(rd * math.gcd(c, d) ** 2, d) for d, rd in rr.items()
-        )
-        coeffs.append(Fraction(n, 24 * math.gcd(c * c, n)) * total)
-    out = CuspDivisor(n, tuple(coeffs))
-    report = ligozat_check(n, rr)
+    divs = divisors(n)
+    return _eta_divisor(divs, _validated_exponents(divs, r))
+
+
+def _eta_divisor(divs: list[int], r: EtaExponents) -> CuspDivisor:
+    n = divs[-1]
+    coeffs = tuple(
+        Fraction(sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()), 24 * math.gcd(c * c, n))
+        for c in divs
+    )
+    out = CuspDivisor(n, coeffs)
+    report = _ligozat(divs, r)
     if report.sum_zero and report.weighted_mod24 and report.dual_mod24:
         assert out.degree() == 0
     return out
@@ -185,23 +197,15 @@ def _snf_with_left(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     k = 0
     while k < min(nrows, ncols):
-        # find a nonzero pivot in the lower-right block
-        pivot = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+        # the first nonzero entry of least size in the lower-right block
+        pivots = [(abs(a[i][j]), i, j) for i in range(k, nrows) for j in range(k, ncols) if a[i][j]]
+        if not pivots:
             break
-        i0, j0 = pivot
-        if i0 != k:
-            a[k], a[i0] = a[i0], a[k]
-            u[k], u[i0] = u[i0], u[k]
-        if j0 != k:
-            for row in a:
-                row[k], row[j0] = row[j0], row[k]
+        _, i0, j0 = min(pivots)
+        a[k], a[i0] = a[i0], a[k]
+        u[k], u[i0] = u[i0], u[k]
+        for row in a:
+            row[k], row[j0] = row[j0], row[k]
         done = False
         while not done:
             done = True
@@ -236,22 +240,18 @@ def lattice_order(generators: Sequence[Sequence[int]], target: Sequence[int]) ->
     Computed via Smith normal form of the transposed generator matrix.
     Raises when no multiple of the target lies in the lattice.
     """
-    gens = [list(g) for g in generators]
-    if not gens:
+    if not generators:
         raise ValidationError("empty generating set")
-    ncoords = len(gens[0])
-    colmat = [[g[i] for g in gens] for i in range(ncoords)]
-    s, u = _snf_with_left(colmat)
+    ncoords = len(generators[0])
+    s, u = _snf_with_left([[g[i] for g in generators] for i in range(ncoords)])
     y = [sum(u[i][j] * target[j] for j in range(ncoords)) for i in range(ncoords)]
     n = 1
     for i in range(ncoords):
-        d = s[i][i] if i < len(gens) else 0
-        if d == 0:
-            if y[i]:
-                raise ValidationError("target is not in the span of the lattice")
-            continue
-        g = math.gcd(d, y[i] % d)
-        n = n * (d // g) // math.gcd(n, d // g)
+        d = s[i][i] if i < len(generators) else 0
+        if d:
+            n = math.lcm(n, d // math.gcd(d, y[i] % d))
+        elif y[i]:
+            raise ValidationError("target is not in the span of the lattice")
     return n
 
 
@@ -263,18 +263,13 @@ def invariant_factors(generators: Sequence[Sequence[int]], rank: int) -> list[in
     """
     colmat = [[g[i] for g in generators] for i in range(rank)]
     s, _ = _snf_with_left(colmat)
-    diag = []
-    for i in range(rank):
-        d = s[i][i] if i < len(generators) else 0
-        if d == 0:
-            raise ValidationError("lattice does not have full rank")
-        diag.append(d)
+    diag = [s[i][i] if i < len(generators) else 0 for i in range(rank)]
+    if 0 in diag:
+        raise ValidationError("lattice does not have full rank")
     # normalize to a divisibility chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            g = math.gcd(diag[i], diag[j])
-            lcm = diag[i] * diag[j] // g
-            diag[i], diag[j] = g, lcm
+            diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
     return [d for d in sorted(diag) if d != 1]
 
 
@@ -291,9 +286,12 @@ def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
     of U opposite the zero rows of S span that kernel.  The projection is
     injective (zero exponents force zero slack), so tau - 1 vectors come out.
     """
-    divs = divisors(n)
-    tau = len(divs)
-    forms = ([1] * tau, divs, [n // d for d in divs], [prime_exponent(n, {d: 1}) for d in divs])
+    return _eta_exponent_lattice(divisors(n))
+
+
+def _eta_exponent_lattice(divs: list[int]) -> list[dict[int, int]]:
+    n, tau = divs[-1], len(divs)
+    forms = ([1] * tau, divs, [n // d for d in divs], list(range(tau)))  # v_p(p^j) = j
     # A^T: a row per exponent, then a row per slack variable of forms 1-3
     rows = [[form[i] for form in forms] for i in range(tau)]
     rows += [[-m if j == i else 0 for j in range(4)] for i, m in ((1, 24), (2, 24), (3, 2))]
@@ -303,7 +301,7 @@ def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
         raise InternalCheckError(f"Ligozat lattice at level {n} has rank {len(kernel)}, not {tau - 1}")
     basis = [{d: v for d, v in zip(divs, vec) if v} for vec in kernel]
     for r in basis:
-        if not ligozat_check(n, r).ok:
+        if not _ligozat(divs, r).ok:
             raise InternalCheckError(f"Ligozat basis vector {r} at level {n} is not rational")
     return basis
 
@@ -316,16 +314,13 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     via Smith normal form.  A recomputation under a reversed generating
     set guards basis independence.
     """
-    level_prime(n)
-    if div.level != n:
+    divs = divisors(n)
+    if div.level != n or len(div.coeffs) != len(divs):
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:
         raise ValidationError(f"divisor has degree {div.degree()}, not 0")
     target = div.int_vector()
-    gens = []
-    for r in eta_exponent_lattice(n):
-        image = eta_divisor(n, r)
-        gens.append(image.int_vector())
+    gens = [_eta_divisor(divs, r).int_vector() for r in _eta_exponent_lattice(divs)]
     order = lattice_order(gens, target)
     again = lattice_order(list(reversed(gens)), target)
     if again != order:
@@ -357,24 +352,13 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     """
     if not is_prime(p) or p < 5:
         raise ValidationError(f"need a prime p >= 5, got {p}")
-    n = p * p
-    divs = divisors(n)
-    sizes = [o.size for o in cusp_orbits(n)]
-    assert sizes == [1, p - 1, 1]
-
+    divs = [1, p, p * p]
     # coordinates on degree-0 rational divisors: (m_1, m_p), with the
-    # level-p^2 coefficient determined by degree 0
-    def project(vec: tuple[int, ...]) -> tuple[int, int]:
-        assert vec[0] * 1 + vec[1] * (p - 1) + vec[2] * 1 == 0
-        return (vec[0], vec[1])
-
-    gens = [project(eta_divisor(n, r).int_vector()) for r in eta_exponent_lattice(n)]
+    # level-p^2 coefficient determined by degree 0 (which `_eta_divisor` asserts)
+    gens = [_eta_divisor(divs, r).int_vector()[:2] for r in _eta_exponent_lattice(divs)]
     inv = tuple(invariant_factors(gens, 2))
-    a12 = (p - 1) // math.gcd(p - 1, 12)
-    b12 = (p + 1) // math.gcd(p + 1, 12)
-    a24 = (p - 1) // math.gcd(p - 1, 24)
-    b24 = (p + 1) // math.gcd(p + 1, 24)
-    order = math.prod(inv) if inv else 1
+    (a12, b12), (a24, b24) = [((p - 1) // math.gcd(p - 1, m), (p + 1) // math.gcd(p + 1, m)) for m in (12, 24)]
+    order = math.prod(inv)
     return CuspidalGroupReport(
         p=p,
         invariants=inv,
@@ -392,22 +376,45 @@ def special_function(n: int) -> dict[int, int]:
     """Exponents of the canonical eta-product of level n = p or p^2, whose
     divisor generates the relevant cuspidal class: (24/m, -24/m) at level p
     with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2."""
-    p, k = level_prime(n)
+    divs = divisors(n)
+    r = _canonical_eta(divs)
+    _check_special(divs, r, _eta_divisor(divs, r))
+    return r
+
+
+def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
+    """Whether r is the canonical eta-product of level n (never below p = 5).
+
+    `image` is the divisor of r, already computed by the caller; when r is
+    canonical it must pass the checks of `special_function`."""
+    try:
+        divs = divisors(n)
+        canonical = _canonical_eta(divs)
+    except ValidationError:
+        return False
+    if {d: v for d, v in r.items() if v} != canonical:
+        return False
+    _check_special(divs, canonical, image)
+    return True
+
+
+def _canonical_eta(divs: list[int]) -> dict[int, int]:
+    n, p = divs[-1], divs[1]
     if p < 5:
         raise ValidationError(f"need a prime p >= 5, got {p}")
-    if k == 1:
-        m = math.gcd(p - 1, 12)
-        r = {1: 24 // m, p: -(24 // m)}
-        expected = CuspDivisor.from_map(n, {1: (p - 1) // m, p: -((p - 1) // m)})
-    else:
-        r = {1: -1, p: p + 1, n: -p}
-        order = (n - 1) // 24
-        expected = CuspDivisor.from_map(n, {p: order, n: -order * (p - 1)})
-    if not ligozat_check(n, r).ok:
+    m = math.gcd(p - 1, 12)
+    return {1: 24 // m, p: -24 // m} if n == p else {1: -1, p: p + 1, n: -p}
+
+
+def _check_special(divs: list[int], r: EtaExponents, image: CuspDivisor) -> None:
+    """Ligozat, and the divisor against its closed form: a([1] - [p]) with
+    a = (p-1)/m at level p, a([p] - (p-1)[p^2]) with a = (p^2-1)/24 at p^2."""
+    n, p = divs[-1], divs[1]
+    a = (p - 1) // math.gcd(p - 1, 12) if n == p else (n - 1) // 24
+    expected = CuspDivisor(n, tuple(map(Fraction, (a, -a) if n == p else (0, a, -a * (p - 1)))))
+    if not _ligozat(divs, r).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
-    image = eta_divisor(n, r)
     if image != expected:
         raise InternalCheckError(
             f"special function divisor mismatch at level {n}: {image} vs {expected}"
         )
-    return r

@@ -1,4 +1,6 @@
+import io
 import math
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -50,6 +52,51 @@ def test_no_form_enumeration_per_setup_and_verdict(monkeypatch):
         div = CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
         verdict_rational_divisor(p * p, r, div, disc, q)
     assert calls == []
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_piece_of_work_once_per_call(monkeypatch):
+    # the level is parsed once per public etacusp call, and the prime-class
+    # order is computed only by the verdicts that print it
+    import eisq.classgroup as classgroup
+    import eisq.etacusp as etacusp
+    from eisq.cli import main
+
+    parses = _counting(monkeypatch, etacusp, "level_prime")
+    orders = _counting(monkeypatch, classgroup, "class_order")
+    for p in (11, 13, 613):
+        del parses[:]
+        with redirect_stdout(io.StringIO()):
+            assert main(["eta", "--N", str(p * p), "--special"]) == 0
+        # special_function, divisors, ligozat_check, eta_divisor and
+        # cuspidal_class_order, one parse each (50 before)
+        assert len(parses) <= 5, (p, len(parses))
+    for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):
+        del orders[:]
+        r = special_function(p * p)
+        verdict_rational_divisor(p * p, r, CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}), disc, q)
+        assert len(orders) == 1, (p, disc)
+    del orders[:]
+    verdict_prime_level_2(73, -19)
+    verdict_prime_level_2(73, -9983951)
+    verdict_ns_curve(73, -19)
+    verdict_ns_curve(73, -9990047)
+    assert orders == []
+    # the verdicts that print it compute it once
+    verdict_prime_level_odd_q(11, -79, 5)
+    verdict_p2_level(13, -23, 7)
+    assert len(orders) == 2
 
 
 def test_heegner_setup():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eisq.arith import is_prime
-from eisq.errors import ValidationError
+from eisq.errors import InternalCheckError, ValidationError
 from eisq.etacusp import (
     CuspDivisor,
     cusp_orbits,
@@ -16,10 +16,13 @@ from eisq.etacusp import (
     eta_divisor,
     eta_exponent_lattice,
     invariant_factors,
+    is_special,
     lattice_order,
     ligozat_check,
     special_function,
 )
+
+PRIMES_5_50 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def test_cusp_orbits():
@@ -64,6 +67,31 @@ def test_eta_divisor_examples():
     assert eta_divisor(11, {1: 12, 11: -12}) == CuspDivisor.from_map(11, {1: 5, 11: -5})
     zero = eta_divisor(49, {})
     assert all(c == 0 for c in zero.coeffs)
+
+
+def _eta_divisor_per_term(n, r):
+    """The order formula term by term: (N / (24*gcd(c^2, N))) * sum_d
+    r_d*gcd(c,d)^2/d at each cusp level c, one Fraction per term."""
+    coeffs = []
+    for c in divisors(n):
+        total = sum(Fraction(rd * math.gcd(c, d) ** 2, d) for d, rd in r.items())
+        coeffs.append(Fraction(n, 24 * math.gcd(c * c, n)) * total)
+    return CuspDivisor(n, tuple(coeffs))
+
+
+def test_eta_divisor_against_per_term_formula():
+    # every exponent vector in {-3..3}^tau, rational or not, at N = p and p^2
+    non_integral = failing = 0
+    for p in PRIMES_5_50:
+        for n in (p, p * p):
+            divs = divisors(n)
+            for vec in itertools.product(range(-3, 4), repeat=len(divs)):
+                r = dict(zip(divs, vec))
+                image = eta_divisor(n, r)
+                assert image == _eta_divisor_per_term(n, r), (n, vec)
+                non_integral += not image.is_integral()
+                failing += not ligozat_check(n, r).ok
+    assert non_integral > 1000 and failing > 4000
 
 
 def test_eta_divisor_degree_zero_on_lattice():
@@ -177,6 +205,22 @@ def test_special_functions():
         special_function(15)
 
 
+def test_is_special():
+    for n in (11, 13, 49, 121, 1009, 1009**2):
+        r = special_function(n)
+        image = eta_divisor(n, r)
+        assert is_special(n, r, image)
+        # a canonical r must come with its own divisor
+        with pytest.raises(InternalCheckError, match="divisor mismatch"):
+            is_special(n, r, image.scale(2))
+    r = {1: 24, 49: -24}
+    assert not is_special(49, r, eta_divisor(49, r))
+    # below p = 5 and away from the levels p and p^2 nothing is special
+    r = {1: 3, 3: -4, 9: 1}
+    assert not is_special(9, r, eta_divisor(9, r))
+    assert not is_special(15, {1: 1}, CuspDivisor(15, (Fraction(0), Fraction(0))))
+
+
 def test_lattice_order_shuffle_invariance():
     gens = [g for g in eta_exponent_lattice(49)]
     images = [eta_divisor(49, g).int_vector() for g in gens]
@@ -277,3 +321,14 @@ def test_divisor_representation():
     assert not frac.is_integral()
     with pytest.raises(ValidationError):
         frac.int_vector()
+
+
+def test_cusp_divisor_rejects_a_non_divisor():
+    with pytest.raises(ValidationError, match="7 does not divide the level 121"):
+        CuspDivisor.from_map(121, {7: 1, 1: 1})
+
+
+def test_cusp_divisor_coeff_rejects_a_non_divisor():
+    d = CuspDivisor.from_map(121, {1: 1, 121: -1})
+    with pytest.raises(ValidationError, match="7 does not divide the level 121"):
+        d.coeff(7)
