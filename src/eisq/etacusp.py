@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .arith import is_prime
 from .errors import InternalCheckError, ValidationError
@@ -71,7 +71,7 @@ class LigozatReport:
         return self.sum_zero and self.weighted_mod24 and self.dual_mod24 and self.square_product
 
 
-def _check_divisors(divs: list[int], ds) -> None:
+def _check_divisors(divs: list[int], ds: Iterable[int]) -> None:
     for d in ds:
         if d not in divs:
             raise ValidationError(f"{d} does not divide the level {divs[-1]}")
