@@ -108,6 +108,8 @@ def _cmd_classnum(args, out) -> int:
 def _selmer_row(p: int, d: int, with_oracle: bool) -> dict:
     td = selmer.build_twist(p, d)
     res = selmer.selmer_rank_graph(td)
+    if not (td.split3 or td.split1):
+        selmer.thmm_verdict(td, res)  # raises unless the rank fits the minimality criterion
     row = {
         "p": p,
         "d": d,
@@ -203,7 +205,10 @@ def _cmd_eta(args, out) -> int:
     else:
         raise ValidationError("eta needs --r or --special")
     report = etacusp.ligozat_check(n, r)
-    divs = etacusp.divisors(n)
+    image = etacusp.eta_divisor(n, r)
+    if args.special:
+        etacusp.is_special(n, r, image)  # raises unless the divisor has its closed form
+    divs = image.divisors()
     doc = {
         "level": n,
         "exponents": [r.get(d, 0) for d in divs],
@@ -215,7 +220,6 @@ def _cmd_eta(args, out) -> int:
         f"rationality: sum_zero={report.sum_zero} weighted_mod24={report.weighted_mod24} "
         f"dual_mod24={report.dual_mod24} square_product={report.square_product} -> ok={report.ok}",
     ]
-    image = etacusp.eta_divisor(n, r)
     doc["divisor"] = {str(d): image.coeff(d) for d in divs}
     lines.append(f"divisor: {image}")
     if report.ok and image.is_integral():

@@ -130,17 +130,18 @@ class CuspDivisor:
         _check_divisors(divs, coeffs)
         return CuspDivisor(level, tuple(Fraction(coeffs.get(d, 0)) for d in divs))
 
-    def _divisors(self) -> list[int]:
+    def divisors(self) -> list[int]:
+        """The divisors of the level, read off the coefficient count."""
         p0 = self.level if len(self.coeffs) == 2 else math.isqrt(self.level)
         return [p0**j for j in range(len(self.coeffs))]
 
     def coeff(self, d: int) -> Fraction:
-        divs = self._divisors()
+        divs = self.divisors()
         _check_divisors(divs, [d])
         return self.coeffs[divs.index(d)]
 
     def degree(self) -> Fraction:
-        return sum(c * s for c, s in zip(self.coeffs, _orbit_sizes(self._divisors())))
+        return sum(c * s for c, s in zip(self.coeffs, _orbit_sizes(self.divisors())))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -154,7 +155,7 @@ class CuspDivisor:
         return CuspDivisor(self.level, tuple(c * k for c in self.coeffs))
 
     def __repr__(self) -> str:
-        parts = [f"{c}*[{d}]" for d, c in zip(self._divisors(), self.coeffs) if c]
+        parts = [f"{c}*[{d}]" for d, c in zip(self.divisors(), self.coeffs) if c]
         return " + ".join(parts) if parts else "0"
 
 
@@ -375,18 +376,16 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
 def special_function(n: int) -> dict[int, int]:
     """Exponents of the canonical eta-product of level n = p or p^2, whose
     divisor generates the relevant cuspidal class: (24/m, -24/m) at level p
-    with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2."""
-    divs = divisors(n)
-    r = _canonical_eta(divs)
-    _check_special(divs, r, _eta_divisor(divs, r))
-    return r
+    with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2.  `is_special`
+    checks them against their divisor, which the caller computes once."""
+    return _canonical_eta(divisors(n))
 
 
 def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
     """Whether r is the canonical eta-product of level n (never below p = 5).
 
     `image` is the divisor of r, already computed by the caller; when r is
-    canonical it must pass the checks of `special_function`."""
+    canonical it must pass Ligozat and match its closed form, or this raises."""
     try:
         divs = divisors(n)
         canonical = _canonical_eta(divs)

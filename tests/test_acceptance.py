@@ -76,10 +76,10 @@ def test_criterion_04_minimality():
     for d in (5, 65):
         td = selmer.build_twist(7, d)
         assert selmer.selmer_group_bruteforce(td).dim_f2 == 2
-        assert selmer.thmm_verdict(td).all_one_mod4
+        assert selmer.thmm_verdict(td, selmer.selmer_rank_graph(td)).all_one_mod4
     td3 = selmer.build_twist(7, -3)
     brute = selmer.selmer_group_bruteforce(td3)
-    verdict = selmer.thmm_verdict(td3)
+    verdict = selmer.thmm_verdict(td3, selmer.selmer_rank_graph(td3))
     assert brute.dim_f2 >= 2 + 1
     assert verdict.lower_bound == 2
     assert verdict.graph_rank == 3

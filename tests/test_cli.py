@@ -199,6 +199,49 @@ def test_internal_consistency_exit(monkeypatch):
     assert code == 3
 
 
+def test_wrong_minimality_rank_exit_3(monkeypatch):
+    # every inert-only twist is checked against the minimality criterion
+    import dataclasses
+
+    import eisq.cli as cli_mod
+
+    real = cli_mod.selmer.selmer_rank_graph
+    for d, shift in ((5, 2), (-3, -2), (65, 2)):
+        monkeypatch.setattr(
+            cli_mod.selmer, "selmer_rank_graph", lambda td: dataclasses.replace(real(td), rank=real(td).rank + shift)
+        )
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli("selmer", "--p", "7", "--d", str(d))
+        assert code == 3, d
+        assert f"minimality cross-check failed for d={d}" in err.getvalue()
+
+
+def test_one_graph_rank_per_twist(monkeypatch):
+    # the minimality check reads the rank the row already has
+    import eisq.cli as cli_mod
+
+    ranks, verdicts = [], []
+    real_rank, real_verdict = cli_mod.selmer.selmer_rank_graph, cli_mod.selmer.thmm_verdict
+
+    def counted_rank(td):
+        ranks.append(td.d)
+        return real_rank(td)
+
+    def counted_verdict(td, res):
+        verdicts.append(td.d)
+        return real_verdict(td, res)
+
+    monkeypatch.setattr(cli_mod.selmer, "selmer_rank_graph", counted_rank)
+    monkeypatch.setattr(cli_mod.selmer, "thmm_verdict", counted_verdict)
+    code, out = run_cli("selmer", "--p", "7", "--d-range", "-200..200", "--format", "json")
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert ranks == [r["d"] for r in rows]
+    inert_only = [r["d"] for r in rows if all(g.lstrip("-").isdigit() for g in r["generators"][1:])]
+    assert verdicts == inert_only and 5 in verdicts and -3 in verdicts and -11 not in verdicts
+
+
 def test_no_floats_anywhere():
     for argv in (
         ("eta", "--N", "49", "--r", "1,-1,0", "--format", "json"),

@@ -79,7 +79,7 @@ def test_each_piece_of_work_once_per_call(monkeypatch):
         del parses[:]
         with redirect_stdout(io.StringIO()):
             assert main(["eta", "--N", str(p * p), "--special"]) == 0
-        # special_function, divisors, ligozat_check, eta_divisor and
+        # special_function, ligozat_check, eta_divisor, is_special and
         # cuspidal_class_order, one parse each (50 before)
         assert len(parses) <= 5, (p, len(parses))
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):

@@ -221,6 +221,41 @@ def test_is_special():
     assert not is_special(15, {1: 1}, CuspDivisor(15, (Fraction(0), Fraction(0))))
 
 
+def test_special_divisor_computed_once(monkeypatch):
+    # `eta --special` checks the canonical eta-product on the divisor it
+    # prints: 4 divisors and 8 Ligozat checks at level p^2 before, when
+    # special_function computed the same divisor again
+    import io
+    from contextlib import redirect_stdout
+
+    import eisq.etacusp as etacusp
+    from eisq.cli import main
+
+    divisor_calls, ligozat_calls = [], []
+    real_divisor, real_ligozat = etacusp._eta_divisor, etacusp._ligozat
+
+    def counted_divisor(divs, r):
+        divisor_calls.append(dict(r))
+        return real_divisor(divs, r)
+
+    def counted_ligozat(divs, r):
+        ligozat_calls.append(dict(r))
+        return real_ligozat(divs, r)
+
+    monkeypatch.setattr(etacusp, "_eta_divisor", counted_divisor)
+    monkeypatch.setattr(etacusp, "_ligozat", counted_ligozat)
+    checks = []
+    real_check = etacusp._check_special
+    monkeypatch.setattr(etacusp, "_check_special", lambda *args: checks.append(args) or real_check(*args))
+    for n, divisor_count, ligozat_count in ((613, 2, 5), (613**2, 3, 7), (11, 2, 5), (49, 3, 7)):
+        del divisor_calls[:], ligozat_calls[:], checks[:]
+        with redirect_stdout(io.StringIO()):
+            assert main(["eta", "--N", str(n), "--special"]) == 0
+        canonical = special_function(n)
+        assert divisor_calls.count(canonical) == 1, n
+        assert (len(divisor_calls), len(ligozat_calls), len(checks)) == (divisor_count, ligozat_count, 1), n
+
+
 def test_lattice_order_shuffle_invariance():
     gens = [g for g in eta_exponent_lattice(49)]
     images = [eta_divisor(49, g).int_vector() for g in gens]

@@ -153,6 +153,41 @@ def test_conjugation_isomorphism_and_symmetry():
         assert selmer_group_bruteforce(tdc).dim_f2 == selmer_group_bruteforce(td).dim_f2
 
 
+def _count_even_partitions_by_bin(graph: SelmerGraph, vertex_cap: int = selmer.PARTITION_VERTEX_CAP):
+    # the walk count_even_partitions did before it counted with int.bit_count,
+    # kept verbatim as an oracle
+    n = graph.size
+    if n > vertex_cap:
+        raise ResourceCapError(f"{n} vertices exceed the partition cap {vertex_cap}")
+    in_masks = []
+    for j in range(n):
+        mask = 0
+        for i in range(n):
+            if graph.arrows[i][j]:
+                mask |= 1 << i
+        in_masks.append(mask)
+    full = (1 << n) - 1
+    even_sets = []
+    for s in range(1 << n):
+        ok = True
+        for y in range(n):
+            opposite = (full ^ s) if (s >> y) & 1 else s
+            if bin(in_masks[y] & opposite).count("1") % 2:
+                ok = False
+                break
+        if ok:
+            even_sets.append(s)
+    count = len(even_sets)
+    if count & (count - 1):
+        raise InternalCheckError("even subsets do not form a subspace")
+    sset = set(even_sets)
+    if 0 not in sset or full not in sset:
+        raise InternalCheckError("trivial partition is not even")
+    t = count.bit_length() - 2  # log2(count) - 1 partitions dimension
+    nontrivial = count // 2 - 1
+    return t, nontrivial
+
+
 def test_laplacian_corank_against_even_partitions_random():
     rng = random.Random(20161226)
     for _ in range(3000):
@@ -162,15 +197,35 @@ def test_laplacian_corank_against_even_partitions_random():
             tuple(i != j and rng.random() < density for j in range(n)) for i in range(n)
         )
         graph = SelmerGraph(tuple(str(i) for i in range(n)), arrows)
-        assert laplacian_corank(graph) - 1 == count_even_partitions(graph)[0], arrows
+        t, nontrivial = count_even_partitions(graph)
+        assert _count_even_partitions_by_bin(graph) == (t, nontrivial), arrows
+        assert laplacian_corank(graph) - 1 == t, arrows
+
+
+def _split_only_twists(p, counts, per_count, seed):
+    # products of k split primes below 400, each with the sign that makes it 1 mod 4
+    from eisq.quadfield import FieldCtx, classify_prime
+
+    ctx = FieldCtx(p)
+    split = [q for q in range(3, 400, 2) if is_prime(q) and q != p and classify_prime(ctx, q) == "split"]
+    rng = random.Random(f"{seed}:{p}")
+    return [
+        math.prod(q if q % 4 == 1 else -q for q in rng.sample(split, k))
+        for k in counts
+        for _ in range(per_count)
+    ]
 
 
 def test_laplacian_corank_against_even_partitions_twists():
     for p in (7, 23, 31, 47, 71):
-        for d in admissible_twists(p, 400):
+        # every |d| <= 400, then twists by 6, 7 and 8 split primes: 13, 15
+        # and 17 vertices, the sizes of the selmer-wide benchmark
+        wide = _split_only_twists(p, (6, 7, 8), 2, 20161226)
+        for d in admissible_twists(p, 400) + wide:
             td = build_twist(p, d)
             for graph in (build_graph(td), build_conjugate_graph(td)):
                 assert laplacian_corank(graph) - 1 == count_even_partitions(graph)[0], (p, d)
+        assert [build_twist(p, d).width for d in wide] == [13, 13, 15, 15, 17, 17]
 
 
 def test_rank_runs_one_partition_pass(monkeypatch):
@@ -216,16 +271,21 @@ def test_rank_builds_each_graph_once(monkeypatch):
         assert not verify_conjugation_isomorphism(td, res.graph, flipped)
 
 
+def _thmm(p, d):
+    td = build_twist(p, d)
+    return thmm_verdict(td, selmer_rank_graph(td))
+
+
 def test_thmm_examples():
-    v5 = thmm_verdict(build_twist(7, 5))
+    v5 = _thmm(7, 5)
     assert v5.all_one_mod4 and v5.graph_rank == 1 and v5.consistent
-    v3 = thmm_verdict(build_twist(7, -3))
+    v3 = _thmm(7, -3)
     assert not v3.all_one_mod4 and v3.lower_bound == 2 and v3.graph_rank == 3
-    v65 = thmm_verdict(build_twist(7, 65))
+    v65 = _thmm(7, 65)
     assert v65.all_one_mod4 and v65.graph_rank == 1
     assert selmer_group_bruteforce(build_twist(7, 65)).dim_f2 == 2
     with pytest.raises(ValidationError):
-        thmm_verdict(build_twist(7, -11))
+        _thmm(7, -11)
 
 
 def _split_q3_twists(p, bound):
