@@ -207,9 +207,12 @@ def test_wrong_minimality_rank_exit_3(monkeypatch):
 
     real = cli_mod.selmer.selmer_rank_graph
     for d, shift in ((5, 2), (-3, -2), (65, 2)):
-        monkeypatch.setattr(
-            cli_mod.selmer, "selmer_rank_graph", lambda td: dataclasses.replace(real(td), rank=real(td).rank + shift)
-        )
+
+        def wrong_rank(td, shift=shift):
+            res = real(td)
+            return dataclasses.replace(res, rank=res.rank + shift)
+
+        monkeypatch.setattr(cli_mod.selmer, "selmer_rank_graph", wrong_rank)
         err = io.StringIO()
         with redirect_stderr(err):
             code, _ = run_cli("selmer", "--p", "7", "--d", str(d))

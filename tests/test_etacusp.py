@@ -231,29 +231,17 @@ def test_special_divisor_computed_once(monkeypatch):
     import eisq.etacusp as etacusp
     from eisq.cli import main
 
-    divisor_calls, ligozat_calls = [], []
-    real_divisor, real_ligozat = etacusp._eta_divisor, etacusp._ligozat
-
-    def counted_divisor(divs, r):
-        divisor_calls.append(dict(r))
-        return real_divisor(divs, r)
-
-    def counted_ligozat(divs, r):
-        ligozat_calls.append(dict(r))
-        return real_ligozat(divs, r)
-
-    monkeypatch.setattr(etacusp, "_eta_divisor", counted_divisor)
-    monkeypatch.setattr(etacusp, "_ligozat", counted_ligozat)
-    checks = []
-    real_check = etacusp._check_special
-    monkeypatch.setattr(etacusp, "_check_special", lambda *args: checks.append(args) or real_check(*args))
-    for n, divisor_count, ligozat_count in ((613, 2, 5), (613**2, 3, 7), (11, 2, 5), (49, 3, 7)):
-        del divisor_calls[:], ligozat_calls[:], checks[:]
+    calls = {name: [] for name in ("_eta_divisor", "_ligozat", "_check_special")}
+    for name, seen in calls.items():
+        real = getattr(etacusp, name)
+        monkeypatch.setattr(etacusp, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    for n, counts in ((613, (2, 5, 1)), (613**2, (3, 7, 1)), (11, (2, 5, 1)), (49, (3, 7, 1))):
+        for seen in calls.values():
+            seen.clear()
         with redirect_stdout(io.StringIO()):
             assert main(["eta", "--N", str(n), "--special"]) == 0
-        canonical = special_function(n)
-        assert divisor_calls.count(canonical) == 1, n
-        assert (len(divisor_calls), len(ligozat_calls), len(checks)) == (divisor_count, ligozat_count, 1), n
+        assert tuple(map(len, calls.values())) == counts, n
+        assert [r for _, r in calls["_eta_divisor"]].count(special_function(n)) == 1, n
 
 
 def test_lattice_order_shuffle_invariance():
