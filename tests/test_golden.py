@@ -52,6 +52,21 @@ CLI_CASES = {
         "selmer", "--p", "23", "--d", "-1000000007", "--oracle", "--format", "json"
     ],
     "selmer-p47-m1000000007-json": ["selmer", "--p", "47", "--d", "-1000000007", "--format", "json"],
+    # widths 9 and 11 of the exhaustive oracle: split-heavy twists (2-3 split
+    # primes of each residue mod 4) and inert-only twists
+    "selmer-p7-w9-split-oracle-json": ["selmer", "--p", "7", "--d", "271469", "--oracle", "--format", "json"],
+    "selmer-p7-w9-inert-oracle-json": ["selmer", "--p", "7", "--d", "3762534945", "--oracle", "--format", "json"],
+    "selmer-p7-w11-split-oracle-json": ["selmer", "--p", "7", "--d", "-11673167", "--oracle", "--format", "json"],
+    "selmer-p7-w11-inert-oracle-json": [
+        "selmer", "--p", "7", "--d", "-13541363267055", "--oracle", "--format", "json"
+    ],
+    "selmer-p71-w9-split-oracle-json": ["selmer", "--p", "71", "--d", "8265", "--oracle", "--format", "json"],
+    "selmer-p71-w9-inert-oracle-json": ["selmer", "--p", "71", "--d", "-23380524167", "--oracle", "--format", "json"],
+    "selmer-p71-w11-split-oracle-json": ["selmer", "--p", "71", "--d", "305805", "--oracle", "--format", "json"],
+    "selmer-p71-w11-inert-oracle-json": [
+        "selmer", "--p", "71", "--d", "73110899070209", "--oracle", "--format", "json"
+    ],
+    "selmer-p23-range-1000-oracle-tsv": ["selmer", "--p", "23", "--d-range", "-1000..1000", "--oracle", "--format", "tsv"],
     "eta-11-special": ["eta", "--N", "11", "--special"],
     "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
     "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],
