@@ -56,6 +56,7 @@ class TwistDatum:
     alpha_gens: list[tuple[str, Gen]]
     beta_gens: list[tuple[str, Gen]]
     gen_places: list[PlaceK]  # the place of generator i of either shape
+    _table: list = field(default_factory=list, repr=False)  # see _local_table
     _local_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -180,34 +181,40 @@ def torsion_image(td: TwistDatum) -> tuple[SelmerCandidate, ...]:
     )
 
 
-def _coordinate_product(td: TwistDatum, side: str, bits: int, twist: bool):
-    gens = td.alpha_gens if side == "alpha" else td.beta_gens
-    product: list[tuple[Gen, int]] = [
-        (g, 1) for i, (_, g) in enumerate(gens) if (bits >> i) & 1
-    ]
-    if twist:
-        # multiply by the torsion coordinate -pi*d (first shape) or pi*d (second)
-        pi = td.ctx.pi()
-        product.append((-pi if side == "alpha" else pi, 1))
-        product.append((td.d, 1))
-    return product
+def _local_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
+    """The local data of the twist, built on the first call: at each place,
+    for each side, (valuation, symbol, 1) of every generator of that shape
+    and of the factors of its torsion partner, -pi and d (first shape) or
+    pi and d (second), one `_local_data` call each."""
+    if not td._table:
+        ctx, pi = td.ctx, td.ctx.pi()
+        for v in td.places:
+            d = (*quadfield._local_data(ctx, td.d, v), 1)
+            entry = {}
+            for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi)):
+                entry[side] = (
+                    [(*quadfield._local_data(ctx, g, v), 1) for _, g in gens],
+                    [(*quadfield._local_data(ctx, partner, v), 1), d],
+                )
+            td._table.append(entry)
+    return td._table
 
 
 def _coordinate_ok_at(td: TwistDatum, side: str, bits: int, place_idx: int) -> bool:
     # whether the coordinate, possibly multiplied by its torsion partner,
-    # is a local square at the given place
+    # is a local square at the given place: the square-class predicate on
+    # the (valuation, symbol, exponent) of each factor, read off the table
     key = (side, bits, place_idx)
     cached = td._local_cache.get(key)
     if cached is not None:
         return cached
-    v = td.places[place_idx]
+    gens, partner = _local_table(td)[place_idx][side]
     ok = False
     for twist in (False, True):
-        x = _coordinate_product(td, side, bits, twist)
-        if not x:
-            ok = True
-            break
-        if quadfield.is_local_square(td.ctx, x, v):
+        factors = [data for i, data in enumerate(gens) if (bits >> i) & 1]
+        if twist:
+            factors += partner
+        if quadfield._is_square_class(factors):
             ok = True
             break
     td._local_cache[key] = ok
@@ -241,10 +248,11 @@ def selmer_group_bruteforce(td: TwistDatum, cap: Optional[int] = None) -> BruteF
 
     The per-place condition quantifies over a product set of torsion
     pairs, so it splits exactly into independent coordinate conditions;
-    every coordinate value is tested against the honest local-square
-    predicate and the pair survivors are the product of the two survivor
-    sets.  Verifies the survivors form a group containing the torsion
-    image and returns the F2-dimension with a basis."""
+    every coordinate value is tested by the local-square predicate of
+    `quadfield` on the twist's table of local data, and the pair survivors
+    are the product of the two survivor sets.  Verifies the survivors form
+    a group containing the torsion image and returns the F2-dimension with
+    a basis."""
     cap = oracle_cap() if cap is None else cap
     width = td.width
     if 4**width > cap:

@@ -111,6 +111,34 @@ def test_eta_divisor_degree_zero_on_lattice():
             assert image.is_integral()
 
 
+def test_eta_divisor_degree_by_valence_formula():
+    # the degree is (sum r_d / 2) [SL2(Z) : Gamma0(N)] / 12, so it vanishes
+    # exactly at weight 0, rational or not: every r in {-3..3}^tau
+    count = 0
+    for n in (11, 13, 25, 37, 49, 121, 169, 289):
+        divs = divisors(n)
+        p = divs[1]
+        index = n * (p + 1) // p
+        for vec in itertools.product(range(-3, 4), repeat=len(divs)):
+            degree = eta_divisor(n, dict(zip(divs, vec))).degree()
+            assert degree == Fraction(sum(vec) * index, 24), (n, vec)
+            assert (degree == 0) == (sum(vec) == 0), (n, vec)
+            count += 1
+    assert count == 1862
+
+
+def test_eta_divisor_degree_check_raises(monkeypatch):
+    # a wrong orbit size gives a weight-0 divisor a nonzero degree; the
+    # check is a raise, not an assert, so it also runs under python -O
+    import eisq.etacusp as etacusp
+
+    real = etacusp._orbit_sizes
+    monkeypatch.setattr(etacusp, "_orbit_sizes", lambda divs: [s + 1 for s in real(divs)])
+    with pytest.raises(InternalCheckError, match="weight 0 has degree"):
+        eta_divisor(49, {1: -1, 7: 8, 49: -7})
+    eta_divisor(49, {1: 1, 7: 0, 49: 0})  # weight 1/2: not checked
+
+
 def _enumerated_lattice(n):
     """Generators of the Ligozat lattice by enumeration: 24 * (e_d - e_N)
     for every divisor d < N, and every residue sum c_d * (e_d - e_N) with
@@ -224,7 +252,8 @@ def test_is_special():
 def test_special_divisor_computed_once(monkeypatch):
     # `eta --special` checks the canonical eta-product on the divisor it
     # prints: 4 divisors and 8 Ligozat checks at level p^2 before, when
-    # special_function computed the same divisor again
+    # special_function computed the same divisor again; `_eta_divisor`
+    # checks its degree by the weight, with no Ligozat check of its own
     import io
     from contextlib import redirect_stdout
 
@@ -235,7 +264,7 @@ def test_special_divisor_computed_once(monkeypatch):
     for name, seen in calls.items():
         real = getattr(etacusp, name)
         monkeypatch.setattr(etacusp, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
-    for n, counts in ((613, (2, 5, 1)), (613**2, (3, 7, 1)), (11, (2, 5, 1)), (49, (3, 7, 1))):
+    for n, counts in ((613, (2, 3, 1)), (613**2, (3, 4, 1)), (11, (2, 3, 1)), (49, (3, 4, 1))):
         for seen in calls.values():
             seen.clear()
         with redirect_stdout(io.StringIO()):

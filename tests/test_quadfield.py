@@ -14,6 +14,7 @@ from eisq.quadfield import (
     SPLIT_CONJUGATE,
     SPLIT_FACTOR,
     FieldCtx,
+    QuadInt,
     classify_prime,
     is_local_square,
     places_above,
@@ -378,3 +379,88 @@ def test_split_place_lift_against_trial_lifting():
                     unit = (z - zj) // q**val % q
                     assert _local_data(ctx, g, place) == (val, jacobi(unit, q)), (p, q, j)
                     assert _local_data(ctx, g, other) == (0, jacobi(zbar - zj, q)), (p, q, j)
+
+
+def _euler(a, q):
+    # Euler's criterion in F_q
+    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
+
+
+def _local_data_by_euler(ctx, x, v):
+    # (valuation, symbol of the unit part) of x at v from the residue field
+    # alone: divide out the prime of v while x reduces to 0 there, then
+    # Euler's criterion on the residue
+    q = v.q
+    x = x if isinstance(x, QuadInt) else ctx.quad(x, 0)
+    val = 0
+
+    def divided(y):
+        assert y.a % q == 0 and y.b % q == 0
+        return ctx.quad(y.a // q, y.b // q)
+
+    if v.kind == INERT:
+        # O/qO is the field of q^2 elements: x^((q^2-1)/2) is 1 or -1 there
+        while x.a % q == 0 and x.b % q == 0:
+            x, val = divided(x), val + 1
+        power, e = ctx.quad(1, 0), (q * q - 1) // 2
+        while e:
+            if e & 1:
+                power = power * x
+                power = ctx.quad(power.a % q, power.b % q)
+            x = x * x
+            x, e = ctx.quad(x.a % q, x.b % q), e >> 1
+        assert power.b == 0 and power.a in (1, q - 1)
+        return val, 1 if power.a == 1 else -1
+    r = v.omega_residue
+    if v.kind == RAMIFIED:
+        # divide out pi = sqrt(-p): x / pi = x * (-pi) / p
+        while (x.a + x.b * r) % q == 0:
+            x, val = divided(x * -ctx.pi()), val + 1
+        return val, _euler(x.a + x.b * r, q)
+    # split: y = w - rbar, with rbar the other root, vanishes at the
+    # conjugate place and not at v, so x*y/q is integral with valuation one
+    # less at v; the unit part x/q^val is x'/y^val, and y reduces to r - rbar
+    [rbar] = [u.omega_residue for u in places_above(ctx, q) if u != v]
+    y = ctx.quad(-rbar, 1)
+    while (x.a + x.b * r) % q == 0:
+        x, val = divided(x * y), val + 1
+    return val, _euler(x.a + x.b * r, q) * _euler(r - rbar, q) ** val
+
+
+def test_local_data_against_euler_criterion():
+    # _local_data feeds the oracle's table and residue_symbol the graph:
+    # both are checked here against the residue field, at every place over
+    # p, small inert and split q, on elements with valuations up to 3
+    from eisq.quadfield import _local_data
+
+    rng = random.Random(13)
+    checked = {INERT: 0, RAMIFIED: 0, SPLIT_FACTOR: 0, SPLIT_CONJUGATE: 0}
+    valued = dict(checked)  # of which x is not a unit at the place
+    for p in (7, 23, 31):
+        ctx = FieldCtx(p)
+        h = class_number(p)
+        qs = inert_primes(ctx, 40)[:3] + split_primes(ctx, 60)[:3]
+        for place in places_above(ctx, p) + [v for q in qs for v in places_above(ctx, q)]:
+            q = place.q
+            # an element of the prime of the place, and generators of q^h
+            prime = ctx.pi() if place.kind == RAMIFIED else ctx.quad(q, 0)
+            if place.kind in (SPLIT_FACTOR, SPLIT_CONJUGATE):
+                prime = ctx.quad(-place.omega_residue, 1)
+                f = split_generator(ctx, q, h)
+                xs = [f, f.conjugate(), -f]
+            else:
+                xs = []
+            for _ in range(80):
+                x = ctx.quad(rng.randrange(-40, 41), rng.randrange(-40, 41))
+                if x.is_zero():
+                    continue
+                for _ in range(rng.randrange(4)):
+                    x = x * prime
+                xs.append(x)
+                xs.append(rng.choice((-1, 1)) * rng.randrange(1, 200) * q ** rng.randrange(3))
+            for x in xs:
+                expected = _local_data_by_euler(ctx, x, place)
+                assert _local_data(ctx, x, place) == expected, (p, place, x)
+                checked[place.kind] += 1
+                valued[place.kind] += expected[0] > 0
+    assert min(checked.values()) >= 480 and min(valued.values()) >= 300, (checked, valued)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import eisq
-from eisq import arith, selmer
+from eisq import arith, quadfield, selmer
 from eisq.arith import is_prime
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 from eisq.quadfield import places_above, residue_symbol
@@ -438,3 +438,97 @@ def test_generator_places():
             else:
                 assert (x.a + x.b * v.omega_residue) % v.q == 0
                 assert [u for u in places_above(td.ctx, v.q) if (x.a + x.b * u.omega_residue) % v.q == 0] == [v]
+
+
+def _coordinate_product(td, side, bits, twist):
+    # the parent's formal product of a coordinate, kept verbatim as an oracle
+    gens = td.alpha_gens if side == "alpha" else td.beta_gens
+    product: list[tuple[selmer.Gen, int]] = [
+        (g, 1) for i, (_, g) in enumerate(gens) if (bits >> i) & 1
+    ]
+    if twist:
+        # multiply by the torsion coordinate -pi*d (first shape) or pi*d (second)
+        pi = td.ctx.pi()
+        product.append((-pi if side == "alpha" else pi, 1))
+        product.append((td.d, 1))
+    return product
+
+
+def _coordinate_ok_by_formal_product(td, side, bits, place_idx):
+    # the parent's coordinate test on formal products of generators, kept
+    # verbatim but for its memo, which would share td._local_cache with the
+    # table it checks
+    v = td.places[place_idx]
+    ok = False
+    for twist in (False, True):
+        x = _coordinate_product(td, side, bits, twist)
+        if not x:
+            ok = True
+            break
+        if quadfield.is_local_square(td.ctx, x, v):
+            ok = True
+            break
+    return ok
+
+
+def _survivors_by_formal_products(td):
+    return tuple(
+        tuple(
+            bits
+            for bits in range(1 << td.width)
+            if all(_coordinate_ok_by_formal_product(td, side, bits, idx) for idx in range(len(td.places)))
+        )
+        for side in ("alpha", "beta")
+    )
+
+
+def _mixed_twists(p, widths, seed):
+    # products of split and inert primes below 400, at least one of each,
+    # each with the sign that makes it 1 mod 4
+    from eisq.quadfield import FieldCtx, classify_prime
+
+    ctx = FieldCtx(p)
+    primes = [q for q in range(3, 400, 2) if is_prime(q) and q != p]
+    split = [q for q in primes if classify_prime(ctx, q) == "split"]
+    inert = [q for q in primes if classify_prime(ctx, q) == "inert"]
+    rng = random.Random(f"{seed}:{p}")
+    out = []
+    for w in widths:
+        k = rng.randint(1, (w - 1) // 2 - 1)
+        qs = rng.sample(split, k) + rng.sample(inert, w - 1 - 2 * k)
+        out.append(math.prod(q if q % 4 == 1 else -q for q in qs))
+    return out
+
+
+def test_local_table_against_formal_products():
+    # the oracle's survivors from the table of local data, against the
+    # coordinate test on formal products it replaced
+    cases = [(p, d) for p in (7, 23) for d in admissible_twists(p, 400)]
+    wide = [(p, d) for p in (7, 23, 31, 47, 71) for d in _mixed_twists(p, (9, 11), 20161226)]
+    assert sorted(build_twist(p, d).width for p, d in wide) == [9] * 5 + [11] * 5
+    for p, d in cases + wide:
+        res = selmer_group_bruteforce(build_twist(p, d))
+        expected = _survivors_by_formal_products(build_twist(p, d))
+        assert (res.alpha_survivors, res.beta_survivors) == expected, (p, d)
+
+
+def test_oracle_local_data_calls(monkeypatch):
+    # the table takes one _local_data call per generator of each shape and
+    # per partner factor (-pi, pi, d) at each place, on top of the graph's
+    import io
+    from contextlib import redirect_stdout
+
+    from eisq.cli import main
+
+    calls = []
+    real = quadfield._local_data
+    monkeypatch.setattr(quadfield, "_local_data", lambda *args: calls.append(args) or real(*args))
+    for p, d in ((7, -11), (23, -39), (71, -1155), (7, 271469), (71, 73110899070209)):
+        counts = []
+        for oracle in ([], ["--oracle"]):
+            calls.clear()
+            with redirect_stdout(io.StringIO()):
+                assert main(["selmer", "--p", str(p), "--d", str(d), *oracle]) == 0
+            counts.append(len(calls))
+        td = build_twist(p, d)
+        assert 0 < counts[1] - counts[0] <= len(td.places) * (2 * td.width + 3), (p, d, counts)
