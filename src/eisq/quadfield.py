@@ -10,7 +10,7 @@ places of odd residue characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .arith import cornacchia, hensel_lift, is_prime, jacobi, sqrt_mod, sqrt_mod_prime_power, valuation
 from .errors import InternalCheckError, ValidationError
@@ -255,7 +255,7 @@ def is_local_square(ctx: FieldCtx, x, v: PlaceK) -> bool:
     return _is_square_class((*_local_data(ctx, g, v), e) for g, e in as_formal_product(x))
 
 
-def _is_square_class(data) -> bool:
+def _is_square_class(data: Iterable[tuple[int, int, int]]) -> bool:
     """Whether a product of factors with local data (valuation, symbol),
     each raised to its exponent, given as (valuation, symbol, exponent)
     triples, is a local square.
