@@ -249,25 +249,29 @@ def residue_symbol(ctx: FieldCtx, x: Gen, v: PlaceK) -> int:
 
 def is_local_square(ctx: FieldCtx, x, v: PlaceK) -> bool:
     """Whether a nonzero formal product lies in (K_v^x)^2: the local data
-    of each factor, then the one square-class predicate over them."""
+    of each factor, raised to its exponent, then the one square-class
+    predicate over them."""
     if v.q == 2:
         raise ValidationError("local square test at residue characteristic 2")
-    return _is_square_class((*_local_data(ctx, g, v), e) for g, e in as_formal_product(x))
+    data = []
+    for g, e in as_formal_product(x):
+        val, sym = _local_data(ctx, g, v)
+        data.append((val * e, sym if e % 2 else 1))
+    return _is_square_class(data)
 
 
-def _is_square_class(data: Iterable[tuple[int, int, int]]) -> bool:
-    """Whether a product of factors with local data (valuation, symbol),
-    each raised to its exponent, given as (valuation, symbol, exponent)
-    triples, is a local square.
+def _is_square_class(data: Iterable[tuple[int, int]]) -> bool:
+    """Whether a product of factors with local data (valuation, symbol)
+    is a local square.
 
     Odd-valuation products are non-squares; otherwise the product of the
     unit-part symbols decides (Hensel lifting is automatic away from 2).
     """
     total_val = 0
     sign = 1
-    for val, sym, e in data:
-        total_val += val * e
-        if e % 2 and sym == -1:
+    for val, sym in data:
+        total_val += val
+        if sym == -1:
             sign = -sign
     if total_val % 2:
         return False

@@ -183,27 +183,24 @@ def torsion_image(td: TwistDatum) -> tuple[SelmerCandidate, ...]:
 
 def _local_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
     """The local data of the twist, built on the first call: at each place,
-    for each side, (valuation, symbol, 1) of every generator of that shape
+    for each side, (valuation, symbol) of every generator of that shape
     and of the factors of its torsion partner, -pi and d (first shape) or
     pi and d (second), one `_local_data` call each."""
     if not td._table:
         ctx, pi = td.ctx, td.ctx.pi()
         for v in td.places:
-            d = (*quadfield._local_data(ctx, td.d, v), 1)
-            entry = {}
-            for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi)):
-                entry[side] = (
-                    [(*quadfield._local_data(ctx, g, v), 1) for _, g in gens],
-                    [(*quadfield._local_data(ctx, partner, v), 1), d],
-                )
-            td._table.append(entry)
+            d = quadfield._local_data(ctx, td.d, v)
+            td._table.append({
+                side: ([quadfield._local_data(ctx, g, v) for _, g in gens], [quadfield._local_data(ctx, partner, v), d])
+                for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi))
+            })
     return td._table
 
 
 def _coordinate_ok_at(td: TwistDatum, side: str, bits: int, place_idx: int) -> bool:
     # whether the coordinate, possibly multiplied by its torsion partner,
     # is a local square at the given place: the square-class predicate on
-    # the (valuation, symbol, exponent) of each factor, read off the table
+    # the (valuation, symbol) of each factor, read off the table
     key = (side, bits, place_idx)
     cached = td._local_cache.get(key)
     if cached is not None:
@@ -281,9 +278,16 @@ def selmer_group_bruteforce(td: TwistDatum, cap: Optional[int] = None) -> BruteF
     ones = (1 << width) - 1
     if ones not in set(alpha) or ones not in set(beta):
         raise InternalCheckError("torsion image escapes the survivor set")
-    for cand in torsion_image(td):
-        if not member_local(td, cand):
-            raise InternalCheckError(f"torsion image fails the local test: {cand}")
+    # the torsion image, read off the table above, checked on formal
+    # products by `is_local_square`, which computes its own local data:
+    # each full product of generators times its partner, -pi d or pi d,
+    # is a square at every place
+    pi = td.ctx.pi()
+    for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi)):
+        product = [(g, 1) for _, g in gens] + [(partner, 1), (td.d, 1)]
+        for v in td.places:
+            if not quadfield.is_local_square(td.ctx, product, v):
+                raise InternalCheckError(f"torsion image fails the local test: {side} at {v}")
     dim_a, basis_a = _f2_dimension(alpha)
     dim_b, basis_b = _f2_dimension(beta)
     if (1 << dim_a) != len(alpha) or (1 << dim_b) != len(beta):

@@ -513,8 +513,10 @@ def test_local_table_against_formal_products():
 
 
 def test_oracle_local_data_calls(monkeypatch):
-    # the table takes one _local_data call per generator of each shape and
-    # per partner factor (-pi, pi, d) at each place, on top of the graph's
+    # on top of the graph's, the table takes one _local_data call per
+    # generator of each shape and per partner factor (-pi, pi, d) at each
+    # place, and the torsion check on formal products one per generator
+    # and per partner factor of each side at each place
     import io
     from contextlib import redirect_stdout
 
@@ -531,4 +533,5 @@ def test_oracle_local_data_calls(monkeypatch):
                 assert main(["selmer", "--p", str(p), "--d", str(d), *oracle]) == 0
             counts.append(len(calls))
         td = build_twist(p, d)
-        assert 0 < counts[1] - counts[0] <= len(td.places) * (2 * td.width + 3), (p, d, counts)
+        table, torsion = 2 * td.width + 3, 2 * (td.width + 2)
+        assert counts[1] - counts[0] == len(td.places) * (table + torsion), (p, d, counts)
