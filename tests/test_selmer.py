@@ -512,6 +512,15 @@ def test_local_table_against_formal_products():
         assert (res.alpha_survivors, res.beta_survivors) == expected, (p, d)
 
 
+def test_torsion_image_checked_on_formal_products(monkeypatch):
+    # the torsion check does not read the table: a formal-product test that
+    # fails at one place raises, while the table's survivors are unchanged
+    real = quadfield.is_local_square
+    monkeypatch.setattr(quadfield, "is_local_square", lambda ctx, x, v: v.kind != "ramified" and real(ctx, x, v))
+    with pytest.raises(InternalCheckError, match="torsion image fails the local test: alpha at"):
+        selmer_group_bruteforce(build_twist(7, -11))
+
+
 def test_oracle_local_data_calls(monkeypatch):
     # on top of the graph's, the table takes one _local_data call per
     # generator of each shape and per partner factor (-pi, pi, d) at each
