@@ -209,6 +209,11 @@ def sqrt_mod(a: int, q: int) -> Optional[int]:
     """
     if q < 3 or not is_prime(q):
         raise ValidationError(f"sqrt_mod requires an odd prime, got {q}")
+    return _sqrt_mod_prime(a, q)
+
+
+def _sqrt_mod_prime(a: int, q: int) -> Optional[int]:
+    """`sqrt_mod` for a q the caller knows is an odd prime, untested."""
     a %= q
     if a == 0:
         return 0
@@ -265,7 +270,7 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     trying the q lifts of each, from the root a mod q (x^2 = x mod 2)."""
     qe = q**e
     if q != 2 and a % q:
-        r = sqrt_mod(a, q)
+        r = _sqrt_mod_prime(a, q)
         if r is None:
             return []
         x = hensel_lift(r, a, q, e)

@@ -1,7 +1,10 @@
 """Class groups of imaginary quadratic orders via binary quadratic forms.
 
 Forms (A, B, C) of negative discriminant are composed by two extended gcds
-(Cohen's united-forms algorithm) and fully reduced afterwards.  The
+(Cohen's united-forms algorithm) and fully reduced afterwards, on plain
+integer triples: one reduction, one composition and one power serve every
+public function, and class orders come from the class number one prime
+power at a time.  The
 primitive reduced forms are enumerated by walking the leading coefficients
 a <= sqrt(|D|/3) with the square roots of D mod 4a, so a list costs about
 sqrt(|D|) plus its output.  At a fundamental discriminant the class number
@@ -13,8 +16,7 @@ the package leans on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -24,8 +26,12 @@ from .errors import InternalCheckError, ResourceCapError, ValidationError
 MAX_ENUMERATED_DISC = 10**9
 
 
-@dataclass(frozen=True)
-class BQForm:
+class BQForm(NamedTuple):
+    """A binary quadratic form a*x^2 + b*x*y + c*y^2, printed as (a,b,c).
+
+    The arithmetic below runs on plain (a, b, c) triples; a BQForm is built
+    only where a public function returns one."""
+
     a: int
     b: int
     c: int
@@ -38,41 +44,66 @@ class BQForm:
         return f"({self.a},{self.b},{self.c})"
 
 
+Triple = tuple[int, int, int]
+
+
 def _check_disc(disc: int):
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValidationError(f"need a negative discriminant = 0,1 mod 4, got {disc}")
 
 
+def _positive_definite(f: BQForm) -> int:
+    """The discriminant of f, once f is checked positive definite."""
+    disc = f.disc
+    if f.a <= 0 or disc >= 0:
+        raise ValidationError(f"positive definite forms only, got {f}")
+    return disc
+
+
+def _principal(disc: int) -> Triple:
+    k = disc % 2
+    return 1, k, (k - disc) // 4
+
+
 def principal_form(disc: int) -> BQForm:
     _check_disc(disc)
-    k = disc % 2
-    return BQForm(1, k, (k * k - disc) // 4)
+    return BQForm(*_principal(disc))
+
+
+def _normalize(a: int, b: int, c: int) -> Triple:
+    """The form a*(x + r*y)^2 + b*(x + r*y)*y + c*y^2 with -a < b + 2*r*a <= a."""
+    r = (a - b) // (2 * a)
+    return a, b + 2 * r * a, a * r * r + b * r + c
 
 
 def normalize(f: BQForm) -> BQForm:
-    a, b, c = f.a, f.b, f.c
-    if -a < b <= a:
-        return f
-    r = (a - b) // (2 * a)
-    b, c = b + 2 * r * a, a * r * r + b * r + c
-    return BQForm(a, b, c)
+    _positive_definite(f)
+    return f if -f.a < f.b <= f.a else BQForm(*_normalize(*f))
+
+
+def _reduce(a: int, b: int, c: int) -> Triple:
+    """Unique reduced representative: |B| <= A <= C, B >= 0 if |B| = A or A = C.
+
+    Normalize, then swap (a, b, c) -> (c, -b, a) and normalize again while
+    a > c, or a = c and b < 0."""
+    if not -a < b <= a:
+        a, b, c = _normalize(a, b, c)
+    while a > c or (a == c and b < 0):
+        a, b, c = _normalize(c, -b, a)
+    if not (-a < b <= a <= c and (b >= 0 or a != c)):
+        raise InternalCheckError(f"({a},{b},{c}) is not reduced")
+    return a, b, c
 
 
 def reduce_form(f: BQForm) -> BQForm:
     """Unique reduced representative: |B| <= A <= C, B >= 0 if |B| = A or A = C."""
-    if f.a <= 0:
-        raise ValidationError(f"positive definite forms only, got {f}")
-    g = normalize(f)
-    a, b, c = g.a, g.b, g.c
-    while a > c or (a == c and b < 0):
-        s = (c + b) // (2 * c)
-        a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-    assert -a < b <= a <= c and (b >= 0 or (a != -b and a != c))
-    return BQForm(a, b, c)
+    _positive_definite(f)
+    return BQForm(*_reduce(*f))
 
 
 def inverse(f: BQForm) -> BQForm:
-    return reduce_form(BQForm(f.a, -f.b, f.c))
+    _positive_definite(f)
+    return BQForm(*_reduce(f.a, -f.b, f.c))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -87,9 +118,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def compose(f1: BQForm, f2: BQForm) -> BQForm:
+def _compose(t1: Triple, t2: Triple, disc: int) -> Triple:
     """Reduced Gauss composite of two primitive positive definite forms of
-    equal discriminant.
+    discriminant `disc`.
 
     With a1 <= a2 and s = (b1 + b2)/2, two extended gcds
     d = gcd(a2, a1) = u*a2 + v*a1 and d1 = gcd(s, d) = x*s + y*d give the
@@ -97,41 +128,50 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
     r = -u*y*(b2 - s) - x*c2 mod a1/d1, which is then reduced (Cohen,
     GTM 138, Algorithm 5.4.7).
     """
-    if f1.disc != f2.disc:
-        raise ValidationError(f"discriminant mismatch: {f1.disc} vs {f2.disc}")
-    if f1.a <= 0 or f2.a <= 0:
-        raise ValidationError(f"positive definite forms only, got {f1} and {f2}")
-    disc = f1.disc
-    if f1.a > f2.a:
-        f1, f2 = f2, f1
-    a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
-    s = (f1.b + b2) // 2
+    if t1[0] > t2[0]:
+        t1, t2 = t2, t1
+    (a1, b1, _), (a2, b2, c2) = t1, t2
+    s = (b1 + b2) // 2
     # the shortcuts skip a Euclid call when a1 | a2 (every squaring) or d | s (d = 1 mostly)
     d, u, _ = (a1, 0, 1) if a2 % a1 == 0 else _xgcd(a2, a1)
     d1, x, y = (d, 0, 1) if s % d == 0 else _xgcd(s, d)
     v1, v2 = a1 // d1, a2 // d1
     r = (-u * y * (b2 - s) - x * c2) % v1
     b3, a3 = b2 + 2 * v2 * r, v1 * v2
-    if (b3 * b3 - disc) % (4 * a3):
-        raise InternalCheckError(f"composite of {f1} and {f2}: 4*{a3} does not divide {b3}^2 - ({disc})")
-    out = reduce_form(BQForm(a3, b3, (b3 * b3 - disc) // (4 * a3)))
-    if out.disc != disc:
-        raise InternalCheckError(f"composite of {f1} and {f2} has discriminant {out.disc}")
+    c3, rem = divmod(b3 * b3 - disc, 4 * a3)
+    if rem:
+        raise InternalCheckError(f"composite of {t1} and {t2}: 4*{a3} does not divide {b3}^2 - ({disc})")
+    a, b, c = out = _reduce(a3, b3, c3)
+    if b * b - 4 * a * c != disc:
+        raise InternalCheckError(f"composite of {t1} and {t2} has discriminant {b * b - 4 * a * c}")
     return out
 
 
-def form_pow(f: BQForm, n: int) -> BQForm:
-    one = principal_form(f.disc)
-    if n < 0:
-        f, n = inverse(f), -n
-    result, base = None, reduce_form(f)
+def _pow(t: Triple, n: int, disc: int) -> Triple:
+    """t^n for a reduced triple t and n >= 0, by repeated squaring."""
+    result = None
     while n:
         if n & 1:
-            result = base if result is None else compose(result, base)
+            result = t if result is None else _compose(result, t, disc)
         n >>= 1
         if n:
-            base = compose(base, base)
-    return one if result is None else result
+            t = _compose(t, t, disc)
+    return _principal(disc) if result is None else result
+
+
+def compose(f1: BQForm, f2: BQForm) -> BQForm:
+    """Reduced Gauss composite of two primitive positive definite forms of
+    equal discriminant (Cohen, GTM 138, Algorithm 5.4.7)."""
+    disc, disc2 = _positive_definite(f1), _positive_definite(f2)
+    if disc2 != disc:
+        raise ValidationError(f"discriminant mismatch: {disc} vs {disc2}")
+    return BQForm(*_compose(f1, f2, disc))
+
+
+def form_pow(f: BQForm, n: int) -> BQForm:
+    disc = _positive_definite(f)
+    t = _reduce(f.a, -f.b if n < 0 else f.b, f.c)
+    return BQForm(*_pow(t, abs(n), disc))
 
 
 def _check_enumerable(disc: int):
@@ -294,20 +334,28 @@ def class_order(f: BQForm, h: int | None = None) -> int:
 
     `h` is the class number when the caller has it already (any multiple
     of the order will do); otherwise `class_number_of_disc` gives it, with
-    no form list at a fundamental discriminant.  From
-    k = h, each prime l of h is divided out of k while f^(k/l) stays
-    principal: O(omega(h) * log h) compositions.
+    no form list at a fundamental discriminant.  For each l^e exactly
+    dividing h, g = f^(h/l^e) is raised to the l until it is principal,
+    at most e times; the number of raisings is the exponent of l in the
+    order (Cohen, GTM 138, section 1.4).  O(omega(h) * log h) compositions.
     """
+    disc = _positive_definite(f)
     if h is None:
-        h = class_number_of_disc(f.disc)
-    one = principal_form(f.disc)
-    if form_pow(f, h) != one:
+        h = class_number_of_disc(disc)
+    elif h < 1:
+        raise ValidationError(f"a class number is positive, got {h}")
+    t, one = _reduce(*f), _principal(disc)
+    primes = factor(h).factors
+    if not primes and t != one:  # h = 1: f itself must be principal
         raise InternalCheckError(f"order of {f} does not divide the class number {h}")
-    k = h
-    for ell, _ in factor(h).factors:
-        while k % ell == 0 and form_pow(f, k // ell) == one:
-            k //= ell
-    return k
+    order = 1
+    for ell, e in primes:
+        g = _pow(t, h // ell**e, disc)
+        while g != one:
+            if e == 0:
+                raise InternalCheckError(f"order of {f} does not divide the class number {h}")
+            g, order, e = _pow(g, ell, disc), order * ell, e - 1
+    return order
 
 
 def prime_form(disc: int, q: int) -> BQForm:
@@ -324,8 +372,11 @@ def prime_form(disc: int, q: int) -> BQForm:
     if jacobi(disc, q) != 1:
         raise ValidationError(f"{q} is inert for discriminant {disc}")
     b = sqrt_mod(disc % q, q)
-    assert b is not None
+    if b is None:
+        raise InternalCheckError(f"no square root of {disc} mod the split prime {q}")
     if (b - disc) % 2:
         b = q - b
-    assert (b * b - disc) % (4 * q) == 0
-    return reduce_form(BQForm(q, b, (b * b - disc) // (4 * q)))
+    c, rem = divmod(b * b - disc, 4 * q)
+    if rem:
+        raise InternalCheckError(f"{b}^2 - ({disc}) is not divisible by 4*{q}")
+    return BQForm(*_reduce(q, b, c))

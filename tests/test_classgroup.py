@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from eisq.arith import factor, jacobi, sqrt_mod_prime_power
+from eisq import arith, classgroup
+from eisq.arith import factor, jacobi, sqrt_mod_prime_power, valuation
 from eisq.classgroup import (
     MAX_ENUMERATED_DISC,
     BQForm,
@@ -14,6 +18,7 @@ from eisq.classgroup import (
     class_order,
     compose,
     form_pow,
+    fundamental_class_number,
     inverse,
     is_fundamental,
     prime_form,
@@ -22,6 +27,8 @@ from eisq.classgroup import (
     reduced_forms,
 )
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_class_number_examples():
@@ -304,8 +311,15 @@ def _orders_by_stepping(forms):
     return known
 
 
+# |D| up to 10^5 whose class number has repeated prime factors: h = 288,
+# 288, 216, 432 and 144 (8 | h or 27 | h, and 9 | h); -99567 and -99008
+# are not fundamental
+RICH_ORDER_DISCS = (-60119, -99111, -99567, -99935, -99008)
+
+
 def test_class_order_against_stepping():
-    # every primitive reduced form with |D| < 2000
+    # every primitive reduced form with |D| < 2000, then every form of the
+    # discriminants above, given h
     checked = 0
     for disc in range(-3, -2000, -1):
         if disc % 4 not in (0, 1):
@@ -316,6 +330,36 @@ def test_class_order_against_stepping():
             assert class_order(f) == want[f], (disc, f)
             checked += 1
     assert checked > 12000
+    orders = set()
+    for disc in RICH_ORDER_DISCS:
+        forms = reduced_forms(disc)
+        h = len(forms)
+        assert h % 72 == 0 or h % 216 == 0, (disc, h)
+        want = _orders_by_stepping(forms)
+        for f in forms:
+            assert class_order(f, h) == want[f], (disc, f)
+            assert class_order(f, 35 * h) == want[f], (disc, f)
+            orders.add(want[f])
+    assert {16, 32, 9, 27, 108, 288} <= orders
+
+
+def test_class_order_rejects_a_non_multiple_of_the_order():
+    # h = 1, o/l, and h with its l-part cut to one below the order's, for
+    # every prime l of the order o, on forms of the discriminants above
+    for disc in RICH_ORDER_DISCS:
+        forms = reduced_forms(disc)
+        want = _orders_by_stepping(forms)
+        for f in forms[:: max(1, len(forms) // 40)] + [max(forms, key=want.get)]:
+            o, h = want[f], len(forms)
+            bad = [1] if o > 1 else []
+            for ell, e in factor(o).factors:
+                bad += [o // ell, h // ell ** valuation(h, ell) * ell ** (e - 1)]
+            for h in bad:
+                with pytest.raises(InternalCheckError):
+                    class_order(f, h)
+    assert class_order(principal_form(-99008), 1) == 1
+    with pytest.raises(ValidationError):
+        class_order(BQForm(2, 1, 3), 0)
 
 
 def _kronecker(d, ell):
@@ -437,6 +481,68 @@ def test_class_order_against_primitive_representations():
         for k in range(1, order):
             assert not principal_represents_primitively(disc, q**k), (disc, q, k)
         assert principal_represents_primitively(disc, q**order), (disc, q, order)
+
+
+def test_bqform_is_an_immutable_value():
+    f = BQForm(2, -1, 3)
+    assert repr(f) == str(f) == f"{f}" == "(2,-1,3)" and f"{[f]}" == "[(2,-1,3)]"
+    assert f.disc == -23 and (f.a, f.b, f.c) == (2, -1, 3)
+    assert f == BQForm(2, -1, 3) and f != BQForm(2, 1, 3) and f != inverse(f)
+    assert {f: 1}[BQForm(2, -1, 3)] == 1 and len({f, BQForm(2, -1, 3), BQForm(2, 1, 3)}) == 2
+    with pytest.raises(AttributeError):
+        f.a = 1
+    # the public functions return BQForms, and they key the stepping table
+    forms = reduced_forms(-47)
+    known = _orders_by_stepping(forms)
+    assert set(known) == set(forms) and known[BQForm(3, 1, 4)] == 5
+    made = [compose(forms[1], forms[2]), form_pow(forms[1], 2), inverse(forms[1]), reduce_form(forms[1])]
+    assert all(type(g) is BQForm for g in forms + made + [principal_form(-47), prime_form(-47, 7)])
+
+
+def test_reduce_form_postcondition_raises(monkeypatch):
+    # a normalization step that does nothing leaves (1, 5, 10) unreduced
+    monkeypatch.setattr(classgroup, "_normalize", lambda a, b, c: (a, b, c))
+    with pytest.raises(InternalCheckError):
+        reduce_form(BQForm(1, 5, 10))
+
+
+def test_prime_form_checks_its_root(monkeypatch):
+    # 1 is the root of -47 mod 3; a wrong root or none must not give a form
+    monkeypatch.setattr(classgroup, "sqrt_mod", lambda a, q: 0)
+    with pytest.raises(InternalCheckError):
+        prime_form(-47, 3)
+    monkeypatch.setattr(classgroup, "sqrt_mod", lambda a, q: None)
+    with pytest.raises(InternalCheckError):
+        prime_form(-47, 3)
+
+
+def test_form_checks_run_under_optimize():
+    # the checks are raises, not asserts, so python -O keeps them
+    code = (
+        "from eisq import classgroup as cg\n"
+        "from eisq.errors import InternalCheckError\n"
+        "cg.sqrt_mod = lambda a, q: 0\n"
+        "try:\n"
+        "    cg.prime_form(-47, 3)\n"
+        "except InternalCheckError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
+
+
+def test_form_enumeration_tests_no_primality(monkeypatch):
+    # the roots mod each odd prime come from the sieve's primes, so neither
+    # the list nor the count re-tests them through arith.sqrt_mod
+    calls = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for disc in (-999983, -1000003):
+        assert is_fundamental(disc)
+        assert fundamental_class_number(disc) == len(reduced_forms(disc))
+    assert calls == []
+    assert arith.sqrt_mod(-23, 101) is not None and calls == [101]
 
 
 def test_form_pow():
