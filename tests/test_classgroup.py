@@ -21,6 +21,7 @@ from eisq.classgroup import (
     fundamental_class_number,
     inverse,
     is_fundamental,
+    normalize,
     prime_form,
     principal_form,
     reduce_form,
@@ -312,7 +313,7 @@ def _orders_by_stepping(forms):
 
 
 # |D| up to 10^5 whose class number has repeated prime factors: h = 288,
-# 288, 216, 432 and 144 (8 | h or 27 | h, and 9 | h); -99567 and -99008
+# 288, 216, 432 and 144, each a multiple of 72 = 8 * 9; -99567 and -99008
 # are not fundamental
 RICH_ORDER_DISCS = (-60119, -99111, -99567, -99935, -99008)
 
@@ -334,7 +335,7 @@ def test_class_order_against_stepping():
     for disc in RICH_ORDER_DISCS:
         forms = reduced_forms(disc)
         h = len(forms)
-        assert h % 72 == 0 or h % 216 == 0, (disc, h)
+        assert h % 72 == 0, (disc, h)
         want = _orders_by_stepping(forms)
         for f in forms:
             assert class_order(f, h) == want[f], (disc, f)
@@ -354,9 +355,9 @@ def test_class_order_rejects_a_non_multiple_of_the_order():
             bad = [1] if o > 1 else []
             for ell, e in factor(o).factors:
                 bad += [o // ell, h // ell ** valuation(h, ell) * ell ** (e - 1)]
-            for h in bad:
+            for wrong in bad:
                 with pytest.raises(InternalCheckError):
-                    class_order(f, h)
+                    class_order(f, wrong)
     assert class_order(principal_form(-99008), 1) == 1
     with pytest.raises(ValidationError):
         class_order(BQForm(2, 1, 3), 0)
@@ -497,6 +498,21 @@ def test_bqform_is_an_immutable_value():
     assert set(known) == set(forms) and known[BQForm(3, 1, 4)] == 5
     made = [compose(forms[1], forms[2]), form_pow(forms[1], 2), inverse(forms[1]), reduce_form(forms[1])]
     assert all(type(g) is BQForm for g in forms + made + [principal_form(-47), prime_form(-47, 7)])
+
+
+def test_normalize():
+    # -a < b <= a by a translation x -> x + r*y: same class, same form when
+    # b is already in range; positive definite forms only
+    for f in (BQForm(2, 5, 6), BQForm(3, -7, 5), BQForm(5, 5, 7), BQForm(5, -5, 7), BQForm(4, -13, 11)):
+        g = normalize(f)
+        assert -g.a < g.b <= g.a and g.a == f.a and g.disc == f.disc, (f, g)
+        assert reduce_form(g) == reduce_form(f)
+    f = BQForm(2, 1, 3)
+    assert normalize(f) is f
+    with pytest.raises(ValidationError):
+        normalize(BQForm(0, 1, 3))
+    with pytest.raises(ValidationError):
+        reduce_form(BQForm(1, 3, 1))  # indefinite
 
 
 def test_reduce_form_postcondition_raises(monkeypatch):
