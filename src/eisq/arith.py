@@ -9,7 +9,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FactorizationIncomplete, ValidationError
+from .errors import FactorizationIncomplete, InternalCheckError, ValidationError
 
 # Deterministic Miller-Rabin base set: correct for all n < 3.3 * 10^24
 # (Sorenson-Webster), in particular for all n < 2^64.
@@ -168,7 +168,8 @@ def factor(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         stack += [split, m // split]
     factors = tuple(sorted(found.items()))
     result = Factorization(value=n, sign=sign, factors=factors)
-    assert result.recompose() == n
+    if result.recompose() != n:
+        raise InternalCheckError(f"the factors {factors} of {n} multiply to {result.recompose()}")
     return result
 
 
@@ -221,7 +222,15 @@ def _sqrt_mod_prime(a: int, q: int) -> Optional[int]:
         return None
     if q % 4 == 3:
         x = pow(a, (q + 1) // 4, q)
-        return min(x, q - x)
+    else:
+        x = _tonelli_shanks(a, q)
+    if x * x % q != a:
+        raise InternalCheckError(f"{x} is not a square root of {a} mod {q}")
+    return min(x, q - x)
+
+
+def _tonelli_shanks(a: int, q: int) -> int:
+    """A square root of a quadratic residue a mod a prime q = 1 (mod 4)."""
     # write q-1 = d * 2^s with d odd
     d, s = q - 1, 0
     while d % 2 == 0:
@@ -244,21 +253,23 @@ def _sqrt_mod_prime(a: int, q: int) -> Optional[int]:
         t = t * b % q * b % q
         c = b * b % q
         m = i
-    assert x * x % q == a
-    return min(x, q - x)
+    return x
 
 
 def hensel_lift(r: int, a: int, q: int, e: int) -> int:
     """The root = r (mod q) of x^2 = a (mod q^e), in [0, q^e), for an odd prime
     q not dividing a and a root r of x^2 = a (mod q).  Newton steps
     x -> x - (x^2 - a)/(2x) double the precision each time."""
+    if (r * r - a) % q:
+        raise InternalCheckError(f"{r} is not a square root of {a} mod {q}")
     k, qk = 1, q
     while k < e:
         k = min(2 * k, e)
         qk = q**k
         r = (r - (r * r - a) * pow(2 * r, -1, qk)) % qk
     r %= qk
-    assert (r * r - a) % qk == 0
+    if (r * r - a) % qk:
+        raise InternalCheckError(f"{r} is not a square root of {a} mod {q}^{e}")
     return r
 
 
@@ -273,7 +284,7 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
         r = _sqrt_mod_prime(a, q)
         if r is None:
             return []
-        x = hensel_lift(r, a, q, e)
+        x = hensel_lift(r, a, q, e) if e > 1 else r
         return sorted((x, qe - x))
     roots, qk = [a % q], q
     while roots and qk < qe:

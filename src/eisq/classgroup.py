@@ -4,19 +4,22 @@ Forms (A, B, C) of negative discriminant are composed by two extended gcds
 (Cohen's united-forms algorithm) and fully reduced afterwards, on plain
 integer triples: one reduction, one composition and one power serve every
 public function, and class orders come from the class number one prime
-power at a time.  The
-primitive reduced forms are enumerated by walking the leading coefficients
-a <= sqrt(|D|/3) with the square roots of D mod 4a, so a list costs about
-sqrt(|D|) plus its output.  At a fundamental discriminant the class number
-is counted from the number of those roots and lists only the forms with
-a > sqrt(|D|/4); the enumeration stays the independent oracle the rest of
-the package leans on.
+power at a time.  The primitive reduced forms are listed on integers too:
+for each leading coefficient a <= sqrt(|D|/3) the square roots b of D mod
+4a are joined, by one CRT multiplier per a, from a 2-adic chain and one
+flat table of the roots mod each odd m, and c = (b^2 - D)/4a.  Only the
+band sqrt(|D|/4) < a <= sqrt(|D|/3) tests c >= a, and only a
+non-fundamental D tests gcd(a, b, c) = 1; each form is built once, as the
+BQForm the list holds.  So a list costs about sqrt(|D|) plus its output.
+At a fundamental discriminant the class number is counted from the number
+of those roots, and of the band's roots that pass, with no form built; the
+list stays the independent oracle the rest of the package leans on.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -74,11 +77,6 @@ def _normalize(a: int, b: int, c: int) -> Triple:
     """The form a*(x + r*y)^2 + b*(x + r*y)*y + c*y^2 with -a < b + 2*r*a <= a."""
     r = (a - b) // (2 * a)
     return a, b + 2 * r * a, a * r * r + b * r + c
-
-
-def normalize(f: BQForm) -> BQForm:
-    _positive_definite(f)
-    return f if -f.a < f.b <= f.a else BQForm(*_normalize(*f))
 
 
 def _reduce(a: int, b: int, c: int) -> Triple:
@@ -222,43 +220,56 @@ def _two_adic_roots(disc: int, amax: int) -> list[list[int]]:
     return two
 
 
-def _odd_roots(disc: int, spf: list[int]) -> Callable[[int], list[int]]:
-    """roots(m): the x mod m with x^2 = D (mod m), for odd m covered by the
-    sieve `spf`, joined by CRT from the roots mod its prime powers and kept,
-    so each set is built once from smaller ones."""
-    memo: list = [None, [0]] + [None] * (len(spf) - 2)
+def _odd_root_table(disc: int, spf: list[int], wanted: Iterable[int]) -> list:
+    """odd[m] for each odd m in `wanted`: the x mod m with x^2 = D (mod m), unsorted.
 
-    def roots(m: int) -> list[int]:
-        if memo[m] is None:
-            ell, k, rest = spf[m], 1, m // spf[m]
-            while rest % ell == 0:
-                k, rest = k + 1, rest // ell
-            if rest > 1:
-                memo[m] = crt(roots(rest), rest, roots(m // rest), m // rest)
-            else:
-                memo[m] = sqrt_mod_prime_power(disc, ell, k)
-        return memo[m]
+    A prime power l^e takes its roots from `sqrt_mod_prime_power`, any other
+    m = l^e * r (l = spf[m]) one CRT join of the sets of l^e and r, so a
+    prime with no root empties the sets of all its multiples.  A pass down
+    from the largest m marks the sets that the wanted ones are joined from,
+    a pass up fills the marked ones, each once; the rest stay None."""
+    odd: list = [None] * len(spf)
+    part = [0] * len(spf)  # part[m]: marked 1, then the power of spf[m] exactly dividing m
+    for m in wanted:
+        part[m] = 1
+    for m in range((len(spf) - 2) | 1, 2, -2):
+        if part[m]:
+            ell = q = spf[m]
+            while m // q % ell == 0:
+                q *= ell
+            if q < m:
+                part[q] = part[m // q] = 1
+            part[m] = q
+    odd[1] = [0]
+    for m in range(3, len(spf), 2):
+        q = part[m]
+        if q == m:
+            ell, e = spf[m], 1
+            while ell**e < m:
+                e += 1
+            odd[m] = sqrt_mod_prime_power(disc, ell, e)
+        elif q:
+            r = m // q
+            odd[m] = crt(odd[q], q, odd[r], r) if odd[q] and odd[r] else []
+    return odd
 
-    return roots
 
-
-def _forms_with_leading(
-    disc: int, leading: Iterable[int], two: list[list[int]], roots: Callable[[int], list[int]]
-) -> list[BQForm]:
-    """The primitive reduced forms (a, b, c) for a in `leading`, in order of
-    (a, b): b runs over the roots of b^2 = D (mod 4a) in (-a, a], the CRT
-    join of two[k] and roots(m) for a = 2^k m with m odd."""
-    forms = []
+def _roots_with_leading(leading: Iterable[int], two: list[list[int]], odd: list):
+    """(a, bs) for each a in `leading` with roots: bs the b in (-a, a] with
+    b^2 = D (mod 4a), sorted.  For a = 2^k m with m odd they are the CRT join
+    of two[k] (mod 2^(k+1)) and odd[m], by one multiplier u per a, with
+    u = 0 (mod 2^(k+1)) and u = 1 (mod m): b + a - 1 = x*(1 - u) + y*u + a - 1
+    (mod 2a) lies in [0, 2a)."""
     for a in leading:
         k = (a & -a).bit_length() - 1
-        odd = roots(a >> k) if two[k] else None
-        if not odd:
-            continue
-        for b in sorted(b if b <= a else b - 2 * a for b in crt(two[k], 2 << k, odd, a >> k)):
-            c = (b * b - disc) // (4 * a)
-            if c >= a and (b >= 0 or c != a) and math.gcd(a, b, c) == 1:
-                forms.append(BQForm(a, b, c))
-    return forms
+        xs, ys = two[k], odd[a >> k]
+        if xs and ys:
+            n, s = 2 * a, a - 1
+            u = (2 << k) * pow(2 << k, -1, a >> k)
+            v = 1 - u
+            bs = [(x * v + y * u + s) % n - s for x in xs for y in ys]
+            bs.sort()
+            yield a, bs
 
 
 def reduced_forms(disc: int) -> list[BQForm]:
@@ -269,15 +280,27 @@ def reduced_forms(disc: int) -> list[BQForm]:
     residues mod 2a: with a = 2^k m and m odd, the roots mod 2^(k+2), read
     mod 2^(k+1), joined by CRT to the roots mod m.  The roots mod every odd
     m are joined over a smallest-prime-factor sieve from the roots mod its
-    prime powers, so a prime with no root empties the sets of all its
-    multiples.  Cost O(|D|^(1/2+eps)) plus the output (Cohen, GTM 138,
-    sections 1.5 and 5.3).
+    prime powers.  Each root is a form (a, b, c) with c = (b^2 - D)/4a, and
+    c >= a without a test while a <= sqrt(|D|/4); above that, c >= a and
+    b >= 0 where c = a are tested.  gcd(a, b, c) = 1 is tested only at a
+    non-fundamental D.  Cost O(|D|^(1/2+eps)) plus the output (Cohen,
+    GTM 138, sections 1.5 and 5.3).
     """
     _check_enumerable(disc)
-    amax = math.isqrt(-disc // 3)
+    amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
     two = _two_adic_roots(disc, amax)
-    roots = _odd_roots(disc, smallest_prime_factors(amax))
-    return _forms_with_leading(disc, range(1, amax + 1), two, roots)
+    odd = _odd_root_table(disc, smallest_prime_factors(amax), range(1, amax + 1, 2))
+    primitive = is_fundamental(disc)
+    new, gcd, forms = tuple.__new__, math.gcd, []  # new(BQForm, t) skips BQForm's Python-level __new__
+    for a, bs in _roots_with_leading(range(1, amax + 1), two, odd):
+        a4 = 4 * a
+        if a > half:  # c >= a, i.e. b^2 >= 4a^2 + D, and b >= 0 when c = a
+            tie = a4 * a + disc
+            bs = [b for b in bs if b * b >= tie + (b < 0)]
+        if not primitive:
+            bs = [b for b in bs if gcd(a, b, (b * b - disc) // a4) == 1]
+        forms += [new(BQForm, (a, b, (b * b - disc) // a4)) for b in bs]
+    return forms
 
 
 def class_number_of_disc(disc: int) -> int:
@@ -295,8 +318,9 @@ def fundamental_class_number(disc: int) -> int:
     roots there, which is multiplicative in a: the 2-adic count times, over
     the odd l^e exactly dividing a, 1 + (D/l) when l does not divide D, 1
     when e = 1 and l | D, and 0 when e > 1 and l | D.  Only the band
-    sqrt(|D|/4) < a <= sqrt(|D|/3) lists its forms.  One Jacobi symbol per
-    odd prime up to sqrt(|D|/3), no form list (Cohen, GTM 138, section 5.3).
+    sqrt(|D|/4) < a <= sqrt(|D|/3) finds its roots, and counts those with
+    c >= a, and b >= 0 where c = a.  One Jacobi symbol per odd prime up to
+    sqrt(|D|/3), no form built (Cohen, GTM 138, section 5.3).
     """
     _check_enumerable(disc)
     amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
@@ -313,8 +337,12 @@ def fundamental_class_number(disc: int) -> int:
         elif disc % ell:
             count[m] = count[m // ell]
     h = sum(len(two[k]) * sum(count[: (half >> k) + 1]) for k in range(len(two)))
-    band = [a for a in range(half + 1, amax + 1) if count[a // (a & -a)]]
-    return h + len(_forms_with_leading(disc, band, two, _odd_roots(disc, spf)))
+    band = [a for a in range(half + 1, amax + 1) if count[a // (a & -a)] and two[(a & -a).bit_length() - 1]]
+    odd = _odd_root_table(disc, spf, {a // (a & -a) for a in band})
+    for a, bs in _roots_with_leading(band, two, odd):
+        tie = 4 * a * a + disc
+        h += sum(b * b >= tie + (b < 0) for b in bs)
+    return h
 
 
 def field_disc(p: int) -> int:
@@ -364,11 +392,13 @@ def prime_form(disc: int, q: int) -> BQForm:
     if q == 2 or not is_prime(q):
         raise ValidationError(f"prime_form requires an odd prime, got {q}")
     if disc % q == 0:
-        # ramified prime: left unreduced, e.g. (p, p, (p+1)/4) for disc -p
-        for b in range(0, 2 * q):
-            if (b - disc) % 2 == 0 and (b * b - disc) % (4 * q) == 0:
-                return BQForm(q, b, (b * b - disc) // (4 * q))
-        raise InternalCheckError(f"no ramified form above {q} for disc {disc}")
+        # ramified prime: q | b and b = D (mod 2) give the one root b in [0, 2q),
+        # left unreduced, e.g. (p, p, (p+1)/4) for disc -p
+        b = q * (disc % 2)
+        c, rem = divmod(b * b - disc, 4 * q)
+        if rem:
+            raise InternalCheckError(f"no ramified form above {q} for disc {disc}")
+        return BQForm(q, b, c)
     if jacobi(disc, q) != 1:
         raise ValidationError(f"{q} is inert for discriminant {disc}")
     b = sqrt_mod(disc % q, q)

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import classgroup, descent, etacusp, modforms, selmer
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -32,10 +33,14 @@ _INT_ONLY = frozenset((int,))
 
 def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
-        # a flat list of exact ints, such as the [a, b, c] of each form, is
-        # copied whole
-        if set(map(type, obj)) <= _INT_ONLY:
-            return list(obj)
+        # a flat list of exact ints, or a list of rows of them such as the
+        # forms of classnum, is passed on as it is after a type scan in C
+        kinds = set(map(type, obj))
+        if kinds <= _INT_ONLY or (
+            all(issubclass(kind, (list, tuple)) for kind in kinds)
+            and set(map(type, chain.from_iterable(obj))) <= _INT_ONLY
+        ):
+            return obj
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (int, str)) or obj is None:  # bool is an int
         return obj
@@ -49,7 +54,9 @@ def _jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    # _jsonable has walked every container, and a cycle would have recursed
+    # without end there, so json need not look for one
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _write_tsv_row(row: dict, out):
@@ -94,7 +101,7 @@ def _cmd_classnum(args, out) -> int:
     else:
         disc, doc, label = classgroup.field_disc(args.p), {"p": args.p}, f"p = {args.p}"
     forms = classgroup.reduced_forms(disc)
-    doc.update(h=len(forms), forms=[[f.a, f.b, f.c] for f in forms])
+    doc.update(h=len(forms), forms=forms)  # each form is a tuple, so a JSON array as it is
     lines = []  # one line per form, built only when the table is printed
     if args.format == "table":
         lines = [f"{label}: h = {len(forms)}"] + [f"  {f}" for f in forms]

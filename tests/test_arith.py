@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisq import arith
 from eisq.arith import (
     Factorization,
     cornacchia,
@@ -18,7 +22,7 @@ from eisq.arith import (
     sqrt_mod_prime_power,
     valuation,
 )
-from eisq.errors import FactorizationIncomplete, ValidationError
+from eisq.errors import FactorizationIncomplete, InternalCheckError, ValidationError
 
 
 def norm_equation_sweep(p, m):
@@ -217,6 +221,44 @@ def test_hensel_lift_against_brute_force():
     big = 10**9 + 7
     x = hensel_lift(sqrt_mod(-23, big), -23, big, 5)
     assert (x * x + 23) % big**5 == 0 and x % big == sqrt_mod(-23, big)
+
+
+def test_root_checks_raise():
+    # 2 is no root of 3 mod 7, and 3 has none: no lift may come back
+    for e in (1, 2, 5):
+        with pytest.raises(InternalCheckError):
+            hensel_lift(2, 3, 7, e)
+    with pytest.raises(InternalCheckError):
+        hensel_lift(1, 3, 13, 3)  # 3 = 4^2 (mod 13), but 1 is no root
+
+
+def test_square_root_and_factor_checks_raise(monkeypatch):
+    # a Jacobi symbol that calls the non-residue 3 mod 7 a square, and a rho
+    # split that is no divisor: the final checks catch the wrong answers
+    real = arith.jacobi
+    monkeypatch.setattr(arith, "jacobi", lambda a, n: 1 if (a % n, n) == (3, 7) else real(a, n))
+    with pytest.raises(InternalCheckError):
+        sqrt_mod(3, 7)
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n, budget: 3)
+    with pytest.raises(InternalCheckError):
+        factor(10007 * 10009)
+
+
+def test_root_checks_run_under_optimize():
+    # raises, not asserts, so python -O keeps them
+    code = (
+        "from eisq.arith import hensel_lift\n"
+        "from eisq.errors import InternalCheckError\n"
+        "try:\n"
+        "    hensel_lift(2, 3, 7, 3)\n"
+        "except InternalCheckError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert out.stdout == "raised\n", out.stderr
 
 
 def test_crt_against_brute_force():

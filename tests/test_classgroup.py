@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 from eisq import arith, classgroup
-from eisq.arith import factor, jacobi, sqrt_mod_prime_power, valuation
+from eisq.arith import factor, jacobi, smallest_prime_factors, sqrt_mod_prime_power, valuation
 from eisq.classgroup import (
     MAX_ENUMERATED_DISC,
     BQForm,
+    _normalize,
+    _odd_root_table,
     _two_adic_roots,
     class_number,
     class_number_of_disc,
@@ -21,7 +23,6 @@ from eisq.classgroup import (
     fundamental_class_number,
     inverse,
     is_fundamental,
-    normalize,
     prime_form,
     principal_form,
     reduce_form,
@@ -104,6 +105,68 @@ def test_two_adic_roots_against_direct_lifts():
         assert len(two) == amax.bit_length()
         for k, roots in enumerate(two):
             assert roots == sorted({r % (2 << k) for r in sqrt_mod_prime_power(disc, 2, k + 2)}), (disc, k)
+
+
+# small discriminants of each kind, and non-fundamental ones near 10^6 with
+# forms of gcd 2, 3 and 5 among the roots
+SMALL_DISCS = (-3, -4, -7, -8, -15, -20, -36)
+GCD_DISCS = (-4 * 3**2 * 7, -(5**2) * 23, -(6**2) * 31, -4 * 10**6, -3999996 // 4, -(3**2) * 111107)
+
+
+def _roots_leaving_gcd(disc):
+    """The (a, b) with -a < b <= a, a <= sqrt(|D|/3), b^2 = D (mod 4a) and gcd(a, b, c) > 1."""
+    return [
+        (a, b)
+        for a in range(1, math.isqrt(-disc // 3) + 1)
+        for b in range(-a + 1, a + 1)
+        if (b * b - disc) % (4 * a) == 0 and math.gcd(a, b, (b * b - disc) // (4 * a)) > 1
+    ]
+
+
+def test_reduced_forms_small_and_imprimitive():
+    for disc in SMALL_DISCS + GCD_DISCS:
+        forms = reduced_forms(disc)
+        assert forms == _reduced_forms_by_loop(disc), disc
+        assert all(math.gcd(*f) == 1 for f in forms), disc
+        assert class_number_of_disc(disc) == len(forms), disc
+        if is_fundamental(disc):
+            assert fundamental_class_number(disc) == len(forms), disc
+    assert [disc for disc in SMALL_DISCS if not is_fundamental(disc)] == [-36]
+    for disc in (-36,) + GCD_DISCS:
+        assert not is_fundamental(disc) and _roots_leaving_gcd(disc), disc
+    assert reduced_forms(-36) == [BQForm(1, 0, 9), BQForm(2, 2, 5)]  # (3, 0, 3) has gcd 3
+
+
+def test_band_edge_ties():
+    # a = c in the band sqrt(|D|/4) < a <= sqrt(|D|/3): (a, b, a) is reduced
+    # only for b >= 0, and both counts must leave out (a, -b, a)
+    ties = 0
+    for disc in range(-3, -3000, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        forms = reduced_forms(disc)
+        for f in forms:
+            if f.a == f.c and f.b:
+                assert f.b > 0 and BQForm(f.a, -f.b, f.c) not in forms, (disc, f)
+                ties += f.a * f.a > -disc // 4
+        if is_fundamental(disc):
+            assert fundamental_class_number(disc) == len(forms), disc
+    assert ties > 50
+    assert reduced_forms(-15) == [BQForm(1, 1, 4), BQForm(2, 1, 2)]  # not (2, -1, 2)
+    assert reduced_forms(-3) == [BQForm(1, 1, 1)] and reduced_forms(-4) == [BQForm(1, 0, 1)]
+
+
+def test_odd_root_table_against_brute_force():
+    # the whole table, and a few entries together with the sets they are joined from
+    for disc in (-3, -4, -23, -84, -4375, -4 * 3**6 * 7, -3 * 5**4 * 11**2, -999983):
+        spf = smallest_prime_factors(300)
+        want = {m: sorted(x for x in range(m) if (x * x - disc) % m == 0) for m in range(1, 301, 2)}
+        full = _odd_root_table(disc, spf, range(1, 301, 2))
+        assert {m: sorted(full[m]) for m in range(1, 301, 2)} == want, disc
+        part = _odd_root_table(disc, spf, [225, 231, 289])
+        for m in (225, 9, 25, 231, 3, 77, 7, 11, 289):
+            assert part[m] is not None and sorted(part[m]) == want[m], (disc, m)
+        assert part[17] is None and part[229] is None  # 289 is a prime power
 
 
 def _is_fundamental_by_definition(disc):
@@ -424,6 +487,36 @@ def test_prime_form_examples():
         prime_form(-7, 5)  # inert
 
 
+def _ramified_form_by_loop(disc, q):
+    for b in range(0, 2 * q):
+        if (b - disc) % 2 == 0 and (b * b - disc) % (4 * q) == 0:
+            return BQForm(q, b, (b * b - disc) // (4 * q))
+
+
+def test_prime_form_ramified():
+    # q | D: b = 0 for even D and b = q for odd D, the first root the walk over [0, 2q) finds
+    checked = 0
+    for q in range(3, 200, 2):
+        if not arith.is_prime(q):
+            continue
+        for disc in (-q, -4 * q, -8 * q, -3 * q, -q * q * 3, -7 * q, -20 * q, -q**3):
+            if disc % 4 in (0, 1):
+                assert prime_form(disc, q) == _ramified_form_by_loop(disc, q), (disc, q)
+                checked += 1
+    assert checked > 200
+    q = 100000007
+    for disc in (-q, -4 * q, -8 * q):
+        f = prime_form(disc, q)
+        assert f.a == q and f.b == q * (disc % 2) and f.disc == disc, disc
+
+
+def test_prime_form_ramified_check_raises(monkeypatch):
+    # with the discriminant check passed over, 3 | -21 but -21 = 3 (mod 4) has no form
+    monkeypatch.setattr(classgroup, "_check_disc", lambda disc: None)
+    with pytest.raises(InternalCheckError):
+        prime_form(-21, 3)
+
+
 def test_prime_form_norm_compatibility():
     # for class number one fields split primes give principal classes,
     # equivalently q is a norm: cross-checked against the norm equation
@@ -501,18 +594,18 @@ def test_bqform_is_an_immutable_value():
 
 
 def test_normalize():
-    # -a < b <= a by a translation x -> x + r*y: same class, same form when
-    # b is already in range; positive definite forms only
-    for f in (BQForm(2, 5, 6), BQForm(3, -7, 5), BQForm(5, 5, 7), BQForm(5, -5, 7), BQForm(4, -13, 11)):
-        g = normalize(f)
+    # -a < b <= a by a translation x -> x + r*y: same a, same discriminant,
+    # same class, and the same form when b is already in range
+    for f in (BQForm(2, 5, 6), BQForm(3, -7, 5), BQForm(5, 5, 7), BQForm(5, -5, 7), BQForm(4, -13, 11), BQForm(2, 1, 3)):
+        g = BQForm(*_normalize(*f))
         assert -g.a < g.b <= g.a and g.a == f.a and g.disc == f.disc, (f, g)
         assert reduce_form(g) == reduce_form(f)
-    f = BQForm(2, 1, 3)
-    assert normalize(f) is f
-    with pytest.raises(ValidationError):
-        normalize(BQForm(0, 1, 3))
-    with pytest.raises(ValidationError):
-        reduce_form(BQForm(1, 3, 1))  # indefinite
+        if -f.a < f.b <= f.a:
+            assert g == f
+    # reduce_form takes positive definite forms only
+    for bad in (BQForm(0, 1, 3), BQForm(1, 3, 1), BQForm(-2, 1, -3)):
+        with pytest.raises(ValidationError):
+            reduce_form(bad)
 
 
 def test_reduce_form_postcondition_raises(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisq import classgroup
 from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, _jsonable, canonical_json, main
 from eisq.errors import InternalCheckError
 from eisq.modforms import MAX_EIGEN_PREC
@@ -269,6 +270,20 @@ def test_jsonable_nested_values():
     assert _jsonable(doc) == {"a": [[1, 2], [3, True, None]], "5": [[1, 2], [[-2, 3]]], "b": [True, 1, False]}
     assert canonical_json(doc) == '{"5":[[1,2],[[-2,3]]],"a":[[1,2],[3,true,null]],"b":[true,1,false]}'
     for bad in ({"x": [1, [2, 1.5]]}, (1, 2.0), [Fraction(1, 2), {"y": (0.5,)}]):
+        with pytest.raises(InternalCheckError, match="floats are not allowed"):
+            _jsonable(bad)
+
+
+def test_jsonable_passes_int_rows_and_rejects_floats_in_them():
+    # int rows, such as the forms of classnum, go out uncopied; a float or a
+    # Fraction anywhere in a row still takes the checked path
+    forms = classgroup.reduced_forms(-47)
+    rows = [[1, 2, 3], (4, -5, 6)]
+    assert _jsonable(forms) is forms and _jsonable(rows) is rows and _jsonable((1, 2)) == (1, 2)
+    assert canonical_json({"forms": forms}) == '{"forms":[[1,1,12],[2,-1,6],[2,1,6],[3,-1,4],[3,1,4]]}'
+    assert _jsonable([(1, Fraction(1, 2))]) == [[1, [1, 2]]]
+    assert _jsonable([{1: 2}]) == [{"1": 2}]  # dict rows are not int rows
+    for bad in ([(1, 1, 12), (2, -1.0, 6)], [classgroup.BQForm(1, 1, 12), classgroup.BQForm(2, 1, 6.0)], [[1], 2.5]):
         with pytest.raises(InternalCheckError, match="floats are not allowed"):
             _jsonable(bad)
 

@@ -35,6 +35,9 @@ CLI_CASES = {
     "classnum-disc20412": ["classnum", "--disc", "-20412"],
     "classnum-disc4375-json": ["classnum", "--disc", "-4375", "--format", "json"],
     "classnum-disc3145728-json": ["classnum", "--disc", "-3145728", "--format", "json"],
+    # a fundamental D with h = 5892, and D = 3^2 * (-444444), whose forms with gcd 3 are dropped
+    "classnum-disc9999239-json": ["classnum", "--disc", "-9999239", "--format", "json"],
+    "classnum-disc3999996-json": ["classnum", "--disc", "-3999996", "--format", "json"],
     "selmer-m11-oracle": ["selmer", "--p", "7", "--d", "-11", "--oracle"],
     "selmer-m11-oracle-json": ["selmer", "--p", "7", "--d", "-11", "--oracle", "--format", "json"],
     "selmer-d5-json": ["selmer", "--p", "7", "--d", "5", "--format", "json"],
