@@ -138,22 +138,16 @@ def test_reduced_forms_small_and_imprimitive():
 
 
 def test_band_edge_ties():
-    # a = c in the band sqrt(|D|/4) < a <= sqrt(|D|/3): (a, b, a) is reduced
-    # only for b >= 0, and both counts must leave out (a, -b, a)
-    ties = 0
-    for disc in range(-3, -3000, -1):
-        if disc % 4 not in (0, 1):
-            continue
+    # D = b^2 - 4a^2 with 0 < b < a puts (a, b, a) in the band
+    # sqrt(|D|/4) < a <= sqrt(|D|/3): it is reduced, (a, -b, a) is not, and
+    # the count leaves (a, -b, a) out too
+    for a, b in ((2, 1), (3, 1), (3, 2), (5, 3), (7, 5), (11, 4)):
+        disc = b * b - 4 * a * a
         forms = reduced_forms(disc)
-        for f in forms:
-            if f.a == f.c and f.b:
-                assert f.b > 0 and BQForm(f.a, -f.b, f.c) not in forms, (disc, f)
-                ties += f.a * f.a > -disc // 4
-        if is_fundamental(disc):
-            assert fundamental_class_number(disc) == len(forms), disc
-    assert ties > 50
-    assert reduced_forms(-15) == [BQForm(1, 1, 4), BQForm(2, 1, 2)]  # not (2, -1, 2)
-    assert reduced_forms(-3) == [BQForm(1, 1, 1)] and reduced_forms(-4) == [BQForm(1, 0, 1)]
+        assert BQForm(a, b, a) in forms and BQForm(a, -b, a) not in forms, disc
+        assert forms == _reduced_forms_by_loop(disc), disc
+        assert class_number_of_disc(disc) == len(forms), disc
+    assert reduced_forms(-15) == [BQForm(1, 1, 4), BQForm(2, 1, 2)]
 
 
 def test_odd_root_table_against_brute_force():
