@@ -18,6 +18,7 @@ list stays the independent oracle the rest of the package leans on.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, NamedTuple
 
@@ -27,6 +28,10 @@ from .errors import InternalCheckError, ResourceCapError, ValidationError
 # caps reduced_forms and class_number_of_disc: near |D| = 10^9 one
 # enumeration lists 7-62 thousand forms in 0.04-0.11 s (2-core Xeon VM)
 MAX_ENUMERATED_DISC = 10**9
+# bounds the class-number memo: the h of the last 4096 fundamental D counted
+# in this process, about 0.9 MB when full; a sweep over every fundamental D
+# with |D| < 13000 (about 3|D|/pi^2 of them) fits
+CLASS_NUMBER_MEMO = 4096
 
 
 class BQForm(NamedTuple):
@@ -321,7 +326,17 @@ def fundamental_class_number(disc: int) -> int:
     sqrt(|D|/4) < a <= sqrt(|D|/3) finds its roots, and counts those with
     c >= a, and b >= 0 where c = a.  One Jacobi symbol per odd prime up to
     sqrt(|D|/3), no form built (Cohen, GTM 138, section 5.3).
+
+    Each D is counted once per process: the count is kept in a memo of the
+    last `CLASS_NUMBER_MEMO` discriminants, so a sweep or a library loop
+    that meets D again reads h back.  A D that raises is not kept.
     """
+    return _fundamental_class_number(disc)
+
+
+# typed: a non-int D equal to a counted one still raises, as uncached
+@functools.lru_cache(maxsize=CLASS_NUMBER_MEMO, typed=True)
+def _fundamental_class_number(disc: int) -> int:
     _check_enumerable(disc)
     amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
     spf = smallest_prime_factors(amax)

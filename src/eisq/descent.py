@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 from . import classgroup, etacusp
 from .arith import is_prime, jacobi, valuation
-from .errors import ValidationError
+from .errors import InternalCheckError, ValidationError
 
 NONTORSION = "nontorsion"
 INCONCLUSIVE = "inconclusive"
@@ -103,7 +103,8 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
         raise ValidationError(f"q = {q} does not divide the cuspidal order n = {n}")
     setup = heegner_setup(p, k_disc)
     # w_K is 2, 4 or 6, so gcd(q, w_K) = 1 is automatic here; recorded anyway
-    assert math.gcd(q, setup.w_k) == 1
+    if math.gcd(q, setup.w_k) != 1:
+        raise InternalCheckError(f"q = {q} shares a factor with w_K = {setup.w_k} at K = {k_disc}")
     vq_h = valuation(setup.h_k, q) if setup.h_k else 0
     vq_n = valuation(n, q)
     trace = (

@@ -1,10 +1,13 @@
 """Eta-products on X0(N) for N = p or p^2: rationality conditions, divisors
 at cusps, and orders of rational cuspidal divisor classes via exact integer
 lattice arithmetic (Smith normal form).  Each public function parses its
-level once; private helpers take its divisors [1, p] or [1, p, p^2]."""
+level once; private helpers take its divisors [1, p] or [1, p, p^2].  The
+eta-divisor lattice of each level is built once per process and kept in a
+bounded memo (`LATTICE_MEMO`)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +18,10 @@ from .errors import InternalCheckError, ValidationError
 
 # An eta-product is encoded by its exponent map {divisor d of N: r_d}.
 EtaExponents = Mapping[int, int]
+
+# bounds the level memo: the lattice generators of the last 1024 levels
+# built in this process, about 0.7 MB when full of levels p^2
+LATTICE_MEMO = 1024
 
 
 def level_prime(n: int) -> tuple[int, int]:
@@ -55,7 +62,9 @@ def cusp_orbits(n: int) -> list[CuspOrbit]:
         for d, size in zip(divs, _orbit_sizes(divs))
     ]
     # X0(p) has 2 cusps and X0(p^2) has p + 1
-    assert sum(o.size for o in out) == (2 if n == divs[1] else divs[1] + 1)
+    cusps = sum(o.size for o in out)
+    if cusps != (2 if n == divs[1] else divs[1] + 1):
+        raise InternalCheckError(f"{cusps} cusps in the orbits of X0({n})")
     return out
 
 
@@ -170,7 +179,7 @@ def eta_divisor(n: int, r: EtaExponents) -> CuspDivisor:
     return _eta_divisor(divs, _validated_exponents(divs, r))
 
 
-def _eta_divisor(divs: list[int], r: EtaExponents) -> CuspDivisor:
+def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> CuspDivisor:
     n = divs[-1]
     coeffs = tuple(
         Fraction(sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()), 24 * math.gcd(c * c, n))
@@ -293,7 +302,7 @@ def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
     return _eta_exponent_lattice(divisors(n))
 
 
-def _eta_exponent_lattice(divs: list[int]) -> list[dict[int, int]]:
+def _eta_exponent_lattice(divs: Sequence[int]) -> list[dict[int, int]]:
     n, tau = divs[-1], len(divs)
     forms = ([1] * tau, divs, [n // d for d in divs], list(range(tau)))  # v_p(p^j) = j
     # A^T: a row per exponent, then a row per slack variable of forms 1-3
@@ -310,13 +319,22 @@ def _eta_exponent_lattice(divs: list[int]) -> list[dict[int, int]]:
     return basis
 
 
+@functools.lru_cache(maxsize=LATTICE_MEMO)
+def _lattice_generators(divs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The integer divisors of the Ligozat basis at the level with divisors
+    `divs`: the generators of the eta-divisor lattice, built once per level
+    per process.  The rank, Ligozat and degree-0 checks run on every build."""
+    return tuple(_eta_divisor(divs, r).int_vector() for r in _eta_exponent_lattice(divs))
+
+
 def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     """Order of a rational degree-0 cuspidal divisor class in J0(N).
 
     The class group of rational cuspidal divisors is cut out by divisors of
     eta-products; the order is the least k with k*div in that lattice,
-    via Smith normal form.  A recomputation under a reversed generating
-    set guards basis independence.
+    via Smith normal form.  The lattice generators of a level are built
+    once per process (`_lattice_generators`); on every call a recomputation
+    under the reversed generating set guards basis independence.
     """
     divs = divisors(n)
     if div.level != n or len(div.coeffs) != len(divs):
@@ -324,9 +342,9 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     if div.degree() != 0:
         raise ValidationError(f"divisor has degree {div.degree()}, not 0")
     target = div.int_vector()
-    gens = [_eta_divisor(divs, r).int_vector() for r in _eta_exponent_lattice(divs)]
+    gens = _lattice_generators(tuple(divs))
     order = lattice_order(gens, target)
-    again = lattice_order(list(reversed(gens)), target)
+    again = lattice_order(gens[::-1], target)
     if again != order:
         raise InternalCheckError(f"order is basis-dependent: {order} vs {again}")
     return order
@@ -356,10 +374,9 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     """
     if not is_prime(p) or p < 5:
         raise ValidationError(f"need a prime p >= 5, got {p}")
-    divs = [1, p, p * p]
     # coordinates on degree-0 rational divisors: (m_1, m_p), with the
     # level-p^2 coefficient determined by degree 0 (which `_eta_divisor` checks)
-    gens = [_eta_divisor(divs, r).int_vector()[:2] for r in _eta_exponent_lattice(divs)]
+    gens = [g[:2] for g in _lattice_generators((1, p, p * p))]
     inv = tuple(invariant_factors(gens, 2))
     (a12, b12), (a24, b24) = [((p - 1) // math.gcd(p - 1, m), (p + 1) // math.gcd(p + 1, m)) for m in (12, 24)]
     order = math.prod(inv)

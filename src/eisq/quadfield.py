@@ -85,7 +85,8 @@ class QuadInt:
 
     def norm(self) -> int:
         n = self.a * self.a + self.a * self.b + self.b * self.b * self.ctx.omega_norm
-        assert n >= 0
+        if n < 0:
+            raise InternalCheckError(f"norm {n} of {self} is negative")
         return n
 
     def is_zero(self) -> bool:
@@ -162,10 +163,12 @@ def places_above(ctx: FieldCtx, q: int) -> list[PlaceK]:
 def _omega_roots(ctx: FieldCtx, q: int) -> tuple[int, int]:
     # The two roots of z^2 - z + (1+p)/4 mod a split prime q, smaller first.
     s = sqrt_mod(-ctx.p % q, q)
-    assert s is not None
+    if s is None:
+        raise InternalCheckError(f"no square root of -{ctx.p} mod the split prime {q}")
     inv2 = pow(2, -1, q)
     r1, r2 = (1 + s) * inv2 % q, (1 - s) * inv2 % q
-    assert (r1 + r2) % q == 1 and r1 != r2
+    if (r1 + r2) % q != 1 or r1 == r2:
+        raise InternalCheckError(f"roots {r1}, {r2} of w mod {q} are not a conjugate pair (p = {ctx.p})")
     return (min(r1, r2), max(r1, r2))
 
 
@@ -206,7 +209,8 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     n = g.norm()
     if v.kind == INERT:
         vn = valuation(n, q)
-        assert vn % 2 == 0, "inert valuations of norms are even"
+        if vn % 2:
+            raise InternalCheckError(f"norm of {g} has odd valuation {vn} at the inert prime {q}")
         return (vn // 2, jacobi((n // q**vn) % q, q))
     if v.kind == RAMIFIED:
         val = valuation(n, q)
@@ -215,7 +219,8 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
         for _ in range(val):
             unit = unit.divide_exact(pi)
         res = (unit.a + unit.b * v.omega_residue) % q
-        assert res != 0
+        if res == 0:
+            raise InternalCheckError(f"unit part of {g} vanishes mod the ramified prime {q}")
         return (val, jacobi(res, q))
     # split place: reduce through the q-adic embedding w -> (s + 1)/2, where
     # s = 2w - 1 is the root of s^2 = -p lifted from the residue of w, and
@@ -319,10 +324,12 @@ def split_generator(
         )
     candidates.sort(key=lambda f: (f.b > 0, f.a), reverse=True)
     f = candidates[0] if not conjugate_choice else candidates[1]
-    assert f.norm() == m and f.a % 4 == 1
+    if f.norm() != m or f.a % 4 != 1:
+        raise InternalCheckError(f"generator {f} of {q}^{h} has norm {f.norm()} or a != 1 mod 4")
     v2b = valuation(f.b, 2)
     if q % 4 == 3:
-        assert v2b == 1, f"expected 2-adic valuation 1 of b, got {v2b}"
-    else:
-        assert v2b >= 2, f"expected 2-adic valuation >= 2 of b, got {v2b}"
+        if v2b != 1:
+            raise InternalCheckError(f"generator {f} of {q}^{h}: expected 2-adic valuation 1 of b, got {v2b}")
+    elif v2b < 2:
+        raise InternalCheckError(f"generator {f} of {q}^{h}: expected 2-adic valuation >= 2 of b, got {v2b}")
     return f

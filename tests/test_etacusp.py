@@ -271,6 +271,13 @@ def test_special_divisor_computed_once(monkeypatch):
             assert main(["eta", "--N", str(n), "--special"]) == 0
         assert tuple(map(len, calls.values())) == counts, n
         assert [r for _, r in calls["_eta_divisor"]].count(special_function(n)) == 1, n
+    # a second identical call builds no lattice: only the printed divisor,
+    # its Ligozat check and `is_special`'s checks run again
+    for seen in calls.values():
+        seen.clear()
+    with redirect_stdout(io.StringIO()):
+        assert main(["eta", "--N", "49", "--special"]) == 0
+    assert tuple(map(len, calls.values())) == (1, 2, 1)
 
 
 def test_lattice_order_shuffle_invariance():
