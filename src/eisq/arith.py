@@ -21,7 +21,8 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97,
 )
 
-DEFAULT_RHO_BUDGET = 10**6
+# Pollard rho steps `factor` allows each composite it splits, read at call time
+RHO_BUDGET = 10**6
 
 
 def jacobi(a: int, n: int) -> int:
@@ -126,11 +127,11 @@ def _pollard_rho(n: int, budget: int) -> Optional[int]:
     return None
 
 
-def factor(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
+def factor(n: int) -> Factorization:
     """Factor a nonzero integer by trial division then Pollard rho.
 
-    Raises FactorizationIncomplete when the rho budget runs out; never
-    returns a wrong factorization.
+    Raises FactorizationIncomplete when a split runs out of its
+    `RHO_BUDGET` rho steps; never returns a wrong factorization.
     """
     if n == 0:
         raise ValidationError("cannot factor 0")
@@ -160,10 +161,10 @@ def factor(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         if root * root == m:
             stack += [root, root]
             continue
-        split = _pollard_rho(m, rho_budget)
+        split = _pollard_rho(m, RHO_BUDGET)
         if split is None or split == m:
             raise FactorizationIncomplete(
-                f"factorization incomplete for {n}: rho budget {rho_budget} exhausted"
+                f"factorization incomplete for {n}: rho budget {RHO_BUDGET} exhausted"
             )
         stack += [split, m // split]
     factors = tuple(sorted(found.items()))

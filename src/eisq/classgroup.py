@@ -73,11 +73,6 @@ def _principal(disc: int) -> Triple:
     return 1, k, (k - disc) // 4
 
 
-def principal_form(disc: int) -> BQForm:
-    _check_disc(disc)
-    return BQForm(*_principal(disc))
-
-
 def _normalize(a: int, b: int, c: int) -> Triple:
     """The form a*(x + r*y)^2 + b*(x + r*y)*y + c*y^2 with -a < b + 2*r*a <= a."""
     r = (a - b) // (2 * a)
@@ -96,17 +91,6 @@ def _reduce(a: int, b: int, c: int) -> Triple:
     if not (-a < b <= a <= c and (b >= 0 or a != c)):
         raise InternalCheckError(f"({a},{b},{c}) is not reduced")
     return a, b, c
-
-
-def reduce_form(f: BQForm) -> BQForm:
-    """Unique reduced representative: |B| <= A <= C, B >= 0 if |B| = A or A = C."""
-    _positive_definite(f)
-    return BQForm(*_reduce(*f))
-
-
-def inverse(f: BQForm) -> BQForm:
-    _positive_definite(f)
-    return BQForm(*_reduce(f.a, -f.b, f.c))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -315,7 +299,7 @@ def class_number_of_disc(disc: int) -> int:
 
 
 def fundamental_class_number(disc: int) -> int:
-    """The class number at a D that the caller knows is fundamental, |D| under the cap.
+    """The class number at a fundamental D, |D| under the cap; any other D raises.
 
     At a fundamental D every form is primitive, and for a <= sqrt(|D|/4)
     every root b in (-a, a] of b^2 = D (mod 4a) gives a reduced form, since
@@ -329,7 +313,8 @@ def fundamental_class_number(disc: int) -> int:
 
     Each D is counted once per process: the count is kept in a memo of the
     last `CLASS_NUMBER_MEMO` discriminants, so a sweep or a library loop
-    that meets D again reads h back.  A D that raises is not kept.
+    that meets D again reads h back.  A D that raises, a non-fundamental
+    one included, is not kept.
     """
     return _fundamental_class_number(disc)
 
@@ -338,6 +323,8 @@ def fundamental_class_number(disc: int) -> int:
 @functools.lru_cache(maxsize=CLASS_NUMBER_MEMO, typed=True)
 def _fundamental_class_number(disc: int) -> int:
     _check_enumerable(disc)
+    if not is_fundamental(disc):
+        raise ValidationError(f"discriminant {disc} is not fundamental")
     amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
     spf = smallest_prime_factors(amax)
     two = _two_adic_roots(disc, amax)

@@ -8,7 +8,7 @@ that the criterion does not apply."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import classgroup, etacusp
@@ -29,17 +29,22 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A criterion's hypothesis trace; `conclusion` is read off it, so it is
+    `nontorsion` exactly when every entry passes."""
+
     criterion_tag: str
-    conclusion: str
+    conclusion: str = field(init=False)
     trace: tuple[TraceEntry, ...]
 
     def __post_init__(self):
         ok = all(t.passed for t in self.trace)
-        if (self.conclusion == NONTORSION) != ok:
-            raise ValidationError("conclusion must match the hypothesis trace")
+        object.__setattr__(self, "conclusion", NONTORSION if ok else INCONCLUSIVE)
 
-    def reevaluate(self) -> str:
-        return NONTORSION if all(t.passed for t in self.trace) else INCONCLUSIVE
+
+def _check_q(q: int) -> None:
+    """The one test of an Eisenstein prime q of a verdict."""
+    if math.gcd(q, 6) != 1 or not is_prime(q):
+        raise ValidationError(f"q must be a prime coprime to 6, got {q}")
 
 
 def roots_of_unity(k_disc: int) -> int:
@@ -87,8 +92,7 @@ def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
 
 def eisenstein_order_prime_level(p: int) -> int:
     """Order of the difference of cusps on X0(p): (p-1)/gcd(12, p-1)."""
-    if not is_prime(p) or p < 5:
-        raise ValidationError(f"need a prime p >= 5, got {p}")
+    etacusp._check_level_prime(p)
     return (p - 1) // math.gcd(12, p - 1)
 
 
@@ -97,8 +101,7 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
     projects to a point of infinite order on the q-Eisenstein quotient
     when p splits in K and v_q(h_K) < v_q(n)."""
     n = eisenstein_order_prime_level(p)
-    if math.gcd(q, 6) != 1 or not is_prime(q):
-        raise ValidationError(f"q must be a prime coprime to 6, got {q}")
+    _check_q(q)
     if n % q:
         raise ValidationError(f"q = {q} does not divide the cuspidal order n = {n}")
     setup = heegner_setup(p, k_disc)
@@ -118,8 +121,7 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
         ),
         TraceEntry("J[m_q](K)^- = 0", "Z/q + mu_q torsion structure (cited)", True, assumed=True),
     )
-    ok = all(t.passed for t in trace)
-    return Verdict("prime_level_odd_q", NONTORSION if ok else INCONCLUSIVE, trace)
+    return Verdict("prime_level_odd_q", trace)
 
 
 def verdict_prime_level_2(p: int, k_disc: int) -> Verdict:
@@ -135,8 +137,7 @@ def verdict_prime_level_2(p: int, k_disc: int) -> Verdict:
         TraceEntry(f"{p} splits in K", str(setup.split_ok), setup.split_ok),
         TraceEntry("h_K is odd", f"h_K={setup.h_k}", odd),
     )
-    ok = all(t.passed for t in trace)
-    return Verdict("prime_level_2", NONTORSION if ok else INCONCLUSIVE, trace)
+    return Verdict("prime_level_2", trace)
 
 
 @dataclass(frozen=True)
@@ -179,18 +180,15 @@ def verdict_ns_curve(p: int, k_disc: int) -> Verdict:
         trace.append(TraceEntry("h_K is odd", f"h_K={setup.h_k}", setup.h_k % 2 == 1))
     else:
         trace.append(TraceEntry(f"{p} splits in K", "not evaluated", False))
-    ok = all(t.passed for t in trace)
-    return Verdict("ns_corollary", NONTORSION if ok else INCONCLUSIVE, tuple(trace))
+    return Verdict("ns_corollary", tuple(trace))
 
 
 def verdict_p2_level(p: int, k_disc: int, q: int) -> Verdict:
     """Level p^2, odd q with q | (p+1): non-torsion projection when p
     splits in K and v_q(h_K / o(p-class)) < v_q(n), n = (p^2-1)/24."""
-    if not is_prime(p) or p < 5:
-        raise ValidationError(f"need a prime p >= 5, got {p}")
+    etacusp._check_level_prime(p)
     n = (p * p - 1) // 24
-    if math.gcd(q, 6) != 1 or not is_prime(q):
-        raise ValidationError(f"q must be a prime coprime to 6, got {q}")
+    _check_q(q)
     if (p + 1) % q:
         raise ValidationError(f"q = {q} does not divide p + 1 = {p + 1}")
     if n % q:
@@ -212,8 +210,7 @@ def verdict_p2_level(p: int, k_disc: int, q: int) -> Verdict:
             "J[m_q](K)^- = 0", "nonsplit Z/q by mu_q extension (cited)", True, assumed=True
         ),
     )
-    ok = all(t.passed for t in trace)
-    return Verdict("p2_level", NONTORSION if ok else INCONCLUSIVE, trace)
+    return Verdict("p2_level", trace)
 
 
 def verdict_rational_divisor(
@@ -232,8 +229,7 @@ def verdict_rational_divisor(
     the root ideal is nontrivial."""
     if all(v == 0 for v in r.values()):
         raise ValidationError("zero exponent vector has no associated order")
-    if math.gcd(q, 6) != 1 or not is_prime(q):
-        raise ValidationError(f"q must be a prime coprime to 6, got {q}")
+    _check_q(q)
     n = etacusp.cuspidal_class_order(level, div)
     image = etacusp.eta_divisor(level, r)
     if image != div.scale(n):
@@ -270,12 +266,11 @@ def verdict_rational_divisor(
             assumed=not special,
         ),
     )
-    ok = all(t.passed for t in trace)
-    return Verdict("rational_divisor", NONTORSION if ok else INCONCLUSIVE, trace)
+    return Verdict("rational_divisor", trace)
 
 
 def ideal_class_of_eta_datum(
-    k_disc: int, level: int, r: Mapping[int, int], h: int | None = None
+    k_disc: int, level: int, r: Mapping[int, int], h: int
 ) -> tuple[classgroup.BQForm, int, int]:
     """Class data of the square root of the inverted eta-ideal product.
 
@@ -283,7 +278,7 @@ def ideal_class_of_eta_datum(
     the divisor ideals are powers of one prime above p, so the product
     over r collapses to the exponent e of `etacusp.prime_exponent`; r is a
     square ideal exactly when e is even.  Returns (class of the root ideal,
-    its order o, h_K / o).  `h` is h_K when the caller has it already.
+    its order o, h_K / o), with `h` = h_K.
     """
     p0 = etacusp.level_prime(level)[0]
     if jacobi(k_disc, p0) != 1:
@@ -294,7 +289,5 @@ def ideal_class_of_eta_datum(
     if e % 2:
         raise ValidationError("not a square ideal: odd prime exponent in the product")
     cls = classgroup.form_pow(classgroup.prime_form(k_disc, p0), -e // 2)
-    if h is None:
-        h = classgroup.class_number_of_disc(k_disc)
     o = classgroup.class_order(cls, h)
     return cls, o, h // o

@@ -40,32 +40,15 @@ def divisors(n: int) -> list[int]:
     return [p0**j for j in range(k + 1)]
 
 
+def _check_level_prime(p: int) -> None:
+    """The one test of a prime p >= 5, the prime of a level p or p^2."""
+    if p < 5 or not is_prime(p):
+        raise ValidationError(f"need a prime p >= 5, got {p}")
+
+
 def _orbit_sizes(divs: list[int]) -> list[int]:
     # phi(gcd(d, N/d)) cusps of each level d: p - 1 at d = p on X0(p^2), else 1
     return [divs[1] - 1 if len(divs) == 3 and d == divs[1] else 1 for d in divs]
-
-
-@dataclass(frozen=True)
-class CuspOrbit:
-    """The Galois orbit of cusps x/d of a fixed level d."""
-
-    level: int
-    size: int  # phi(gcd(d, N/d)) cusps in the orbit
-    width: int
-    field_degree: int  # cusps are defined over Q(mu_m), m = gcd(d, N/d)
-
-
-def cusp_orbits(n: int) -> list[CuspOrbit]:
-    divs = divisors(n)
-    out = [
-        CuspOrbit(d, size, n // math.gcd(d * d, n), math.gcd(d, n // d))
-        for d, size in zip(divs, _orbit_sizes(divs))
-    ]
-    # X0(p) has 2 cusps and X0(p^2) has p + 1
-    cusps = sum(o.size for o in out)
-    if cusps != (2 if n == divs[1] else divs[1] + 1):
-        raise InternalCheckError(f"{cusps} cusps in the orbits of X0({n})")
-    return out
 
 
 @dataclass(frozen=True)
@@ -289,8 +272,9 @@ def invariant_factors(generators: Sequence[Sequence[int]], rank: int) -> list[in
 # --- the eta lattice and cuspidal orders -----------------------------------
 
 
-def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
-    """A basis of the lattice of Ligozat-valid exponent vectors.
+def _eta_exponent_lattice(divs: Sequence[int]) -> list[dict[int, int]]:
+    """A basis of the lattice of Ligozat-valid exponent vectors at the level
+    with divisors `divs`.
 
     The lattice is the kernel of Z^tau -> Z + Z/24 + Z/24 + Z/2 given by the
     four forms of `ligozat_check`, i.e. the projection onto the exponent
@@ -299,10 +283,6 @@ def eta_exponent_lattice(n: int) -> list[dict[int, int]]:
     of U opposite the zero rows of S span that kernel.  The projection is
     injective (zero exponents force zero slack), so tau - 1 vectors come out.
     """
-    return _eta_exponent_lattice(divisors(n))
-
-
-def _eta_exponent_lattice(divs: Sequence[int]) -> list[dict[int, int]]:
     n, tau = divs[-1], len(divs)
     forms = ([1] * tau, divs, [n // d for d in divs], list(range(tau)))  # v_p(p^j) = j
     # A^T: a row per exponent, then a row per slack variable of forms 1-3
@@ -372,8 +352,7 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     them next to the two closed-form candidates (which disagree for some p;
     the computation arbitrates).
     """
-    if not is_prime(p) or p < 5:
-        raise ValidationError(f"need a prime p >= 5, got {p}")
+    _check_level_prime(p)
     # coordinates on degree-0 rational divisors: (m_1, m_p), with the
     # level-p^2 coefficient determined by degree 0 (which `_eta_divisor` checks)
     gens = [g[:2] for g in _lattice_generators((1, p, p * p))]
@@ -419,8 +398,7 @@ def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
 
 def _canonical_eta(divs: list[int]) -> dict[int, int]:
     n, p = divs[-1], divs[1]
-    if p < 5:
-        raise ValidationError(f"need a prime p >= 5, got {p}")
+    _check_level_prime(p)
     m = math.gcd(p - 1, 12)
     return {1: 24 // m, p: -24 // m} if n == p else {1: -1, p: p + 1, n: -p}
 

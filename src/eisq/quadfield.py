@@ -122,10 +122,6 @@ class PlaceK:
     omega_residue: Optional[int]
     p: int
 
-    @property
-    def residue_degree(self) -> int:
-        return 2 if self.kind == INERT else 1
-
     def label(self) -> str:
         if self.kind == RAMIFIED:
             return "pi"

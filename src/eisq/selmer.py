@@ -6,9 +6,8 @@ even-partition rank formula, with an exhaustive local-conditions oracle."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from . import quadfield
 from .arith import factor, is_prime
@@ -16,26 +15,15 @@ from .classgroup import class_number
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .quadfield import FieldCtx, PlaceK, QuadInt
 
-DEFAULT_PAIR_CAP = 2**24
+# the oracle walks 2 * 2^n coordinate values, so 4^n pairs: twists of width
+# up to 12 fit, and on a 2-core VM the median width-11 twist takes 50-65 ms
+ORACLE_PAIR_CAP = 2**24
 # count_even_partitions walks 2^n subsets: on a 2-core VM about 3 ms at 13
 # vertices and 50 ms at 17 (twists by 6 and 8 split primes), and 6 s for a
 # random graph at the cap
 PARTITION_VERTEX_CAP = 24
 
 Gen = Union[QuadInt, int]
-
-
-def oracle_cap() -> int:
-    env = os.environ.get("EISQ_ORACLE_CAP")
-    if not env:
-        return DEFAULT_PAIR_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValidationError(f"EISQ_ORACLE_CAP must be a positive integer, got {env!r}")
-    return cap
 
 
 @dataclass
@@ -57,14 +45,10 @@ class TwistDatum:
     beta_gens: list[tuple[str, Gen]]
     gen_places: list[PlaceK]  # the place of generator i of either shape
     _table: list = field(default_factory=list, repr=False)  # see _local_table
-    _local_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def width(self) -> int:
         return len(self.alpha_gens)
-
-    def q_star(self, q: int) -> int:
-        return q if q % 4 == 1 else -q
 
 
 def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
@@ -160,26 +144,6 @@ class SelmerCandidate:
     alpha_bits: int
     beta_bits: int
 
-    def times(self, other: "SelmerCandidate") -> "SelmerCandidate":
-        return SelmerCandidate(
-            self.alpha_bits ^ other.alpha_bits, self.beta_bits ^ other.beta_bits
-        )
-
-
-def torsion_image(td: TwistDatum) -> tuple[SelmerCandidate, ...]:
-    """Image of the rational 2-torsion: {(1,1), (-pi d,1), (1,pi d), (-pi d,pi d)}.
-
-    Modulo squares -pi*d is the full product of the first-shape generators
-    and pi*d the full product of the second shape, so these are the zero
-    and all-ones exponent vectors."""
-    ones = (1 << td.width) - 1
-    return (
-        SelmerCandidate(0, 0),
-        SelmerCandidate(ones, 0),
-        SelmerCandidate(0, ones),
-        SelmerCandidate(ones, ones),
-    )
-
 
 def _local_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
     """The local data of the twist, built on the first call: at each place,
@@ -201,35 +165,14 @@ def _coordinate_ok_at(td: TwistDatum, side: str, bits: int, place_idx: int) -> b
     # whether the coordinate, possibly multiplied by its torsion partner,
     # is a local square at the given place: the square-class predicate on
     # the (valuation, symbol) of each factor, read off the table
-    key = (side, bits, place_idx)
-    cached = td._local_cache.get(key)
-    if cached is not None:
-        return cached
     gens, partner = _local_table(td)[place_idx][side]
-    ok = False
     for twist in (False, True):
         factors = [data for i, data in enumerate(gens) if (bits >> i) & 1]
         if twist:
             factors += partner
         if quadfield._is_square_class(factors):
-            ok = True
-            break
-    td._local_cache[key] = ok
-    return ok
-
-
-def member_local(td: TwistDatum, cand: SelmerCandidate) -> bool:
-    """The local membership test: at every place over p*d some 2-torsion
-    image pair (x, y) makes both alpha*x and beta*y local squares.
-
-    The four torsion pairs are the independent choices of x in {1, -pi d}
-    and y in {1, pi d}, so the two coordinates are tested separately."""
-    for idx in range(len(td.places)):
-        if not _coordinate_ok_at(td, "alpha", cand.alpha_bits, idx):
-            return False
-        if not _coordinate_ok_at(td, "beta", cand.beta_bits, idx):
-            return False
-    return True
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -240,33 +183,29 @@ class BruteForceResult:
     beta_survivors: tuple[int, ...]
 
 
-def selmer_group_bruteforce(td: TwistDatum, cap: Optional[int] = None) -> BruteForceResult:
-    """Exhaustive oracle over the candidate pairs.
+def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
+    """Exhaustive oracle over the candidate pairs, at most `ORACLE_PAIR_CAP`.
 
-    The per-place condition quantifies over a product set of torsion
+    A candidate is in the group when at every place over p*d some 2-torsion
+    image pair (x, y), x in {1, -pi d} and y in {1, pi d}, makes both of its
+    coordinates local squares.  That quantifies over a product set of torsion
     pairs, so it splits exactly into independent coordinate conditions;
     every coordinate value is tested by the local-square predicate of
     `quadfield` on the twist's table of local data, and the pair survivors
     are the product of the two survivor sets.  Verifies the survivors form
     a group containing the torsion image and returns the F2-dimension with
     a basis."""
-    cap = oracle_cap() if cap is None else cap
     width = td.width
-    if 4**width > cap:
+    if 4**width > ORACLE_PAIR_CAP:
         raise ResourceCapError(
-            f"instance too large for oracle: 4^{width} pairs exceed cap {cap}"
+            f"instance too large for oracle: 4^{width} pairs exceed cap {ORACLE_PAIR_CAP}"
         )
-    side_survivors = {}
-    for side in ("alpha", "beta"):
-        keep = []
-        for bits in range(1 << width):
-            if all(
-                _coordinate_ok_at(td, side, bits, idx) for idx in range(len(td.places))
-            ):
-                keep.append(bits)
-        side_survivors[side] = keep
-    alpha, beta = side_survivors["alpha"], side_survivors["beta"]
-    # subgroup check: closed under multiplication, i.e. XOR of exponent vectors
+    alpha, beta = (
+        [bits for bits in range(1 << width) if all(_coordinate_ok_at(td, side, bits, idx) for idx in range(len(td.places)))]
+        for side in ("alpha", "beta")
+    )
+    # subgroup check: closed under multiplication, i.e. XOR of exponent
+    # vectors, and holding the all-ones vector of the torsion image
     for keep in (alpha, beta):
         kset = set(keep)
         if 0 not in kset:
@@ -275,9 +214,8 @@ def selmer_group_bruteforce(td: TwistDatum, cap: Optional[int] = None) -> BruteF
             for y in keep:
                 if x ^ y not in kset:
                     raise InternalCheckError("survivor set is not a subgroup")
-    ones = (1 << width) - 1
-    if ones not in set(alpha) or ones not in set(beta):
-        raise InternalCheckError("torsion image escapes the survivor set")
+        if (1 << width) - 1 not in kset:
+            raise InternalCheckError("torsion image escapes the survivor set")
     # the torsion image, read off the table above, checked on formal
     # products by `is_local_square`, which computes its own local data:
     # each full product of generators times its partner, -pi d or pi d,
@@ -290,8 +228,6 @@ def selmer_group_bruteforce(td: TwistDatum, cap: Optional[int] = None) -> BruteF
                 raise InternalCheckError(f"torsion image fails the local test: {side} at {v}")
     dim_a, basis_a = _f2_dimension(alpha)
     dim_b, basis_b = _f2_dimension(beta)
-    if (1 << dim_a) != len(alpha) or (1 << dim_b) != len(beta):
-        raise InternalCheckError("survivor count is not a power of two")
     basis = tuple(
         [SelmerCandidate(a, 0) for a in basis_a] + [SelmerCandidate(0, b) for b in basis_b]
     )
@@ -303,16 +239,26 @@ def selmer_group_bruteforce(td: TwistDatum, cap: Optional[int] = None) -> BruteF
     )
 
 
-def _f2_dimension(vectors) -> tuple[int, list[int]]:
-    # Gaussian elimination over F2 on bitmask integers; lowest set bit pivots
-    basis: list[int] = []
-    for v in sorted(vectors):
-        x = v
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis.append(x)
-            basis.sort()
+def _f2_basis(rows) -> list[int]:
+    """A basis of the F2 span of bitmask rows: elimination that keeps one
+    pivot row per leading bit, O(len(rows) * rank) word operations."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return list(pivots.values())
+
+
+def _f2_dimension(group: list[int]) -> tuple[int, list[int]]:
+    """The F2-dimension and a basis of a subgroup listed in full, which
+    must then hold 2^dimension elements."""
+    basis = _f2_basis(group)
+    if 1 << len(basis) != len(group):
+        raise InternalCheckError("survivor count is not a power of two")
     return len(basis), basis
 
 
@@ -327,9 +273,6 @@ class SelmerGraph:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def arrow_count(self) -> int:
-        return sum(sum(row) for row in self.arrows)
 
 
 def _graph_from_gens(td: TwistDatum, gens: list[tuple[str, Gen]]) -> SelmerGraph:
@@ -381,7 +324,7 @@ def verify_conjugation_isomorphism(td: TwistDatum, g1: SelmerGraph, g2: SelmerGr
     return True
 
 
-def count_even_partitions(graph: SelmerGraph, vertex_cap: int = PARTITION_VERTEX_CAP):
+def count_even_partitions(graph: SelmerGraph):
     """Even-partition data of the graph.
 
     A bipartition {V1, V2} is even when every vertex receives an even
@@ -389,10 +332,11 @@ def count_even_partitions(graph: SelmerGraph, vertex_cap: int = PARTITION_VERTEX
     F2-subspace closed under complement; the rank formula consumes its
     partition dimension t (so the number of even partitions, including the
     trivial one, is 2^t).  Returns (t, number of nontrivial even partitions).
+    A graph of more than `PARTITION_VERTEX_CAP` vertices raises before the walk.
     """
     n = graph.size
-    if n > vertex_cap:
-        raise ResourceCapError(f"{n} vertices exceed the partition cap {vertex_cap}")
+    if n > PARTITION_VERTEX_CAP:
+        raise ResourceCapError(f"{n} vertices exceed the partition cap {PARTITION_VERTEX_CAP}")
     # (bit of y, mask of the vertices with an arrow into y) for each vertex y
     vertices = []
     for j in range(n):
@@ -433,21 +377,14 @@ def laplacian_corank(graph: SelmerGraph) -> int:
     criterion; elimination keeps one pivot per leading bit, O(n^2) word
     operations on bitmask rows."""
     n = graph.size
-    pivots: dict[int, int] = {}
+    rows = []
     for y in range(n):
         row = 0
         for x in range(n):
             if graph.arrows[x][y]:
                 row |= 1 << x
-        if row.bit_count() & 1:
-            row |= 1 << y
-        while row:
-            lead = row.bit_length()
-            if lead not in pivots:
-                pivots[lead] = row
-                break
-            row ^= pivots[lead]
-    return n - len(pivots)
+        rows.append(row | (row.bit_count() & 1) << y)
+    return n - len(_f2_basis(rows))
 
 
 @dataclass(frozen=True)
@@ -527,13 +464,9 @@ def thmm_verdict(td: TwistDatum, res: GraphRankResult) -> MinimalityReport:
     )
 
 
-def admissible_twists(p: int, limit: int) -> list[int]:
-    """All squarefree d = 1 (mod 4) with |d| <= limit and gcd(d, 2p) = 1."""
-    return admissible_twists_between(p, -limit, limit)
-
-
 def admissible_twists_between(p: int, lo: int, hi: int) -> list[int]:
-    """The admissible d with lo <= d <= hi, sorted by |d|: only the |d|
+    """The admissible d (squarefree, = 1 mod 4, gcd(d, 2p) = 1) with
+    lo <= d <= hi, sorted by |d|: only the |d|
     that the range reaches are walked, and each odd |d| has one sign with
     d = 1 (mod 4)."""
     low = 1 if lo <= 0 <= hi else min(abs(lo), abs(hi)) | 1

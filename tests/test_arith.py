@@ -159,11 +159,12 @@ def test_factor_recomposes(n):
         assert is_prime(q)
 
 
-def test_factor_budget_is_honest():
-    # a semiprime too hard for an absurdly tiny rho budget
+def test_factor_budget_is_honest(monkeypatch):
+    # a semiprime too hard for an absurdly tiny rho budget, read at call time
+    monkeypatch.setattr(arith, "RHO_BUDGET", 2)
     n = (2**61 - 1) * (2**89 - 1)
-    with pytest.raises(FactorizationIncomplete):
-        factor(n, rho_budget=2)
+    with pytest.raises(FactorizationIncomplete, match="rho budget 2 exhausted"):
+        factor(n)
 
 
 def test_sqrt_mod_examples():

@@ -21,16 +21,28 @@ from eisq.classgroup import (
     compose,
     form_pow,
     fundamental_class_number,
-    inverse,
     is_fundamental,
     prime_form,
-    principal_form,
-    reduce_form,
     reduced_forms,
 )
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def principal_form(disc):
+    """(1, k, (k - D)/4) with k = D mod 2, the principal form of D."""
+    k = disc % 2
+    return BQForm(1, k, (k - disc) // 4)
+
+
+def reduce_form(f):
+    """The reduced representative of the class of f: its first power."""
+    return form_pow(f, 1)
+
+
+def inverse(f):
+    return form_pow(f, -1)
 
 
 def test_class_number_examples():
@@ -583,8 +595,8 @@ def test_bqform_is_an_immutable_value():
     forms = reduced_forms(-47)
     known = _orders_by_stepping(forms)
     assert set(known) == set(forms) and known[BQForm(3, 1, 4)] == 5
-    made = [compose(forms[1], forms[2]), form_pow(forms[1], 2), inverse(forms[1]), reduce_form(forms[1])]
-    assert all(type(g) is BQForm for g in forms + made + [principal_form(-47), prime_form(-47, 7)])
+    made = [compose(forms[1], forms[2]), form_pow(forms[1], 2), form_pow(forms[1], -1), form_pow(forms[1], 0)]
+    assert all(type(g) is BQForm for g in forms + made + [prime_form(-47, 7)])
 
 
 def test_normalize():
@@ -596,17 +608,19 @@ def test_normalize():
         assert reduce_form(g) == reduce_form(f)
         if -f.a < f.b <= f.a:
             assert g == f
-    # reduce_form takes positive definite forms only
+    # form_pow and compose take positive definite forms only
     for bad in (BQForm(0, 1, 3), BQForm(1, 3, 1), BQForm(-2, 1, -3)):
         with pytest.raises(ValidationError):
-            reduce_form(bad)
+            form_pow(bad, 1)
+        with pytest.raises(ValidationError):
+            compose(bad, bad)
 
 
 def test_reduce_form_postcondition_raises(monkeypatch):
     # a normalization step that does nothing leaves (1, 5, 10) unreduced
     monkeypatch.setattr(classgroup, "_normalize", lambda a, b, c: (a, b, c))
     with pytest.raises(InternalCheckError):
-        reduce_form(BQForm(1, 5, 10))
+        form_pow(BQForm(1, 5, 10), 1)
 
 
 def test_prime_form_checks_its_root(monkeypatch):
@@ -652,5 +666,5 @@ def test_form_pow():
     f = BQForm(2, 1, 3)
     assert form_pow(f, 0) == principal_form(-23)
     assert form_pow(f, 3) == principal_form(-23)
-    assert form_pow(f, -1) == inverse(f)
+    assert form_pow(f, -1) == BQForm(2, -1, 3)
     assert form_pow(f, 2) == compose(f, f)

@@ -83,23 +83,10 @@ def test_selmer_needs_d():
 
 
 def test_selmer_cap_exit():
-    import os
-
-    os.environ["EISQ_ORACLE_CAP"] = "4"
-    try:
-        code, _ = run_cli("selmer", "--p", "7", "--d", "-3", "--oracle")
-        assert code == EXIT_CAP
-    finally:
-        del os.environ["EISQ_ORACLE_CAP"]
-
-
-def test_bad_oracle_cap_exit_2(monkeypatch):
-    for value in ("abc", "-5", "0", "4.5"):
-        monkeypatch.setenv("EISQ_ORACLE_CAP", value)
-        code, out, err = run_cli_err("selmer", "--p", "7", "--d", "-11", "--oracle")
-        assert code == EXIT_VALIDATION, value
-        assert out == "" and err.count("\n") == 1, err
-        assert err.startswith("error: EISQ_ORACLE_CAP must be a positive integer"), err
+    # 17 generators: 4^17 candidate pairs exceed the oracle's cap of 2^24
+    code, out, err = run_cli_err("selmer", "--p", "7", "--d", "-2943050537207", "--oracle")
+    assert code == EXIT_CAP and out == ""
+    assert err.startswith("resource cap: instance too large for oracle: 4^17 pairs"), err
 
 
 def test_eta_special():
@@ -192,7 +179,7 @@ def test_internal_consistency_exit(monkeypatch):
     import eisq.cli as cli_mod
     from eisq.selmer import BruteForceResult
 
-    def broken_oracle(td, cap=None):
+    def broken_oracle(td):
         return BruteForceResult(dim_f2=99, basis=(), alpha_survivors=(), beta_survivors=())
 
     monkeypatch.setattr(cli_mod.selmer, "selmer_group_bruteforce", broken_oracle)

@@ -9,12 +9,12 @@ from eisq.arith import is_prime
 from eisq.errors import InternalCheckError, ValidationError
 from eisq.etacusp import (
     CuspDivisor,
-    cusp_orbits,
+    _eta_exponent_lattice,
+    _orbit_sizes,
     cuspidal_class_order,
     cuspidal_group_invariants,
     divisors,
     eta_divisor,
-    eta_exponent_lattice,
     invariant_factors,
     is_special,
     lattice_order,
@@ -25,26 +25,22 @@ from eisq.etacusp import (
 PRIMES_5_50 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def test_cusp_orbits():
-    orbs = cusp_orbits(49)
-    assert [(o.level, o.size, o.width, o.field_degree) for o in orbs] == [
-        (1, 1, 49, 1),
-        (7, 6, 1, 7),
-        (49, 1, 1, 1),
-    ]
-    orbs11 = cusp_orbits(11)
-    assert [(o.level, o.size) for o in orbs11] == [(1, 1), (11, 1)]
-    with pytest.raises(ValidationError):
-        cusp_orbits(12)
+def eta_exponent_lattice(n):
+    return _eta_exponent_lattice(divisors(n))
 
 
 def test_divisors_and_cusp_count_against_trial_division():
     # every level p and p^2 with 5 <= p < 200: the divisors by trial division,
-    # and the orbit sizes phi(gcd(d, N/d)) adding up to the cusp count
+    # and the orbit sizes phi(gcd(d, N/d)), which weigh each cusp of an eta
+    # divisor's degree, adding up to the cusp count: 2 on X0(p), p + 1 on X0(p^2)
+    assert _orbit_sizes(divisors(49)) == [1, 6, 1] and _orbit_sizes(divisors(11)) == [1, 1]
     for p in (q for q in range(5, 200) if all(q % r for r in range(2, q))):
         for n, cusps in ((p, 2), (p * p, p + 1)):
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
-            assert sum(o.size for o in cusp_orbits(n)) == cusps
+            sizes = _orbit_sizes(divisors(n))
+            phis = [sum(math.gcd(k, g) == 1 for k in range(1, g + 1)) for g in (math.gcd(d, n // d) for d in divisors(n))]
+            assert sizes == phis, n
+            assert sum(sizes) == cusps, n
     for n in (1, 12, 5**3, 35):
         with pytest.raises(ValidationError):
             divisors(n)
@@ -353,8 +349,6 @@ def test_lattice_order_against_index_formula():
 
 
 def test_eta_lattice_orders_against_index_formula():
-    from eisq.etacusp import eta_exponent_lattice
-
     for n, div in (
         (11, CuspDivisor.from_map(11, {1: 1, 11: -1})),
         (49, CuspDivisor.from_map(49, {7: 1, 49: -6})),

@@ -109,6 +109,17 @@ def test_errors_are_not_kept():
     assert count_h.cache_info().currsize == lattice.cache_info().currsize == 0
 
 
+def test_non_fundamental_disc_raises_and_is_not_kept():
+    # -40028 = 4 * -10007 is the order of conductor 2 in Q(sqrt(-10007)),
+    # with 77 classes; the count at a fundamental D would give it 154
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="discriminant -40028 is not fundamental"):
+            classgroup.fundamental_class_number(-40028)
+    assert count_h.cache_info().currsize == 0 and count_h.cache_info().hits == 0
+    assert classgroup.class_number_of_disc(-40028) == len(classgroup.reduced_forms(-40028)) == 77
+    assert count_h.cache_info().currsize == 0
+
+
 def test_failed_build_is_retried(monkeypatch):
     # a lattice check that fails on a miss fails again on the next call, and
     # the level is built once the check passes

@@ -96,12 +96,12 @@ def test_classify_examples():
 
 def test_places_above():
     ram = places_above(CTX7, 7)
-    assert len(ram) == 1 and ram[0].kind == RAMIFIED and ram[0].residue_degree == 1
+    assert len(ram) == 1 and ram[0].kind == RAMIFIED
     spl = places_above(CTX7, 11)
     assert [v.kind for v in spl] == [SPLIT_FACTOR, SPLIT_CONJUGATE]
     assert (spl[0].omega_residue + spl[1].omega_residue) % 11 == 1
     ine = places_above(CTX7, 5)
-    assert len(ine) == 1 and ine[0].residue_degree == 2
+    assert len(ine) == 1 and ine[0].kind == INERT and ine[0].omega_residue is None
     with pytest.raises(ValidationError):
         places_above(CTX7, 2)
 

@@ -13,19 +13,36 @@ from eisq.quadfield import places_above, residue_symbol
 from eisq.selmer import (
     SelmerCandidate,
     SelmerGraph,
-    admissible_twists,
+    admissible_twists_between,
     build_conjugate_graph,
     build_graph,
     build_twist,
     count_even_partitions,
     laplacian_corank,
-    member_local,
     selmer_group_bruteforce,
     selmer_rank_graph,
     thmm_verdict,
-    torsion_image,
     verify_conjugation_isomorphism,
 )
+
+
+def member_local(td, cand):
+    """The local membership test: at every place over p*d some 2-torsion
+    image pair (x, y), x in {1, -pi d} and y in {1, pi d}, makes both
+    coordinates local squares, so each coordinate is tested on its own by
+    the oracle's coordinate test."""
+    return all(
+        selmer._coordinate_ok_at(td, "alpha", cand.alpha_bits, idx)
+        and selmer._coordinate_ok_at(td, "beta", cand.beta_bits, idx)
+        for idx in range(len(td.places))
+    )
+
+
+def torsion_image(td):
+    """(1,1), (-pi d,1), (1,pi d), (-pi d,pi d): modulo squares -pi*d and
+    pi*d are the full products of the generators of each shape."""
+    ones = (1 << td.width) - 1
+    return [SelmerCandidate(a, b) for a in (0, ones) for b in (0, ones)]
 
 
 def test_build_twist_examples():
@@ -33,9 +50,9 @@ def test_build_twist_examples():
     assert [(q, (f.a, f.b)) for q, f in td.split3] == [(11, (1, 2))]
     assert td.split1 == [] and td.inert == []
     td5 = build_twist(7, 5)
-    assert td5.inert == [5] and td5.q_star(5) == 5
+    assert td5.inert == [5] and td5.alpha_gens[-1] == td5.beta_gens[-1] == ("5", 5)
     td3 = build_twist(7, -3)
-    assert td3.inert == [3] and td3.q_star(3) == -3
+    assert td3.inert == [3] and td3.alpha_gens[-1] == td3.beta_gens[-1] == ("-3", -3)
     assert len(td3.places) == 2
 
 
@@ -62,20 +79,13 @@ def test_member_local_examples():
             assert member_local(td, cand)
 
 
-def test_torsion_image_is_klein_four():
-    td = build_twist(7, -11)
-    image = torsion_image(td)
-    products = {a.times(b) for a in image for b in image}
-    assert products == set(image)
-
-
 def test_graph_examples():
     g5 = build_graph(build_twist(7, 5))
     assert g5.labels == ("-pi", "5")
     assert g5.arrows == ((False, True), (True, False))
     g3 = build_graph(build_twist(7, -3))
     assert g3.labels == ("-pi", "-3")
-    assert g3.arrow_count() == 0
+    assert not any(map(any, g3.arrows))
     g11 = build_graph(build_twist(7, -11))
     assert g11.labels == ("-pi", "f(11)", "-fbar(11)")
     assert g11.arrows == (
@@ -92,8 +102,11 @@ def test_count_even_partitions_examples():
     assert count_even_partitions(g3) == (1, 1)
     single = SelmerGraph(("-pi",), ((False,),))
     assert count_even_partitions(single) == (0, 0)
-    with pytest.raises(ResourceCapError):
-        count_even_partitions(g5, vertex_cap=1)
+    # the cap is checked before the 2^25-subset walk would start
+    n = selmer.PARTITION_VERTEX_CAP + 1
+    wide = SelmerGraph(tuple(map(str, range(n))), ((False,) * n,) * n)
+    with pytest.raises(ResourceCapError, match=f"{n} vertices exceed the partition cap"):
+        count_even_partitions(wide)
 
 
 def test_rank_examples():
@@ -107,8 +120,11 @@ def test_bruteforce_examples():
     assert selmer_group_bruteforce(build_twist(7, 5)).dim_f2 == 2
     assert selmer_group_bruteforce(build_twist(7, -11)).dim_f2 == 4
     assert selmer_group_bruteforce(build_twist(7, -3)).dim_f2 == 4
-    with pytest.raises(ResourceCapError):
-        selmer_group_bruteforce(build_twist(7, -3), cap=4)
+    # a twist by six split primes has 13 generators: 4^13 pairs exceed the cap
+    td = build_twist(7, _split_only_twists(7, (6,), 1, 20161226)[0])
+    assert td.width == 13 and 4**13 > selmer.ORACLE_PAIR_CAP
+    with pytest.raises(ResourceCapError, match="exceed cap"):
+        selmer_group_bruteforce(td)
 
 
 def test_bruteforce_basis_spans_survivors():
@@ -116,7 +132,7 @@ def test_bruteforce_basis_spans_survivors():
     res = selmer_group_bruteforce(td)
     span = {SelmerCandidate(0, 0)}
     for b in res.basis:
-        span |= {c.times(b) for c in span}
+        span |= {SelmerCandidate(c.alpha_bits ^ b.alpha_bits, c.beta_bits ^ b.beta_bits) for c in span}
     assert len(span) == 1 << res.dim_f2
     for cand in span:
         assert member_local(td, cand)
@@ -125,7 +141,7 @@ def test_bruteforce_basis_spans_survivors():
 def test_oracle_equivalence_sweep_small():
     # the full acceptance sweep lives in test_acceptance; spot-check here
     for p in (7, 23):
-        for d in admissible_twists(p, 60):
+        for d in admissible_twists_between(p, -60, 60):
             td = build_twist(p, d)
             graph = selmer_rank_graph(td)
             brute = selmer_group_bruteforce(td)
@@ -221,7 +237,7 @@ def test_laplacian_corank_against_even_partitions_twists():
         # every |d| <= 400, then twists by 6, 7 and 8 split primes: 13, 15
         # and 17 vertices, the sizes of the selmer-wide benchmark
         wide = _split_only_twists(p, (6, 7, 8), 2, 20161226)
-        for d in admissible_twists(p, 400) + wide:
+        for d in admissible_twists_between(p, -400, 400) + wide:
             td = build_twist(p, d)
             for graph in (build_graph(td), build_conjugate_graph(td)):
                 assert laplacian_corank(graph) - 1 == count_even_partitions(graph)[0], (p, d)
@@ -326,7 +342,7 @@ def test_all_split_q1_complete_graph_is_minimal():
     for p in (7, 23, 31):
         ctx_twists = [
             d
-            for d in admissible_twists(p, 200)
+            for d in admissible_twists_between(p, -200, 200)
             if d > 0
         ]
         for d in ctx_twists:
@@ -353,7 +369,7 @@ def test_all_split_q1_complete_graph_is_minimal():
 
 
 def test_admissible_twists():
-    ds = admissible_twists(7, 30)
+    ds = admissible_twists_between(7, -30, 30)
     assert 1 in ds and 5 in ds and -3 in ds and -11 in ds
     assert all(d % 4 == 1 and d % 7 and d % 2 for d in ds)
     assert 21 not in ds and -7 not in ds
@@ -376,14 +392,14 @@ def test_admissible_twists_between_against_filter():
         for lo, hi in ((5000, 5200), (-5200, -5000), (-5200, 5200), (-37, 41), (1, 1), (-3, -3), (0, 0), (-21, -2)):
             expected = _admissible_by_filter(p, lo, hi)
             assert selmer.admissible_twists_between(p, lo, hi) == expected, (p, lo, hi)
-    assert admissible_twists(7, 400) == _admissible_by_filter(7, -400, 400)
+    assert admissible_twists_between(7, -400, 400) == _admissible_by_filter(7, -400, 400)
 
 
 def test_oracle_equivalence_large_class_numbers():
     # h = 5 and h = 7 fields: split generators have norms up to q^7, past
     # the exhaustive norm-equation threshold, exercising the reduction path
     for p in (47, 71):
-        for d in admissible_twists(p, 100):
+        for d in admissible_twists_between(p, -100, 100):
             td = build_twist(p, d)
             graph = selmer_rank_graph(td)
             brute = selmer_group_bruteforce(td)
@@ -456,8 +472,7 @@ def _coordinate_product(td, side, bits, twist):
 
 def _coordinate_ok_by_formal_product(td, side, bits, place_idx):
     # the parent's coordinate test on formal products of generators, kept
-    # verbatim but for its memo, which would share td._local_cache with the
-    # table it checks
+    # verbatim but for its memo
     v = td.places[place_idx]
     ok = False
     for twist in (False, True):
@@ -503,7 +518,7 @@ def _mixed_twists(p, widths, seed):
 def test_local_table_against_formal_products():
     # the oracle's survivors from the table of local data, against the
     # coordinate test on formal products it replaced
-    cases = [(p, d) for p in (7, 23) for d in admissible_twists(p, 400)]
+    cases = [(p, d) for p in (7, 23) for d in admissible_twists_between(p, -400, 400)]
     wide = [(p, d) for p in (7, 23, 31, 47, 71) for d in _mixed_twists(p, (9, 11), 20161226)]
     assert sorted(build_twist(p, d).width for p, d in wide) == [9] * 5 + [11] * 5
     for p, d in cases + wide:
