@@ -2,9 +2,9 @@
 
 Elements live in the maximal order Z[w] with w = (1 + sqrt(-p))/2, so
 w^2 = w - (1+p)/4 and sqrt(-p) = 2w - 1.  Provides split/inert prime
-classification, normalized generators of split prime powers, quadratic
-residue symbols in residue fields, and local square tests at finite
-places of odd residue characteristic.
+classification, normalized generators of split prime powers, the
+valuation and unit-part residue symbol of an element at a place, and
+local square tests at finite places of odd residue characteristic.
 """
 
 from __future__ import annotations
@@ -233,19 +233,6 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     if val >= bound:
         raise InternalCheckError("valuation exceeded norm bound at split place")
     return (val, jacobi(image % q, q))
-
-
-def residue_symbol(ctx: FieldCtx, x: Gen, v: PlaceK) -> int:
-    """Quadratic residue symbol of x in the residue field at v (+1 or -1).
-
-    x must be a unit at v.
-    """
-    if v.q == 2:
-        raise ValidationError("residue characteristic 2 is unsupported")
-    val, sym = _local_data(ctx, x, v)
-    if val != 0:
-        raise ValidationError(f"{x} is not a unit at {v}")
-    return sym
 
 
 def is_local_square(ctx: FieldCtx, x, v: PlaceK) -> bool:

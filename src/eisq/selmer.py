@@ -1,12 +1,14 @@
 """2-Selmer groups of quadratic twists of the CM curves attached to
-Q(sqrt(-p)) for p = 7 (mod 8): candidate pairs cut out by local square
-conditions at the places over p*d, the residue-symbol graph, and the
-even-partition rank formula, with an exhaustive local-conditions oracle."""
+Q(sqrt(-p)) for p = 7 (mod 8): one table of the local classes of the
+generators at the places over p*d, the residue-symbol graph read off it,
+the rank by the graph's Laplacian corank, checked against the
+even-partition walk and the kernel of the local conditions, and an
+exhaustive local-conditions oracle."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from . import quadfield
@@ -32,7 +34,9 @@ class TwistDatum:
 
     Generator lists follow the two coordinate shapes: the first coordinate
     ranges over products of {-pi, f_i, -fbar_i, g_j, gbar_j, Q*_k}, the
-    second over {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}."""
+    second over {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}.  Place j is the
+    place of generator j of either shape, and `table[j][i]` is the
+    (valuation, symbol) of first-shape generator i at place j."""
 
     ctx: FieldCtx
     d: int
@@ -43,8 +47,7 @@ class TwistDatum:
     places: list[PlaceK]
     alpha_gens: list[tuple[str, Gen]]
     beta_gens: list[tuple[str, Gen]]
-    gen_places: list[PlaceK]  # the place of generator i of either shape
-    _table: list = field(default_factory=list, repr=False)  # see _local_table
+    table: list[list[tuple[int, int]]]
 
     @property
     def width(self) -> int:
@@ -52,7 +55,9 @@ class TwistDatum:
 
 
 def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
-    """Validate and factor a twist parameter, then build places and generators.
+    """Validate and factor a twist parameter, then build places, generators
+    and the table of their local data, one `_local_data` call per
+    (generator, place).
 
     d is the one number factored: the generator of each split q and its
     place come from q itself.
@@ -76,12 +81,10 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
     split3: list[tuple[int, QuadInt]] = []
     split1: list[tuple[int, QuadInt]] = []
     inert: list[int] = []
-    places = quadfield.places_above(ctx, p)
     # q -> its places, for a split q the place of its generator first
     above: dict[int, list[PlaceK]] = {}
     for q in fac.primes():
         above[q] = quadfield.places_above(ctx, q)
-        places += above[q]
         if above[q][0].kind == quadfield.INERT:
             inert.append(q)
             continue
@@ -101,28 +104,28 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
     pi = ctx.pi()
     alpha_gens: list[tuple[str, Gen]] = [("-pi", -pi)]
     beta_gens: list[tuple[str, Gen]] = [("pi", pi)]
-    gen_places = [places[0]]
+    places = quadfield.places_above(ctx, p)
     for q, f in split3:
         alpha_gens.append((f"f({q})", f))
         beta_gens.append((f"-f({q})", -f))
-        gen_places.append(above[q][0])
+        places.append(above[q][0])
     for q, f in split3:
         alpha_gens.append((f"-fbar({q})", -f.conjugate()))
         beta_gens.append((f"fbar({q})", f.conjugate()))
-        gen_places.append(above[q][1])
+        places.append(above[q][1])
     for q, g in split1:
         alpha_gens.append((f"g({q})", g))
         beta_gens.append((f"g({q})", g))
-        gen_places.append(above[q][0])
+        places.append(above[q][0])
     for q, g in split1:
         alpha_gens.append((f"gbar({q})", g.conjugate()))
         beta_gens.append((f"gbar({q})", g.conjugate()))
-        gen_places.append(above[q][1])
+        places.append(above[q][1])
     for q in inert:
         qs = q if q % 4 == 1 else -q
         alpha_gens.append((str(qs), qs))
         beta_gens.append((str(qs), qs))
-        gen_places.append(above[q][0])
+        places.append(above[q][0])
     return TwistDatum(
         ctx=ctx,
         d=d,
@@ -133,8 +136,16 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
         places=places,
         alpha_gens=alpha_gens,
         beta_gens=beta_gens,
-        gen_places=gen_places,
+        table=[[quadfield._local_data(ctx, g, v) for _, g in alpha_gens] for v in places],
     )
+
+
+def _sign_flips(td: TwistDatum) -> list[int]:
+    """At each place, the generators whose symbol the second shape flips:
+    its first 1 + 2 #split3 generators, pi, -f_i and fbar_i, are -1 times
+    the first shape's, so where -1 is not a square their symbols change."""
+    negated = (1 << (1 + 2 * len(td.split3))) - 1
+    return [negated if quadfield._local_data(td.ctx, -1, v)[1] == -1 else 0 for v in td.places]
 
 
 @dataclass(frozen=True)
@@ -145,27 +156,28 @@ class SelmerCandidate:
     beta_bits: int
 
 
-def _local_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
-    """The local data of the twist, built on the first call: at each place,
-    for each side, (valuation, symbol) of every generator of that shape
-    and of the factors of its torsion partner, -pi and d (first shape) or
-    pi and d (second), one `_local_data` call each."""
-    if not td._table:
-        ctx, pi = td.ctx, td.ctx.pi()
-        for v in td.places:
-            d = quadfield._local_data(ctx, td.d, v)
-            td._table.append({
-                side: ([quadfield._local_data(ctx, g, v) for _, g in gens], [quadfield._local_data(ctx, partner, v), d])
-                for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi))
-            })
-    return td._table
+def _oracle_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
+    """At each place, for each side, (valuation, symbol) of every generator
+    of that shape, read off the twist's table, and of the factors of its
+    torsion partner, -pi and d (first shape) or pi and d (second), one
+    `_local_data` call each."""
+    ctx, pi = td.ctx, td.ctx.pi()
+    out = []
+    for v, row, flips in zip(td.places, td.table, _sign_flips(td)):
+        d = quadfield._local_data(ctx, td.d, v)
+        second = [(val, -sym if flips >> i & 1 else sym) for i, (val, sym) in enumerate(row)]
+        out.append({
+            "alpha": (row, [quadfield._local_data(ctx, -pi, v), d]),
+            "beta": (second, [quadfield._local_data(ctx, pi, v), d]),
+        })
+    return out
 
 
-def _coordinate_ok_at(td: TwistDatum, side: str, bits: int, place_idx: int) -> bool:
+def _coordinate_ok_at(local: list, side: str, bits: int, place_idx: int) -> bool:
     # whether the coordinate, possibly multiplied by its torsion partner,
     # is a local square at the given place: the square-class predicate on
-    # the (valuation, symbol) of each factor, read off the table
-    gens, partner = _local_table(td)[place_idx][side]
+    # the (valuation, symbol) of each factor, read off the oracle's table
+    gens, partner = local[place_idx][side]
     for twist in (False, True):
         factors = [data for i, data in enumerate(gens) if (bits >> i) & 1]
         if twist:
@@ -191,7 +203,7 @@ def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
     coordinates local squares.  That quantifies over a product set of torsion
     pairs, so it splits exactly into independent coordinate conditions;
     every coordinate value is tested by the local-square predicate of
-    `quadfield` on the twist's table of local data, and the pair survivors
+    `quadfield` on the oracle's table of local data, and the pair survivors
     are the product of the two survivor sets.  Verifies the survivors form
     a group containing the torsion image and returns the F2-dimension with
     a basis."""
@@ -200,8 +212,9 @@ def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
         raise ResourceCapError(
             f"instance too large for oracle: 4^{width} pairs exceed cap {ORACLE_PAIR_CAP}"
         )
+    local = _oracle_table(td)
     alpha, beta = (
-        [bits for bits in range(1 << width) if all(_coordinate_ok_at(td, side, bits, idx) for idx in range(len(td.places)))]
+        [bits for bits in range(1 << width) if all(_coordinate_ok_at(local, side, bits, idx) for idx in range(len(td.places)))]
         for side in ("alpha", "beta")
     )
     # subgroup check: closed under multiplication, i.e. XOR of exponent
@@ -275,53 +288,24 @@ class SelmerGraph:
         return len(self.labels)
 
 
-def _graph_from_gens(td: TwistDatum, gens: list[tuple[str, Gen]]) -> SelmerGraph:
-    n = len(gens)
-    arrows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(False)
-            else:
-                sym = quadfield.residue_symbol(td.ctx, gens[i][1], td.gen_places[j])
-                row.append(sym == -1)
-        arrows.append(tuple(row))
-    return SelmerGraph(tuple(label for label, _ in gens), tuple(arrows))
-
-
 def build_graph(td: TwistDatum) -> SelmerGraph:
     """Graph on {-pi, f_i, -fbar_i, g_j, gbar_j, Q*_k}: an arrow x -> y
-    whenever the residue symbol of x at the prime of y is -1."""
-    return _graph_from_gens(td, td.alpha_gens)
-
-
-def build_conjugate_graph(td: TwistDatum) -> SelmerGraph:
-    """Companion graph on {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}."""
-    return _graph_from_gens(td, td.beta_gens)
-
-
-def verify_conjugation_isomorphism(td: TwistDatum, g1: SelmerGraph, g2: SelmerGraph) -> bool:
-    """The coordinate swap -pi -> pi, f -> fbar, -fbar -> -f, g -> gbar,
-    gbar -> g, Q* -> Q* must carry arrows of the first graph of td exactly
-    onto arrows of the second (g1 and g2, as built by build_graph and
-    build_conjugate_graph)."""
-    n3, n1 = len(td.split3), len(td.split1)
-    perm = [0]
-    perm += list(range(1 + n3, 1 + 2 * n3))  # f_i -> fbar_i slot
-    perm += list(range(1, 1 + n3))  # -fbar_i -> -f_i slot
-    base = 1 + 2 * n3
-    perm += list(range(base + n1, base + 2 * n1))  # g_j -> gbar_j slot
-    perm += list(range(base, base + n1))  # gbar_j -> g_j slot
-    base2 = base + 2 * n1
-    perm += list(range(base2, base2 + len(td.inert)))
-    for i in range(g1.size):
-        for j in range(g1.size):
+    whenever the residue symbol of x at the place of y is -1, read off the
+    twist's table, where x must be a unit at the place of every other y."""
+    arrows = []
+    for i, column in enumerate(zip(*td.table)):
+        row = []
+        for j, (val, sym) in enumerate(column):
             if i == j:
-                continue
-            if g1.arrows[i][j] != g2.arrows[perm[i]][perm[j]]:
-                return False
-    return True
+                row.append(False)
+            elif val:
+                raise InternalCheckError(
+                    f"{td.alpha_gens[i][0]} is not a unit at {td.places[j].label()} (p={td.ctx.p}, d={td.d})"
+                )
+            else:
+                row.append(sym == -1)
+        arrows.append(tuple(row))
+    return SelmerGraph(tuple(label for label, _ in td.alpha_gens), tuple(arrows))
 
 
 def count_even_partitions(graph: SelmerGraph):
@@ -387,6 +371,33 @@ def laplacian_corank(graph: SelmerGraph) -> int:
     return n - len(_f2_basis(rows))
 
 
+def _local_conditions_dim(td: TwistDatum) -> int:
+    """dim_F2 of the group the local conditions cut out, both shapes.
+
+    At each place a product of generators has a class (valuation parity,
+    symbol bit) in F2^2, which must be 0 or the class c of its torsion
+    partner: the class of the product of all generators of the shape, since
+    f (-fbar) = -q^h and g gbar = q^h with h odd.  So every functional that
+    vanishes at c must vanish: of the valuation row, the symbol row and
+    their sum, those of even weight."""
+    first: list[int] = []
+    second: list[int] = []
+    for row, flips in zip(td.table, _sign_flips(td)):
+        val = sym = 0
+        bit = 1
+        for e, s in row:
+            if e & 1:
+                val |= bit
+            if s == -1:
+                sym |= bit
+            bit <<= 1
+        for rows, s in ((first, sym), (second, sym ^ flips)):
+            for r in (val, s, val ^ s):
+                if not r.bit_count() & 1:
+                    rows.append(r)
+    return 2 * td.width - len(_f2_basis(first)) - len(_f2_basis(second))
+
+
 @dataclass(frozen=True)
 class GraphRankResult:
     d: int
@@ -396,33 +407,31 @@ class GraphRankResult:
     rank: int  # 1 + 2t, the rank over O/2O
     dim_f2: int  # 2 + 2t, dictionary: dim = rank + 1
     graph: SelmerGraph
-    conjugate_graph: SelmerGraph
 
 
 def selmer_rank_graph(td: TwistDatum) -> GraphRankResult:
     """Rank of the 2-Selmer group by the graph criterion: 1 + 2t.
 
-    t comes from the even partitions of the first graph; the companion
-    graph (the coordinate swap is an isomorphism, verified rather than
-    trusted) gives it again by the independent Laplacian corank, and the
-    two must agree."""
-    g1 = build_graph(td)
-    g2 = build_conjugate_graph(td)
-    if not verify_conjugation_isomorphism(td, g1, g2):
-        raise InternalCheckError("conjugation map is not a graph isomorphism")
-    t1, nontrivial = count_even_partitions(g1)
-    t2 = laplacian_corank(g2) - 1
-    if t1 != t2:
-        raise InternalCheckError(f"partition counts disagree: {t1} vs {t2}")
+    t is the Laplacian corank of the graph less one.  Every call checks it
+    twice: against the even-partition walk on the same graph, and against
+    the kernel of the local conditions of both shapes, whose dimension
+    must be 2 + 2t."""
+    graph = build_graph(td)
+    t = laplacian_corank(graph) - 1
+    walk_t, _ = count_even_partitions(graph)
+    if walk_t != t:
+        raise InternalCheckError(f"partition counts disagree at p={td.ctx.p}, d={td.d}: corank {t}, walk {walk_t}")
+    dim = _local_conditions_dim(td)
+    if dim != 2 + 2 * t:
+        raise InternalCheckError(f"local conditions give dim {dim}, graph {2 + 2 * t} at p={td.ctx.p}, d={td.d}")
     return GraphRankResult(
         d=td.d,
         p=td.ctx.p,
-        t=t1,
-        nontrivial_even_partitions=nontrivial,
-        rank=1 + 2 * t1,
-        dim_f2=2 + 2 * t1,
-        graph=g1,
-        conjugate_graph=g2,
+        t=t,
+        nontrivial_even_partitions=(1 << t) - 1,
+        rank=1 + 2 * t,
+        dim_f2=2 + 2 * t,
+        graph=graph,
     )
 
 

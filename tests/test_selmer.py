@@ -9,12 +9,11 @@ import eisq
 from eisq import arith, quadfield, selmer
 from eisq.arith import is_prime
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
-from eisq.quadfield import places_above, residue_symbol
+from eisq.quadfield import _local_data, places_above
 from eisq.selmer import (
     SelmerCandidate,
     SelmerGraph,
     admissible_twists_between,
-    build_conjugate_graph,
     build_graph,
     build_twist,
     count_even_partitions,
@@ -22,8 +21,9 @@ from eisq.selmer import (
     selmer_group_bruteforce,
     selmer_rank_graph,
     thmm_verdict,
-    verify_conjugation_isomorphism,
 )
+from test_cli import run_cli_err
+from test_quadfield import residue_symbol
 
 
 def member_local(td, cand):
@@ -31,9 +31,10 @@ def member_local(td, cand):
     image pair (x, y), x in {1, -pi d} and y in {1, pi d}, makes both
     coordinates local squares, so each coordinate is tested on its own by
     the oracle's coordinate test."""
+    local = selmer._oracle_table(td)
     return all(
-        selmer._coordinate_ok_at(td, "alpha", cand.alpha_bits, idx)
-        and selmer._coordinate_ok_at(td, "beta", cand.beta_bits, idx)
+        selmer._coordinate_ok_at(local, "alpha", cand.alpha_bits, idx)
+        and selmer._coordinate_ok_at(local, "beta", cand.beta_bits, idx)
         for idx in range(len(td.places))
     )
 
@@ -49,11 +50,15 @@ def test_build_twist_examples():
     td = build_twist(7, -11)
     assert [(q, (f.a, f.b)) for q, f in td.split3] == [(11, (1, 2))]
     assert td.split1 == [] and td.inert == []
+    # place j is the place of generator j, and the table is width x width
+    assert [v.label() for v in td.places] == ["pi", "split(11)", "split(11)'"]
+    assert td.table == [[(1, -1), (0, 1), (0, -1)], [(0, -1), (1, 1), (0, -1)], [(0, 1), (0, 1), (1, -1)]]
     td5 = build_twist(7, 5)
     assert td5.inert == [5] and td5.alpha_gens[-1] == td5.beta_gens[-1] == ("5", 5)
+    assert [v.label() for v in td5.places] == ["pi", "inert(5)"]
     td3 = build_twist(7, -3)
     assert td3.inert == [3] and td3.alpha_gens[-1] == td3.beta_gens[-1] == ("-3", -3)
-    assert len(td3.places) == 2
+    assert len(td3.places) == len(td3.table) == 2
 
 
 def test_build_twist_validation():
@@ -158,12 +163,40 @@ def test_dimension_vs_raw_partition_count():
     assert selmer_group_bruteforce(td).dim_f2 == 6 == graph.dim_f2
 
 
+def _second_shape_by_local_data(td):
+    # the table of the second shape, one _local_data call per (generator, place)
+    return [[_local_data(td.ctx, g, v) for _, g in td.beta_gens] for v in td.places]
+
+
+def _conjugation_swap(td):
+    # the slot each generator goes to under -pi -> pi, f -> fbar, -fbar -> -f,
+    # g -> gbar, gbar -> g, Q* -> Q*
+    n3, n1 = len(td.split3), len(td.split1)
+    base, base2 = 1 + 2 * n3, 1 + 2 * n3 + 2 * n1
+    return (
+        [0]
+        + list(range(1 + n3, base))
+        + list(range(1, 1 + n3))
+        + list(range(base + n1, base2))
+        + list(range(base, base + n1))
+        + list(range(base2, td.width))
+    )
+
+
 def test_conjugation_isomorphism_and_symmetry():
     for p, d in ((7, -11), (7, 65), (23, -39), (31, 57)):
         td = build_twist(p, d)
-        g1, g2 = build_graph(td), build_conjugate_graph(td)
-        assert verify_conjugation_isomorphism(td, g1, g2)
-        assert count_even_partitions(g1)[0] == count_even_partitions(g2)[0]
+        # the coordinate swap carries the symbol of each first-shape
+        # generator at the place of another onto the second shape's, so it
+        # is an isomorphism of the graph onto the second shape's graph
+        first, second, perm = td.table, _second_shape_by_local_data(td), _conjugation_swap(td)
+        n = td.width
+        assert all(first[j][i][1] == second[perm[j]][perm[i]][1] for i in range(n) for j in range(n) if i != j)
+        conjugate = SelmerGraph(
+            tuple(label for label, _ in td.beta_gens),
+            tuple(tuple(i != j and second[j][i][1] == -1 for j in range(n)) for i in range(n)),
+        )
+        assert count_even_partitions(build_graph(td))[0] == count_even_partitions(conjugate)[0]
         tdc = build_twist(p, d, conjugate_choice=True)
         assert selmer_rank_graph(tdc).t == selmer_rank_graph(td).t
         assert selmer_group_bruteforce(tdc).dim_f2 == selmer_group_bruteforce(td).dim_f2
@@ -232,16 +265,51 @@ def _split_only_twists(p, counts, per_count, seed):
     ]
 
 
-def test_laplacian_corank_against_even_partitions_twists():
+def test_corank_walk_and_kernel_on_twists():
     for p in (7, 23, 31, 47, 71):
-        # every |d| <= 400, then twists by 6, 7 and 8 split primes: 13, 15
+        # every |d| <= 3000, then twists by 6, 7 and 8 split primes: 13, 15
         # and 17 vertices, the sizes of the selmer-wide benchmark
         wide = _split_only_twists(p, (6, 7, 8), 2, 20161226)
-        for d in admissible_twists_between(p, -400, 400) + wide:
+        for d in admissible_twists_between(p, -3000, 3000) + wide:
             td = build_twist(p, d)
-            for graph in (build_graph(td), build_conjugate_graph(td)):
-                assert laplacian_corank(graph) - 1 == count_even_partitions(graph)[0], (p, d)
+            graph = build_graph(td)
+            t = laplacian_corank(graph) - 1
+            assert count_even_partitions(graph)[0] == t, (p, d)
+            assert selmer._local_conditions_dim(td) == 2 + 2 * t, (p, d)
+            second = [local["beta"][0] for local in selmer._oracle_table(td)]
+            assert second == _second_shape_by_local_data(td), (p, d)
         assert [build_twist(p, d).width for d in wide] == [13, 13, 15, 15, 17, 17]
+
+
+def test_corrupted_table_exits_3(monkeypatch):
+    real = selmer.build_twist
+
+    def flipped(p, d):
+        td = real(p, d)
+        val, sym = td.table[0][1]
+        td.table[0][1] = (val, -sym)  # f(11) at the place of -pi
+        return td
+
+    monkeypatch.setattr(selmer, "build_twist", flipped)
+    code, _, err = run_cli_err("selmer", "--p", "7", "--d", "-11")
+    assert code == 3 and "local conditions give dim" in err, err
+
+    def nonunit(p, d):
+        td = real(p, d)
+        td.table[2][0] = (1, td.table[2][0][1])
+        return td
+
+    monkeypatch.setattr(selmer, "build_twist", nonunit)
+    code, _, err = run_cli_err("selmer", "--p", "7", "--d", "-11")
+    assert code == 3 and "not a unit" in err, err
+
+
+def test_kernel_off_by_one_exits_3(monkeypatch):
+    real = selmer._local_conditions_dim
+    monkeypatch.setattr(selmer, "_local_conditions_dim", lambda td: real(td) + 1)
+    for d in ("-11", "5", "-3"):
+        code, _, err = run_cli_err("selmer", "--p", "7", "--d", d)
+        assert code == 3 and "local conditions give dim" in err, (d, err)
 
 
 def test_rank_runs_one_partition_pass(monkeypatch):
@@ -267,24 +335,22 @@ def test_corank_disagreement_is_an_internal_error(monkeypatch):
 
 
 def test_rank_builds_each_graph_once(monkeypatch):
-    built = []
-    real = selmer._graph_from_gens
-
-    def counting(td, gens):
-        built.append(gens)
-        return real(td, gens)
-
-    monkeypatch.setattr(selmer, "_graph_from_gens", counting)
+    # build_twist fills the table with one _local_data call per (generator,
+    # place); the rank builds one graph from it and adds one call per place,
+    # the class of -1 that derives the second shape
+    built, calls = [], []
+    real_graph, real_data = selmer.build_graph, quadfield._local_data
+    monkeypatch.setattr(selmer, "build_graph", lambda td: built.append(td) or real_graph(td))
+    monkeypatch.setattr(quadfield, "_local_data", lambda *args: calls.append(args) or real_data(*args))
     for p, d in ((7, -11), (23, -39), (71, -1155)):
+        calls.clear()
         td = build_twist(p, d)
+        assert len(calls) == td.width**2 == len(td.places) ** 2
         built.clear()
+        calls.clear()
         res = selmer_rank_graph(td)
-        assert built == [td.alpha_gens, td.beta_gens]
-        # a graph that is not the conjugate image fails the check
-        arrows = [list(row) for row in res.conjugate_graph.arrows]
-        arrows[0][1] = not arrows[0][1]
-        flipped = SelmerGraph(res.conjugate_graph.labels, tuple(map(tuple, arrows)))
-        assert not verify_conjugation_isomorphism(td, res.graph, flipped)
+        assert built == [td] and len(calls) == td.width
+        assert res.graph == real_graph(td)
 
 
 def _thmm(p, d):
@@ -443,8 +509,8 @@ def test_generator_places():
     # f and fbar at the two places above their q, Q* at its inert place
     for p, d in ((7, -11), (23, -39), (71, -1155), (47, 21), (7, 5 * 29 * 53)):
         td = build_twist(p, d)
-        assert len(td.gen_places) == td.width
-        for (_, x), (_, y), v in zip(td.alpha_gens, td.beta_gens, td.gen_places):
+        assert len(td.places) == td.width
+        for (_, x), (_, y), v in zip(td.alpha_gens, td.beta_gens, td.places):
             if isinstance(x, int):
                 assert x == y and v.kind == "inert" and v.q == abs(x)
                 continue
@@ -454,6 +520,8 @@ def test_generator_places():
             else:
                 assert (x.a + x.b * v.omega_residue) % v.q == 0
                 assert [u for u in places_above(td.ctx, v.q) if (x.a + x.b * u.omega_residue) % v.q == 0] == [v]
+        # so the table is a unit off its diagonal and of odd valuation on it
+        assert all((val % 2 == 1) == (i == j) for j, row in enumerate(td.table) for i, (val, _) in enumerate(row))
 
 
 def _coordinate_product(td, side, bits, twist):
@@ -537,10 +605,11 @@ def test_torsion_image_checked_on_formal_products(monkeypatch):
 
 
 def test_oracle_local_data_calls(monkeypatch):
-    # on top of the graph's, the table takes one _local_data call per
-    # generator of each shape and per partner factor (-pi, pi, d) at each
-    # place, and the torsion check on formal products one per generator
-    # and per partner factor of each side at each place
+    # on top of the rank's, the oracle reads the twist's table and takes,
+    # at each place, one _local_data call for the class of -1 (the second
+    # shape) and one per partner factor (-pi, pi, d), and the torsion check
+    # on formal products one per generator and per partner factor of each
+    # side
     import io
     from contextlib import redirect_stdout
 
@@ -557,5 +626,5 @@ def test_oracle_local_data_calls(monkeypatch):
                 assert main(["selmer", "--p", str(p), "--d", str(d), *oracle]) == 0
             counts.append(len(calls))
         td = build_twist(p, d)
-        table, torsion = 2 * td.width + 3, 2 * (td.width + 2)
-        assert counts[1] - counts[0] == len(td.places) * (table + torsion), (p, d, counts)
+        assert counts[0] == td.width**2 + td.width, (p, d, counts)
+        assert counts[1] - counts[0] == len(td.places) * (4 + 2 * (td.width + 2)), (p, d, counts)
