@@ -11,10 +11,11 @@ from typing import Optional
 
 from .errors import FactorizationIncomplete, InternalCheckError, ValidationError
 
-# Deterministic Miller-Rabin base set: correct for all n < 3.3 * 10^24
-# (Sorenson-Webster), in particular for all n < 2^64.
+# Deterministic Miller-Rabin base set: correct for all n below
+# psi_12 = 318665857834031151167461 (Sorenson-Webster), in particular for
+# all n < 2^64.  Beyond 2^64 the next 12 primes are added.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MR_EXTRA_BASES = 12
+MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -46,8 +47,8 @@ def jacobi(a: int, n: int) -> int:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for |n| < 2^64 (fixed Miller-Rabin bases).
 
-    Beyond 2^64 the fixed bases are supplemented with MR_EXTRA_BASES further
-    prime bases; still deterministic output, probabilistically correct.
+    Beyond 2^64 the fixed bases are supplemented with the 12 MR_EXTRA_BASES;
+    still deterministic output, probabilistically correct.
     """
     if n < 2:
         return False
@@ -63,16 +64,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = list(MR_BASES)
-    if n >= 1 << 64:
-        extra = []
-        cand = 41
-        while len(extra) < MR_EXTRA_BASES:
-            if all(cand % b for b in MR_BASES if b * b <= cand):
-                extra.append(cand)
-            cand += 2
-        bases += extra
-    for a in bases:
+    for a in MR_BASES + MR_EXTRA_BASES if n >= 1 << 64 else MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

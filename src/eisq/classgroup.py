@@ -359,20 +359,17 @@ def class_number(p: int) -> int:
     return class_number_of_disc(field_disc(p))
 
 
-def class_order(f: BQForm, h: int | None = None) -> int:
+def class_order(f: BQForm, h: int) -> int:
     """Order of the class of f in the class group of its discriminant.
 
-    `h` is the class number when the caller has it already (any multiple
-    of the order will do); otherwise `class_number_of_disc` gives it, with
-    no form list at a fundamental discriminant.  For each l^e exactly
-    dividing h, g = f^(h/l^e) is raised to the l until it is principal,
-    at most e times; the number of raisings is the exponent of l in the
-    order (Cohen, GTM 138, section 1.4).  O(omega(h) * log h) compositions.
+    `h` is the class number (any multiple of the order will do).  For
+    each l^e exactly dividing h, g = f^(h/l^e) is raised to the l until
+    it is principal, at most e times; the number of raisings is the
+    exponent of l in the order (Cohen, GTM 138, section 1.4).
+    O(omega(h) * log h) compositions.
     """
     disc = _positive_definite(f)
-    if h is None:
-        h = class_number_of_disc(disc)
-    elif h < 1:
+    if h < 1:
         raise ValidationError(f"a class number is positive, got {h}")
     t, one = _reduce(*f), _principal(disc)
     primes = factor(h).factors

@@ -64,30 +64,32 @@ def splits_in(k_disc: int, q: int) -> bool:
 
 @dataclass(frozen=True)
 class HeegnerSetup:
-    level: int
+    """The class data of K that every verdict reads."""
+
     p: int  # the prime of the level
     k_disc: int
     h_k: int
     w_k: int
     split_ok: bool  # every prime of the level splits in K
 
-    @property
-    def prime_order(self) -> Optional[int]:
-        """Order of the class of a prime above p when p splits, computed on each access."""
+    def prime_power_order(self, k: int) -> Optional[int]:
+        """Order of the class of P^k for a prime P above p, or None when p
+        does not split; computed on each call."""
         if not self.split_ok:
             return None
-        return classgroup.class_order(classgroup.prime_form(self.k_disc, self.p), self.h_k)
+        f = classgroup.form_pow(classgroup.prime_form(self.k_disc, self.p), k)
+        return classgroup.class_order(f, self.h_k)
 
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
+    """Class data of K at level p or p^2.  `fundamental_class_number` tests
+    the cap on |D|, then that D is fundamental (a memo hit skips both)."""
     if k_disc >= 0 or k_disc % 4 not in (0, 1):
         raise ValidationError(f"not a negative discriminant: {k_disc}")
-    if not classgroup.is_fundamental(k_disc):
-        raise ValidationError(f"discriminant {k_disc} is not fundamental")
-    p0 = etacusp.level_prime(level)[0]
     h = classgroup.fundamental_class_number(k_disc)
+    p0 = etacusp.level_prime(level)[0]
     split_ok = k_disc % p0 != 0 and splits_in(k_disc, p0)
-    return HeegnerSetup(level, p0, k_disc, h, roots_of_unity(k_disc), split_ok)
+    return HeegnerSetup(p0, k_disc, h, roots_of_unity(k_disc), split_ok)
 
 
 def eisenstein_order_prime_level(p: int) -> int:
@@ -108,7 +110,7 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
     # w_K is 2, 4 or 6, so gcd(q, w_K) = 1 is automatic here; recorded anyway
     if math.gcd(q, setup.w_k) != 1:
         raise InternalCheckError(f"q = {q} shares a factor with w_K = {setup.w_k} at K = {k_disc}")
-    vq_h = valuation(setup.h_k, q) if setup.h_k else 0
+    vq_h = valuation(setup.h_k, q)
     vq_n = valuation(n, q)
     trace = (
         TraceEntry("q divides n", f"q={q}, n={n}", True),
@@ -116,7 +118,7 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
         TraceEntry(f"{p} splits in K", str(setup.split_ok), setup.split_ok),
         TraceEntry(
             "v_q(h_K) < v_q(n)",
-            f"v_{q}({setup.h_k}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(p-class) = {setup.prime_order}",
+            f"v_{q}({setup.h_k}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(p-class) = {setup.prime_power_order(1)}",
             vq_h < vq_n,
         ),
         TraceEntry("J[m_q](K)^- = 0", "Z/q + mu_q torsion structure (cited)", True, assumed=True),
@@ -195,9 +197,9 @@ def verdict_p2_level(p: int, k_disc: int, q: int) -> Verdict:
         raise ValidationError(f"q = {q} does not divide n = {n}")
     setup = heegner_setup(p * p, k_disc)
     if setup.split_ok:
-        o_p = setup.prime_order
+        o_p = setup.prime_power_order(1)
         h = setup.h_k // o_p
-        vq_h, vq_n = valuation(h, q) if h else 0, valuation(n, q)
+        vq_h, vq_n = valuation(h, q), valuation(n, q)
         val_ok = vq_h < vq_n
         val_text = f"v_{q}({h}) = {vq_h} vs v_{q}({n}) = {vq_n}, o = {o_p}"
     else:
@@ -226,7 +228,11 @@ def verdict_rational_divisor(
     The descent value is a unit times alpha^(h_K/o(a_r)) where a_r is the
     square root of the inverted eta-ideal product; for odd q that value
     survives in the q-part exactly when v_q(h_K/o(a_r)) < v_q(n), provided
-    the root ideal is nontrivial."""
+    the root ideal is nontrivial.
+
+    With p split in K the divisor ideals are powers of one prime P above
+    p, so the product collapses to P^e, e from `etacusp.prime_exponent`:
+    it is a square ideal exactly when e is even, and a_r = P^(-e/2)."""
     if all(v == 0 for v in r.values()):
         raise ValidationError("zero exponent vector has no associated order")
     _check_q(q)
@@ -241,9 +247,12 @@ def verdict_rational_divisor(
     setup = heegner_setup(level, k_disc)
     exponent = etacusp.prime_exponent(level, r)
     if setup.split_ok:
-        _, o_r, h_r = ideal_class_of_eta_datum(k_disc, level, r, setup.h_k)
+        if exponent % 2:
+            raise ValidationError("not a square ideal: odd prime exponent in the product")
+        o_r = setup.prime_power_order(-exponent // 2)
+        h_r = setup.h_k // o_r
         nontrivial = exponent != 0
-        vq_h, vq_n = valuation(h_r, q) if h_r else 0, valuation(n, q)
+        vq_h, vq_n = valuation(h_r, q), valuation(n, q)
         val_ok = vq_h < vq_n
         val_text = f"v_{q}({h_r}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(a_r) = {o_r}"
     else:
@@ -267,27 +276,3 @@ def verdict_rational_divisor(
         ),
     )
     return Verdict("rational_divisor", trace)
-
-
-def ideal_class_of_eta_datum(
-    k_disc: int, level: int, r: Mapping[int, int], h: int
-) -> tuple[classgroup.BQForm, int, int]:
-    """Class data of the square root of the inverted eta-ideal product.
-
-    For level p or p^2 with p split in the field of discriminant k_disc,
-    the divisor ideals are powers of one prime above p, so the product
-    over r collapses to the exponent e of `etacusp.prime_exponent`; r is a
-    square ideal exactly when e is even.  Returns (class of the root ideal,
-    its order o, h_K / o), with `h` = h_K.
-    """
-    p0 = etacusp.level_prime(level)[0]
-    if jacobi(k_disc, p0) != 1:
-        raise ValidationError(
-            f"Heegner hypothesis fails: {p0} does not split for discriminant {k_disc}"
-        )
-    e = etacusp.prime_exponent(level, r)
-    if e % 2:
-        raise ValidationError("not a square ideal: odd prime exponent in the product")
-    cls = classgroup.form_pow(classgroup.prime_form(k_disc, p0), -e // 2)
-    o = classgroup.class_order(cls, h)
-    return cls, o, h // o

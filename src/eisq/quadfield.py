@@ -58,14 +58,6 @@ class QuadInt:
         if self.ctx.p != other.ctx.p:
             raise ValidationError("mixed field contexts")
 
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._same(other)
-        return QuadInt(self.a + other.a, self.b + other.b, self.ctx)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        self._same(other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.ctx)
-
     def __neg__(self) -> "QuadInt":
         return QuadInt(-self.a, -self.b, self.ctx)
 
@@ -269,9 +261,7 @@ def _is_square_class(data: Iterable[tuple[int, int]]) -> bool:
 # --- normalized generators of split prime powers ---------------------------
 
 
-def split_generator(
-    ctx: FieldCtx, q: int, h: int, conjugate_choice: bool = False
-) -> QuadInt:
+def split_generator(ctx: FieldCtx, q: int, h: int) -> QuadInt:
     """Generator f = a + b*w of the h-th power of a prime above a split q.
 
     s = 2a + b and t = b solve s^2 + p*t^2 = 4q^h; one Cornacchia step on a
@@ -279,9 +269,8 @@ def split_generator(
     fbar and -fbar.  Normalization: norm(f) = q^h, a = 1 (mod 4); the
     2-adic valuation of b is 1 for q = 3 (mod 4) and at least 2 for
     q = 1 (mod 4) (automatic, asserted).  Of the residual conjugate pair the
-    representative with b > 0 is preferred, then the larger a;
-    `conjugate_choice` flips to the other one (all downstream results are
-    conjugation-symmetric).
+    representative with b > 0 is preferred, then the larger a (all
+    downstream results are conjugation-symmetric).
     """
     if ctx.p % 8 != 7:
         raise ValidationError(
@@ -306,7 +295,7 @@ def split_generator(
             f"got {candidates}"
         )
     candidates.sort(key=lambda f: (f.b > 0, f.a), reverse=True)
-    f = candidates[0] if not conjugate_choice else candidates[1]
+    f = candidates[0]
     if f.norm() != m or f.a % 4 != 1:
         raise InternalCheckError(f"generator {f} of {q}^{h} has norm {f.norm()} or a != 1 mod 4")
     v2b = valuation(f.b, 2)

@@ -54,7 +54,7 @@ class TwistDatum:
         return len(self.alpha_gens)
 
 
-def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
+def build_twist(p: int, d: int) -> TwistDatum:
     """Validate and factor a twist parameter, then build places, generators
     and the table of their local data, one `_local_data` call per
     (generator, place).
@@ -88,7 +88,7 @@ def build_twist(p: int, d: int, conjugate_choice: bool = False) -> TwistDatum:
         if above[q][0].kind == quadfield.INERT:
             inert.append(q)
             continue
-        gen = quadfield.split_generator(ctx, q, h, conjugate_choice)
+        gen = quadfield.split_generator(ctx, q, h)
         if (gen.a + gen.b * above[q][0].omega_residue) % q:
             above[q].reverse()
         (split3 if q % 4 == 3 else split1).append((q, gen))

@@ -24,15 +24,12 @@ PROMISED = {
     "descent.verdict_rational_divisor",
 }
 
-# the 23 settable parameters: every function parameter with a default, by
+# the 20 settable parameters: every function parameter with a default, by
 # qualified name, and every CLI option, by subcommand ("*" for the one that
 # every subcommand takes); a new knob fails the pin until it is listed here
 DEFAULTED = {
-    "classgroup.class_order": ["h"],
     "cli.main": ["argv"],
     "modforms.eisenstein_eigencheck": ["primes"],
-    "quadfield.split_generator": ["conjugate_choice"],
-    "selmer.build_twist": ["conjugate_choice"],
 }
 CLI_OPTIONS = {
     "*": ["--format"],
@@ -138,4 +135,4 @@ def test_settable_parameters_are_pinned():
                 options.setdefault(key, []).append(node.args[0].value)
     assert defaulted == DEFAULTED
     assert {key: sorted(flags) for key, flags in options.items()} == CLI_OPTIONS
-    assert sum(map(len, DEFAULTED.values())) + sum(map(len, CLI_OPTIONS.values())) == 23
+    assert sum(map(len, DEFAULTED.values())) + sum(map(len, CLI_OPTIONS.values())) == 20

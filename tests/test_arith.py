@@ -141,6 +141,28 @@ def test_is_prime_large():
     assert not is_prime((2**31 - 1) * (2**19 - 1))
 
 
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_is_prime_needs_the_extra_bases():
+    # psi_12 and psi_13 (Sorenson-Webster), the least strong pseudoprimes to
+    # every prime base up to 37 and up to 41: both lie above 2^64 and pass
+    # all 12 fixed bases, so only the extra bases find them composite
+    assert arith.MR_EXTRA_BASES == (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
+    for n, (u, v) in (
+        (318665857834031151167461, (399165290221, 798330580441)),
+        (3317044064679887385961981, (1287836182261, 2575672364521)),
+    ):
+        assert n == u * v and n >= 1 << 64
+        assert all(_strong_probable_prime(n, a) for a in arith.MR_BASES)
+        assert not is_prime(n)
+
+
 def test_factor_examples():
     f = factor(-33)
     assert f.sign == -1 and f.factors == ((3, 1), (11, 1))

@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -374,6 +377,35 @@ def test_heegner_disc_beyond_cap_exit_4():
     assert code == EXIT_CAP
     assert out == ""
     assert err == "resource cap: discriminants are capped at |D| <= 1000000000, got -1000000007\n"
+
+
+BIG_K = "-100000000000000000000000000007"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "11", "--K", BIG_K, "--q", "5"),
+        ("--p", "73", "--K", BIG_K, "--q", "2"),
+        ("--p2", "13", "--K", BIG_K, "--q", "7"),
+        ("--ns", "73", "--K", BIG_K),
+        # not fundamental: the cap is tested first, as in classnum
+        ("--p", "11", "--K", str(-4 * 10**29), "--q", "5"),
+    ],
+)
+def test_heegner_far_beyond_cap_exits_4_at_once(argv):
+    # in a process of its own, so that a search that does not stop fails
+    # the test at the timeout instead of hanging it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eisq.cli", "heegner", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == EXIT_CAP and proc.stdout == ""
+    assert proc.stderr == f"resource cap: discriminants are capped at |D| <= 1000000000, got {argv[argv.index('--K') + 1]}\n"
 
 
 def test_eigencheck_prec_beyond_cap_exit_4():

@@ -1,16 +1,17 @@
 import io
 import math
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from eisq.classgroup import BQForm, class_number_of_disc, form_pow
+from eisq import etacusp
+from eisq.classgroup import BQForm, class_number_of_disc, form_pow, prime_form
 from eisq.descent import (
     INCONCLUSIVE,
     NONTORSION,
     eisenstein_order_prime_level,
     heegner_setup,
-    ideal_class_of_eta_datum,
     neumann_setzer,
     roots_of_unity,
     splits_in,
@@ -20,8 +21,8 @@ from eisq.descent import (
     verdict_prime_level_odd_q,
     verdict_rational_divisor,
 )
-from eisq.errors import ValidationError
-from eisq.etacusp import CuspDivisor, special_function
+from eisq.errors import ResourceCapError, ValidationError
+from eisq.etacusp import CuspDivisor, prime_exponent, special_function
 
 # fundamental discriminants with small class numbers, for verdict tables
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40, -43, -47, -52, -67, -79, -163)
@@ -108,7 +109,7 @@ def test_each_piece_of_work_once_per_call(monkeypatch):
 
 def test_heegner_setup():
     s = heegner_setup(11, -7)
-    assert s.h_k == 1 and s.split_ok and s.prime_order == 1
+    assert s.h_k == 1 and s.split_ok and s.prime_power_order(1) == 1
     s2 = heegner_setup(11, -79)
     assert s2.h_k == 5 and s2.split_ok
     s3 = heegner_setup(11, -11)  # ramified level prime
@@ -121,6 +122,9 @@ def test_heegner_setup():
         heegner_setup(11, -5)
     with pytest.raises(ValidationError, match="not a negative discriminant"):
         heegner_setup(11, 5)
+    # the cap on |D| is tested before fundamentality, as classnum does
+    with pytest.raises(ResourceCapError):
+        heegner_setup(11, -4 * 10**29)
 
 
 def test_eisenstein_order():
@@ -198,7 +202,7 @@ def test_p2_level_inconclusive_on_large_h():
     assert class_number_of_disc(-71) == 7
     if splits_in(-71, 13):
         v = verdict_p2_level(13, -71, 7)
-        o = heegner_setup(169, -71).prime_order
+        o = heegner_setup(169, -71).prime_power_order(1)
         h_over_o = class_number_of_disc(-71) // o
         expect = INCONCLUSIVE if h_over_o % 7 == 0 else NONTORSION
         assert v.conclusion == expect
@@ -286,24 +290,34 @@ def test_traces_are_complete():
         assert all(isinstance(t.passed, bool) for t in v.trace)
 
 
-def test_ideal_class_of_eta_datum():
+def test_prime_power_order_of_eta_data():
     # level p^2 canonical exponents over a class-number-one Heegner field
-    cls, o, hr = ideal_class_of_eta_datum(-3, 169, {1: -1, 13: 14, 169: -13}, 1)
-    assert o == 1 and hr == 1 and cls == BQForm(1, 1, 1)
+    r = {1: -1, 13: 14, 169: -13}
+    s = heegner_setup(169, -3)
+    assert s.h_k == 1 and s.prime_power_order(-prime_exponent(169, r) // 2) == 1
     # zero exponents give the principal class
-    cls, o, hr = ideal_class_of_eta_datum(-7, 121, {1: 0, 11: 0, 121: 0}, 1)
-    assert o == 1 and hr == 1
-    # odd prime exponent is not a square ideal
-    with pytest.raises(ValidationError):
-        ideal_class_of_eta_datum(-7, 121, {1: 0, 11: 1, 121: 0}, 1)
-    # Heegner hypothesis violation
-    with pytest.raises(ValidationError):
-        ideal_class_of_eta_datum(-23, 49, {1: -1, 7: 8, 49: -7}, 3)
+    assert prime_exponent(121, {1: 0, 11: 0, 121: 0}) == 0
+    assert heegner_setup(121, -7).prime_power_order(0) == 1
+    # no order where the level prime does not split
+    assert heegner_setup(49, -23).prime_power_order(1) is None
 
 
-def test_ideal_class_with_nontrivial_group():
+def test_rational_divisor_rejects_an_odd_prime_exponent(monkeypatch):
+    # r has prime exponent 27 and an integral divisor, which the lattice of
+    # rational eta-products does not hold; the class order is forced to 5 so
+    # that the verdict passes its divisor checks and reaches the root ideal
+    r = {1: -27, 17: 27}
+    assert prime_exponent(17, r) == 27 and splits_in(-4, 17)
+    div = etacusp.eta_divisor(17, r).scale(Fraction(1, 5))
+    monkeypatch.setattr(etacusp, "cuspidal_class_order", lambda level, d: 5)
+    with pytest.raises(ValidationError, match="not a square ideal"):
+        verdict_rational_divisor(17, r, div, -4, 5)
+
+
+def test_prime_power_order_with_nontrivial_group():
     # p = 11 splits in disc -79 (h = 5); the eta datum walks the class group
-    h = class_number_of_disc(-79)
-    cls, o, hr = ideal_class_of_eta_datum(-79, 11, {1: 12, 11: -12}, h)
-    assert o in (1, 5) and o * hr == h == 5
-    assert form_pow(cls, o) == BQForm(1, 1, 20)
+    s = heegner_setup(11, -79)
+    k = -prime_exponent(11, {1: 12, 11: -12}) // 2
+    o = s.prime_power_order(k)
+    assert k == 6 and o in (1, 5) and s.h_k == 5
+    assert form_pow(form_pow(prime_form(-79, 11), k), o) == BQForm(1, 1, 20)

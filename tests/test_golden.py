@@ -136,13 +136,13 @@ def _canonical_p2(p):
 def _class_orders():
     discs = (-3, -4, -36, -84, -1003, -4375, -20412, -236196, -3145728, -9983951, -10000004, -99990007)
     counts = [(d, classgroup.class_number_of_disc(d)) for d in discs]
-    # every 97th form of three non-fundamental discriminants, order from h = None
+    # every 97th form of three non-fundamental discriminants, given h
     orders = [
-        (f, classgroup.class_order(f))
+        (f, classgroup.class_order(f, classgroup.class_number_of_disc(d)))
         for d in (-20412, -4 * 3**10, -3 * 2**20)
         for f in classgroup.reduced_forms(d)[1::97]
     ]
-    split = [classgroup.class_order(classgroup.prime_form(-9983951, 97))]
+    split = [classgroup.class_order(classgroup.prime_form(-9983951, 97), 6368)]
     return counts + orders + split
 
 

@@ -23,7 +23,7 @@ from eisq.selmer import (
     thmm_verdict,
 )
 from test_cli import run_cli_err
-from test_quadfield import residue_symbol
+from test_quadfield import old_split_generator, residue_symbol
 
 
 def member_local(td, cand):
@@ -183,7 +183,7 @@ def _conjugation_swap(td):
     )
 
 
-def test_conjugation_isomorphism_and_symmetry():
+def test_conjugation_isomorphism_and_symmetry(monkeypatch):
     for p, d in ((7, -11), (7, 65), (23, -39), (31, 57)):
         td = build_twist(p, d)
         # the coordinate swap carries the symbol of each first-shape
@@ -197,7 +197,11 @@ def test_conjugation_isomorphism_and_symmetry():
             tuple(tuple(i != j and second[j][i][1] == -1 for j in range(n)) for i in range(n)),
         )
         assert count_even_partitions(build_graph(td))[0] == count_even_partitions(conjugate)[0]
-        tdc = build_twist(p, d, conjugate_choice=True)
+        # the twist on the other normalized generator of each split prime
+        with monkeypatch.context() as m:
+            m.setattr(quadfield, "split_generator", lambda ctx, q, h: old_split_generator(ctx, q, h, True))
+            tdc = build_twist(p, d)
+        assert (tdc.alpha_gens != td.alpha_gens) == bool(td.split3 or td.split1)
         assert selmer_rank_graph(tdc).t == selmer_rank_graph(td).t
         assert selmer_group_bruteforce(tdc).dim_f2 == selmer_group_bruteforce(td).dim_f2
 
