@@ -231,8 +231,10 @@ def verdict_rational_divisor(
     the root ideal is nontrivial.
 
     With p split in K the divisor ideals are powers of one prime P above
-    p, so the product collapses to P^e, e from `etacusp.prime_exponent`:
-    it is a square ideal exactly when e is even, and a_r = P^(-e/2)."""
+    p, so the product collapses to P^e, e from `etacusp.prime_exponent`,
+    and a_r = P^(-e/2).  e is even: the eta-divisor map is invertible, so r
+    is the rational eta-product of n*D, for which prod_d d^{r_d} = p^e is
+    a square."""
     if all(v == 0 for v in r.values()):
         raise ValidationError("zero exponent vector has no associated order")
     _check_q(q)
@@ -246,9 +248,9 @@ def verdict_rational_divisor(
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
     setup = heegner_setup(level, k_disc)
     exponent = etacusp.prime_exponent(level, r)
+    if exponent % 2:
+        raise InternalCheckError(f"odd prime exponent {exponent} in the eta-product of n*D at level {level}")
     if setup.split_ok:
-        if exponent % 2:
-            raise ValidationError("not a square ideal: odd prime exponent in the product")
         o_r = setup.prime_power_order(-exponent // 2)
         h_r = setup.h_k // o_r
         nontrivial = exponent != 0
@@ -263,7 +265,7 @@ def verdict_rational_divisor(
         TraceEntry("Heegner hypothesis", str(setup.split_ok), setup.split_ok),
         TraceEntry(
             "root ideal a_r is nontrivial",
-            f"prime exponent {-exponent // 2 if exponent % 2 == 0 else '?'}",
+            f"prime exponent {-exponent // 2}",
             nontrivial,
         ),
         TraceEntry("v_q(h_r) < v_q(n)", val_text, val_ok),

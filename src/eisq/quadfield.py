@@ -61,16 +61,12 @@ class QuadInt:
     def __neg__(self) -> "QuadInt":
         return QuadInt(-self.a, -self.b, self.ctx)
 
-    def __mul__(self, other: Union["QuadInt", int]) -> "QuadInt":
-        if isinstance(other, int):
-            return QuadInt(self.a * other, self.b * other, self.ctx)
+    def __mul__(self, other: "QuadInt") -> "QuadInt":
         self._same(other)
         a, b, c, d = self.a, self.b, other.a, other.b
         return QuadInt(
             a * c - b * d * self.ctx.omega_norm, a * d + b * c + b * d, self.ctx
         )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "QuadInt":
         return QuadInt(self.a + self.b, -self.b, self.ctx)

@@ -1,9 +1,9 @@
 """2-Selmer groups of quadratic twists of the CM curves attached to
 Q(sqrt(-p)) for p = 7 (mod 8): one table of the local classes of the
-generators at the places over p*d, the residue-symbol graph read off it,
-the rank by the graph's Laplacian corank, checked against the
-even-partition walk and the kernel of the local conditions, and an
-exhaustive local-conditions oracle."""
+generators at the places over p*d, the rank by the corank of the first
+shape's local conditions on it, checked against the second shape's and
+against the even-partition walk on the residue-symbol graph read off the
+same table, and an exhaustive local-conditions oracle."""
 
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ class TwistDatum:
 
     ctx: FieldCtx
     d: int
-    h: int
     split3: list[tuple[int, QuadInt]]  # q = 3 (4) split, normalized generator
     split1: list[tuple[int, QuadInt]]  # q = 1 (4) split, normalized generator
     inert: list[int]  # inert primes Q; Q* = (-1)^((Q-1)/2) Q
@@ -129,7 +128,6 @@ def build_twist(p: int, d: int) -> TwistDatum:
     return TwistDatum(
         ctx=ctx,
         d=d,
-        h=h,
         split3=split3,
         split1=split1,
         inert=inert,
@@ -280,32 +278,36 @@ def _f2_dimension(group: list[int]) -> tuple[int, list[int]]:
 
 @dataclass(frozen=True)
 class SelmerGraph:
-    labels: tuple[str, ...]
+    """Vertex i is first-shape generator i of the twist."""
+
     arrows: tuple[tuple[bool, ...], ...]  # arrows[i][j]: arrow from i to j
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.arrows)
 
 
 def build_graph(td: TwistDatum) -> SelmerGraph:
     """Graph on {-pi, f_i, -fbar_i, g_j, gbar_j, Q*_k}: an arrow x -> y
     whenever the residue symbol of x at the place of y is -1, read off the
-    twist's table, where x must be a unit at the place of every other y."""
+    twist's table, where x must be a unit at the place of every other y and
+    of odd valuation at its own, as `_local_coranks` needs."""
     arrows = []
     for i, column in enumerate(zip(*td.table)):
         row = []
         for j, (val, sym) in enumerate(column):
-            if i == j:
-                row.append(False)
-            elif val:
+            if i == j and val % 2 == 0:
+                raise InternalCheckError(
+                    f"{td.alpha_gens[i][0]} has even valuation at its own place {td.places[j].label()} "
+                    f"(p={td.ctx.p}, d={td.d})"
+                )
+            if i != j and val:
                 raise InternalCheckError(
                     f"{td.alpha_gens[i][0]} is not a unit at {td.places[j].label()} (p={td.ctx.p}, d={td.d})"
                 )
-            else:
-                row.append(sym == -1)
+            row.append(i != j and sym == -1)
         arrows.append(tuple(row))
-    return SelmerGraph(tuple(label for label, _ in td.alpha_gens), tuple(arrows))
+    return SelmerGraph(tuple(arrows))
 
 
 def count_even_partitions(graph: SelmerGraph):
@@ -350,36 +352,21 @@ def count_even_partitions(graph: SelmerGraph):
     return t, nontrivial
 
 
-def laplacian_corank(graph: SelmerGraph) -> int:
-    """dim_F2 of the kernel of D_in + A^T, the number of even partitions
-    being 2^(corank - 1).
-
-    Row y is the in-arrow mask of y, plus bit y when y has odd in-degree:
-    a vertex set S is even exactly when every row meets S in an even number
-    of bits (for y in S, the arrows into y from outside S are indeg(y) less
-    those from S).  This is the Monsky-matrix form of the even-graph
-    criterion; elimination keeps one pivot per leading bit, O(n^2) word
-    operations on bitmask rows."""
-    n = graph.size
-    rows = []
-    for y in range(n):
-        row = 0
-        for x in range(n):
-            if graph.arrows[x][y]:
-                row |= 1 << x
-        rows.append(row | (row.bit_count() & 1) << y)
-    return n - len(_f2_basis(rows))
-
-
-def _local_conditions_dim(td: TwistDatum) -> int:
-    """dim_F2 of the group the local conditions cut out, both shapes.
+def _local_coranks(td: TwistDatum) -> tuple[int, int]:
+    """dim_F2 of the group the local conditions cut out, for each shape.
 
     At each place a product of generators has a class (valuation parity,
     symbol bit) in F2^2, which must be 0 or the class c of its torsion
     partner: the class of the product of all generators of the shape, since
     f (-fbar) = -q^h and g gbar = q^h with h odd.  So every functional that
     vanishes at c must vanish: of the valuation row, the symbol row and
-    their sum, those of even weight."""
+    their sum, those of even weight.
+
+    Where generator y has odd valuation at place y and is a unit at every
+    other place (`build_graph` checks both), the first shape's one row at
+    place y is the in-arrow mask of y in the graph plus bit y when y has odd
+    in-degree: the graph's Laplacian D_in + A^T over F2 (Monsky's matrix),
+    whose kernel is the even vertex sets.  So the first corank is t + 1."""
     first: list[int] = []
     second: list[int] = []
     for row, flips in zip(td.table, _sign_flips(td)):
@@ -395,13 +382,11 @@ def _local_conditions_dim(td: TwistDatum) -> int:
             for r in (val, s, val ^ s):
                 if not r.bit_count() & 1:
                     rows.append(r)
-    return 2 * td.width - len(_f2_basis(first)) - len(_f2_basis(second))
+    return td.width - len(_f2_basis(first)), td.width - len(_f2_basis(second))
 
 
 @dataclass(frozen=True)
 class GraphRankResult:
-    d: int
-    p: int
     t: int
     nontrivial_even_partitions: int
     rank: int  # 1 + 2t, the rank over O/2O
@@ -412,21 +397,21 @@ class GraphRankResult:
 def selmer_rank_graph(td: TwistDatum) -> GraphRankResult:
     """Rank of the 2-Selmer group by the graph criterion: 1 + 2t.
 
-    t is the Laplacian corank of the graph less one.  Every call checks it
-    twice: against the even-partition walk on the same graph, and against
-    the kernel of the local conditions of both shapes, whose dimension
-    must be 2 + 2t."""
+    t is the first shape's local-condition corank less one.  Every call
+    checks it twice: against the even-partition walk on the graph, and
+    against the second shape's corank, so that both shapes give dimension
+    2 + 2t."""
     graph = build_graph(td)
-    t = laplacian_corank(graph) - 1
+    first, second = _local_coranks(td)
+    t = first - 1
     walk_t, _ = count_even_partitions(graph)
     if walk_t != t:
         raise InternalCheckError(f"partition counts disagree at p={td.ctx.p}, d={td.d}: corank {t}, walk {walk_t}")
-    dim = _local_conditions_dim(td)
-    if dim != 2 + 2 * t:
-        raise InternalCheckError(f"local conditions give dim {dim}, graph {2 + 2 * t} at p={td.ctx.p}, d={td.d}")
+    if second != first:
+        raise InternalCheckError(
+            f"local conditions give dim {first + second}, graph {2 + 2 * t} at p={td.ctx.p}, d={td.d}"
+        )
     return GraphRankResult(
-        d=td.d,
-        p=td.ctx.p,
         t=t,
         nontrivial_even_partitions=(1 << t) - 1,
         rank=1 + 2 * t,

@@ -21,7 +21,7 @@ from eisq.descent import (
     verdict_prime_level_odd_q,
     verdict_rational_divisor,
 )
-from eisq.errors import ResourceCapError, ValidationError
+from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 from eisq.etacusp import CuspDivisor, prime_exponent, special_function
 
 # fundamental discriminants with small class numbers, for verdict tables
@@ -305,12 +305,14 @@ def test_prime_power_order_of_eta_data():
 def test_rational_divisor_rejects_an_odd_prime_exponent(monkeypatch):
     # r has prime exponent 27 and an integral divisor, which the lattice of
     # rational eta-products does not hold; the class order is forced to 5 so
-    # that the verdict passes its divisor checks and reaches the root ideal
+    # that the verdict passes its divisor checks and reaches the root ideal.
+    # Unforced, no r gets there: the eta-divisor map is invertible
+    # (test_etacusp), so r is the rational eta-product of n*D, of even e
     r = {1: -27, 17: 27}
     assert prime_exponent(17, r) == 27 and splits_in(-4, 17)
     div = etacusp.eta_divisor(17, r).scale(Fraction(1, 5))
     monkeypatch.setattr(etacusp, "cuspidal_class_order", lambda level, d: 5)
-    with pytest.raises(ValidationError, match="not a square ideal"):
+    with pytest.raises(InternalCheckError, match="odd prime exponent 27"):
         verdict_rational_divisor(17, r, div, -4, 5)
 
 

@@ -90,6 +90,26 @@ def test_eta_divisor_against_per_term_formula():
     assert non_integral > 1000 and failing > 4000
 
 
+def _determinant(m):
+    # Fraction determinant by cofactor expansion along the first row
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _determinant([row[:j] + row[j + 1 :] for row in m[1:]]) for j in range(len(m)))
+
+
+def test_eta_divisor_map_is_invertible():
+    # the matrix of r -> div(eta-product), column d the divisor of eta(d z):
+    # its determinant is (p^2 - 1)/576 at level p and p(p^2 - 1)^2/13824 at
+    # p^2, never 0, so an exponent vector is determined by its divisor
+    for p in range(2, 200):
+        if not is_prime(p):
+            continue
+        for n, det in ((p, Fraction(p * p - 1, 576)), (p * p, Fraction(p * (p * p - 1) ** 2, 13824))):
+            divs = divisors(n)
+            columns = [eta_divisor(n, {d: 1}).coeffs for d in divs]
+            assert _determinant([list(row) for row in zip(*columns)]) == det, n
+
+
 def test_eta_divisor_degree_zero_on_lattice():
     rng = random.Random(2)
     for n in (11, 49, 121, 169):

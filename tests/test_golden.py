@@ -70,6 +70,10 @@ CLI_CASES = {
         "selmer", "--p", "71", "--d", "73110899070209", "--oracle", "--format", "json"
     ],
     "selmer-p23-range-1000-oracle-tsv": ["selmer", "--p", "23", "--d-range", "-1000..1000", "--oracle", "--format", "tsv"],
+    # sweeps without the oracle over fields of class number 3, 5 and 7
+    "selmer-p31-range-1000-tsv": ["selmer", "--p", "31", "--d-range", "-1000..1000", "--format", "tsv"],
+    "selmer-p47-range-1000-tsv": ["selmer", "--p", "47", "--d-range", "-1000..1000", "--format", "tsv"],
+    "selmer-p71-range-1000-tsv": ["selmer", "--p", "71", "--d-range", "-1000..1000", "--format", "tsv"],
     "eta-11-special": ["eta", "--N", "11", "--special"],
     "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
     "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],

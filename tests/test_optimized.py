@@ -25,6 +25,7 @@ OPTIMIZED_CASES = (
     "selmer-p71-m1155-oracle-json",
     "selmer-range-oracle-tsv",
     "selmer-p23-m1000000007-oracle-json",
+    "selmer-p71-range-1000-tsv",
     "eta-169-special-json",
     "eta-1018081-special-json",
     "eta-bad-level",

@@ -17,7 +17,6 @@ from eisq.selmer import (
     build_graph,
     build_twist,
     count_even_partitions,
-    laplacian_corank,
     selmer_group_bruteforce,
     selmer_rank_graph,
     thmm_verdict,
@@ -84,16 +83,18 @@ def test_member_local_examples():
             assert member_local(td, cand)
 
 
+def _labels(td):
+    return tuple(label for label, _ in td.alpha_gens)
+
+
 def test_graph_examples():
-    g5 = build_graph(build_twist(7, 5))
-    assert g5.labels == ("-pi", "5")
-    assert g5.arrows == ((False, True), (True, False))
-    g3 = build_graph(build_twist(7, -3))
-    assert g3.labels == ("-pi", "-3")
-    assert not any(map(any, g3.arrows))
-    g11 = build_graph(build_twist(7, -11))
-    assert g11.labels == ("-pi", "f(11)", "-fbar(11)")
-    assert g11.arrows == (
+    td5, td3, td11 = build_twist(7, 5), build_twist(7, -3), build_twist(7, -11)
+    assert _labels(td5) == ("-pi", "5")
+    assert build_graph(td5).arrows == ((False, True), (True, False))
+    assert _labels(td3) == ("-pi", "-3")
+    assert not any(map(any, build_graph(td3).arrows))
+    assert _labels(td11) == ("-pi", "f(11)", "-fbar(11)")
+    assert build_graph(td11).arrows == (
         (False, True, False),
         (False, False, False),
         (True, True, False),
@@ -105,11 +106,11 @@ def test_count_even_partitions_examples():
     assert count_even_partitions(g5) == (0, 0)
     g3 = build_graph(build_twist(7, -3))
     assert count_even_partitions(g3) == (1, 1)
-    single = SelmerGraph(("-pi",), ((False,),))
+    single = SelmerGraph(((False,),))
     assert count_even_partitions(single) == (0, 0)
     # the cap is checked before the 2^25-subset walk would start
     n = selmer.PARTITION_VERTEX_CAP + 1
-    wide = SelmerGraph(tuple(map(str, range(n))), ((False,) * n,) * n)
+    wide = SelmerGraph(((False,) * n,) * n)
     with pytest.raises(ResourceCapError, match=f"{n} vertices exceed the partition cap"):
         count_even_partitions(wide)
 
@@ -193,8 +194,7 @@ def test_conjugation_isomorphism_and_symmetry(monkeypatch):
         n = td.width
         assert all(first[j][i][1] == second[perm[j]][perm[i]][1] for i in range(n) for j in range(n) if i != j)
         conjugate = SelmerGraph(
-            tuple(label for label, _ in td.beta_gens),
-            tuple(tuple(i != j and second[j][i][1] == -1 for j in range(n)) for i in range(n)),
+            tuple(tuple(i != j and second[j][i][1] == -1 for j in range(n)) for i in range(n))
         )
         assert count_even_partitions(build_graph(td))[0] == count_even_partitions(conjugate)[0]
         # the twist on the other normalized generator of each split prime
@@ -241,6 +241,18 @@ def _count_even_partitions_by_bin(graph: SelmerGraph, vertex_cap: int = selmer.P
     return t, nontrivial
 
 
+def _laplacian_corank(arrows):
+    # dim_F2 of the kernel of D_in + A^T, the reference for the walk and for
+    # the first shape's corank: row y is the in-arrow mask of y, plus bit y
+    # when y has odd in-degree, and the kernel is the even vertex sets
+    n = len(arrows)
+    rows = []
+    for y in range(n):
+        row = sum(1 << x for x in range(n) if arrows[x][y])
+        rows.append(row | (row.bit_count() & 1) << y)
+    return n - len(selmer._f2_basis(rows))
+
+
 def test_laplacian_corank_against_even_partitions_random():
     rng = random.Random(20161226)
     for _ in range(3000):
@@ -249,10 +261,10 @@ def test_laplacian_corank_against_even_partitions_random():
         arrows = tuple(
             tuple(i != j and rng.random() < density for j in range(n)) for i in range(n)
         )
-        graph = SelmerGraph(tuple(str(i) for i in range(n)), arrows)
+        graph = SelmerGraph(arrows)
         t, nontrivial = count_even_partitions(graph)
         assert _count_even_partitions_by_bin(graph) == (t, nontrivial), arrows
-        assert laplacian_corank(graph) - 1 == t, arrows
+        assert _laplacian_corank(arrows) - 1 == t, arrows
 
 
 def _split_only_twists(p, counts, per_count, seed):
@@ -277,11 +289,11 @@ def test_corank_walk_and_kernel_on_twists():
         for d in admissible_twists_between(p, -3000, 3000) + wide:
             td = build_twist(p, d)
             graph = build_graph(td)
-            t = laplacian_corank(graph) - 1
-            assert count_even_partitions(graph)[0] == t, (p, d)
-            assert selmer._local_conditions_dim(td) == 2 + 2 * t, (p, d)
-            second = [local["beta"][0] for local in selmer._oracle_table(td)]
-            assert second == _second_shape_by_local_data(td), (p, d)
+            first, second = selmer._local_coranks(td)
+            assert first == second == _laplacian_corank(graph.arrows), (p, d)
+            assert count_even_partitions(graph)[0] == first - 1, (p, d)
+            derived = [local["beta"][0] for local in selmer._oracle_table(td)]
+            assert derived == _second_shape_by_local_data(td), (p, d)
         assert [build_twist(p, d).width for d in wide] == [13, 13, 15, 15, 17, 17]
 
 
@@ -309,11 +321,33 @@ def test_corrupted_table_exits_3(monkeypatch):
 
 
 def test_kernel_off_by_one_exits_3(monkeypatch):
-    real = selmer._local_conditions_dim
-    monkeypatch.setattr(selmer, "_local_conditions_dim", lambda td: real(td) + 1)
+    real = selmer._local_coranks
+
+    def second_off(td):
+        first, second = real(td)
+        return first, second + 1
+
+    monkeypatch.setattr(selmer, "_local_coranks", second_off)
     for d in ("-11", "5", "-3"):
         code, _, err = run_cli_err("selmer", "--p", "7", "--d", d)
         assert code == 3 and "local conditions give dim" in err, (d, err)
+
+
+def test_even_diagonal_valuation_exits_3(monkeypatch):
+    # generator j at its own place j with an even valuation: its local-condition
+    # row is no longer the Laplacian's, and the graph refuses the table
+    real = selmer.build_twist
+    for p, d, j in ((7, -11, 0), (7, -11, 1), (7, 5, 1), (23, -39, 2), (71, -1155, 2)):
+
+        def even(p, d, j=j):
+            td = real(p, d)
+            td.table[j][j] = (2, td.table[j][j][1])
+            return td
+
+        monkeypatch.setattr(selmer, "build_twist", even)
+        code, _, err = run_cli_err("selmer", "--p", str(p), "--d", str(d))
+        label = real(p, d).alpha_gens[j][0]
+        assert code == 3 and f"{label} has even valuation at its own place" in err, (p, d, j, err)
 
 
 def test_rank_runs_one_partition_pass(monkeypatch):
@@ -332,8 +366,8 @@ def test_rank_runs_one_partition_pass(monkeypatch):
 
 
 def test_corank_disagreement_is_an_internal_error(monkeypatch):
-    real = selmer.laplacian_corank
-    monkeypatch.setattr(selmer, "laplacian_corank", lambda graph: real(graph) + 1)
+    real = selmer._local_coranks
+    monkeypatch.setattr(selmer, "_local_coranks", lambda td: tuple(c + 1 for c in real(td)))
     with pytest.raises(InternalCheckError, match="partition counts disagree"):
         selmer_rank_graph(build_twist(7, -11))
 
