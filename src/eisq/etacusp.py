@@ -333,11 +333,8 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
 @dataclass(frozen=True)
 class CuspidalGroupReport:
     p: int
-    invariants: tuple[int, ...]  # computed structure of the rational cuspidal group
-    closed_form_12: tuple[int, int]  # ((p-1)/(p-1,12), (p+1)/(p+1,12)), group a^2 * b
-    closed_form_24: tuple[int, int]  # ((p-1)/(p-1,24), (p+1)/(p+1,24))
-    matches_12: bool
-    matches_24: bool
+    invariants: tuple[int, ...]  # structure of the rational cuspidal group
+    closed_form_12: tuple[int, int]  # ((p-1)/(p-1,12), (p+1)/(p+1,12)) = (a, b): invariants (a, a*b)
 
     @property
     def order(self) -> int:
@@ -348,25 +345,19 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     """Structure of the rational cuspidal divisor class group of X0(p^2).
 
     Computes the invariant factors by SNF of the eta-divisor lattice inside
-    the rank-2 lattice of rational degree-0 cuspidal divisors and reports
-    them next to the two closed-form candidates (which disagree for some p;
-    the computation arbitrates).
+    the rank-2 lattice of rational degree-0 cuspidal divisors, and checks
+    them against Ling's closed form (a, a*b), a = (p-1)/(p-1, 12),
+    b = (p+1)/(p+1, 12), less its 1s.
     """
     _check_level_prime(p)
     # coordinates on degree-0 rational divisors: (m_1, m_p), with the
     # level-p^2 coefficient determined by degree 0 (which `_eta_divisor` checks)
     gens = [g[:2] for g in _lattice_generators((1, p, p * p))]
     inv = tuple(invariant_factors(gens, 2))
-    (a12, b12), (a24, b24) = [((p - 1) // math.gcd(p - 1, m), (p + 1) // math.gcd(p + 1, m)) for m in (12, 24)]
-    order = math.prod(inv)
-    return CuspidalGroupReport(
-        p=p,
-        invariants=inv,
-        closed_form_12=(a12, b12),
-        closed_form_24=(a24, b24),
-        matches_12=(order == a12 * a12 * b12),
-        matches_24=(order == a24 * a24 * b24),
-    )
+    a, b = ((p + s) // math.gcd(p + s, 12) for s in (-1, 1))
+    if inv != tuple(d for d in (a, a * b) if d != 1):
+        raise InternalCheckError(f"cuspidal group of X0({p}^2) has invariants {inv}, not Ling's ({a}, {a * b})")
+    return CuspidalGroupReport(p=p, invariants=inv, closed_form_12=(a, b))
 
 
 # --- the two special eta-products ------------------------------------------

@@ -210,13 +210,11 @@ def test_cuspidal_group_invariants():
     rep5 = cuspidal_group_invariants(5)
     assert rep5.invariants == () and rep5.order == 1
     rep7 = cuspidal_group_invariants(7)
-    assert rep7.invariants == (2,)
-    assert rep7.closed_form_12 == (1, 2) and rep7.matches_12
-    assert rep7.closed_form_24 == (1, 1) and not rep7.matches_24
+    assert rep7.invariants == (2,) and rep7.closed_form_12 == (1, 2)
     rep11 = cuspidal_group_invariants(11)
-    assert rep11.invariants == (5, 5) and rep11.matches_12
+    assert rep11.invariants == (5, 5) and rep11.closed_form_12 == (5, 1)
     rep13 = cuspidal_group_invariants(13)
-    assert rep13.invariants == (7,) and rep13.matches_12
+    assert rep13.invariants == (7,) and rep13.closed_form_12 == (1, 7)
 
 
 def test_cuspidal_table_closed_form():
@@ -230,7 +228,7 @@ def test_cuspidal_table_closed_form():
         b = (p + 1) // math.gcd(p + 1, 12)
         rep = cuspidal_group_invariants(p)
         assert rep.invariants == tuple(x for x in (a, a * b) if x != 1), p
-        assert rep.matches_12, p
+        assert rep.closed_form_12 == (a, b), p
         count += 1
     assert count == 301
 
