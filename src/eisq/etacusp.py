@@ -1,27 +1,21 @@
 """Eta-products on X0(N) for N = p or p^2: rationality conditions, divisors
-at cusps, and orders of rational cuspidal divisor classes via exact integer
-lattice arithmetic (Smith normal form).  Each public function parses its
-level once; private helpers take its divisors [1, p] or [1, p, p^2].  The
-eta-divisor lattice of each level is built once per process and kept in a
-bounded memo (`LATTICE_MEMO`)."""
+at cusps, and orders and the group of rational cuspidal divisor classes,
+read off a closed-form basis of the rational eta-products.  Each public
+function parses its level once; private helpers take its divisors [1, p]
+or [1, p, p^2]."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .arith import is_prime
+from .arith import factor, is_prime
 from .errors import InternalCheckError, ValidationError
 
 # An eta-product is encoded by its exponent map {divisor d of N: r_d}.
 EtaExponents = Mapping[int, int]
-
-# bounds the level memo: the lattice generators of the last 1024 levels
-# built in this process, about 0.7 MB when full of levels p^2
-LATTICE_MEMO = 1024
 
 
 def level_prime(n: int) -> tuple[int, int]:
@@ -164,169 +158,83 @@ def eta_divisor(n: int, r: EtaExponents) -> CuspDivisor:
 
 def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> CuspDivisor:
     n = divs[-1]
-    coeffs = tuple(
-        Fraction(sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()), 24 * math.gcd(c * c, n))
-        for c in divs
-    )
-    out = CuspDivisor(n, coeffs)
+    nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) for c in divs]
+    dens = [24 * math.gcd(c * c, n) for c in divs]
+    out = CuspDivisor(n, tuple(map(Fraction, nums, dens)))
     # valence formula: the degree is (sum r_d / 2) [SL2(Z) : Gamma0(N)] / 12,
-    # so it vanishes exactly at weight 0
-    if sum(r.values()) == 0 and out.degree() != 0:
+    # so it vanishes exactly at weight 0; 24N times it is a sum of integers
+    if sum(r.values()) == 0 and sum(s * a * (24 * n // b) for s, a, b in zip(_orbit_sizes(divs), nums, dens)):
         raise InternalCheckError(
             f"eta divisor of weight 0 has degree {out.degree()} at level {n}: {dict(r)}"
         )
     return out
 
 
-# --- integer lattices ------------------------------------------------------
-
-
-def _snf_with_left(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix: returns (S, U) with S = U*A*V.
-
-    Only the left transform U is tracked; column operations change V only,
-    which order computations never need.
-    """
-    a = [list(map(int, row)) for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    k = 0
-    while k < min(nrows, ncols):
-        # the first nonzero entry of least size in the lower-right block
-        pivots = [(abs(a[i][j]), i, j) for i in range(k, nrows) for j in range(k, ncols) if a[i][j]]
-        if not pivots:
-            break
-        _, i0, j0 = min(pivots)
-        a[k], a[i0] = a[i0], a[k]
-        u[k], u[i0] = u[i0], u[k]
-        for row in a:
-            row[k], row[j0] = row[j0], row[k]
-        done = False
-        while not done:
-            done = True
-            for i in range(k + 1, nrows):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        u[k], u[i] = u[i], u[k]
-                        done = False
-            for j in range(k + 1, ncols):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    for row in a:
-                        row[j] -= q * row[k]
-                    if a[k][j]:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        done = False
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-        k += 1
-    return a, u
-
-
-def lattice_order(generators: Sequence[Sequence[int]], target: Sequence[int]) -> int:
-    """Least n >= 1 with n*target inside the row lattice of `generators`.
-
-    Computed via Smith normal form of the transposed generator matrix.
-    Raises when no multiple of the target lies in the lattice.
-    """
-    if not generators:
-        raise ValidationError("empty generating set")
-    ncoords = len(generators[0])
-    s, u = _snf_with_left([[g[i] for g in generators] for i in range(ncoords)])
-    y = [sum(u[i][j] * target[j] for j in range(ncoords)) for i in range(ncoords)]
-    n = 1
-    for i in range(ncoords):
-        d = s[i][i] if i < len(generators) else 0
-        if d:
-            n = math.lcm(n, d // math.gcd(d, y[i] % d))
-        elif y[i]:
-            raise ValidationError("target is not in the span of the lattice")
-    return n
-
-
-def invariant_factors(generators: Sequence[Sequence[int]], rank: int) -> list[int]:
-    """Invariant factors of Z^rank modulo the row lattice of `generators`.
-
-    Generators are coordinate vectors in Z^rank; entries 1 are dropped.
-    Raises when the quotient is infinite.
-    """
-    colmat = [[g[i] for g in generators] for i in range(rank)]
-    s, _ = _snf_with_left(colmat)
-    diag = [s[i][i] if i < len(generators) else 0 for i in range(rank)]
-    if 0 in diag:
-        raise ValidationError("lattice does not have full rank")
-    # normalize to a divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
-    return [d for d in sorted(diag) if d != 1]
-
-
 # --- the eta lattice and cuspidal orders -----------------------------------
 
 
-def _eta_exponent_lattice(divs: Sequence[int]) -> list[dict[int, int]]:
-    """A basis of the lattice of Ligozat-valid exponent vectors at the level
-    with divisors `divs`.
+def _basis(divs: Sequence[int]) -> list[dict[int, int]]:
+    """A basis of the rational eta-products at the level with divisors `divs`:
+    m(e_p - e_1), m = lcm(2, 24/(p-1, 24)), and at level N = p^2 also
+    m'(e_N - e_1), m' = 24/(N-1, 24).
 
-    The lattice is the kernel of Z^tau -> Z + Z/24 + Z/24 + Z/2 given by the
-    four forms of `ligozat_check`, i.e. the projection onto the exponent
-    coordinates of the integer kernel of A = [forms | -diag(24, 24, 2)]
-    (Cohen, GTM 138, section 2.4).  With S = U*A^T*V in Smith form, the rows
-    of U opposite the zero rows of S span that kernel.  The projection is
-    injective (zero exponents force zero slack), so tau - 1 vectors come out.
-    """
-    n, tau = divs[-1], len(divs)
-    forms = ([1] * tau, divs, [n // d for d in divs], list(range(tau)))  # v_p(p^j) = j
-    # A^T: a row per exponent, then a row per slack variable of forms 1-3
-    rows = [[form[i] for form in forms] for i in range(tau)]
-    rows += [[-m if j == i else 0 for j in range(4)] for i, m in ((1, 24), (2, 24), (3, 2))]
-    s, u = _snf_with_left(rows)
-    kernel = [u[i][:tau] for i, row in enumerate(s) if not any(row)]
-    if len(kernel) != tau - 1:
-        raise InternalCheckError(f"Ligozat lattice at level {n} has rank {len(kernel)}, not {tau - 1}")
-    basis = [{d: v for d, v in zip(divs, vec) if v} for vec in kernel]
-    for r in basis:
-        if not _ligozat(divs, r).ok:
-            raise InternalCheckError(f"Ligozat basis vector {r} at level {n} is not rational")
-    return basis
+    At level p both mod-24 Ligozat conditions of a weight-0 r read
+    (p - 1) r_p = 0 (mod 24), and the square condition says r_p is even.
+    At p^2 with p >= 5, 24 | N - 1 leaves the same conditions on r_p and
+    none on r_N (m' = 1); m' is 8 and 3 at the genus-0 levels 4 and 9."""
+    p, n = divs[1], divs[-1]
+    m, m2 = math.lcm(2, 24 // math.gcd(p - 1, 24)), 24 // math.gcd(n - 1, 24)
+    return [{1: -m, p: m}] + [{1: -m2, n: m2}] * (n != p)
 
 
-@functools.lru_cache(maxsize=LATTICE_MEMO)
-def _lattice_generators(divs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The integer divisors of the Ligozat basis at the level with divisors
-    `divs`: the generators of the eta-divisor lattice, built once per level
-    per process.  The rank, Ligozat and degree-0 checks run on every build."""
-    return tuple(_eta_divisor(divs, r).int_vector() for r in _eta_exponent_lattice(divs))
+def _images(divs: Sequence[int], basis: Sequence[EtaExponents]) -> list[tuple[int, ...]]:
+    """The divisor of each basis vector, without its last cusp, which degree
+    0 determines: coordinates (m_1) at level p and (m_1, m_p) at p^2."""
+    return [_eta_divisor(divs, r).int_vector()[:-1] for r in basis]
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    return rows[0][0] if len(rows) == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+
+
+def _order_and_exponents(divs: Sequence[int], div: CuspDivisor) -> tuple[int, dict[int, int]]:
+    """The order n of div's class and the rational eta-product r with
+    divisor n*div.  By Cramer's rule div has coordinates num_i/det in the
+    divisors of the closed-form basis; n is their common denominator."""
+    basis = _basis(divs)
+    images, target = _images(divs, basis), div.int_vector()[:-1]
+    det = _det(images)
+    nums = [_det(images[:i] + [target] + images[i + 1 :]) for i in range(len(images))]
+    order = abs(det) // math.gcd(det, *nums)
+    coords = [order * num // det for num in nums]
+    return order, {d: sum(c * b.get(d, 0) for c, b in zip(coords, basis)) for d in divs}
 
 
 def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     """Order of a rational degree-0 cuspidal divisor class in J0(N).
 
-    The class group of rational cuspidal divisors is cut out by divisors of
-    eta-products; the order is the least k with k*div in that lattice,
-    via Smith normal form.  The lattice generators of a level are built
-    once per process (`_lattice_generators`); on every call a recomputation
-    under the reversed generating set guards basis independence.
+    The rational cuspidal classes are cut out by divisors of rational
+    eta-products, whose lattice has a closed-form basis.  Every call checks
+    the order n and the eta-product r that `_order_and_exponents` finds,
+    each check a raise: r has divisor n*div exactly, r is rational
+    (Ligozat), and r/l is not, for each prime l | n.
     """
     divs = divisors(n)
     if div.level != n or len(div.coeffs) != len(divs):
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:
         raise ValidationError(f"divisor has degree {div.degree()}, not 0")
-    target = div.int_vector()
-    gens = _lattice_generators(tuple(divs))
-    order = lattice_order(gens, target)
-    again = lattice_order(gens[::-1], target)
-    if again != order:
-        raise InternalCheckError(f"order is basis-dependent: {order} vs {again}")
+    order, r = _order_and_exponents(divs, div)
+    image = _eta_divisor(divs, r)
+    if image != div.scale(order):
+        raise InternalCheckError(f"eta-product {r} at level {n} has divisor {image}, not {order}*({div})")
+    if any(v.denominator != 1 for v in r.values()) or not _ligozat(divs, r).ok:
+        raise InternalCheckError(f"eta-product {r} of {order}*({div}) at level {n} fails Ligozat")
+    for ell, _ in factor(order).factors:
+        if all(v % ell == 0 for v in r.values()) and _ligozat(divs, {d: v // ell for d, v in r.items()}).ok:
+            raise InternalCheckError(
+                f"{order // ell}*({div}) at level {n} is already the divisor of a rational eta-product"
+            )
     return order
 
 
@@ -344,16 +252,17 @@ class CuspidalGroupReport:
 def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     """Structure of the rational cuspidal divisor class group of X0(p^2).
 
-    Computes the invariant factors by SNF of the eta-divisor lattice inside
-    the rank-2 lattice of rational degree-0 cuspidal divisors, and checks
-    them against Ling's closed form (a, a*b), a = (p-1)/(p-1, 12),
-    b = (p+1)/(p+1, 12), less its 1s.
+    The divisors of the closed-form basis span the eta-divisor lattice
+    inside the rank-2 lattice of rational degree-0 cuspidal divisors, in
+    the coordinates (m_1, m_p).  Its invariants are d1, the gcd of their
+    four entries, and |det|/d1; they are checked against Ling's closed form
+    (a, a*b), a = (p-1)/(p-1, 12), b = (p+1)/(p+1, 12), less its 1s.
     """
     _check_level_prime(p)
-    # coordinates on degree-0 rational divisors: (m_1, m_p), with the
-    # level-p^2 coefficient determined by degree 0 (which `_eta_divisor` checks)
-    gens = [g[:2] for g in _lattice_generators((1, p, p * p))]
-    inv = tuple(invariant_factors(gens, 2))
+    divs = (1, p, p * p)
+    images = _images(divs, _basis(divs))
+    d1 = math.gcd(*images[0], *images[1])
+    inv = tuple(d for d in (d1, abs(_det(images)) // d1) if d != 1)
     a, b = ((p + s) // math.gcd(p + s, 12) for s in (-1, 1))
     if inv != tuple(d for d in (a, a * b) if d != 1):
         raise InternalCheckError(f"cuspidal group of X0({p}^2) has invariants {inv}, not Ling's ({a}, {a * b})")

@@ -1,16 +1,15 @@
 """Shared fixtures.
 
-The class-number and level-lattice memos live for the whole process, so
-every test starts with both empty: no test sees what an earlier one
-counted or built, whatever order the tests run in."""
+The class-number memo lives for the whole process, so every test starts
+with it empty: no test sees what an earlier one counted, whatever order
+the tests run in."""
 
 import pytest
 
-from eisq import classgroup, etacusp
+from eisq import classgroup
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
     classgroup._fundamental_class_number.cache_clear()
-    etacusp._lattice_generators.cache_clear()
     yield

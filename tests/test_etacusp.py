@@ -9,15 +9,13 @@ from eisq.arith import is_prime
 from eisq.errors import InternalCheckError, ValidationError
 from eisq.etacusp import (
     CuspDivisor,
-    _eta_exponent_lattice,
+    _basis,
     _orbit_sizes,
     cuspidal_class_order,
     cuspidal_group_invariants,
     divisors,
     eta_divisor,
-    invariant_factors,
     is_special,
-    lattice_order,
     ligozat_check,
     special_function,
 )
@@ -25,8 +23,8 @@ from eisq.etacusp import (
 PRIMES_5_50 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def eta_exponent_lattice(n):
-    return _eta_exponent_lattice(divisors(n))
+def closed_form_basis(n):
+    return _basis(divisors(n))
 
 
 def test_divisors_and_cusp_count_against_trial_division():
@@ -113,7 +111,7 @@ def test_eta_divisor_map_is_invertible():
 def test_eta_divisor_degree_zero_on_lattice():
     rng = random.Random(2)
     for n in (11, 49, 121, 169):
-        gens = eta_exponent_lattice(n)
+        gens = closed_form_basis(n)
         divs = divisors(n)
         for _ in range(500):
             combo = {d: 0 for d in divs}
@@ -169,16 +167,55 @@ def _enumerated_lattice(n):
 
 
 def test_eta_lattice_basis_spans_the_enumerated_lattice():
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    # the closed-form basis has a pivot at each divisor d > 1: basis vector j
+    # is the only one nonzero at divs[j + 1], so a weight-0 vector lies in its
+    # span iff each of its entries there is a multiple of the pivot; every
+    # basis vector is in the enumerated lattice iff its residues mod 24 are
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         for n in (p, p * p):
             divs = divisors(n)
-            basis = [[r.get(d, 0) for d in divs] for r in eta_exponent_lattice(n)]
+            basis = [[r.get(d, 0) for d in divs] for r in closed_form_basis(n)]
             assert len(basis) == len(divs) - 1
             enumerated = _enumerated_lattice(n)
             for v in enumerated:
-                assert lattice_order(basis, v) == 1, (n, v)
+                coords = [Fraction(v[j + 1], b[j + 1]) for j, b in enumerate(basis)]
+                assert all(c.denominator == 1 for c in coords), (n, v)
+                assert [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(len(divs))] == v, (n, v)
+            residues = {tuple(v) for v in enumerated}
             for b in basis:
-                assert lattice_order(enumerated, b) == 1, (n, b)
+                head = [x % 24 for x in b[:-1]]
+                assert tuple(head + [-sum(head)]) in residues or not any(head), (n, b)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 97, 1009, 1153])
+def test_closed_form_basis_is_the_hermite_basis(p):
+    # sympy's Hermite form of the enumerated lattice's (r_p[, r_{p^2}]) parts
+    # is the diagonal of the closed-form basis's pivots
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    for n in (p, p * p):
+        divs = divisors(n)
+        hnf = hermite_normal_form(Matrix([v[1:] for v in _enumerated_lattice(n)]).T)
+        basis = closed_form_basis(n)
+        assert [[int(x) for x in hnf.row(i)] for i in range(hnf.rows)] == [
+            [b.get(d, 0) for b in basis] for d in divs[1:]
+        ], n
+        assert all(sum(b.values()) == 0 and ligozat_check(n, b).ok for b in basis), n
+
+
+def test_genus_zero_levels_have_trivial_classes():
+    # X0(N) has genus 0 at N = 2, 3, 5, 7, 13, 4, 9 and 25, so every degree-0
+    # cuspidal divisor is principal; at 4 and 9 the basis's second vector is
+    # 8 and 3 times e_N - e_1, as 24 does not divide N - 1
+    assert closed_form_basis(4)[1] == {1: -8, 4: 8} and closed_form_basis(9)[1] == {1: -3, 9: 3}
+    for n in (2, 3, 5, 7, 13, 4, 9, 25):
+        divs = divisors(n)
+        sizes = _orbit_sizes(divs)
+        for head in itertools.product(range(-3, 4), repeat=len(divs) - 1):
+            if any(head):
+                div = CuspDivisor.from_map(n, dict(zip(divs, list(head) + [-sum(c * s for c, s in zip(head, sizes))])))
+                assert cuspidal_class_order(n, div) == 1, (n, head)
 
 
 def test_cuspidal_class_order_prime_levels():
@@ -233,6 +270,18 @@ def test_cuspidal_table_closed_form():
     assert count == 301
 
 
+def test_cuspidal_invariants_against_ling(monkeypatch):
+    # every call checks the invariants against Ling's closed form: a basis
+    # twice too coarse gives a group 4 times too large, and a raise
+    import eisq.etacusp as etacusp
+
+    real = etacusp._basis
+    monkeypatch.setattr(etacusp, "_basis", lambda divs: [{d: 2 * v for d, v in r.items()} for r in real(divs)])
+    for p in (5, 7, 1153):
+        with pytest.raises(InternalCheckError, match=f"cuspidal group of X0\\({p}\\^2\\) has invariants"):
+            cuspidal_group_invariants(p)
+
+
 def test_special_functions():
     assert special_function(11) == {1: 12, 11: -12}
     assert special_function(13) == {1: 2, 13: -2}
@@ -265,9 +314,11 @@ def test_is_special():
 
 def test_special_divisor_computed_once(monkeypatch):
     # `eta --special` checks the canonical eta-product on the divisor it
-    # prints: 4 divisors and 8 Ligozat checks at level p^2 before, when
-    # special_function computed the same divisor again; `_eta_divisor`
-    # checks its degree by the weight, with no Ligozat check of its own
+    # prints, so `special_function` computes no divisor of its own.  The
+    # other divisors are the closed-form basis vectors' (1 at level p, 2 at
+    # p^2) and the class order's check of its eta-product; the Ligozat checks
+    # are the printed report's, `is_special`'s and the class order's.
+    # `_eta_divisor` checks its degree by the weight, with no Ligozat check
     import io
     from contextlib import redirect_stdout
 
@@ -278,63 +329,42 @@ def test_special_divisor_computed_once(monkeypatch):
     for name, seen in calls.items():
         real = getattr(etacusp, name)
         monkeypatch.setattr(etacusp, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
-    for n, counts in ((613, (2, 3, 1)), (613**2, (3, 4, 1)), (11, (2, 3, 1)), (49, (3, 4, 1))):
+    # a repeated call does the same work: nothing is kept between calls
+    for n, counts in ((613, (3, 3, 1)), (613**2, (4, 3, 1)), (11, (3, 3, 1)), (49, (4, 3, 1)), (49, (4, 3, 1))):
         for seen in calls.values():
             seen.clear()
         with redirect_stdout(io.StringIO()):
             assert main(["eta", "--N", str(n), "--special"]) == 0
         assert tuple(map(len, calls.values())) == counts, n
-        assert [r for _, r in calls["_eta_divisor"]].count(special_function(n)) == 1, n
-    # a second identical call builds no lattice: only the printed divisor,
-    # its Ligozat check and `is_special`'s checks run again
-    for seen in calls.values():
-        seen.clear()
-    with redirect_stdout(io.StringIO()):
-        assert main(["eta", "--N", "49", "--special"]) == 0
-    assert tuple(map(len, calls.values())) == (1, 2, 1)
+        # the printed divisor, and the class order's check of its eta-product:
+        # the primitive part of the canonical divisor has the canonical product
+        assert [r for _, r in calls["_eta_divisor"]].count(special_function(n)) == 2, n
 
 
-def test_lattice_order_shuffle_invariance():
-    gens = [g for g in eta_exponent_lattice(49)]
-    images = [eta_divisor(49, g).int_vector() for g in gens]
-    target = CuspDivisor.from_map(49, {7: 1, 49: -6}).int_vector()
-    rng = random.Random(4)
-    base = lattice_order(images, target)
-    for _ in range(5):
-        shuffled = images[:]
-        rng.shuffle(shuffled)
-        assert lattice_order(shuffled, target) == base
-
-
-def test_lattice_order_rejects_outside_span():
-    with pytest.raises(ValidationError):
-        lattice_order([[2, 0, 0]], [0, 1, 0])
-
-
-def test_invariant_factors_basics():
-    assert invariant_factors([[2, 0], [0, 3]], 2) == [6]
-    assert invariant_factors([[1, 0], [0, 1]], 2) == []
-    assert invariant_factors([[2, 0], [0, 2]], 2) == [2, 2]
-    with pytest.raises(ValidationError):
-        invariant_factors([[2, 0]], 2)
-
-
-def test_invariant_factors_against_sympy():
+def test_cuspidal_invariants_against_sympy():
+    # sympy's Smith form of the divisors, in the coordinates (m_1, m_p), of a
+    # basis of the enumerated lattice at every prime 5 <= p < 2000.  At p^2
+    # the Ligozat conditions depend on p mod 24 only, so each class is
+    # enumerated once, at its least prime, and sympy's Hermite form of the
+    # (r_p, r_{p^2}) parts picks a basis
     from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-    rng = random.Random(0)
-    checked = 0
-    while checked < 100:
-        k = rng.randrange(1, 4)
-        g = rng.randrange(k, k + 3)
-        gens = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(g)]
-        sym = smith_normal_form(Matrix([[row[i] for row in gens] for i in range(k)]))
-        diag = [abs(sym[i, i]) for i in range(min(k, g))]
-        if 0 in diag:
+    bases = {}
+    count = 0
+    for p in range(5, 2000):
+        if not is_prime(p):
             continue
-        assert invariant_factors(gens, k) == sorted(d for d in diag if d != 1)
-        checked += 1
+        if p % 24 not in bases:
+            hnf = hermite_normal_form(Matrix([v[1:] for v in _enumerated_lattice(p * p)]).T)
+            bases[p % 24] = [(int(hnf[0, j]), int(hnf[1, j])) for j in range(2)]
+        n = p * p
+        images = [eta_divisor(n, {1: -a - b, p: a, n: b}).int_vector()[:2] for a, b in bases[p % 24]]
+        sym = smith_normal_form(Matrix(images))
+        expected = tuple(sorted(d for d in (abs(sym[0, 0]), abs(sym[1, 1])) if d != 1))
+        assert cuspidal_group_invariants(p).invariants == expected, p
+        count += 1
+    assert len(bases) == 8 and count == 301
 
 
 def _index_in_ambient(rows, k):
@@ -351,36 +381,68 @@ def _index_in_ambient(rows, k):
     return g
 
 
-def test_lattice_order_against_index_formula():
-    # order of t modulo L equals index(L) / index(L + Z*t)
+def _order_by_index(n, div):
+    # order of t modulo L equals index(L) / index(L + Z*t), with L the divisors
+    # of the closed-form basis projected onto the first tau-1 coordinates,
+    # which determine the last through degree 0
+    k = len(divisors(n)) - 1
+    proj = [list(eta_divisor(n, r).int_vector()[:k]) for r in closed_form_basis(n)]
+    target = list(div.int_vector()[:k])
+    return _index_in_ambient(proj, k) // _index_in_ambient(proj + [target], k)
+
+
+def test_closed_form_orders_against_index_formula():
+    # four fixed divisors, then 8 random degree-0 divisors at each level p and
+    # p^2, p < 200
+    for n, coeffs in ((11, {1: 1, 11: -1}), (49, {7: 1, 49: -6}), (121, {1: 1, 121: -1}), (169, {13: 1, 169: -12})):
+        div = CuspDivisor.from_map(n, coeffs)
+        assert cuspidal_class_order(n, div) == _order_by_index(n, div), n
     rng = random.Random(8)
-    checked = 0
-    while checked < 80:
-        k = rng.randrange(1, 4)
-        rows = [[rng.randrange(-6, 7) for _ in range(k)] for _ in range(k + 1)]
-        if _index_in_ambient(rows, k) == 0:
+    count = 0
+    for p in range(2, 200):
+        if not is_prime(p):
             continue
-        target = [rng.randrange(-6, 7) for _ in range(k)]
-        expected = _index_in_ambient(rows, k) // _index_in_ambient(rows + [target], k)
-        assert lattice_order(rows, target) == expected
-        checked += 1
+        for n in (p, p * p):
+            divs = divisors(n)
+            sizes = _orbit_sizes(divs)
+            for _ in range(8):
+                head = [rng.randrange(-40, 41) for _ in divs[:-1]]
+                div = CuspDivisor.from_map(n, dict(zip(divs, head + [-sum(c * s for c, s in zip(head, sizes))])))
+                assert cuspidal_class_order(n, div) == _order_by_index(n, div), (n, div)
+                count += 1
+    assert count == 736
 
 
-def test_eta_lattice_orders_against_index_formula():
-    for n, div in (
-        (11, CuspDivisor.from_map(11, {1: 1, 11: -1})),
-        (49, CuspDivisor.from_map(49, {7: 1, 49: -6})),
-        (121, CuspDivisor.from_map(121, {1: 1, 121: -1})),
-        (169, CuspDivisor.from_map(169, {13: 1, 169: -12})),
-    ):
-        gens = [eta_divisor(n, r).int_vector() for r in eta_exponent_lattice(n)]
-        # project onto the degree-0 sublattice coordinates (first tau-1 coords
-        # determine the last through degree 0), keeping full rank
-        k = len(divisors(n)) - 1
-        proj = [list(g[:k]) for g in gens]
-        target = list(div.int_vector()[:k])
-        expected = _index_in_ambient(proj, k) // _index_in_ambient(proj + [target], k)
-        assert cuspidal_class_order(n, div) == expected
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # an eta-product whose divisor is twice the order times D
+        pytest.param(lambda order, r: (order, {d: 2 * v for d, v in r.items()}), "has divisor", id="divisor"),
+        # half the order 2 of [7] - 6[49]: its eta-product has half-integer exponents
+        pytest.param(
+            lambda order, r: (order // 2, {d: Fraction(v, 2) for d, v in r.items()}), "fails Ligozat", id="ligozat"
+        ),
+        # twice the order, with an eta-product whose half is rational
+        pytest.param(
+            lambda order, r: (2 * order, {d: 2 * v for d, v in r.items()}), "is already the divisor", id="least"
+        ),
+    ],
+)
+def test_class_order_check_exits_3(monkeypatch, corrupt, message):
+    # each always-on check of `cuspidal_class_order` catches a wrong order or
+    # eta-product, and `eta --special` exits 3 naming the level and divisor
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    import eisq.etacusp as etacusp
+    from eisq.cli import main
+
+    real = etacusp._order_and_exponents
+    monkeypatch.setattr(etacusp, "_order_and_exponents", lambda divs, div: corrupt(*real(divs, div)))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(["eta", "--N", "49", "--special"]) == 3
+    assert message in err.getvalue() and "at level 49" in err.getvalue() and "1*[7] + -6*[49]" in err.getvalue()
 
 
 def test_divisor_representation():
