@@ -391,12 +391,14 @@ def _order_by_index(n, div):
     return _index_in_ambient(proj, k) // _index_in_ambient(proj + [target], k)
 
 
-def test_closed_form_orders_against_index_formula():
-    # four fixed divisors, then 8 random degree-0 divisors at each level p and
-    # p^2, p < 200
+def test_eta_lattice_orders_against_index_formula():
     for n, coeffs in ((11, {1: 1, 11: -1}), (49, {7: 1, 49: -6}), (121, {1: 1, 121: -1}), (169, {13: 1, 169: -12})):
         div = CuspDivisor.from_map(n, coeffs)
         assert cuspidal_class_order(n, div) == _order_by_index(n, div), n
+
+
+def test_lattice_order_against_index_formula():
+    # 8 random degree-0 divisors at each level p and p^2, p < 200
     rng = random.Random(8)
     count = 0
     for p in range(2, 200):
