@@ -79,9 +79,8 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Complete factorization: value = sign * prod(prime^exp)."""
+    """Complete factorization: n = sign * prod(prime^exp)."""
 
-    value: int
     sign: int
     factors: tuple[tuple[int, int], ...]
 
@@ -160,7 +159,7 @@ def factor(n: int) -> Factorization:
             )
         stack += [split, m // split]
     factors = tuple(sorted(found.items()))
-    result = Factorization(value=n, sign=sign, factors=factors)
+    result = Factorization(sign=sign, factors=factors)
     if result.recompose() != n:
         raise InternalCheckError(f"the factors {factors} of {n} multiply to {result.recompose()}")
     return result

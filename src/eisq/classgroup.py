@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 
-# caps reduced_forms and class_number_of_disc: near |D| = 10^9 one
+# caps reduced_forms and fundamental_class_number: near |D| = 10^9 one
 # enumeration lists 7-62 thousand forms in 0.04-0.11 s (2-core Xeon VM)
 MAX_ENUMERATED_DISC = 10**9
 # bounds the class-number memo: the h of the last 4096 fundamental D counted
@@ -292,12 +292,6 @@ def reduced_forms(disc: int) -> list[BQForm]:
     return forms
 
 
-def class_number_of_disc(disc: int) -> int:
-    """The class number of the order of discriminant D (|D| under the cap)."""
-    _check_enumerable(disc)
-    return fundamental_class_number(disc) if is_fundamental(disc) else len(reduced_forms(disc))
-
-
 def fundamental_class_number(disc: int) -> int:
     """The class number at a fundamental D, |D| under the cap; any other D raises.
 
@@ -350,13 +344,8 @@ def _fundamental_class_number(disc: int) -> int:
 def field_disc(p: int) -> int:
     """-p, the discriminant of Q(sqrt(-p)) for a prime p = 3 (mod 4), p > 3."""
     if p <= 3 or p % 4 != 3 or not is_prime(p):
-        raise ValidationError(f"class_number requires a prime p > 3, p = 3 mod 4, got {p}")
+        raise ValidationError(f"field_disc requires a prime p > 3, p = 3 mod 4, got {p}")
     return -p
-
-
-def class_number(p: int) -> int:
-    """h of Q(sqrt(-p)) for a prime p = 3 (mod 4), p > 3."""
-    return class_number_of_disc(field_disc(p))
 
 
 def class_order(f: BQForm, h: int) -> int:

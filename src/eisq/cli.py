@@ -115,8 +115,6 @@ def _cmd_classnum(args, out) -> int:
 def _selmer_row(p: int, d: int, with_oracle: bool) -> dict:
     td = selmer.build_twist(p, d)
     res = selmer.selmer_rank_graph(td)
-    if not (td.split3 or td.split1):
-        selmer.thmm_verdict(td, res)  # raises unless the rank fits the minimality criterion
     row = {
         "p": p,
         "d": d,

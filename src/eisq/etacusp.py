@@ -244,10 +244,6 @@ class CuspidalGroupReport:
     invariants: tuple[int, ...]  # structure of the rational cuspidal group
     closed_form_12: tuple[int, int]  # ((p-1)/(p-1,12), (p+1)/(p+1,12)) = (a, b): invariants (a, a*b)
 
-    @property
-    def order(self) -> int:
-        return math.prod(self.invariants) if self.invariants else 1
-
 
 def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     """Structure of the rational cuspidal divisor class group of X0(p^2).

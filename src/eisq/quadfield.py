@@ -156,16 +156,7 @@ def _omega_roots(ctx: FieldCtx, q: int) -> tuple[int, int]:
     return (min(r1, r2), max(r1, r2))
 
 
-# --- formal products -------------------------------------------------------
-
 Gen = Union[QuadInt, int]
-FormalProduct = tuple[tuple[Gen, int], ...]
-
-
-def as_formal_product(x) -> FormalProduct:
-    if isinstance(x, (QuadInt, int)):
-        return ((x, 1),)
-    return tuple((g, int(e)) for g, e in x)
 
 
 def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
@@ -223,17 +214,12 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     return (val, jacobi(image % q, q))
 
 
-def is_local_square(ctx: FieldCtx, x, v: PlaceK) -> bool:
-    """Whether a nonzero formal product lies in (K_v^x)^2: the local data
-    of each factor, raised to its exponent, then the one square-class
-    predicate over them."""
+def is_local_square(ctx: FieldCtx, gens: Iterable[Gen], v: PlaceK) -> bool:
+    """Whether a nonzero product of generators lies in (K_v^x)^2: the one
+    square-class predicate over the local data of each generator."""
     if v.q == 2:
         raise ValidationError("local square test at residue characteristic 2")
-    data = []
-    for g, e in as_formal_product(x):
-        val, sym = _local_data(ctx, g, v)
-        data.append((val * e, sym if e % 2 else 1))
-    return _is_square_class(data)
+    return _is_square_class(_local_data(ctx, g, v) for g in gens)
 
 
 def _is_square_class(data: Iterable[tuple[int, int]]) -> bool:

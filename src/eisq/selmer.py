@@ -1,21 +1,21 @@
 """2-Selmer groups of quadratic twists of the CM curves attached to
 Q(sqrt(-p)) for p = 7 (mod 8): one table of the local classes of the
 generators at the places over p*d, the rank by the corank of the first
-shape's local conditions on it, checked against the second shape's and
+shape's local conditions on it, checked against the second shape's,
 against the even-partition walk on the residue-symbol graph read off the
-same table, and an exhaustive local-conditions oracle."""
+same table and, without a split prime, against the minimality criterion,
+and an exhaustive local-conditions oracle."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from . import quadfield
 from .arith import factor, is_prime
-from .classgroup import class_number
+from .classgroup import fundamental_class_number
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .quadfield import FieldCtx, PlaceK, QuadInt
+from .quadfield import FieldCtx, Gen, PlaceK, QuadInt
 
 # the oracle walks 2 * 2^n coordinate values, so 4^n pairs: twists of width
 # up to 12 fit, and on a 2-core VM the median width-11 twist takes 50-65 ms
@@ -24,8 +24,6 @@ ORACLE_PAIR_CAP = 2**24
 # vertices and 50 ms at 17 (twists by 6 and 8 split primes), and 6 s for a
 # random graph at the cap
 PARTITION_VERTEX_CAP = 24
-
-Gen = Union[QuadInt, int]
 
 
 @dataclass
@@ -76,7 +74,7 @@ def build_twist(p: int, d: int) -> TwistDatum:
     fac = factor(d)
     if not fac.is_squarefree():
         raise ValidationError(f"twist parameter must be squarefree, got {d}")
-    h = class_number(p)
+    h = fundamental_class_number(-p)
     split3: list[tuple[int, QuadInt]] = []
     split1: list[tuple[int, QuadInt]] = []
     inert: list[int] = []
@@ -227,13 +225,13 @@ def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
                     raise InternalCheckError("survivor set is not a subgroup")
         if (1 << width) - 1 not in kset:
             raise InternalCheckError("torsion image escapes the survivor set")
-    # the torsion image, read off the table above, checked on formal
-    # products by `is_local_square`, which computes its own local data:
+    # the torsion image, read off the table above, checked on products of
+    # generators by `is_local_square`, which computes its own local data:
     # each full product of generators times its partner, -pi d or pi d,
     # is a square at every place
     pi = td.ctx.pi()
     for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi)):
-        product = [(g, 1) for _, g in gens] + [(partner, 1), (td.d, 1)]
+        product = [g for _, g in gens] + [partner, td.d]
         for v in td.places:
             if not quadfield.is_local_square(td.ctx, product, v):
                 raise InternalCheckError(f"torsion image fails the local test: {side} at {v}")
@@ -400,7 +398,8 @@ def selmer_rank_graph(td: TwistDatum) -> GraphRankResult:
     t is the first shape's local-condition corank less one.  Every call
     checks it twice: against the even-partition walk on the graph, and
     against the second shape's corank, so that both shapes give dimension
-    2 + 2t."""
+    2 + 2t.  On a twist without a split prime it then checks the rank
+    against the minimality criterion."""
     graph = build_graph(td)
     first, second = _local_coranks(td)
     t = first - 1
@@ -411,51 +410,25 @@ def selmer_rank_graph(td: TwistDatum) -> GraphRankResult:
         raise InternalCheckError(
             f"local conditions give dim {first + second}, graph {2 + 2 * t} at p={td.ctx.p}, d={td.d}"
         )
+    rank = 1 + 2 * t
+    if not (td.split3 or td.split1):
+        _check_minimality(td, rank)
     return GraphRankResult(
         t=t,
         nontrivial_even_partitions=(1 << t) - 1,
-        rank=1 + 2 * t,
+        rank=rank,
         dim_f2=2 + 2 * t,
         graph=graph,
     )
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    d: int
-    p: int
-    inert_primes: tuple[int, ...]
-    all_one_mod4: bool  # iff minimal: twist group equals the 2-torsion
-    lower_bound: int  # 1 + #(Q = 3 mod 4)
-    graph_rank: int
-    consistent: bool
-
-
-def thmm_verdict(td: TwistDatum, res: GraphRankResult) -> MinimalityReport:
-    """Minimality test for twists by inert primes only: the group collapses
-    to the 2-torsion exactly when every Q_i = 1 (mod 4); in general the
-    rank is at least 1 + #(Q_i = 3 mod 4).  `res` is the graph rank of td,
-    already computed by the caller."""
-    if td.split3 or td.split1:
-        raise ValidationError("minimality criterion needs d with inert factors only")
-    ks = [q for q in td.inert if q % 4 == 3]
-    minimal = not ks
-    bound = 1 + len(ks)
-    rank = res.rank
-    consistent = rank >= bound and (rank == 1) == minimal
-    if not consistent:
-        raise InternalCheckError(
-            f"minimality cross-check failed for d={td.d}: rank {rank}, bound {bound}"
-        )
-    return MinimalityReport(
-        d=td.d,
-        p=td.ctx.p,
-        inert_primes=tuple(td.inert),
-        all_one_mod4=minimal,
-        lower_bound=bound,
-        graph_rank=rank,
-        consistent=consistent,
-    )
+def _check_minimality(td: TwistDatum, rank: int) -> None:
+    """Minimality for twists by inert primes only: the group collapses to
+    the 2-torsion exactly when every Q_i = 1 (mod 4), and in general the
+    rank is at least 1 + #(Q_i = 3 mod 4)."""
+    bound = 1 + sum(q % 4 == 3 for q in td.inert)
+    if rank < bound or (rank == 1) != (bound == 1):
+        raise InternalCheckError(f"minimality cross-check failed for d={td.d}: rank {rank}, bound {bound}")
 
 
 def admissible_twists_between(p: int, lo: int, hi: int) -> list[int]:

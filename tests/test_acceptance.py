@@ -36,7 +36,7 @@ def criterion(number, title):
 def test_criterion_01_class_numbers():
     expected = {7: 1, 23: 3, 31: 3, 47: 5, 71: 7}
     for p, h in expected.items():
-        assert classgroup.class_number(p) == h, p
+        assert classgroup.fundamental_class_number(classgroup.field_disc(p)) == h, p
         # oracle: the enumeration itself, independent of composition
         assert len(classgroup.reduced_forms(-p)) == h
 
@@ -75,16 +75,14 @@ def test_criterion_03_single_split_twist():
 
 @criterion(4, "minimality: p=7, d in {5,65} give dim 2; d=-3 gives rank 3 above bound 2")
 def test_criterion_04_minimality():
-    for d in (5, 65):
+    # twists by inert primes only: rank 1 exactly when every Q = 1 (mod 4),
+    # and never below the bound 1 + #(Q = 3 mod 4)
+    for d, rank, bound in ((5, 1, 1), (65, 1, 1), (-3, 3, 2)):
         td = selmer.build_twist(7, d)
-        assert selmer.selmer_group_bruteforce(td).dim_f2 == 2
-        assert selmer.thmm_verdict(td, selmer.selmer_rank_graph(td)).all_one_mod4
-    td3 = selmer.build_twist(7, -3)
-    brute = selmer.selmer_group_bruteforce(td3)
-    verdict = selmer.thmm_verdict(td3, selmer.selmer_rank_graph(td3))
-    assert brute.dim_f2 >= 2 + 1
-    assert verdict.lower_bound == 2
-    assert verdict.graph_rank == 3
+        assert not (td.split3 or td.split1)
+        assert 1 + sum(q % 4 == 3 for q in td.inert) == bound
+        assert selmer.selmer_rank_graph(td).rank == rank
+        assert selmer.selmer_group_bruteforce(td).dim_f2 == rank + 1
 
 
 @criterion(5, "local square laws at all inert Q < 200 for p in {7,23,31}")
@@ -101,15 +99,15 @@ def test_criterion_05_inert_local_squares():
         for q in inert:
             v = quadfield.places_above(ctx, q)[0]
             expected = q % 4 == 3
-            assert quadfield.is_local_square(ctx, ctx.pi(), v) == expected
-            assert quadfield.is_local_square(ctx, -ctx.pi(), v) == expected
-            assert quadfield.is_local_square(ctx, -1, v)
+            assert quadfield.is_local_square(ctx, [ctx.pi()], v) == expected
+            assert quadfield.is_local_square(ctx, [-ctx.pi()], v) == expected
+            assert quadfield.is_local_square(ctx, [-1], v)
         for q1 in inert:
             q1s = q1 if q1 % 4 == 1 else -q1
             for q2 in inert:
                 if q1 != q2:
                     assert quadfield.is_local_square(
-                        ctx, q1s, quadfield.places_above(ctx, q2)[0]
+                        ctx, [q1s], quadfield.places_above(ctx, q2)[0]
                     )
 
 

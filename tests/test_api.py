@@ -1,8 +1,14 @@
 """The library is what its callers use: every public function, class and
 method of `eisq` is referenced somewhere in the package outside its own
-definition, unless the README promises it as library API, no setting is
-read from the environment, and the settable parameters are the pinned
-ones."""
+definition, unless the README promises it as library API, every field
+and property of a class is read, no setting is read from the
+environment, and the settable parameters are the pinned ones.
+
+Both scans are one-sided: they match bare names, not the class they
+belong to, so a name that several classes or modules share, such as
+`.value`, `.p` or `.d`, counts as read when any one of them is read.  A
+scan that passes does not prove a name live; one that fails proves it
+dead."""
 
 import ast
 from pathlib import Path
@@ -54,24 +60,36 @@ def _public_definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every name loaded, attribute read or name imported."""
+    """(name, line, whether an attribute read) of every name loaded,
+    attribute read or name imported."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def _unused_public_names():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    refs = [(module, name, line) for module, tree in trees.items() for name, line in _references(tree)]
+    trees = _trees()
+    refs = [(module, *ref) for module, tree in trees.items() for ref in _references(tree)]
     unused = []
     for module, tree in trees.items():
         for qual, name, first, last in _public_definitions(tree):
-            outside = (m != module or not first <= line <= last for m, n, line in refs if n == name)
+            # a method or property is called only through an attribute, so
+            # a local variable of the same name does not count
+            method = "." in qual
+            outside = (
+                m != module or not first <= line <= last
+                for m, n, line, attr in refs
+                if n == name and (attr or not method)
+            )
             if not any(outside):
                 unused.append(f"{module}.{qual}")
     return sorted(unused)
@@ -79,6 +97,49 @@ def _unused_public_names():
 
 def test_every_public_name_has_a_caller():
     assert [name for name in _unused_public_names() if name not in PROMISED] == []
+
+
+# the fields no code in the package reads: the cuspidal group that the
+# promised `cuspidal_group_invariants` returns, whose invariants the
+# benchmark checks and whose fields the `cuspidal-invariants` goldens
+# print, and the oracle's candidates and survivor sets, which leave the
+# package with its exhaustive walk
+UNREAD_FIELDS = {
+    "etacusp.CuspidalGroupReport.invariants",
+    "etacusp.CuspidalGroupReport.closed_form_12",
+    "selmer.SelmerCandidate.alpha_bits",
+    "selmer.SelmerCandidate.beta_bits",
+    "selmer.BruteForceResult.basis",
+    "selmer.BruteForceResult.alpha_survivors",
+    "selmer.BruteForceResult.beta_survivors",
+}
+
+
+def _fields(tree):
+    """(qualified name, bare name) of each annotated field and each
+    property of every class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                    isinstance(dec, ast.Name) and dec.id == "property" for dec in item.decorator_list
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _unread_fields():
+    trees = _trees()
+    read = {name for tree in trees.values() for name, _, attr in _references(tree) if attr}
+    return sorted(
+        f"{module}.{qual}" for module, tree in trees.items() for qual, name in _fields(tree) if name not in read
+    )
+
+
+def test_every_field_is_read():
+    # exactly the listed fields go unread, so the list cannot go stale
+    assert _unread_fields() == sorted(UNREAD_FIELDS)
 
 
 def test_promised_names_exist():

@@ -167,7 +167,7 @@ def test_factor_examples():
     f = factor(-33)
     assert f.sign == -1 and f.factors == ((3, 1), (11, 1))
     assert factor(4 * 29**3).factors == ((2, 2), (29, 3))
-    assert factor(1) == Factorization(1, 1, ())
+    assert factor(1) == Factorization(1, ())
     with pytest.raises(ValidationError):
         factor(0)
 

@@ -15,10 +15,9 @@ from eisq.classgroup import (
     _normalize,
     _odd_root_table,
     _two_adic_roots,
-    class_number,
-    class_number_of_disc,
     class_order,
     compose,
+    field_disc,
     form_pow,
     fundamental_class_number,
     is_fundamental,
@@ -28,6 +27,12 @@ from eisq.classgroup import (
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def class_number_of_disc(disc):
+    """The class number of the order of discriminant D: the count at a
+    fundamental D, the number of listed forms at any other."""
+    return fundamental_class_number(disc) if is_fundamental(disc) else len(reduced_forms(disc))
 
 
 def principal_form(disc):
@@ -46,9 +51,7 @@ def inverse(f):
 
 
 def test_class_number_examples():
-    assert class_number(7) == 1
-    assert class_number(23) == 3
-    assert class_number(47) == 5
+    assert [fundamental_class_number(field_disc(p)) for p in (7, 23, 47)] == [1, 3, 5]
     assert reduced_forms(-23) == [BQForm(1, 1, 6), BQForm(2, -1, 3), BQForm(2, 1, 3)]
     assert reduced_forms(-47) == [
         BQForm(1, 1, 12),
@@ -58,9 +61,11 @@ def test_class_number_examples():
         BQForm(3, 1, 4),
     ]
     with pytest.raises(ValidationError):
-        class_number(4)
+        field_disc(4)
     with pytest.raises(ValidationError):
-        class_number(13)
+        field_disc(13)
+    with pytest.raises(ValidationError, match="not fundamental"):
+        fundamental_class_number(-36)
 
 
 def _reduced_forms_by_loop(disc):

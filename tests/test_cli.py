@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisq import classgroup
+from eisq import classgroup, selmer
 from eisq.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, _jsonable, canonical_json, main
 from eisq.errors import InternalCheckError
 from eisq.modforms import MAX_EIGEN_PREC
@@ -194,50 +194,61 @@ def test_internal_consistency_exit(monkeypatch):
     assert code == 3
 
 
+def _shift_t(monkeypatch, shift):
+    """Move t by `shift` in both coranks and in the even-partition walk, so
+    that of the always-on checks only the minimality criterion can see it."""
+    real_coranks, real_walk = selmer._local_coranks, selmer.count_even_partitions
+
+    def coranks(td):
+        first, second = real_coranks(td)
+        return first + shift, second + shift
+
+    def walk(graph):
+        t, nontrivial = real_walk(graph)
+        return t + shift, nontrivial
+
+    monkeypatch.setattr(selmer, "_local_coranks", coranks)
+    monkeypatch.setattr(selmer, "count_even_partitions", walk)
+
+
+MINIMALITY_FAULTS = ((5, 1), (-3, -1), (65, 1))  # (d at p = 7, shift of t)
+
+
 def test_wrong_minimality_rank_exit_3(monkeypatch):
     # every inert-only twist is checked against the minimality criterion
-    import dataclasses
-
-    import eisq.cli as cli_mod
-
-    real = cli_mod.selmer.selmer_rank_graph
-    for d, shift in ((5, 2), (-3, -2), (65, 2)):
-
-        def wrong_rank(td, shift=shift):
-            res = real(td)
-            return dataclasses.replace(res, rank=res.rank + shift)
-
-        monkeypatch.setattr(cli_mod.selmer, "selmer_rank_graph", wrong_rank)
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, _ = run_cli("selmer", "--p", "7", "--d", str(d))
+    for d, shift in MINIMALITY_FAULTS:
+        with monkeypatch.context() as m:
+            _shift_t(m, shift)
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, _ = run_cli("selmer", "--p", "7", "--d", str(d))
         assert code == 3, d
         assert f"minimality cross-check failed for d={d}" in err.getvalue()
 
 
 def test_one_graph_rank_per_twist(monkeypatch):
-    # the minimality check reads the rank the row already has
-    import eisq.cli as cli_mod
-
-    ranks, verdicts = [], []
-    real_rank, real_verdict = cli_mod.selmer.selmer_rank_graph, cli_mod.selmer.thmm_verdict
+    # one rank per row, and the minimality check runs inside it on the
+    # inert-only twists alone, on the rank it returns
+    ranks, checked = [], []
+    real_rank, real_check = selmer.selmer_rank_graph, selmer._check_minimality
 
     def counted_rank(td):
         ranks.append(td.d)
         return real_rank(td)
 
-    def counted_verdict(td, res):
-        verdicts.append(td.d)
-        return real_verdict(td, res)
+    def counted_check(td, rank):
+        checked.append((td.d, rank))
+        return real_check(td, rank)
 
-    monkeypatch.setattr(cli_mod.selmer, "selmer_rank_graph", counted_rank)
-    monkeypatch.setattr(cli_mod.selmer, "thmm_verdict", counted_verdict)
+    monkeypatch.setattr(selmer, "selmer_rank_graph", counted_rank)
+    monkeypatch.setattr(selmer, "_check_minimality", counted_check)
     code, out = run_cli("selmer", "--p", "7", "--d-range", "-200..200", "--format", "json")
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
     assert ranks == [r["d"] for r in rows]
-    inert_only = [r["d"] for r in rows if all(g.lstrip("-").isdigit() for g in r["generators"][1:])]
-    assert verdicts == inert_only and 5 in verdicts and -3 in verdicts and -11 not in verdicts
+    inert_only = [(r["d"], r["rank"]) for r in rows if all(g.lstrip("-").isdigit() for g in r["generators"][1:])]
+    assert checked == inert_only
+    assert {d for d, _ in checked} >= {5, -3} and -11 not in {d for d, _ in checked}
 
 
 def test_no_floats_anywhere():

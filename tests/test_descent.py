@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eisq import etacusp
-from eisq.classgroup import BQForm, class_number_of_disc, form_pow, prime_form
+from eisq.classgroup import BQForm, form_pow, prime_form
 from eisq.descent import (
     INCONCLUSIVE,
     NONTORSION,
@@ -23,6 +23,7 @@ from eisq.descent import (
 )
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 from eisq.etacusp import CuspDivisor, prime_exponent, special_function
+from test_classgroup import class_number_of_disc
 
 # fundamental discriminants with small class numbers, for verdict tables
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40, -43, -47, -52, -67, -79, -163)

@@ -245,7 +245,7 @@ def test_cuspidal_class_order_validation():
 
 def test_cuspidal_group_invariants():
     rep5 = cuspidal_group_invariants(5)
-    assert rep5.invariants == () and rep5.order == 1
+    assert rep5.invariants == () and rep5.closed_form_12 == (1, 1)
     rep7 = cuspidal_group_invariants(7)
     assert rep7.invariants == (2,) and rep7.closed_form_12 == (1, 2)
     rep11 = cuspidal_group_invariants(11)

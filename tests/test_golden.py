@@ -138,11 +138,15 @@ def _canonical_p2(p):
 
 
 def _class_orders():
+    def class_number(d):
+        # counted at a fundamental D, listed at any other
+        return classgroup.fundamental_class_number(d) if classgroup.is_fundamental(d) else len(classgroup.reduced_forms(d))
+
     discs = (-3, -4, -36, -84, -1003, -4375, -20412, -236196, -3145728, -9983951, -10000004, -99990007)
-    counts = [(d, classgroup.class_number_of_disc(d)) for d in discs]
+    counts = [(d, class_number(d)) for d in discs]
     # every 97th form of three non-fundamental discriminants, given h
     orders = [
-        (f, classgroup.class_order(f, classgroup.class_number_of_disc(d)))
+        (f, classgroup.class_order(f, class_number(d)))
         for d in (-20412, -4 * 3**10, -3 * 2**20)
         for f in classgroup.reduced_forms(d)[1::97]
     ]

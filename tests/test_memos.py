@@ -38,16 +38,15 @@ def test_class_number_hit_equals_fresh_count():
 
 
 def test_class_number_callers_share_the_memo():
-    # class_number(p) (Selmer's twists), class_number_of_disc and the Heegner
-    # set-up all reach the one count
+    # a Selmer twist over Q(sqrt(-p)), which reads h(-p), the Heegner set-up
+    # and a direct call all reach the one count
     from eisq.descent import heegner_setup
+    from eisq.selmer import build_twist
 
-    assert classgroup.class_number(47) == 5
-    assert classgroup.class_number_of_disc(-47) == 5
+    build_twist(47, 5)
     assert heegner_setup(11, -47).h_k == 5
+    assert classgroup.fundamental_class_number(-47) == 5
     assert (count_h.cache_info().misses, count_h.cache_info().hits) == (1, 2)
-    # a non-fundamental D is listed, not counted, so it is not kept
-    assert classgroup.class_number_of_disc(-36) == 2
     assert count_h.cache_info().currsize == 1
 
 
@@ -82,7 +81,7 @@ def test_non_fundamental_disc_raises_and_is_not_kept():
         with pytest.raises(ValidationError, match="discriminant -40028 is not fundamental"):
             classgroup.fundamental_class_number(-40028)
     assert count_h.cache_info().currsize == 0 and count_h.cache_info().hits == 0
-    assert classgroup.class_number_of_disc(-40028) == len(classgroup.reduced_forms(-40028)) == 77
+    assert len(classgroup.reduced_forms(-40028)) == 77
     assert count_h.cache_info().currsize == 0
 
 

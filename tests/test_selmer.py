@@ -19,9 +19,8 @@ from eisq.selmer import (
     count_even_partitions,
     selmer_group_bruteforce,
     selmer_rank_graph,
-    thmm_verdict,
 )
-from test_cli import run_cli_err
+from test_cli import MINIMALITY_FAULTS, _shift_t, run_cli_err
 from test_quadfield import old_split_generator, residue_symbol
 
 
@@ -391,21 +390,25 @@ def test_rank_builds_each_graph_once(monkeypatch):
         assert res.graph == real_graph(td)
 
 
-def _thmm(p, d):
-    td = build_twist(p, d)
-    return thmm_verdict(td, selmer_rank_graph(td))
-
-
 def test_thmm_examples():
-    v5 = _thmm(7, 5)
-    assert v5.all_one_mod4 and v5.graph_rank == 1 and v5.consistent
-    v3 = _thmm(7, -3)
-    assert not v3.all_one_mod4 and v3.lower_bound == 2 and v3.graph_rank == 3
-    v65 = _thmm(7, 65)
-    assert v65.all_one_mod4 and v65.graph_rank == 1
+    # twists by inert primes only: d = 5 and 65 (every Q = 1 mod 4) collapse
+    # to the 2-torsion, and d = -3 has rank 3, at least 1 + #(Q = 3 mod 4) = 2
+    assert [selmer_rank_graph(build_twist(7, d)).rank for d in (5, -3, 65)] == [1, 3, 1]
     assert selmer_group_bruteforce(build_twist(7, 65)).dim_f2 == 2
-    with pytest.raises(ValidationError):
-        _thmm(7, -11)
+    # the criterion itself: rank 1 exactly when minimal, and never below the bound
+    selmer._check_minimality(build_twist(7, -3), 5)
+    for d, rank, bound in ((5, 3, 1), (-3, 1, 2)):
+        with pytest.raises(InternalCheckError, match=f"failed for d={d}: rank {rank}, bound {bound}"):
+            selmer._check_minimality(build_twist(7, d), rank)
+
+
+@pytest.mark.parametrize("d, shift", MINIMALITY_FAULTS)
+def test_wrong_minimality_rank_raises(monkeypatch, d, shift):
+    # the fault that the CLI exits 3 on raises in a library call too
+    td = build_twist(7, d)
+    _shift_t(monkeypatch, shift)
+    with pytest.raises(InternalCheckError, match=f"minimality cross-check failed for d={d}"):
+        selmer_rank_graph(td)
 
 
 def _split_q3_twists(p, bound):
@@ -563,16 +566,13 @@ def test_generator_places():
 
 
 def _coordinate_product(td, side, bits, twist):
-    # the parent's formal product of a coordinate, kept verbatim as an oracle
+    # the generators whose product is a coordinate, kept as an oracle
     gens = td.alpha_gens if side == "alpha" else td.beta_gens
-    product: list[tuple[selmer.Gen, int]] = [
-        (g, 1) for i, (_, g) in enumerate(gens) if (bits >> i) & 1
-    ]
+    product: list[quadfield.Gen] = [g for i, (_, g) in enumerate(gens) if (bits >> i) & 1]
     if twist:
         # multiply by the torsion coordinate -pi*d (first shape) or pi*d (second)
         pi = td.ctx.pi()
-        product.append((-pi if side == "alpha" else pi, 1))
-        product.append((td.d, 1))
+        product += [-pi if side == "alpha" else pi, td.d]
     return product
 
 
