@@ -144,7 +144,6 @@ def verdict_prime_level_2(p: int, k_disc: int) -> Verdict:
 
 @dataclass(frozen=True)
 class NeumannSetzerReport:
-    p: int
     is_ns_prime: bool  # p = u^2 + 64 with u odd
     u: Optional[int]
     u_mod_8: Optional[int]
@@ -159,8 +158,8 @@ def neumann_setzer(p: int) -> NeumannSetzerReport:
     if p > 64:
         u = math.isqrt(p - 64)
         if u * u + 64 == p and u % 2 == 1:
-            return NeumannSetzerReport(p, True, u, u % 8, u % 8 in (3, 5))
-    return NeumannSetzerReport(p, False, None, None, False)
+            return NeumannSetzerReport(True, u, u % 8, u % 8 in (3, 5))
+    return NeumannSetzerReport(False, None, None, False)
 
 
 def verdict_ns_curve(p: int, k_disc: int) -> Verdict:
@@ -238,12 +237,14 @@ def verdict_rational_divisor(
     if all(v == 0 for v in r.values()):
         raise ValidationError("zero exponent vector has no associated order")
     _check_q(q)
-    n = etacusp.cuspidal_class_order(level, div)
-    image = etacusp.eta_divisor(level, r)
-    if image != div.scale(n):
+    n, r_div = etacusp._class_order(level, div)
+    # the class order checked the divisor of r_div; the eta-divisor map is
+    # invertible, so r has divisor n*D exactly when it is r_div
+    if etacusp._validated_exponents(etacusp.divisors(level), r) != r_div:
         raise ValidationError(
-            f"eta-product divisor {image} is not n*D = {div.scale(n)} with n = {n}"
+            f"eta-product divisor {etacusp.eta_divisor(level, r)} is not n*D = {div.scale(n)} with n = {n}"
         )
+    image = div.scale(n)
     if n % q:
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
     setup = heegner_setup(level, k_disc)

@@ -219,6 +219,12 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     each check a raise: r has divisor n*div exactly, r is rational
     (Ligozat), and r/l is not, for each prime l | n.
     """
+    return _class_order(n, div)[0]
+
+
+def _class_order(n: int, div: CuspDivisor) -> tuple[int, dict[int, int]]:
+    """`cuspidal_class_order`, with the checked eta-product of n*div, one
+    exponent per divisor of the level."""
     divs = divisors(n)
     if div.level != n or len(div.coeffs) != len(divs):
         raise ValidationError("divisor level mismatch")
@@ -235,7 +241,7 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
             raise InternalCheckError(
                 f"{order // ell}*({div}) at level {n} is already the divisor of a rational eta-product"
             )
-    return order
+    return order, r
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Optional, Sequence
@@ -16,9 +17,10 @@ from .errors import InternalCheckError, PrecisionError, ResourceCapError, Valida
 # an operator output keeps prec // ell coefficients; below this many the
 # comparison is considered uninformative
 MIN_RETAINED = 15
-# eisenstein_eigencheck takes 0.12-0.17 s and 29 MB peak RSS at prec 10^5,
-# 2.6-3.0 s and 140 MB at 10^6 (2-core Xeon VM); a larger prec raises
-# ResourceCapError
+# eisenstein_eigencheck, in a fresh process at p = 97, takes 0.13-0.20 s and
+# 26 MB peak RSS at prec 10^5, 2.5-3.9 s and 122-123 MB at 10^6 (2-core
+# Xeon VM; delta_series gives the figures before its unscaled check); a
+# larger prec raises ResourceCapError
 MAX_EIGEN_PREC = 10**6
 
 
@@ -39,9 +41,17 @@ def _first_difference(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
 
 
 def sigma_table(n: int) -> list[int]:
-    """[sigma(0) = 0, sigma(1), ..., sigma(n)] from a smallest-prime-factor
-    sieve: sigma(l*q) = (l+1) sigma(q) - l sigma(q/l), the last term only
-    when l | q."""
+    """[sigma(0) = 0, sigma(1), ..., sigma(n)], a fresh list the caller may
+    change: a copy of the memo's table."""
+    return list(_sigma_table(n))
+
+
+@lru_cache(maxsize=1)
+def _sigma_table(n: int) -> tuple[int, ...]:
+    """The sigma table from a smallest-prime-factor sieve: sigma(l*q) =
+    (l+1) sigma(q) - l sigma(q/l), the last term only when l | q.  It does
+    not depend on p, so one process keeps the last one built, and a sweep
+    over p at one precision sieves once."""
     table = [0, 1][: n + 1]
     append = table.append
     for m, ell in enumerate(smallest_prime_factors(n)[2:], 2):
@@ -50,7 +60,7 @@ def sigma_table(n: int) -> list[int]:
             append((ell + 1) * table[q])
         else:
             append((ell + 1) * table[q] - ell * table[q // ell])
-    return table
+    return tuple(table)
 
 
 def sigma_prime_table(n: int, p: int) -> list[int]:
@@ -70,33 +80,36 @@ def sigma_prime_table(n: int, p: int) -> list[int]:
     return table
 
 
-def eisenstein_e(p: int, prec: int) -> QSeries:
-    """e = (1-p) - 24 * sum sigma'(m) q^m, the weight-2 Eisenstein series of level p."""
-    coeffs = list(map(mul, sigma_prime_table(max(prec, 0), p), repeat(-24)))
-    coeffs[0] = 1 - p
-    return QSeries(p, tuple(coeffs))
-
-
 def delta_series(p: int, prec: int) -> QSeries:
     """The level-p^2 Eisenstein eigenseries: a_m = sigma(m) for p coprime to m, else 0.
 
-    The two sides of the check e(pz) = e(z) + 24 delta come from
-    different sieves: delta from the multiplicative sieve of sigma_table,
-    e from the divisor pairs of sigma_prime_table.  A mismatch raises
-    InternalCheckError naming the first bad index.
+    With e = (1-p) - 24 sum sigma'(m) q^m the weight-2 Eisenstein series of
+    level p, each series is checked by e(pz) = e(z) + 24 delta.  Index by
+    index that holds exactly when sigma'(m) = sigma(m) for every m that p
+    does not divide and sigma'(p*j) = sigma'(j) for every j <= prec/p, so
+    it is checked as those two list comparisons, unscaled.  The two sides
+    come from different sieves: delta from the multiplicative sieve of
+    sigma_table, sigma' from the divisor pairs of sigma_prime_table.  A
+    mismatch raises InternalCheckError naming the first bad index.
+
+    Comparing the unscaled sums, rather than e(pz) against e(z) + 24 delta,
+    builds no scaled series: at p = 97 a fresh eigencheck's peak RSS went
+    28-29 -> 26 MB at prec 10^5 and 138-141 -> 122-123 MB at 10^6, and its
+    time stayed within the host's spread (0.13-0.24 -> 0.13-0.20 s and
+    2.5-3.7 -> 2.5-3.9 s, 2-core Xeon VM, alternated runs).
     """
     if not is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
     n = max(prec, 0)
     coeffs = sigma_table(n)
     coeffs[::p] = repeat(0, n // p + 1)
-    e = eisenstein_e(p, n).coeffs
-    e_pz = [0] * (n + 1)
-    e_pz[::p] = e[: n // p + 1]
-    want = list(map(add, e, map(mul, coeffs, repeat(24))))  # e(z) + 24 delta
-    bad = _first_difference(e_pz, want)
-    if bad is not None:
-        raise InternalCheckError(f"delta identity fails at {bad} for p = {p}")
+    sp = sigma_prime_table(n, p)
+    j = _first_difference(sp[::p], sp[: n // p + 1])
+    sp[::p] = repeat(0, n // p + 1)
+    m = _first_difference(sp, coeffs)
+    bad = [i for i in (m, j if j is None else p * j) if i is not None]
+    if bad:
+        raise InternalCheckError(f"delta identity fails at {min(bad)} for p = {p}")
     return QSeries(p * p, tuple(coeffs))
 
 

@@ -1,15 +1,16 @@
 """Shared fixtures.
 
-The class-number memo lives for the whole process, so every test starts
-with it empty: no test sees what an earlier one counted, whatever order
-the tests run in."""
+The class-number memo and the sigma-table memo live for the whole
+process, so every test starts with both empty: no test sees what an
+earlier one computed, whatever order the tests run in."""
 
 import pytest
 
-from eisq import classgroup
+from eisq import classgroup, modforms
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
     classgroup._fundamental_class_number.cache_clear()
+    modforms._sigma_table.cache_clear()
     yield

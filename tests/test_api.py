@@ -130,6 +130,11 @@ def _fields(tree):
 
 
 def _unread_fields():
+    """The fields and properties whose bare name no attribute read in the
+    package matches.  A name that several classes share passes when any one
+    of them is read: `descent.NeumannSetzerReport.p` was written and never
+    read, and the scan did not see it, because `.p` is read on other
+    classes."""
     trees = _trees()
     read = {name for tree in trees.values() for name, _, attr in _references(tree) if attr}
     return sorted(

@@ -266,6 +266,31 @@ def test_rational_divisor_validation():
         verdict_rational_divisor(11, r, div, -7, 7)  # 7 does not divide n = 5
 
 
+def test_rational_divisor_reads_r_off_the_class_order(monkeypatch):
+    # the class order's checked eta-product stands for r's divisor, so a
+    # verdict at level p^2 computes 3 divisors (the two basis vectors and the
+    # class order's check), and r's own only where a wrong r's message
+    # prints it, in the same words as when every verdict computed it
+    calls = _counting(monkeypatch, etacusp, "_eta_divisor")
+    for p, disc, q in ((11, -7, 5), (13, -23, 7), (101, -9983, 17)):
+        level = p * p
+        div = CuspDivisor.from_map(level, {p: 1, level: -(p - 1)})
+        n = etacusp.cuspidal_class_order(level, div)
+        del calls[:]
+        verdict_rational_divisor(level, special_function(level), div, disc, q)
+        assert len(calls) == 3, p
+        for wrong in ({1: -2, p: 2 * p + 2, level: -2 * p}, {1: 1, p: -1}):
+            image = etacusp.eta_divisor(level, wrong)
+            del calls[:]
+            with pytest.raises(ValidationError) as err:
+                verdict_rational_divisor(level, wrong, div, disc, q)
+            assert str(err.value) == f"eta-product divisor {image} is not n*D = {div.scale(n)} with n = {n}"
+            assert len(calls) == 4 and calls[-1][1] == {d: wrong.get(d, 0) for d in (1, p, level)}, p
+        # an exponent at a non-divisor fails, even at 0, as it did by eta_divisor
+        with pytest.raises(ValidationError, match=f"^7 does not divide the level {level}$"):
+            verdict_rational_divisor(level, {**special_function(level), 7: 0}, div, disc, q)
+
+
 def test_monotonicity_in_class_number():
     # same (p, q), class number valuation pushed past v_q(n): verdict flips
     nontorsion_disc, inconclusive_disc = -7, -79
@@ -303,14 +328,15 @@ def test_prime_power_order_of_eta_data():
 
 def test_rational_divisor_rejects_an_odd_prime_exponent(monkeypatch):
     # r has prime exponent 27 and an integral divisor, which the lattice of
-    # rational eta-products does not hold; the class order is forced to 5 so
-    # that the verdict passes its divisor checks and reaches the root ideal.
+    # rational eta-products does not hold; the class order is forced to 5,
+    # with r as its eta-product, so that the verdict passes its divisor
+    # check and reaches the root ideal.
     # Unforced, no r gets there: the eta-divisor map is invertible
     # (test_etacusp), so r is the rational eta-product of n*D, of even e
     r = {1: -27, 17: 27}
     assert prime_exponent(17, r) == 27 and splits_in(-4, 17)
     div = etacusp.eta_divisor(17, r).scale(Fraction(1, 5))
-    monkeypatch.setattr(etacusp, "cuspidal_class_order", lambda level, d: 5)
+    monkeypatch.setattr(etacusp, "_class_order", lambda level, d: (5, r))
     with pytest.raises(InternalCheckError, match="odd prime exponent 27"):
         verdict_rational_divisor(17, r, div, -4, 5)
 

@@ -1,17 +1,19 @@
-"""The per-process memo of h of a fundamental discriminant.  A hit must
-equal a fresh computation, the memo is bounded, and an input that raises
-raises again (nothing is kept for it).  `conftest.py` empties it before
-every test."""
+"""The per-process memos: h of a fundamental discriminant, and the last
+sigma table built.  A hit must equal a fresh computation, each memo is
+bounded, an input that raises raises again (nothing is kept for it), and
+no caller can change what a memo holds.  `conftest.py` empties both
+before every test."""
 
 import random
 
 import pytest
 
-from eisq import classgroup, etacusp
+from eisq import classgroup, etacusp, modforms
 from eisq.cli import main
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 
 count_h = classgroup._fundamental_class_number
+sieve = modforms._sigma_table
 
 
 def _fundamental_sample(rng, lo, hi, k):
@@ -101,3 +103,50 @@ def test_failed_build_is_retried(monkeypatch):
     monkeypatch.setattr(classgroup, "_two_adic_roots", roots)
     assert classgroup.fundamental_class_number(-47) == 5
     assert (count_h.cache_info().misses, count_h.cache_info().currsize) == (3, 1)
+
+
+def test_sigma_hit_equals_cold_build():
+    n = 5000
+    first = modforms.sigma_table(n)
+    assert (sieve.cache_info().misses, sieve.cache_info().hits) == (1, 0)
+    assert modforms.sigma_table(n) == first
+    assert (sieve.cache_info().misses, sieve.cache_info().hits) == (1, 1)
+    sieve.cache_clear()
+    assert modforms.sigma_table(n) == first == list(sieve.__wrapped__(n))
+    assert sieve.cache_info().misses == 1
+
+
+def test_sigma_memo_holds_one_tuple():
+    assert sieve.cache_info().maxsize == 1
+    for n in (100, 200, 100):
+        assert type(sieve(n)) is tuple
+        assert sieve.cache_info().currsize == 1
+    assert sieve.cache_info().misses == 3
+    # the public table is a list of its own, never the memo's tuple
+    table = modforms.sigma_table(100)
+    assert type(table) is list and table == list(sieve(100))
+
+
+def test_sigma_memo_survives_its_callers():
+    # delta_series zeroes the multiples of p in the list it gets, and a
+    # caller may change the public table: neither reaches the memo
+    n = 3000
+    cold_sigma = list(sieve.__wrapped__(n))
+    cold_delta = modforms.delta_series(7, n)
+    sieve.cache_clear()
+    table = modforms.sigma_table(n)
+    table[10] += 1
+    table[::3] = [0] * len(table[::3])
+    modforms.delta_series(5, n)
+    assert modforms.sigma_table(n) == cold_sigma
+    assert modforms.delta_series(7, n) == cold_delta
+    assert sieve.cache_info().misses == 1
+
+
+def test_eigencheck_sweep_sieves_sigma_once():
+    for p in (5, 7, 11, 13, 101, 103, 107, 109):
+        assert modforms.eisenstein_eigencheck(p, 2000).ok
+    assert (sieve.cache_info().misses, sieve.cache_info().hits) == (1, 7)
+    # another precision replaces the one table kept
+    assert modforms.eisenstein_eigencheck(5, 1000).ok
+    assert (sieve.cache_info().misses, sieve.cache_info().currsize) == (2, 1)

@@ -112,6 +112,59 @@ def test_delta_identity_names_first_bad_index(monkeypatch):
         delta_series(5, 100)
 
 
+def _identity_oracle(sigmas, sigma_primes, p):
+    """The first index where e(pz) = e(z) + 24 delta fails, or None, by the
+    literal comparison of the two scaled series: e = (1-p) - 24 sum
+    sigma'(m) q^m, and delta the sigma table with its multiples of p zeroed."""
+    n = len(sigmas) - 1
+    delta = list(sigmas)
+    delta[::p] = [0] * (n // p + 1)
+    e = [-24 * s for s in sigma_primes]
+    e[0] = 1 - p
+    e_pz = [0] * (n + 1)
+    e_pz[::p] = e[: n // p + 1]
+    want = [a + 24 * b for a, b in zip(e, delta)]
+    return next((m for m in range(n + 1) if e_pz[m] != want[m]), None)
+
+
+def test_delta_identity_first_bad_index_against_literal_identity(monkeypatch):
+    # one entry of either table raised by one, at every index: delta_series
+    # fails exactly where the literal identity first fails, and passes where
+    # it holds (index 0, and the sigma entries that delta zeroes)
+    n = 60
+    originals = {"sigma_table": modforms.sigma_table, "sigma_prime_table": modforms.sigma_prime_table}
+    passed = 0
+    for p in (2, 3, 5, 7):
+        for name, table_fn in originals.items():
+            for index in range(n + 1):
+                monkeypatch.setattr(modforms, name, _perturbed(table_fn, index))
+                bad = _identity_oracle(modforms.sigma_table(n), modforms.sigma_prime_table(n, p), p)
+                if bad is None:
+                    delta_series(p, n)
+                    passed += 1
+                else:
+                    with pytest.raises(InternalCheckError, match=f"^delta identity fails at {bad} for p = {p}$"):
+                        delta_series(p, n)
+                monkeypatch.setattr(modforms, name, table_fn)
+    # the unperturbed sigma entries: index 0 and the multiples of p > 0
+    # of the sigma table, 2 * 4 + 30 + 20 + 12 + 8 in all
+    assert passed == 78
+    # one entry of each table at once, so that either comparison may fail first
+    for p in (2, 3, 5, 7):
+        for i in range(0, n + 1, 3):
+            for k in range(0, n + 1, 2):
+                for name, table_fn, index in zip(originals, originals.values(), (i, k)):
+                    monkeypatch.setattr(modforms, name, _perturbed(table_fn, index))
+                bad = _identity_oracle(modforms.sigma_table(n), modforms.sigma_prime_table(n, p), p)
+                if bad is None:
+                    delta_series(p, n)
+                else:
+                    with pytest.raises(InternalCheckError, match=f"^delta identity fails at {bad} for p = {p}$"):
+                        delta_series(p, n)
+                for name, table_fn in originals.items():
+                    monkeypatch.setattr(modforms, name, table_fn)
+
+
 def test_eigencheck_reports_first_discrepancy(monkeypatch):
     # a_10 of delta at p = 5 raised by one: T_2 delta gains a_10 at m = 5
     # and 2 a_10 at m = 20 while 3 delta changes at 10, so m = 5 is first;
