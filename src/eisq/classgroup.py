@@ -10,7 +10,7 @@ for each leading coefficient a <= sqrt(|D|/3) the square roots b of D mod
 flat table of the roots mod each odd m, and c = (b^2 - D)/4a.  Only the
 band sqrt(|D|/4) < a <= sqrt(|D|/3) tests c >= a, and only a
 non-fundamental D tests gcd(a, b, c) = 1; each form is built once, as the
-BQForm the list holds.  So a list costs about sqrt(|D|) plus its output.
+int triple the list holds.  So a list costs about sqrt(|D|) plus its output.
 At a fundamental discriminant the class number is counted from the number
 of those roots, and of the band's roots that pass, with no form built; the
 list stays the independent oracle the rest of the package leans on.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -34,24 +34,7 @@ MAX_ENUMERATED_DISC = 10**9
 CLASS_NUMBER_MEMO = 4096
 
 
-class BQForm(NamedTuple):
-    """A binary quadratic form a*x^2 + b*x*y + c*y^2, printed as (a,b,c).
-
-    The arithmetic below runs on plain (a, b, c) triples; a BQForm is built
-    only where a public function returns one."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def __repr__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
-
-
+# a binary quadratic form a*x^2 + b*x*y + c*y^2, as the int triple (a, b, c)
 Triple = tuple[int, int, int]
 
 
@@ -60,10 +43,11 @@ def _check_disc(disc: int):
         raise ValidationError(f"need a negative discriminant = 0,1 mod 4, got {disc}")
 
 
-def _positive_definite(f: BQForm) -> int:
+def _positive_definite(f: Triple) -> int:
     """The discriminant of f, once f is checked positive definite."""
-    disc = f.disc
-    if f.a <= 0 or disc >= 0:
+    a, b, c = f
+    disc = b * b - 4 * a * c
+    if a <= 0 or disc >= 0:
         raise ValidationError(f"positive definite forms only, got {f}")
     return disc
 
@@ -146,19 +130,19 @@ def _pow(t: Triple, n: int, disc: int) -> Triple:
     return _principal(disc) if result is None else result
 
 
-def compose(f1: BQForm, f2: BQForm) -> BQForm:
+def compose(f1: Triple, f2: Triple) -> Triple:
     """Reduced Gauss composite of two primitive positive definite forms of
     equal discriminant (Cohen, GTM 138, Algorithm 5.4.7)."""
     disc, disc2 = _positive_definite(f1), _positive_definite(f2)
     if disc2 != disc:
         raise ValidationError(f"discriminant mismatch: {disc} vs {disc2}")
-    return BQForm(*_compose(f1, f2, disc))
+    return _compose(f1, f2, disc)
 
 
-def form_pow(f: BQForm, n: int) -> BQForm:
+def form_pow(f: Triple, n: int) -> Triple:
     disc = _positive_definite(f)
-    t = _reduce(f.a, -f.b if n < 0 else f.b, f.c)
-    return BQForm(*_pow(t, abs(n), disc))
+    a, b, c = f
+    return _pow(_reduce(a, -b if n < 0 else b, c), abs(n), disc)
 
 
 def _check_enumerable(disc: int):
@@ -261,7 +245,7 @@ def _roots_with_leading(leading: Iterable[int], two: list[list[int]], odd: list)
             yield a, bs
 
 
-def reduced_forms(disc: int) -> list[BQForm]:
+def reduced_forms(disc: int) -> list[Triple]:
     """The primitive reduced forms of a negative discriminant, one per class
     of the order of that discriminant, sorted.
 
@@ -280,7 +264,7 @@ def reduced_forms(disc: int) -> list[BQForm]:
     two = _two_adic_roots(disc, amax)
     odd = _odd_root_table(disc, smallest_prime_factors(amax), range(1, amax + 1, 2))
     primitive = is_fundamental(disc)
-    new, gcd, forms = tuple.__new__, math.gcd, []  # new(BQForm, t) skips BQForm's Python-level __new__
+    gcd, forms = math.gcd, []
     for a, bs in _roots_with_leading(range(1, amax + 1), two, odd):
         a4 = 4 * a
         if a > half:  # c >= a, i.e. b^2 >= 4a^2 + D, and b >= 0 when c = a
@@ -288,7 +272,7 @@ def reduced_forms(disc: int) -> list[BQForm]:
             bs = [b for b in bs if b * b >= tie + (b < 0)]
         if not primitive:
             bs = [b for b in bs if gcd(a, b, (b * b - disc) // a4) == 1]
-        forms += [new(BQForm, (a, b, (b * b - disc) // a4)) for b in bs]
+        forms += [(a, b, (b * b - disc) // a4) for b in bs]
     return forms
 
 
@@ -348,7 +332,7 @@ def field_disc(p: int) -> int:
     return -p
 
 
-def class_order(f: BQForm, h: int) -> int:
+def class_order(f: Triple, h: int) -> int:
     """Order of the class of f in the class group of its discriminant.
 
     `h` is the class number (any multiple of the order will do).  For
@@ -374,8 +358,11 @@ def class_order(f: BQForm, h: int) -> int:
     return order
 
 
-def prime_form(disc: int, q: int) -> BQForm:
-    """Reduced class of a prime ideal of norm q (q odd; split or ramified)."""
+def prime_form(disc: int, q: int) -> Triple:
+    """A form in the class of a prime ideal of norm q (q odd; split or ramified).
+
+    At a split q the form is reduced; at a ramified q it is (q, q (D mod 2), c),
+    which need not be, e.g. (7, 7, 2) at D = -7."""
     _check_disc(disc)
     if q == 2 or not is_prime(q):
         raise ValidationError(f"prime_form requires an odd prime, got {q}")
@@ -386,7 +373,7 @@ def prime_form(disc: int, q: int) -> BQForm:
         c, rem = divmod(b * b - disc, 4 * q)
         if rem:
             raise InternalCheckError(f"no ramified form above {q} for disc {disc}")
-        return BQForm(q, b, c)
+        return q, b, c
     if jacobi(disc, q) != 1:
         raise ValidationError(f"{q} is inert for discriminant {disc}")
     b = sqrt_mod(disc % q, q)
@@ -397,4 +384,4 @@ def prime_form(disc: int, q: int) -> BQForm:
     c, rem = divmod(b * b - disc, 4 * q)
     if rem:
         raise InternalCheckError(f"{b}^2 - ({disc}) is not divisible by 4*{q}")
-    return BQForm(*_reduce(q, b, c))
+    return _reduce(q, b, c)

@@ -104,7 +104,7 @@ def _cmd_classnum(args, out) -> int:
     doc.update(h=len(forms), forms=forms)  # each form is a tuple, so a JSON array as it is
     lines = []  # one line per form, built only when the table is printed
     if args.format == "table":
-        lines = [f"{label}: h = {len(forms)}"] + [f"  {f}" for f in forms]
+        lines = [f"{label}: h = {len(forms)}"] + [f"  ({a},{b},{c})" for a, b, c in forms]
     _emit(doc, args.format, lines, out)
     return EXIT_OK
 
@@ -319,9 +319,7 @@ def _cmd_heegner(args, out) -> int:
 
 
 def _cmd_eigencheck(args, out) -> int:
-    primes = None
-    if args.primes:
-        primes = _int_list(args.primes, "primes")
+    primes = None if args.primes is None else _int_list(args.primes, "primes")
     report = modforms.eisenstein_eigencheck(args.p, args.prec, primes)
     doc = {
         "p": report.p,

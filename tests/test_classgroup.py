@@ -11,7 +11,6 @@ from eisq import arith, classgroup
 from eisq.arith import factor, jacobi, smallest_prime_factors, sqrt_mod_prime_power, valuation
 from eisq.classgroup import (
     MAX_ENUMERATED_DISC,
-    BQForm,
     _normalize,
     _odd_root_table,
     _two_adic_roots,
@@ -38,7 +37,12 @@ def class_number_of_disc(disc):
 def principal_form(disc):
     """(1, k, (k - D)/4) with k = D mod 2, the principal form of D."""
     k = disc % 2
-    return BQForm(1, k, (k - disc) // 4)
+    return 1, k, (k - disc) // 4
+
+
+def disc_of(f):
+    a, b, c = f
+    return b * b - 4 * a * c
 
 
 def reduce_form(f):
@@ -52,13 +56,13 @@ def inverse(f):
 
 def test_class_number_examples():
     assert [fundamental_class_number(field_disc(p)) for p in (7, 23, 47)] == [1, 3, 5]
-    assert reduced_forms(-23) == [BQForm(1, 1, 6), BQForm(2, -1, 3), BQForm(2, 1, 3)]
+    assert reduced_forms(-23) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
     assert reduced_forms(-47) == [
-        BQForm(1, 1, 12),
-        BQForm(2, -1, 6),
-        BQForm(2, 1, 6),
-        BQForm(3, -1, 4),
-        BQForm(3, 1, 4),
+        (1, 1, 12),
+        (2, -1, 6),
+        (2, 1, 6),
+        (3, -1, 4),
+        (3, 1, 4),
     ]
     with pytest.raises(ValidationError):
         field_disc(4)
@@ -78,11 +82,11 @@ def _reduced_forms_by_loop(disc):
             if m % a == 0:
                 c = m // a
                 if math.gcd(a, b, c) == 1:
-                    forms.append(BQForm(a, b, c))
+                    forms.append((a, b, c))
                     if b and b != a and a != c:
-                        forms.append(BQForm(a, -b, c))
+                        forms.append((a, -b, c))
             a += 1
-    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+    return sorted(forms)
 
 
 def test_reduced_forms_against_loop():
@@ -151,7 +155,7 @@ def test_reduced_forms_small_and_imprimitive():
     assert [disc for disc in SMALL_DISCS if not is_fundamental(disc)] == [-36]
     for disc in (-36,) + GCD_DISCS:
         assert not is_fundamental(disc) and _roots_leaving_gcd(disc), disc
-    assert reduced_forms(-36) == [BQForm(1, 0, 9), BQForm(2, 2, 5)]  # (3, 0, 3) has gcd 3
+    assert reduced_forms(-36) == [(1, 0, 9), (2, 2, 5)]  # (3, 0, 3) has gcd 3
 
 
 def test_band_edge_ties():
@@ -161,10 +165,10 @@ def test_band_edge_ties():
     for a, b in ((2, 1), (3, 1), (3, 2), (5, 3), (7, 5), (11, 4)):
         disc = b * b - 4 * a * a
         forms = reduced_forms(disc)
-        assert BQForm(a, b, a) in forms and BQForm(a, -b, a) not in forms, disc
+        assert (a, b, a) in forms and (a, -b, a) not in forms, disc
         assert forms == _reduced_forms_by_loop(disc), disc
         assert class_number_of_disc(disc) == len(forms), disc
-    assert reduced_forms(-15) == [BQForm(1, 1, 4), BQForm(2, 1, 2)]
+    assert reduced_forms(-15) == [(1, 1, 4), (2, 1, 2)]
 
 
 def test_odd_root_table_against_brute_force():
@@ -239,22 +243,23 @@ def test_class_number_count_against_enumeration_large():
 def _transform(f, alpha, beta, gamma, delta):
     # action of the SL2(Z) matrix [[alpha, beta], [gamma, delta]]
     assert alpha * delta - beta * gamma == 1
-    a, b, c = f.a, f.b, f.c
+    a, b, c = f
     a2 = a * alpha * alpha + b * alpha * gamma + c * gamma * gamma
     b2 = 2 * a * alpha * beta + b * (alpha * delta + beta * gamma) + 2 * c * gamma * delta
     c2 = a * beta * beta + b * beta * delta + c * delta * delta
-    return BQForm(a2, b2, c2)
+    return a2, b2, c2
 
 
 def _coprime_representative(f, m):
     """An SL2(Z)-equivalent form whose leading coefficient is coprime to m."""
-    if math.gcd(f.a, m) == 1:
+    a, b, c = f
+    if math.gcd(a, m) == 1:
         return f
     # CRT a primitive vector (x, y) with f(x, y) nonzero mod every prime of m
     x, y, modulus = 0, 1, 1
     for ell, _ in factor(m).factors:
         for xe, ye in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)):
-            if (f.a * xe * xe + f.b * xe * ye + f.c * ye * ye) % ell:
+            if (a * xe * xe + b * xe * ye + c * ye * ye) % ell:
                 break
         else:  # primitive forms are nonzero mod every prime
             raise AssertionError(f"{f} vanishes identically mod {ell}")
@@ -274,7 +279,7 @@ def _coprime_representative(f, m):
     g, u, v = _xgcd(x, y)
     assert g == 1
     out = _transform(f, x, -v, y, u)
-    assert math.gcd(out.a, m) == 1 and out.disc == f.disc
+    assert math.gcd(out[0], m) == 1 and disc_of(out) == disc_of(f)
     return out
 
 
@@ -295,17 +300,15 @@ def _compose_by_coprime_representative(f1, f2):
     equivalent form with leading coefficient coprime to a1, pick the common
     middle coefficient B = b1 (mod 2a1), B = b2 (mod 2a2), and compose to
     (a1*a2, B, (B^2-D)/(4*a1*a2)); then reduce."""
-    disc = f1.disc
-    g1 = reduce_form(f1)
-    g2 = _coprime_representative(reduce_form(f2), g1.a)
-    a1, b1 = g1.a, g1.b
-    a2, b2 = g2.a, g2.b
+    disc = disc_of(f1)
+    a1, b1, _ = reduce_form(f1)
+    a2, b2, _ = _coprime_representative(reduce_form(f2), a1)
     assert math.gcd(a1, a2) == 1 and (b1 - b2) % 2 == 0
     k = (b2 - b1) // 2 * pow(a1, -1, a2) % a2
     bb = b1 + 2 * a1 * k
     a3 = a1 * a2
     assert (bb * bb - disc) % (4 * a3) == 0
-    return reduce_form(BQForm(a3, bb, (bb * bb - disc) // (4 * a3)))
+    return reduce_form((a3, bb, (bb * bb - disc) // (4 * a3)))
 
 
 def test_compose_against_coprime_representative():
@@ -323,7 +326,8 @@ def test_compose_against_coprime_representative():
             f1, f2 = rng.choice(forms), rng.choice(forms)
             if rng.random() < 0.3:  # an unreduced representative of the same class
                 t = rng.randrange(-3, 4)
-                f2 = BQForm(f2.a, f2.b + 2 * t * f2.a, f2.a * t * t + f2.b * t + f2.c)
+                a, b, c = f2
+                f2 = (a, b + 2 * t * a, a * t * t + b * t + c)
             assert compose(f1, f2) == _compose_by_coprime_representative(f1, f2), (f1, f2)
             checked += 1
     assert checked > 2500 and nonfundamental > 20
@@ -338,7 +342,7 @@ def test_compose_identity_and_inverse():
 
 
 def test_compose_example():
-    assert compose(BQForm(2, 1, 3), BQForm(2, 1, 3)) == BQForm(2, -1, 3)
+    assert compose((2, 1, 3), (2, 1, 3)) == (2, -1, 3)
 
 
 def test_group_laws_random_triples():
@@ -358,8 +362,8 @@ def test_compose_rejects_disc_mismatch():
 
 def test_class_order():
     assert class_order(principal_form(-23), 3) == 1
-    assert class_order(BQForm(2, 1, 3), 3) == 3
-    assert class_order(BQForm(7, 7, 2), 1) == 1
+    assert class_order((2, 1, 3), 3) == 3
+    assert class_order((7, 7, 2), 1) == 1
     for p in (7, 23, 31, 47, 71, 79):
         h = class_number_of_disc(-p)
         assert h % 2 == 1  # genus theory for prime discriminants
@@ -376,7 +380,7 @@ def _orders_by_stepping(forms):
     for f in forms:
         if f in known:
             continue
-        one = principal_form(f.disc)
+        one = principal_form(disc_of(f))
         powers = [reduce_form(f)]
         while powers[-1] != one:
             powers.append(compose(powers[-1], f))
@@ -434,7 +438,7 @@ def test_class_order_rejects_a_non_multiple_of_the_order():
                     class_order(f, wrong)
     assert class_order(principal_form(-99008), 1) == 1
     with pytest.raises(ValidationError):
-        class_order(BQForm(2, 1, 3), 0)
+        class_order((2, 1, 3), 0)
 
 
 def _kronecker(d, ell):
@@ -462,7 +466,7 @@ def _fundamental_part(disc):
 def test_class_numbers_of_orders():
     # h(D f^2) = h(D) f / [O_K^x : O^x] * prod_{l | f} (1 - (D/l)/l)
     assert [class_number_of_disc(d) for d in (-36, -48, -63, -144)] == [2, 2, 4, 4]
-    assert reduced_forms(-36) == [BQForm(1, 0, 9), BQForm(2, 2, 5)]
+    assert reduced_forms(-36) == [(1, 0, 9), (2, 2, 5)]
     checked = 0
     for disc in range(-3, -2000, -1):
         if disc % 4 not in (0, 1):
@@ -486,14 +490,14 @@ def test_reduced_forms_cap():
 
 def test_class_order_rejects_wrong_class_number():
     with pytest.raises(InternalCheckError):
-        class_order(BQForm(2, 1, 3), 2)  # the class has order 3, h(-23) = 3
+        class_order((2, 1, 3), 2)  # the class has order 3, h(-23) = 3
 
 
 def test_prime_form_examples():
-    assert prime_form(-7, 7) == BQForm(7, 7, 2)
-    assert prime_form(-7, 11) == BQForm(1, 1, 2)
+    assert prime_form(-7, 7) == (7, 7, 2)
+    assert prime_form(-7, 11) == (1, 1, 2)
     f3 = prime_form(-23, 3)
-    assert f3.disc == -23 and f3.a in (2, 3)
+    assert disc_of(f3) == -23 and f3[0] in (2, 3)
     with pytest.raises(ValidationError):
         prime_form(-7, 5)  # inert
 
@@ -501,7 +505,7 @@ def test_prime_form_examples():
 def _ramified_form_by_loop(disc, q):
     for b in range(0, 2 * q):
         if (b - disc) % 2 == 0 and (b * b - disc) % (4 * q) == 0:
-            return BQForm(q, b, (b * b - disc) // (4 * q))
+            return q, b, (b * b - disc) // (4 * q)
 
 
 def test_prime_form_ramified():
@@ -518,7 +522,7 @@ def test_prime_form_ramified():
     q = 100000007
     for disc in (-q, -4 * q, -8 * q):
         f = prime_form(disc, q)
-        assert f.a == q and f.b == q * (disc % 2) and f.disc == disc, disc
+        assert f[:2] == (q, q * (disc % 2)) and disc_of(f) == disc, disc
 
 
 def test_prime_form_ramified_check_raises(monkeypatch):
@@ -554,8 +558,9 @@ def test_prime_form_norm_compatibility():
 def test_prime_form_represents_its_prime():
     # the composite of two split prime classes represents the product
     def represents(f, n, box=40):
+        a, b, c = f
         return any(
-            f.a * x * x + f.b * x * y + f.c * y * y == n
+            a * x * x + b * x * y + c * y * y == n
             for x in range(-box, box)
             for y in range(-box, box)
         )
@@ -588,33 +593,29 @@ def test_class_order_against_primitive_representations():
         assert principal_represents_primitively(disc, q**order), (disc, q, order)
 
 
-def test_bqform_is_an_immutable_value():
-    f = BQForm(2, -1, 3)
-    assert repr(f) == str(f) == f"{f}" == "(2,-1,3)" and f"{[f]}" == "[(2,-1,3)]"
-    assert f.disc == -23 and (f.a, f.b, f.c) == (2, -1, 3)
-    assert f == BQForm(2, -1, 3) and f != BQForm(2, 1, 3) and f != inverse(f)
-    assert {f: 1}[BQForm(2, -1, 3)] == 1 and len({f, BQForm(2, -1, 3), BQForm(2, 1, 3)}) == 2
-    with pytest.raises(AttributeError):
-        f.a = 1
-    # the public functions return BQForms, and they key the stepping table
+def test_forms_are_int_triples():
+    # every public function that returns a form returns an exact tuple of
+    # three ints, and those tuples key the stepping table
     forms = reduced_forms(-47)
     known = _orders_by_stepping(forms)
-    assert set(known) == set(forms) and known[BQForm(3, 1, 4)] == 5
-    made = [compose(forms[1], forms[2]), form_pow(forms[1], 2), form_pow(forms[1], -1), form_pow(forms[1], 0)]
-    assert all(type(g) is BQForm for g in forms + made + [prime_form(-47, 7)])
+    assert set(known) == set(forms) and known[(3, 1, 4)] == 5
+    made = [compose(forms[1], forms[3])] + [form_pow(forms[1], n) for n in (-1, 0, 1, 2)] + [prime_form(-47, 7)]
+    for g in forms + made + [prime_form(-7, 7)]:  # the last one ramified, left unreduced
+        assert type(g) is tuple and len(g) == 3 and all(type(x) is int for x in g), g
+    assert [known[g] for g in made] == [5, 5, 1, 5, 5, 5]
 
 
 def test_normalize():
     # -a < b <= a by a translation x -> x + r*y: same a, same discriminant,
     # same class, and the same form when b is already in range
-    for f in (BQForm(2, 5, 6), BQForm(3, -7, 5), BQForm(5, 5, 7), BQForm(5, -5, 7), BQForm(4, -13, 11), BQForm(2, 1, 3)):
-        g = BQForm(*_normalize(*f))
-        assert -g.a < g.b <= g.a and g.a == f.a and g.disc == f.disc, (f, g)
+    for f in ((2, 5, 6), (3, -7, 5), (5, 5, 7), (5, -5, 7), (4, -13, 11), (2, 1, 3)):
+        g = _normalize(*f)
+        assert -g[0] < g[1] <= g[0] == f[0] and disc_of(g) == disc_of(f), (f, g)
         assert reduce_form(g) == reduce_form(f)
-        if -f.a < f.b <= f.a:
+        if -f[0] < f[1] <= f[0]:
             assert g == f
     # form_pow and compose take positive definite forms only
-    for bad in (BQForm(0, 1, 3), BQForm(1, 3, 1), BQForm(-2, 1, -3)):
+    for bad in ((0, 1, 3), (1, 3, 1), (-2, 1, -3)):
         with pytest.raises(ValidationError):
             form_pow(bad, 1)
         with pytest.raises(ValidationError):
@@ -625,7 +626,7 @@ def test_reduce_form_postcondition_raises(monkeypatch):
     # a normalization step that does nothing leaves (1, 5, 10) unreduced
     monkeypatch.setattr(classgroup, "_normalize", lambda a, b, c: (a, b, c))
     with pytest.raises(InternalCheckError):
-        form_pow(BQForm(1, 5, 10), 1)
+        form_pow((1, 5, 10), 1)
 
 
 def test_prime_form_checks_its_root(monkeypatch):
@@ -668,8 +669,8 @@ def test_form_enumeration_tests_no_primality(monkeypatch):
 
 
 def test_form_pow():
-    f = BQForm(2, 1, 3)
+    f = (2, 1, 3)
     assert form_pow(f, 0) == principal_form(-23)
     assert form_pow(f, 3) == principal_form(-23)
-    assert form_pow(f, -1) == BQForm(2, -1, 3)
+    assert form_pow(f, -1) == (2, -1, 3)
     assert form_pow(f, 2) == compose(f, f)

@@ -288,7 +288,7 @@ def test_jsonable_passes_int_rows_and_rejects_floats_in_them():
     assert canonical_json({"forms": forms}) == '{"forms":[[1,1,12],[2,-1,6],[2,1,6],[3,-1,4],[3,1,4]]}'
     assert _jsonable([(1, Fraction(1, 2))]) == [[1, [1, 2]]]
     assert _jsonable([{1: 2}]) == [{"1": 2}]  # dict rows are not int rows
-    for bad in ([(1, 1, 12), (2, -1.0, 6)], [classgroup.BQForm(1, 1, 12), classgroup.BQForm(2, 1, 6.0)], [[1], 2.5]):
+    for bad in ([(1, 1, 12), (2, -1.0, 6)], [(1, 1, 12), (2, 1, 6.0)], [[1], 2.5]):
         with pytest.raises(InternalCheckError, match="floats are not allowed"):
             _jsonable(bad)
 
@@ -305,6 +305,7 @@ def test_bad_integer_lists_exit_2():
         ("eta", "--N", "49", "--r", "a,b,c"),
         ("eta", "--N", "49", "--r", "1,,-1"),
         ("eigencheck", "--p", "5", "--primes", "2,x"),
+        ("eigencheck", "--p", "5", "--primes", ""),
         ("eta", "--N=-4", "--special"),
         ("eta", "--N=-4", "--r", "1,2,3"),
         ("eta", "--N", "49", "--r", "1,2,3", "--special"),

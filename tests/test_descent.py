@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eisq import etacusp
-from eisq.classgroup import BQForm, form_pow, prime_form
+from eisq.classgroup import form_pow, prime_form
 from eisq.descent import (
     INCONCLUSIVE,
     NONTORSION,
@@ -347,4 +347,4 @@ def test_prime_power_order_with_nontrivial_group():
     k = -prime_exponent(11, {1: 12, 11: -12}) // 2
     o = s.prime_power_order(k)
     assert k == 6 and o in (1, 5) and s.h_k == 5
-    assert form_pow(form_pow(prime_form(-79, 11), k), o) == BQForm(1, 1, 20)
+    assert form_pow(form_pow(prime_form(-79, 11), k), o) == (1, 1, 20)

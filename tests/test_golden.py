@@ -137,6 +137,12 @@ def _canonical_p2(p):
     return {1: -1, p: p + 1, p * p: -p}, {p: 1, p * p: -(p - 1)}
 
 
+class _Text(str):
+    """A line that `run_library` writes as it is."""
+
+    __repr__ = str.__str__
+
+
 def _class_orders():
     def class_number(d):
         # counted at a fundamental D, listed at any other
@@ -144,11 +150,12 @@ def _class_orders():
 
     discs = (-3, -4, -36, -84, -1003, -4375, -20412, -236196, -3145728, -9983951, -10000004, -99990007)
     counts = [(d, class_number(d)) for d in discs]
-    # every 97th form of three non-fundamental discriminants, given h
+    # every 97th form of three non-fundamental discriminants, given h, each
+    # form written (a,b,c)
     orders = [
-        (f, classgroup.class_order(f, class_number(d)))
+        _Text(f"(({a},{b},{c}), {classgroup.class_order((a, b, c), class_number(d))})")
         for d in (-20412, -4 * 3**10, -3 * 2**20)
-        for f in classgroup.reduced_forms(d)[1::97]
+        for a, b, c in classgroup.reduced_forms(d)[1::97]
     ]
     split = [classgroup.class_order(classgroup.prime_form(-9983951, 97), 6368)]
     return counts + orders + split
