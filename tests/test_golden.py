@@ -74,6 +74,11 @@ CLI_CASES = {
     "selmer-p31-range-1000-tsv": ["selmer", "--p", "31", "--d-range", "-1000..1000", "--format", "tsv"],
     "selmer-p47-range-1000-tsv": ["selmer", "--p", "47", "--d-range", "-1000..1000", "--format", "tsv"],
     "selmer-p71-range-1000-tsv": ["selmer", "--p", "71", "--d-range", "-1000..1000", "--format", "tsv"],
+    # large class numbers, h(-1031) = 35 and h(-100103) = 279: split
+    # generators of q^35 and q^279 at their own and conjugate places
+    "selmer-p100103-range-300-tsv": ["selmer", "--p", "100103", "--d-range", "-300..300", "--format", "tsv"],
+    "selmer-p100103-m3-oracle-json": ["selmer", "--p", "100103", "--d", "-3", "--oracle", "--format", "json"],
+    "selmer-p1031-d385-oracle-json": ["selmer", "--p", "1031", "--d", "385", "--oracle", "--format", "json"],
     "eta-11-special": ["eta", "--N", "11", "--special"],
     "eta-13-special-json": ["eta", "--N", "13", "--special", "--format", "json"],
     "eta-49-special-json": ["eta", "--N", "49", "--special", "--format", "json"],
