@@ -9,10 +9,11 @@ local square tests at finite places of odd residue characteristic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .arith import cornacchia, hensel_lift, is_prime, jacobi, sqrt_mod, sqrt_mod_prime_power, valuation
+from .arith import cornacchia, is_prime, jacobi, sqrt_mod, sqrt_mod_prime_power, valuation
 from .errors import InternalCheckError, ValidationError
 
 SPLIT_FACTOR = "split_factor"
@@ -76,20 +77,6 @@ class QuadInt:
         if n < 0:
             raise InternalCheckError(f"norm {n} of {self} is negative")
         return n
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def divide_exact(self, other: "QuadInt") -> "QuadInt":
-        """Exact division in Z[w]; raises when not divisible."""
-        self._same(other)
-        n = other.norm()
-        if n == 0:
-            raise ValidationError("division by zero")
-        num = self * other.conjugate()
-        if num.a % n or num.b % n:
-            raise ValidationError(f"{self} is not divisible by {other}")
-        return QuadInt(num.a // n, num.b // n, self.ctx)
 
     def __repr__(self) -> str:
         return f"({self.a}{self.b:+d}w; p={self.ctx.p})"
@@ -165,53 +152,37 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     The unit part is taken w.r.t. the uniformizer q for split and inert
     places and sqrt(-p) for the ramified place, consistently for every
     generator, so products of unit parts stay multiplicative.
+
+    g = a + b*w (an int is (g, 0)) is first stripped of its content q^k,
+    leaving g' = g / q^k, which q does not divide; residues mod q of g', of
+    its norm or of its conjugate then decide every place:
+    - inert: g' is a unit, of symbol (N g' | q);
+    - ramified, q^k = (-pi^2)^k: g' is a unit, or pi times a unit = b/2 =
+      b*w (mod pi);
+    - split: g' is a unit at v, or lies in v to the power e = v_q(N g')
+      and not in its conjugate, so g'/q^e = (N g'/q^e) / conj(g').
     """
-    q = v.q
-    if isinstance(g, int):
-        if g == 0:
-            raise ValidationError("zero has no valuation")
-        e = valuation(g, q)
-        u = g // q**e
-        if v.kind == INERT:
-            # v(q) = 1; rational units have square norms, so symbol +1
-            return (e, 1)
-        if v.kind == RAMIFIED:
-            # v(p) = 2 with uniformizer pi and p = -pi^2: unit part (-1)^e * u
-            return (2 * e, jacobi((-1) ** e * u % q, q))
-        return (e, jacobi(u % q, q))
-    if g.is_zero():
+    a, b = (g, 0) if isinstance(g, int) else (g.a, g.b)
+    if a == 0 and b == 0:
         raise ValidationError("zero has no valuation")
-    n = g.norm()
+    q, r = v.q, v.omega_residue
+    k = valuation(math.gcd(a, b), q)
+    a, b = a // q**k, b // q**k
     if v.kind == INERT:
-        vn = valuation(n, q)
-        if vn % 2:
-            raise InternalCheckError(f"norm of {g} has odd valuation {vn} at the inert prime {q}")
-        return (vn // 2, jacobi((n // q**vn) % q, q))
-    if v.kind == RAMIFIED:
-        val = valuation(n, q)
-        unit = g
-        pi = ctx.pi()
-        for _ in range(val):
-            unit = unit.divide_exact(pi)
-        res = (unit.a + unit.b * v.omega_residue) % q
-        if res == 0:
-            raise InternalCheckError(f"unit part of {g} vanishes mod the ramified prime {q}")
-        return (val, jacobi(res, q))
-    # split place: reduce through the q-adic embedding w -> (s + 1)/2, where
-    # s = 2w - 1 is the root of s^2 = -p lifted from the residue of w, and
-    # (qk + 1)/2 is 1/2 mod qk
-    bound = valuation(n, q) + 1
-    qk = q**bound
-    s = hensel_lift(2 * v.omega_residue - 1, -ctx.p, q, bound)
-    root = (s + 1) * ((qk + 1) // 2) % qk
-    image = (g.a + g.b * root) % qk
-    val = 0
-    while image % q == 0 and val < bound:
-        image //= q
-        val += 1
-    if val >= bound:
-        raise InternalCheckError("valuation exceeded norm bound at split place")
-    return (val, jacobi(image % q, q))
+        val, unit = k, ctx.quad(a, b).norm()
+    elif v.kind == RAMIFIED:
+        val, unit = (2 * k, a + b * r) if (a + b * r) % q else (2 * k + 1, b * r)
+        unit *= (-1) ** k
+    elif (a + b * r) % q:
+        val, unit = k, a + b * r
+    else:
+        n = ctx.quad(a, b).norm()
+        e = valuation(n, q)
+        val, unit = k + e, n // q**e * (a + b - b * r)
+    sym = jacobi(unit, q)
+    if sym == 0:
+        raise InternalCheckError(f"unit part of {g} vanishes at the place {v.label()} (p = {ctx.p})")
+    return (val, sym)
 
 
 def is_local_square(ctx: FieldCtx, gens: Iterable[Gen], v: PlaceK) -> bool:
@@ -250,9 +221,10 @@ def split_generator(ctx: FieldCtx, q: int, h: int) -> QuadInt:
     square root of -p mod q^h finds (|s|, |t|), and the signs give f, -f,
     fbar and -fbar.  Normalization: norm(f) = q^h, a = 1 (mod 4); the
     2-adic valuation of b is 1 for q = 3 (mod 4) and at least 2 for
-    q = 1 (mod 4) (automatic, asserted).  Of the residual conjugate pair the
-    representative with b > 0 is preferred, then the larger a (all
-    downstream results are conjugation-symmetric).
+    q = 1 (mod 4) (automatic; a violation raises InternalCheckError).  Of
+    the residual conjugate pair the representative with b > 0 is
+    preferred, then the larger a (all downstream results are
+    conjugation-symmetric).
     """
     if ctx.p % 8 != 7:
         raise ValidationError(
