@@ -155,6 +155,7 @@ def _cmd_selmer(args, out) -> int:
                 # streamed, one summary row per twist as it is computed
                 keys = ("p", "d", "t", "rank", "dim_f2", "oracle_dim_f2")
                 _write_tsv_row({k: row[k] for k in keys if k in row}, out)
+                out.flush()
             else:
                 rows.append(row)
         if args.format == "tsv":

@@ -40,6 +40,17 @@ def _first_difference(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
     return next((m for m, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
+def _first_scaled_difference(a: Sequence[int], b: Sequence[int], c: int) -> Optional[int]:
+    """Index of the first m < len(a) with a[m] != c * b[m], or None, taken
+    4096 entries at a time, so that c * b is never built whole."""
+    for lo in range(0, len(a), 4096):
+        hi = min(lo + 4096, len(a))
+        idx = _first_difference(a[lo:hi], tuple(map(mul, b[lo:hi], repeat(c))))
+        if idx is not None:
+            return lo + idx
+    return None
+
+
 def sigma_table(n: int) -> list[int]:
     """[sigma(0) = 0, sigma(1), ..., sigma(n)], a fresh list the caller may
     change: a copy of the memo's table."""
@@ -65,19 +76,26 @@ def _sigma_table(n: int) -> tuple[int, ...]:
 
 def sigma_prime_table(n: int, p: int) -> list[int]:
     """[0, sigma'(1), ..., sigma'(n)], the divisor sums over divisors coprime
-    to p, by enumerating divisor pairs m = d*k with d <= k: for each
-    d <= sqrt(n) one strided slice adds d (when p does not divide it) and k
-    to every m = d*k with k >= d, a second slice of stride d*p takes back
-    the k divisible by p, and m = d^2 gives back the d counted twice."""
+    to p: a copy of the divisor-pair table of sigma, corrected only at the
+    multiples of p by sigma'(m) = sigma(m) - p sigma(m/p), as the divisors
+    of m that p divides are p times the divisors of m/p."""
+    pairs = _pair_sigma_table(n)
+    table = list(pairs)
+    table[p::p] = map(sub, table[p::p], map(mul, pairs[1 : n // p + 1], repeat(p)))
+    return table
+
+
+@lru_cache(maxsize=1)
+def _pair_sigma_table(n: int) -> tuple[int, ...]:
+    """The sigma table from the divisor pairs m = d*k with d <= k: for each
+    d <= sqrt(n) one strided slice adds d + k to every m = d*k with k >= d,
+    and m = d^2 gives back the d counted twice.  Like _sigma_table it does
+    not depend on p, and one process keeps the last one built."""
     table = [0] * (n + 1)
     for d in range(1, math.isqrt(max(n, 0)) + 1):
-        c = d if d % p else 0
-        top = n // d
-        table[d * d :: d] = map(add, table[d * d :: d], range(d + c, top + 1 + c))
-        k0 = -(-d // p) * p  # the least multiple of p with k >= d
-        table[d * k0 :: d * p] = map(sub, table[d * k0 :: d * p], range(k0, top + 1, p))
-        table[d * d] -= c
-    return table
+        table[d * d :: d] = map(add, table[d * d :: d], range(2 * d, d + n // d + 1))
+        table[d * d] -= d
+    return tuple(table)
 
 
 def delta_series(p: int, prec: int) -> QSeries:
@@ -89,8 +107,11 @@ def delta_series(p: int, prec: int) -> QSeries:
     does not divide and sigma'(p*j) = sigma'(j) for every j <= prec/p, so
     it is checked as those two list comparisons, unscaled.  The two sides
     come from different sieves: delta from the multiplicative sieve of
-    sigma_table, sigma' from the divisor pairs of sigma_prime_table.  A
-    mismatch raises InternalCheckError naming the first bad index.
+    sigma_table, sigma' from the divisor pairs of sigma_prime_table.  As
+    sigma'(p*j) = sigma(p*j) - p sigma(j) there, the second comparison
+    checks that the pair table obeys sigma's recurrence at p, which its
+    sieve does not build in.  A mismatch raises InternalCheckError naming
+    the first bad index.
 
     Comparing the unscaled sums, rather than e(pz) against e(z) + 24 delta,
     builds no scaled series: at p = 97 a fresh eigencheck's peak RSS went
@@ -184,9 +205,7 @@ def eisenstein_eigencheck(p: int, prec: int, primes: Optional[Sequence[int]] = N
             continue
         # the eigenvalue is 1 + ell for T_ell and 0 for U_p
         image = (hecke_u(delta, p) if ell == p else hecke_t(delta, ell)).coeffs
-        value = 0 if ell == p else 1 + ell
-        want = tuple(map(mul, delta.coeffs[: len(image)], repeat(value)))
-        idx = _first_difference(image, want)
+        idx = _first_scaled_difference(image, delta.coeffs, 0 if ell == p else 1 + ell)
         results.append(EigenResult(ell, op, "pass" if idx is None else "fail", retained, idx))
     report = EigenReport(p, prec, tuple(results))
     if all(r.status == "insufficient_precision" for r in report.results):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import quadfield
 from .arith import factor, is_prime
@@ -431,15 +432,12 @@ def _check_minimality(td: TwistDatum, rank: int) -> None:
         raise InternalCheckError(f"minimality cross-check failed for d={td.d}: rank {rank}, bound {bound}")
 
 
-def admissible_twists_between(p: int, lo: int, hi: int) -> list[int]:
-    """The admissible d (squarefree, = 1 mod 4, gcd(d, 2p) = 1) with
-    lo <= d <= hi, sorted by |d|: only the |d|
-    that the range reaches are walked, and each odd |d| has one sign with
-    d = 1 (mod 4)."""
+def admissible_twists_between(p: int, lo: int, hi: int) -> Iterator[int]:
+    """Yield the admissible d (squarefree, = 1 mod 4, gcd(d, 2p) = 1) with
+    lo <= d <= hi, sorted by |d|: only the |d| that the range reaches are
+    walked, one at a time, and each odd |d| has one sign with d = 1 (mod 4)."""
     low = 1 if lo <= 0 <= hi else min(abs(lo), abs(hi)) | 1
-    out = []
     for absd in range(low, max(abs(lo), abs(hi)) + 1, 2):
         d = absd if absd % 4 == 1 else -absd
         if lo <= d <= hi and math.gcd(d, 2 * p) == 1 and factor(d).is_squarefree():
-            out.append(d)
-    return out
+            yield d

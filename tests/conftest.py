@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The class-number memo and the sigma-table memo live for the whole
-process, so every test starts with both empty: no test sees what an
+The class-number memo and the two sigma-table memos live for the whole
+process, so every test starts with all three empty: no test sees what an
 earlier one computed, whatever order the tests run in."""
 
 import pytest
@@ -13,4 +13,5 @@ from eisq import classgroup, modforms
 def cold_memos():
     classgroup._fundamental_class_number.cache_clear()
     modforms._sigma_table.cache_clear()
+    modforms._pair_sigma_table.cache_clear()
     yield

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -337,6 +338,27 @@ def test_sweep_cost_follows_the_range():
     assert [int(line.split("\t")[0]) for line in out.splitlines()] == admissible
     assert admissible == [2000001, 2000013, 2000017, 2000021]
     assert elapsed < 1.0, elapsed
+
+
+def test_tsv_sweep_streams_its_first_row():
+    # a range too wide ever to finish: the first row (d = 1) must come out
+    # while the sweep runs, so the child is killed and reaped afterwards
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = ["selmer", "--p", "7", "--d-range", f"1..{10**38 + 1}", "--format", "tsv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eisq.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        first = proc.stdout.readline() if ready else b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert first == b"1\t2\t7\t1\t0\n"
 
 
 def test_conflicting_flags_exit_2():

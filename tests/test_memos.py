@@ -1,19 +1,24 @@
 """The per-process memos: h of a fundamental discriminant, and the last
-sigma table built.  A hit must equal a fresh computation, each memo is
-bounded, an input that raises raises again (nothing is kept for it), and
-no caller can change what a memo holds.  `conftest.py` empties both
-before every test."""
+sigma table built by each of the two sieves.  A hit must equal a fresh
+computation, each memo is bounded, an input that raises raises again
+(nothing is kept for it), and no caller can change what a memo holds.
+`conftest.py` empties all three before every test."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import eisq
 from eisq import classgroup, etacusp, modforms
 from eisq.cli import main
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 
 count_h = classgroup._fundamental_class_number
 sieve = modforms._sigma_table
+pairs = modforms._pair_sigma_table
 
 
 def _fundamental_sample(rng, lo, hi, k):
@@ -147,6 +152,73 @@ def test_eigencheck_sweep_sieves_sigma_once():
     for p in (5, 7, 11, 13, 101, 103, 107, 109):
         assert modforms.eisenstein_eigencheck(p, 2000).ok
     assert (sieve.cache_info().misses, sieve.cache_info().hits) == (1, 7)
+    assert (pairs.cache_info().misses, pairs.cache_info().hits) == (1, 7)
     # another precision replaces the one table kept
     assert modforms.eisenstein_eigencheck(5, 1000).ok
     assert (sieve.cache_info().misses, sieve.cache_info().currsize) == (2, 1)
+    assert (pairs.cache_info().misses, pairs.cache_info().currsize) == (2, 1)
+
+
+def test_pair_hit_equals_cold_build():
+    n = 5000
+    first = modforms.sigma_prime_table(n, 7)
+    assert (pairs.cache_info().misses, pairs.cache_info().hits) == (1, 0)
+    assert modforms.sigma_prime_table(n, 7) == first
+    assert (pairs.cache_info().misses, pairs.cache_info().hits) == (1, 1)
+    pairs.cache_clear()
+    assert modforms.sigma_prime_table(n, 7) == first
+    assert pairs.cache_info().misses == 1
+    # the table kept is sigma itself, whichever p asked for it
+    assert list(pairs(n)) == list(pairs.__wrapped__(n)) == modforms.sigma_table(n)
+
+
+def test_pair_memo_holds_one_tuple():
+    assert pairs.cache_info().maxsize == 1
+    for n in (100, 200, 100):
+        assert type(pairs(n)) is tuple
+        assert pairs.cache_info().currsize == 1
+    assert pairs.cache_info().misses == 3
+    # sigma' is a list of its own, never the memo's tuple
+    table = modforms.sigma_prime_table(100, 3)
+    assert type(table) is list and table[1:3] == list(pairs(100)[1:3])
+
+
+def test_pair_memo_survives_its_callers():
+    # delta_series zeroes the multiples of p in its sigma' list, and a
+    # caller may change a sigma' table: neither reaches the memo
+    n = 3000
+    cold_pairs = pairs.__wrapped__(n)
+    cold_delta = modforms.delta_series(7, n)
+    pairs.cache_clear()
+    table = modforms.sigma_prime_table(n, 3)
+    table[10] += 1
+    table[::3] = [0] * len(table[::3])
+    modforms.delta_series(5, n)
+    assert pairs(n) == cold_pairs
+    assert modforms.delta_series(7, n) == cold_delta
+    assert pairs.cache_info().misses == 1
+
+
+def _memos():
+    """Every object with a cache_info on the eisq modules, named by its home."""
+    found = {}
+    for info in pkgutil.iter_modules(eisq.__path__):
+        module = importlib.import_module(f"eisq.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_memo_starts_empty_and_is_bounded():
+    # a memo added later must be emptied by conftest and given a bound, or
+    # this fails; the parser is the one exception, built once and argument-free
+    memos = _memos()
+    known = {"classgroup._fundamental_class_number", "modforms._sigma_table", "modforms._pair_sigma_table"}
+    assert {f"eisq.{name}" for name in known} | {"eisq.cli.build_parser"} <= set(memos)
+    parser = memos.pop("eisq.cli.build_parser")
+    assert not inspect.signature(parser).parameters
+    for name, memo in memos.items():
+        info = memo.cache_info()
+        assert info.currsize == 0, name
+        assert info.maxsize is not None, name

@@ -165,6 +165,28 @@ def test_delta_identity_first_bad_index_against_literal_identity(monkeypatch):
                     monkeypatch.setattr(modforms, name, table_fn)
 
 
+def test_delta_identity_guards_the_pair_table(monkeypatch):
+    # sigma' is the divisor-pair table kept for every p at one precision,
+    # corrected at the multiples of p: one entry of that table raised by
+    # one, at every index, fails delta_series exactly where the literal
+    # identity first fails, and passes where it holds (index 0 only)
+    n = 60
+    cold = modforms._pair_sigma_table.__wrapped__(n)
+    passed = 0
+    for p in (2, 3, 5, 7):
+        for index in range(n + 1):
+            bad_table = cold[:index] + (cold[index] + 1,) + cold[index + 1 :]
+            monkeypatch.setattr(modforms, "_pair_sigma_table", lambda m, t=bad_table: t)
+            bad = _identity_oracle(sigma_table(n), sigma_prime_table(n, p), p)
+            if bad is None:
+                delta_series(p, n)
+                passed += 1
+            else:
+                with pytest.raises(InternalCheckError, match=f"^delta identity fails at {bad} for p = {p}$"):
+                    delta_series(p, n)
+    assert passed == 4
+
+
 def test_eigencheck_reports_first_discrepancy(monkeypatch):
     # a_10 of delta at p = 5 raised by one: T_2 delta gains a_10 at m = 5
     # and 2 a_10 at m = 20 while 3 delta changes at 10, so m = 5 is first;

@@ -285,7 +285,7 @@ def test_corank_walk_and_kernel_on_twists():
         # every |d| <= 3000, then twists by 6, 7 and 8 split primes: 13, 15
         # and 17 vertices, the sizes of the selmer-wide benchmark
         wide = _split_only_twists(p, (6, 7, 8), 2, 20161226)
-        for d in admissible_twists_between(p, -3000, 3000) + wide:
+        for d in list(admissible_twists_between(p, -3000, 3000)) + wide:
             td = build_twist(p, d)
             graph = build_graph(td)
             first, second = selmer._local_coranks(td)
@@ -476,7 +476,7 @@ def test_all_split_q1_complete_graph_is_minimal():
 
 
 def test_admissible_twists():
-    ds = admissible_twists_between(7, -30, 30)
+    ds = list(admissible_twists_between(7, -30, 30))
     assert 1 in ds and 5 in ds and -3 in ds and -11 in ds
     assert all(d % 4 == 1 and d % 7 and d % 2 for d in ds)
     assert 21 not in ds and -7 not in ds
@@ -498,8 +498,23 @@ def test_admissible_twists_between_against_filter():
     for p in (7, 23):
         for lo, hi in ((5000, 5200), (-5200, -5000), (-5200, 5200), (-37, 41), (1, 1), (-3, -3), (0, 0), (-21, -2)):
             expected = _admissible_by_filter(p, lo, hi)
-            assert selmer.admissible_twists_between(p, lo, hi) == expected, (p, lo, hi)
-    assert admissible_twists_between(7, -400, 400) == _admissible_by_filter(7, -400, 400)
+            assert list(selmer.admissible_twists_between(p, lo, hi)) == expected, (p, lo, hi)
+    assert list(admissible_twists_between(7, -400, 400)) == _admissible_by_filter(7, -400, 400)
+
+
+def test_parity_of_t_follows_the_sign_of_d():
+    # t = rank - 1 is odd exactly when d < 0.  At p = 7, A(7) is 49a1 and
+    # this is the 2-parity theorem: the twist's root number is
+    # chi_d(-49) = sign d, since w(49a1) = +1 (Monsky, Math. Z. 221, 1996;
+    # T. and V. Dokchitser, Ann. of Math. 172, 2010).  For h(-p) > 1 it is
+    # this test's hypothesis, observed on every twist below (702 in all)
+    checked = 0
+    for p in (7, 23, 31, 47, 71, 1031):
+        for d in admissible_twists_between(p, -300, 300):
+            t = selmer_rank_graph(build_twist(p, d)).t
+            assert t % 2 == (d < 0), (p, d, t)
+            checked += 1
+    assert checked == 702
 
 
 def test_oracle_equivalence_large_class_numbers():
