@@ -17,10 +17,9 @@ from .errors import InternalCheckError, PrecisionError, ResourceCapError, Valida
 # an operator output keeps prec // ell coefficients; below this many the
 # comparison is considered uninformative
 MIN_RETAINED = 15
-# eisenstein_eigencheck, in a fresh process at p = 97, takes 0.13-0.20 s and
-# 26 MB peak RSS at prec 10^5, 2.5-3.9 s and 122-123 MB at 10^6 (2-core
-# Xeon VM; delta_series gives the figures before its unscaled check); a
-# larger prec raises ResourceCapError
+# `eisq eigencheck --p 97` as a whole process takes 0.33-0.38 s and 29 MB
+# peak RSS at prec 10^5, 3.2-4.1 s and 139 MB at 10^6, the two sigma
+# tables kept included (2-core VM); a larger prec raises ResourceCapError
 MAX_EIGEN_PREC = 10**6
 
 

@@ -180,7 +180,7 @@ def test_pair_memo_holds_one_tuple():
     assert pairs.cache_info().misses == 3
     # sigma' is a list of its own, never the memo's tuple
     table = modforms.sigma_prime_table(100, 3)
-    assert type(table) is list and table[1:3] == list(pairs(100)[1:3])
+    assert type(table) is list and table[1::3] == list(pairs(100)[1::3])
 
 
 def test_pair_memo_survives_its_callers():

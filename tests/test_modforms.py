@@ -206,6 +206,26 @@ def test_eigencheck_reports_first_discrepancy(monkeypatch):
     }
 
 
+def test_eigencheck_first_discrepancy_across_blocks(monkeypatch):
+    # the operator check compares 4096 coefficients at a time: one a_m
+    # raised by one, on either side of a block edge and past the first
+    # blocks, is found where a plain scan first finds it, or passes where
+    # the operator's retained coefficients do not reach it
+    prec = 20000
+    d = delta_series(7, prec)
+    seen = set()
+    for index in (4095, 4096, 8193, 9001, 13334):
+        bad = dataclasses.replace(d, coeffs=d.coeffs[:index] + (d.coeffs[index] + 1,) + d.coeffs[index + 1 :])
+        monkeypatch.setattr(modforms, "delta_series", lambda p, prec, bad=bad: bad)
+        for r in eisenstein_eigencheck(7, prec, primes=[2, 3]).results:
+            image = (hecke_u(bad, 7) if r.operator == "U" else hecke_t(bad, r.ell)).coeffs
+            value = 0 if r.operator == "U" else 1 + r.ell
+            want = next((m for m in range(len(image)) if image[m] != value * bad.coeffs[m]), None)
+            assert (r.status, r.first_discrepancy) == ("pass" if want is None else "fail", want), (index, r)
+            seen.add(want)
+    assert {4095, 4096, 8193, 9001, None} <= seen
+
+
 def test_hecke_examples():
     d5 = delta_series(5, 200)
     t2 = hecke_t(d5, 2)
