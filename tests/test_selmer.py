@@ -503,8 +503,8 @@ def test_admissible_twists_between_against_filter():
 
 
 def test_parity_of_t_follows_the_sign_of_d():
-    # t = rank - 1 is odd exactly when d < 0.  At p = 7, A(7) is 49a1 and
-    # this is the 2-parity theorem: the twist's root number is
+    # t, with dim_F2 = 2 + 2t, is odd exactly when d < 0.  At p = 7, A(7)
+    # is 49a1 and this is the 2-parity theorem: the twist's root number is
     # chi_d(-49) = sign d, since w(49a1) = +1 (Monsky, Math. Z. 221, 1996;
     # T. and V. Dokchitser, Ann. of Math. 172, 2010).  For h(-p) > 1 it is
     # this test's hypothesis, observed on every twist below (702 in all)
