@@ -5,7 +5,8 @@ table (default), json, tsv.  All numbers are exact: integers, or rationals
 rendered as [numerator, denominator] pairs; no floats anywhere.  JSON is
 canonical (sorted keys, compact separators) so equal results are
 byte-identical.  Exit codes: 0 ok, 2 validation error, 3 internal
-consistency failure, 4 resource cap exceeded.
+consistency failure, 4 resource cap exceeded.  A reader that closes
+stdout early, as `| head` does, ends the command with 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -427,7 +429,16 @@ def main(argv=None) -> int:
     argv = _merge_dash_values(list(argv))
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading: point stdout at the null device so the
+        # interpreter's last flush of what is still buffered cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,7 +1,8 @@
 """Exact arithmetic in K = Q(sqrt(-p)) for a prime p = 3 (mod 4), p > 3.
 
 Elements live in the maximal order Z[w] with w = (1 + sqrt(-p))/2, so
-w^2 = w - (1+p)/4 and sqrt(-p) = 2w - 1.  Provides split/inert prime
+w^2 = w - (1+p)/4 and sqrt(-p) = 2w - 1; a + b*w is the int pair (a, b),
+and its conjugate (a + b, -b).  Provides split/inert prime
 classification, normalized generators of split prime powers, the
 valuation and unit-part residue symbol of an element at a place, and
 local square tests at finite places of odd residue characteristic.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .arith import cornacchia, is_prime, jacobi, sqrt_mod, sqrt_mod_prime_power, valuation
 from .errors import InternalCheckError, ValidationError
@@ -34,52 +35,23 @@ class FieldCtx:
                 f"field context requires a prime p > 3 with p = 3 mod 4, got {self.p}"
             )
 
-    @property
-    def omega_norm(self) -> int:
-        # norm of w, i.e. the constant term of z^2 - z + (1+p)/4
-        return (1 + self.p) // 4
 
-    def quad(self, a: int, b: int) -> "QuadInt":
-        return QuadInt(a, b, self)
-
-    def pi(self) -> "QuadInt":
-        """sqrt(-p) as an element of Z[w]."""
-        return QuadInt(-1, 2, self)
+# a + b*w as the pair (a, b)
+Gen = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """a + b*w in the maximal order of Q(sqrt(-p))."""
+def _show(g: Gen) -> str:
+    # a + b*w as error messages name it
+    return f"{g[0]}{g[1]:+d}w"
 
-    a: int
-    b: int
-    ctx: FieldCtx
 
-    def _same(self, other: "QuadInt"):
-        if self.ctx.p != other.ctx.p:
-            raise ValidationError("mixed field contexts")
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b, self.ctx)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        self._same(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return QuadInt(
-            a * c - b * d * self.ctx.omega_norm, a * d + b * c + b * d, self.ctx
-        )
-
-    def conjugate(self) -> "QuadInt":
-        return QuadInt(self.a + self.b, -self.b, self.ctx)
-
-    def norm(self) -> int:
-        n = self.a * self.a + self.a * self.b + self.b * self.b * self.ctx.omega_norm
-        if n < 0:
-            raise InternalCheckError(f"norm {n} of {self} is negative")
-        return n
-
-    def __repr__(self) -> str:
-        return f"({self.a}{self.b:+d}w; p={self.ctx.p})"
+def norm(ctx: FieldCtx, g: Gen) -> int:
+    """N(a + b*w) = a^2 + a*b + b^2 N(w), with N(w) = (1+p)/4."""
+    a, b = g
+    n = a * a + a * b + b * b * ((1 + ctx.p) // 4)
+    if n < 0:
+        raise InternalCheckError(f"norm {n} of {_show(g)} is negative (p = {ctx.p})")
+    return n
 
 
 @dataclass(frozen=True)
@@ -143,9 +115,6 @@ def _omega_roots(ctx: FieldCtx, q: int) -> tuple[int, int]:
     return (min(r1, r2), max(r1, r2))
 
 
-Gen = Union[QuadInt, int]
-
-
 def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     """(valuation, symbol of the unit part) of a single generator at v.
 
@@ -153,7 +122,7 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     places and sqrt(-p) for the ramified place, consistently for every
     generator, so products of unit parts stay multiplicative.
 
-    g = a + b*w (an int is (g, 0)) is first stripped of its content q^k,
+    g = (a, b) = a + b*w is first stripped of its content q^k,
     leaving g' = g / q^k, which q does not divide; residues mod q of g', of
     its norm or of its conjugate then decide every place:
     - inert: g' is a unit, of symbol (N g' | q);
@@ -162,26 +131,26 @@ def _local_data(ctx: FieldCtx, g: Gen, v: PlaceK) -> tuple[int, int]:
     - split: g' is a unit at v, or lies in v to the power e = v_q(N g')
       and not in its conjugate, so g'/q^e = (N g'/q^e) / conj(g').
     """
-    a, b = (g, 0) if isinstance(g, int) else (g.a, g.b)
+    a, b = g
     if a == 0 and b == 0:
         raise ValidationError("zero has no valuation")
     q, r = v.q, v.omega_residue
     k = valuation(math.gcd(a, b), q)
     a, b = a // q**k, b // q**k
     if v.kind == INERT:
-        val, unit = k, ctx.quad(a, b).norm()
+        val, unit = k, norm(ctx, (a, b))
     elif v.kind == RAMIFIED:
         val, unit = (2 * k, a + b * r) if (a + b * r) % q else (2 * k + 1, b * r)
         unit *= (-1) ** k
     elif (a + b * r) % q:
         val, unit = k, a + b * r
     else:
-        n = ctx.quad(a, b).norm()
+        n = norm(ctx, (a, b))
         e = valuation(n, q)
         val, unit = k + e, n // q**e * (a + b - b * r)
     sym = jacobi(unit, q)
     if sym == 0:
-        raise InternalCheckError(f"unit part of {g} vanishes at the place {v.label()} (p = {ctx.p})")
+        raise InternalCheckError(f"unit part of {_show(g)} vanishes at the place {v.label()} (p = {ctx.p})")
     return (val, sym)
 
 
@@ -214,8 +183,8 @@ def _is_square_class(data: Iterable[tuple[int, int]]) -> bool:
 # --- normalized generators of split prime powers ---------------------------
 
 
-def split_generator(ctx: FieldCtx, q: int, h: int) -> QuadInt:
-    """Generator f = a + b*w of the h-th power of a prime above a split q.
+def split_generator(ctx: FieldCtx, q: int, h: int) -> Gen:
+    """Generator f = (a, b) = a + b*w of the h-th power of a prime above a split q.
 
     s = 2a + b and t = b solve s^2 + p*t^2 = 4q^h; one Cornacchia step on a
     square root of -p mod q^h finds (|s|, |t|), and the signs give f, -f,
@@ -240,22 +209,20 @@ def split_generator(ctx: FieldCtx, q: int, h: int) -> QuadInt:
     if sol is None:
         raise InternalCheckError(f"no generator of a prime above {q} to the power {h} found")
     s, t = sol
-    candidates = [
-        ctx.quad((ss - b) // 2, b) for b in (t, -t) for ss in (s, -s) if (ss - b) // 2 % 4 == 1
-    ]
+    candidates = [((ss - b) // 2, b) for b in (t, -t) for ss in (s, -s) if (ss - b) // 2 % 4 == 1]
     if len(candidates) != 2:
         raise InternalCheckError(
             f"expected one conjugate pair of normalized generators for {q}^{h}, "
-            f"got {candidates}"
+            f"got {', '.join(map(_show, candidates))}"
         )
-    candidates.sort(key=lambda f: (f.b > 0, f.a), reverse=True)
+    candidates.sort(key=lambda f: (f[1] > 0, f[0]), reverse=True)
     f = candidates[0]
-    if f.norm() != m or f.a % 4 != 1:
-        raise InternalCheckError(f"generator {f} of {q}^{h} has norm {f.norm()} or a != 1 mod 4")
-    v2b = valuation(f.b, 2)
+    if norm(ctx, f) != m or f[0] % 4 != 1:
+        raise InternalCheckError(f"generator {_show(f)} of {q}^{h} has norm {norm(ctx, f)} or a != 1 mod 4")
+    v2b = valuation(f[1], 2)
     if q % 4 == 3:
         if v2b != 1:
-            raise InternalCheckError(f"generator {f} of {q}^{h}: expected 2-adic valuation 1 of b, got {v2b}")
+            raise InternalCheckError(f"generator {_show(f)} of {q}^{h}: expected 2-adic valuation 1 of b, got {v2b}")
     elif v2b < 2:
-        raise InternalCheckError(f"generator {f} of {q}^{h}: expected 2-adic valuation >= 2 of b, got {v2b}")
+        raise InternalCheckError(f"generator {_show(f)} of {q}^{h}: expected 2-adic valuation >= 2 of b, got {v2b}")
     return f

@@ -16,7 +16,7 @@ from . import quadfield
 from .arith import factor, is_prime
 from .classgroup import fundamental_class_number
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .quadfield import FieldCtx, Gen, PlaceK, QuadInt
+from .quadfield import FieldCtx, Gen, PlaceK
 
 # the oracle walks 2 * 2^n coordinate values, so 4^n pairs: twists of width
 # up to 12 fit, and on a 2-core VM the median width-11 twist takes 50-65 ms
@@ -33,14 +33,15 @@ class TwistDatum:
 
     Generator lists follow the two coordinate shapes: the first coordinate
     ranges over products of {-pi, f_i, -fbar_i, g_j, gbar_j, Q*_k}, the
-    second over {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}.  Place j is the
+    second over {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}, each the int pair (a, b)
+    of a + b*w: pi = sqrt(-p) = (-1, 2) and Q* = (Q*, 0).  Place j is the
     place of generator j of either shape, and `table[j][i]` is the
     (valuation, symbol) of first-shape generator i at place j."""
 
     ctx: FieldCtx
     d: int
-    split3: list[tuple[int, QuadInt]]  # q = 3 (4) split, normalized generator
-    split1: list[tuple[int, QuadInt]]  # q = 1 (4) split, normalized generator
+    split3: list[tuple[int, Gen]]  # q = 3 (4) split, its normalized generator (a, b)
+    split1: list[tuple[int, Gen]]  # q = 1 (4) split, its normalized generator (a, b)
     inert: list[int]  # inert primes Q; Q* = (-1)^((Q-1)/2) Q
     places: list[PlaceK]
     alpha_gens: list[tuple[str, Gen]]
@@ -76,8 +77,8 @@ def build_twist(p: int, d: int) -> TwistDatum:
     if not fac.is_squarefree():
         raise ValidationError(f"twist parameter must be squarefree, got {d}")
     h = fundamental_class_number(-p)
-    split3: list[tuple[int, QuadInt]] = []
-    split1: list[tuple[int, QuadInt]] = []
+    split3: list[tuple[int, Gen]] = []
+    split1: list[tuple[int, Gen]] = []
     inert: list[int] = []
     # q -> its places, for a split q the place of its generator first
     above: dict[int, list[PlaceK]] = {}
@@ -86,8 +87,8 @@ def build_twist(p: int, d: int) -> TwistDatum:
         if above[q][0].kind == quadfield.INERT:
             inert.append(q)
             continue
-        gen = quadfield.split_generator(ctx, q, h)
-        if (gen.a + gen.b * above[q][0].omega_residue) % q:
+        gen = a, b = quadfield.split_generator(ctx, q, h)
+        if (a + b * above[q][0].omega_residue) % q:
             above[q].reverse()
         (split3 if q % 4 == 3 else split1).append((q, gen))
     recomposed = 1
@@ -99,30 +100,29 @@ def build_twist(p: int, d: int) -> TwistDatum:
         recomposed *= q if q % 4 == 1 else -q
     if recomposed != d:
         raise InternalCheckError(f"sign decomposition failed: {recomposed} != {d}")
-    pi = ctx.pi()
-    alpha_gens: list[tuple[str, Gen]] = [("-pi", -pi)]
-    beta_gens: list[tuple[str, Gen]] = [("pi", pi)]
+    alpha_gens: list[tuple[str, Gen]] = [("-pi", (1, -2))]
+    beta_gens: list[tuple[str, Gen]] = [("pi", (-1, 2))]
     places = quadfield.places_above(ctx, p)
-    for q, f in split3:
-        alpha_gens.append((f"f({q})", f))
-        beta_gens.append((f"-f({q})", -f))
+    for q, (a, b) in split3:
+        alpha_gens.append((f"f({q})", (a, b)))
+        beta_gens.append((f"-f({q})", (-a, -b)))
         places.append(above[q][0])
-    for q, f in split3:
-        alpha_gens.append((f"-fbar({q})", -f.conjugate()))
-        beta_gens.append((f"fbar({q})", f.conjugate()))
+    for q, (a, b) in split3:
+        alpha_gens.append((f"-fbar({q})", (-a - b, b)))
+        beta_gens.append((f"fbar({q})", (a + b, -b)))
         places.append(above[q][1])
     for q, g in split1:
         alpha_gens.append((f"g({q})", g))
         beta_gens.append((f"g({q})", g))
         places.append(above[q][0])
-    for q, g in split1:
-        alpha_gens.append((f"gbar({q})", g.conjugate()))
-        beta_gens.append((f"gbar({q})", g.conjugate()))
+    for q, (a, b) in split1:
+        alpha_gens.append((f"gbar({q})", (a + b, -b)))
+        beta_gens.append((f"gbar({q})", (a + b, -b)))
         places.append(above[q][1])
     for q in inert:
         qs = q if q % 4 == 1 else -q
-        alpha_gens.append((str(qs), qs))
-        beta_gens.append((str(qs), qs))
+        alpha_gens.append((str(qs), (qs, 0)))
+        beta_gens.append((str(qs), (qs, 0)))
         places.append(above[q][0])
     return TwistDatum(
         ctx=ctx,
@@ -142,7 +142,7 @@ def _sign_flips(td: TwistDatum) -> list[int]:
     its first 1 + 2 #split3 generators, pi, -f_i and fbar_i, are -1 times
     the first shape's, so where -1 is not a square their symbols change."""
     negated = (1 << (1 + 2 * len(td.split3))) - 1
-    return [negated if quadfield._local_data(td.ctx, -1, v)[1] == -1 else 0 for v in td.places]
+    return [negated if quadfield._local_data(td.ctx, (-1, 0), v)[1] == -1 else 0 for v in td.places]
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,13 @@ def _oracle_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
     of that shape, read off the twist's table, and of the factors of its
     torsion partner, -pi and d (first shape) or pi and d (second), one
     `_local_data` call each."""
-    ctx, pi = td.ctx, td.ctx.pi()
     out = []
     for v, row, flips in zip(td.places, td.table, _sign_flips(td)):
-        d = quadfield._local_data(ctx, td.d, v)
+        d = quadfield._local_data(td.ctx, (td.d, 0), v)
         second = [(val, -sym if flips >> i & 1 else sym) for i, (val, sym) in enumerate(row)]
         out.append({
-            "alpha": (row, [quadfield._local_data(ctx, -pi, v), d]),
-            "beta": (second, [quadfield._local_data(ctx, pi, v), d]),
+            "alpha": (row, [quadfield._local_data(td.ctx, (1, -2), v), d]),
+            "beta": (second, [quadfield._local_data(td.ctx, (-1, 2), v), d]),
         })
     return out
 
@@ -230,9 +229,8 @@ def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
     # generators by `is_local_square`, which computes its own local data:
     # each full product of generators times its partner, -pi d or pi d,
     # is a square at every place
-    pi = td.ctx.pi()
-    for side, gens, partner in (("alpha", td.alpha_gens, -pi), ("beta", td.beta_gens, pi)):
-        product = [g for _, g in gens] + [partner, td.d]
+    for side, gens, partner in (("alpha", td.alpha_gens, (1, -2)), ("beta", td.beta_gens, (-1, 2))):
+        product = [g for _, g in gens] + [partner, (td.d, 0)]
         for v in td.places:
             if not quadfield.is_local_square(td.ctx, product, v):
                 raise InternalCheckError(f"torsion image fails the local test: {side} at {v}")

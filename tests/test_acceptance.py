@@ -99,15 +99,16 @@ def test_criterion_05_inert_local_squares():
         for q in inert:
             v = quadfield.places_above(ctx, q)[0]
             expected = q % 4 == 3
-            assert quadfield.is_local_square(ctx, [ctx.pi()], v) == expected
-            assert quadfield.is_local_square(ctx, [-ctx.pi()], v) == expected
-            assert quadfield.is_local_square(ctx, [-1], v)
+            # pi = sqrt(-p) = (-1, 2) as a + b*w, and -pi = (1, -2)
+            assert quadfield.is_local_square(ctx, [(-1, 2)], v) == expected
+            assert quadfield.is_local_square(ctx, [(1, -2)], v) == expected
+            assert quadfield.is_local_square(ctx, [(-1, 0)], v)
         for q1 in inert:
             q1s = q1 if q1 % 4 == 1 else -q1
             for q2 in inert:
                 if q1 != q2:
                     assert quadfield.is_local_square(
-                        ctx, [q1s], quadfield.places_above(ctx, q2)[0]
+                        ctx, [(q1s, 0)], quadfield.places_above(ctx, q2)[0]
                     )
 
 
@@ -117,7 +118,7 @@ def test_criterion_06_reciprocity():
 
     for p, h in ((7, 1), (23, 3), (31, 3)):
         ctx = quadfield.FieldCtx(p)
-        pi = ctx.pi()
+        pi = (-1, 2)  # sqrt(-p) = 2w - 1
         pi_place = quadfield.places_above(ctx, p)[0]
         seen = {1: 0, 3: 0}
         for q in range(3, 500, 2):
@@ -126,9 +127,10 @@ def test_criterion_06_reciprocity():
             if quadfield.classify_prime(ctx, q) != "split":
                 continue
             f = quadfield.split_generator(ctx, q, h)
-            fbar = f.conjugate()
+            a, b = f
+            fbar = (a + b, -b)
             # the place above q that f lies in, then the one of fbar
-            v, vbar = sorted(quadfield.places_above(ctx, q), key=lambda u: (f.a + f.b * u.omega_residue) % q)
+            v, vbar = sorted(quadfield.places_above(ctx, q), key=lambda u: (a + b * u.omega_residue) % q)
             s1 = residue_symbol(ctx, f, pi_place) * residue_symbol(ctx, pi, v)
             s2 = residue_symbol(ctx, fbar, pi_place) * residue_symbol(ctx, pi, vbar)
             s3 = residue_symbol(ctx, f, pi_place) == residue_symbol(ctx, fbar, v)

@@ -361,6 +361,35 @@ def test_tsv_sweep_streams_its_first_row():
     assert first == b"1\t2\t7\t1\t0\n"
 
 
+def test_closed_pipe_exits_0_without_a_traceback():
+    # the reader takes one line and closes its end, as `| head -1` does:
+    # the endless sweep's next row, and the buffered rest of a table longer
+    # than a pipe holds, meet a broken pipe, which ends the command with 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for argv, first in (
+        (["selmer", "--p", "7", "--d-range", f"1..{10**38 + 1}", "--format", "tsv"], b"1\t2\t7\t1\t0\n"),
+        (["classnum", "--disc", "-9983951"], b"disc -9983951: h = 6368\n"),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eisq.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            line = proc.stdout.readline() if ready else b""
+            proc.stdout.close()
+            code = proc.wait(timeout=30)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert line == first, argv
+        assert code == EXIT_OK and b"Traceback" not in err, (argv, code, err)
+
+
 def test_conflicting_flags_exit_2():
     for argv in (
         ("classnum", "--p", "7", "--disc", "-23"),

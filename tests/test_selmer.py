@@ -46,16 +46,16 @@ def torsion_image(td):
 
 def test_build_twist_examples():
     td = build_twist(7, -11)
-    assert [(q, (f.a, f.b)) for q, f in td.split3] == [(11, (1, 2))]
+    assert td.split3 == [(11, (1, 2))]
     assert td.split1 == [] and td.inert == []
     # place j is the place of generator j, and the table is width x width
     assert [v.label() for v in td.places] == ["pi", "split(11)", "split(11)'"]
     assert td.table == [[(1, -1), (0, 1), (0, -1)], [(0, -1), (1, 1), (0, -1)], [(0, 1), (0, 1), (1, -1)]]
     td5 = build_twist(7, 5)
-    assert td5.inert == [5] and td5.alpha_gens[-1] == td5.beta_gens[-1] == ("5", 5)
+    assert td5.inert == [5] and td5.alpha_gens[-1] == td5.beta_gens[-1] == ("5", (5, 0))
     assert [v.label() for v in td5.places] == ["pi", "inert(5)"]
     td3 = build_twist(7, -3)
-    assert td3.inert == [3] and td3.alpha_gens[-1] == td3.beta_gens[-1] == ("-3", -3)
+    assert td3.inert == [3] and td3.alpha_gens[-1] == td3.beta_gens[-1] == ("-3", (-3, 0))
     assert len(td3.places) == len(td3.table) == 2
 
 
@@ -567,17 +567,38 @@ def test_generator_places():
         td = build_twist(p, d)
         assert len(td.places) == td.width
         for (_, x), (_, y), v in zip(td.alpha_gens, td.beta_gens, td.places):
-            if isinstance(x, int):
-                assert x == y and v.kind == "inert" and v.q == abs(x)
+            a, b = x
+            if b == 0:
+                assert x == y and v.kind == "inert" and v.q == abs(a)
                 continue
-            assert x in (y, -y) and x.norm() % v.q == 0
+            assert x in (y, (-y[0], -y[1])) and quadfield.norm(td.ctx, x) % v.q == 0
             if v.kind == "ramified":
-                assert x.norm() == p
+                assert quadfield.norm(td.ctx, x) == p
             else:
-                assert (x.a + x.b * v.omega_residue) % v.q == 0
-                assert [u for u in places_above(td.ctx, v.q) if (x.a + x.b * u.omega_residue) % v.q == 0] == [v]
+                assert (a + b * v.omega_residue) % v.q == 0
+                assert [u for u in places_above(td.ctx, v.q) if (a + b * u.omega_residue) % v.q == 0] == [v]
         # so the table is a unit off its diagonal and of odd valuation on it
         assert all((val % 2 == 1) == (i == j) for j, row in enumerate(td.table) for i, (val, _) in enumerate(row))
+
+
+def test_generators_are_int_pairs():
+    # every generator, of either shape and of each kind of prime (split3,
+    # split1, inert), and every `split_generator` result the twist keeps in
+    # split3 and split1, is an exact tuple of two ints (a, b) for a + b*w
+    def is_pair(g):
+        return type(g) is tuple and len(g) == 2 and all(type(x) is int for x in g)
+
+    kinds = set()
+    for p, d in ((7, -11), (7, 5 * 29 * 53), (47, 21), (71, -1155)):
+        td = build_twist(p, d)
+        kinds.update(kind for kind, part in (("split3", td.split3), ("split1", td.split1), ("inert", td.inert)) if part)
+        for _, g in td.alpha_gens + td.beta_gens + td.split3 + td.split1:
+            assert is_pair(g), (p, d, g)
+        assert td.alpha_gens[0][1] == (1, -2) and td.beta_gens[0][1] == (-1, 2)
+        assert [g for _, g in td.alpha_gens[td.width - len(td.inert):]] == [
+            (q if q % 4 == 1 else -q, 0) for q in td.inert
+        ]
+    assert kinds == {"split3", "split1", "inert"}
 
 
 def _coordinate_product(td, side, bits, twist):
@@ -585,9 +606,9 @@ def _coordinate_product(td, side, bits, twist):
     gens = td.alpha_gens if side == "alpha" else td.beta_gens
     product: list[quadfield.Gen] = [g for i, (_, g) in enumerate(gens) if (bits >> i) & 1]
     if twist:
-        # multiply by the torsion coordinate -pi*d (first shape) or pi*d (second)
-        pi = td.ctx.pi()
-        product += [-pi if side == "alpha" else pi, td.d]
+        # multiply by the torsion coordinate -pi*d (first shape) or pi*d
+        # (second), with pi = sqrt(-p) = (-1, 2)
+        product += [(1, -2) if side == "alpha" else (-1, 2), (td.d, 0)]
     return product
 
 
