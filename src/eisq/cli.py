@@ -71,8 +71,7 @@ def _emit(doc: dict, fmt: str, table_lines, out):
     if fmt == "json":
         out.write(canonical_json(doc) + "\n")
     elif fmt == "tsv":
-        for row in doc.get("rows", [doc]):
-            _write_tsv_row(row, out)
+        _write_tsv_row(doc, out)
     else:
         for line in table_lines:
             out.write(line + "\n")
@@ -128,12 +127,11 @@ def _selmer_row(p: int, d: int, with_oracle: bool) -> dict:
         "dim_f2": res.dim_f2,
     }
     if with_oracle:
-        brute = selmer.selmer_group_bruteforce(td)
-        row["oracle_dim_f2"] = brute.dim_f2
-        if brute.dim_f2 != res.dim_f2:
+        oracle_dim = row["oracle_dim_f2"] = selmer.selmer_group_bruteforce(td)
+        if oracle_dim != res.dim_f2:
             raise InternalCheckError(
                 f"oracle disagrees with graph at p={p}, d={d}: "
-                f"{brute.dim_f2} vs {res.dim_f2}"
+                f"{oracle_dim} vs {res.dim_f2}"
             )
         row["oracle_agrees"] = True
     return row

@@ -1,10 +1,11 @@
 """2-Selmer groups of quadratic twists of the CM curves attached to
 Q(sqrt(-p)) for p = 7 (mod 8): one table of the local classes of the
 generators at the places over p*d, the rank by the corank of the first
-shape's local conditions on it, checked against the second shape's,
-against the even-partition walk on the residue-symbol graph read off the
-same table and, without a split prime, against the minimality criterion,
-and an exhaustive local-conditions oracle."""
+shape's local conditions on it, checked against the second shape's (the
+first negated at one mask of generators), against the even-partition walk
+on the residue-symbol graph read off the same table and, without a split
+prime, against the minimality criterion, and an exhaustive local-conditions
+oracle that returns the F2-dimension."""
 
 from __future__ import annotations
 
@@ -31,10 +32,11 @@ PARTITION_VERTEX_CAP = 24
 class TwistDatum:
     """A twist parameter d = prod(-q_i) * prod(q'_j) * prod(Q*_k) over Q(sqrt(-p)).
 
-    Generator lists follow the two coordinate shapes: the first coordinate
-    ranges over products of {-pi, f_i, -fbar_i, g_j, gbar_j, Q*_k}, the
-    second over {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}, each the int pair (a, b)
-    of a + b*w: pi = sqrt(-p) = (-1, 2) and Q* = (Q*, 0).  Place j is the
+    The first coordinate ranges over products of the generators
+    {-pi, f_i, -fbar_i, g_j, gbar_j, Q*_k}, each the int pair (a, b) of
+    a + b*w: pi = sqrt(-p) = (-1, 2) and Q* = (Q*, 0).  The second ranges
+    over {pi, -f_i, fbar_i, g_j, gbar_j, Q*_k}, the first shape's
+    generators with those in the mask `negated` times -1.  Place j is the
     place of generator j of either shape, and `table[j][i]` is the
     (valuation, symbol) of first-shape generator i at place j."""
 
@@ -45,12 +47,17 @@ class TwistDatum:
     inert: list[int]  # inert primes Q; Q* = (-1)^((Q-1)/2) Q
     places: list[PlaceK]
     alpha_gens: list[tuple[str, Gen]]
-    beta_gens: list[tuple[str, Gen]]
     table: list[list[tuple[int, int]]]
 
     @property
     def width(self) -> int:
         return len(self.alpha_gens)
+
+    @property
+    def negated(self) -> int:
+        """The bit mask of the generators that the second shape negates:
+        the first 1 + 2 #split3, -pi, f_i and -fbar_i."""
+        return (1 << (1 + 2 * len(self.split3))) - 1
 
 
 def build_twist(p: int, d: int) -> TwistDatum:
@@ -101,28 +108,22 @@ def build_twist(p: int, d: int) -> TwistDatum:
     if recomposed != d:
         raise InternalCheckError(f"sign decomposition failed: {recomposed} != {d}")
     alpha_gens: list[tuple[str, Gen]] = [("-pi", (1, -2))]
-    beta_gens: list[tuple[str, Gen]] = [("pi", (-1, 2))]
     places = quadfield.places_above(ctx, p)
-    for q, (a, b) in split3:
-        alpha_gens.append((f"f({q})", (a, b)))
-        beta_gens.append((f"-f({q})", (-a, -b)))
+    for q, f in split3:
+        alpha_gens.append((f"f({q})", f))
         places.append(above[q][0])
     for q, (a, b) in split3:
         alpha_gens.append((f"-fbar({q})", (-a - b, b)))
-        beta_gens.append((f"fbar({q})", (a + b, -b)))
         places.append(above[q][1])
     for q, g in split1:
         alpha_gens.append((f"g({q})", g))
-        beta_gens.append((f"g({q})", g))
         places.append(above[q][0])
     for q, (a, b) in split1:
         alpha_gens.append((f"gbar({q})", (a + b, -b)))
-        beta_gens.append((f"gbar({q})", (a + b, -b)))
         places.append(above[q][1])
     for q in inert:
         qs = q if q % 4 == 1 else -q
         alpha_gens.append((str(qs), (qs, 0)))
-        beta_gens.append((str(qs), (qs, 0)))
         places.append(above[q][0])
     return TwistDatum(
         ctx=ctx,
@@ -132,25 +133,15 @@ def build_twist(p: int, d: int) -> TwistDatum:
         inert=inert,
         places=places,
         alpha_gens=alpha_gens,
-        beta_gens=beta_gens,
         table=[[quadfield._local_data(ctx, g, v) for _, g in alpha_gens] for v in places],
     )
 
 
 def _sign_flips(td: TwistDatum) -> list[int]:
     """At each place, the generators whose symbol the second shape flips:
-    its first 1 + 2 #split3 generators, pi, -f_i and fbar_i, are -1 times
-    the first shape's, so where -1 is not a square their symbols change."""
-    negated = (1 << (1 + 2 * len(td.split3))) - 1
+    those it negates, where -1 is not a square."""
+    negated = td.negated
     return [negated if quadfield._local_data(td.ctx, (-1, 0), v)[1] == -1 else 0 for v in td.places]
-
-
-@dataclass(frozen=True)
-class SelmerCandidate:
-    """Exponent bit vectors over the two generator shapes (bit i = generator i)."""
-
-    alpha_bits: int
-    beta_bits: int
 
 
 def _oracle_table(td: TwistDatum) -> list[dict[str, tuple[list, list]]]:
@@ -183,15 +174,17 @@ def _coordinate_ok_at(local: list, side: str, bits: int, place_idx: int) -> bool
     return False
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    dim_f2: int
-    basis: tuple[SelmerCandidate, ...]
-    alpha_survivors: tuple[int, ...]
-    beta_survivors: tuple[int, ...]
+def _survivors(td: TwistDatum) -> list[list[int]]:
+    """The exponent bit vectors (bit i = generator i) of each shape whose
+    coordinate passes at every place, read off the oracle's table."""
+    local = _oracle_table(td)
+    return [
+        [bits for bits in range(1 << td.width) if all(_coordinate_ok_at(local, side, bits, idx) for idx in range(len(td.places)))]
+        for side in ("alpha", "beta")
+    ]
 
 
-def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
+def selmer_group_bruteforce(td: TwistDatum) -> int:
     """Exhaustive oracle over the candidate pairs, at most `ORACLE_PAIR_CAP`.
 
     A candidate is in the group when at every place over p*d some 2-torsion
@@ -201,18 +194,13 @@ def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
     every coordinate value is tested by the local-square predicate of
     `quadfield` on the oracle's table of local data, and the pair survivors
     are the product of the two survivor sets.  Verifies the survivors form
-    a group containing the torsion image and returns the F2-dimension with
-    a basis."""
+    a group containing the torsion image and returns its F2-dimension."""
     width = td.width
     if 4**width > ORACLE_PAIR_CAP:
         raise ResourceCapError(
             f"instance too large for oracle: 4^{width} pairs exceed cap {ORACLE_PAIR_CAP}"
         )
-    local = _oracle_table(td)
-    alpha, beta = (
-        [bits for bits in range(1 << width) if all(_coordinate_ok_at(local, side, bits, idx) for idx in range(len(td.places)))]
-        for side in ("alpha", "beta")
-    )
+    alpha, beta = _survivors(td)
     # subgroup check: closed under multiplication, i.e. XOR of exponent
     # vectors, and holding the all-ones vector of the torsion image
     for keep in (alpha, beta):
@@ -229,22 +217,15 @@ def selmer_group_bruteforce(td: TwistDatum) -> BruteForceResult:
     # generators by `is_local_square`, which computes its own local data:
     # each full product of generators times its partner, -pi d or pi d,
     # is a square at every place
-    for side, gens, partner in (("alpha", td.alpha_gens, (1, -2)), ("beta", td.beta_gens, (-1, 2))):
-        product = [g for _, g in gens] + [partner, (td.d, 0)]
+    first = [g for _, g in td.alpha_gens]
+    negated = td.negated
+    second = [(-a, -b) if negated >> i & 1 else (a, b) for i, (a, b) in enumerate(first)]
+    for side, gens, partner in (("alpha", first, (1, -2)), ("beta", second, (-1, 2))):
+        product = gens + [partner, (td.d, 0)]
         for v in td.places:
             if not quadfield.is_local_square(td.ctx, product, v):
                 raise InternalCheckError(f"torsion image fails the local test: {side} at {v}")
-    dim_a, basis_a = _f2_dimension(alpha)
-    dim_b, basis_b = _f2_dimension(beta)
-    basis = tuple(
-        [SelmerCandidate(a, 0) for a in basis_a] + [SelmerCandidate(0, b) for b in basis_b]
-    )
-    return BruteForceResult(
-        dim_f2=dim_a + dim_b,
-        basis=basis,
-        alpha_survivors=tuple(alpha),
-        beta_survivors=tuple(beta),
-    )
+    return _f2_dimension(alpha) + _f2_dimension(beta)
 
 
 def _f2_basis(rows) -> list[int]:
@@ -261,13 +242,13 @@ def _f2_basis(rows) -> list[int]:
     return list(pivots.values())
 
 
-def _f2_dimension(group: list[int]) -> tuple[int, list[int]]:
-    """The F2-dimension and a basis of a subgroup listed in full, which
-    must then hold 2^dimension elements."""
-    basis = _f2_basis(group)
-    if 1 << len(basis) != len(group):
+def _f2_dimension(group: list[int]) -> int:
+    """The F2-dimension of a subgroup listed in full, which must then hold
+    2^dimension elements."""
+    dim = len(_f2_basis(group))
+    if 1 << dim != len(group):
         raise InternalCheckError("survivor count is not a power of two")
-    return len(basis), basis
+    return dim
 
 
 # --- the residue-symbol graph ----------------------------------------------

@@ -48,8 +48,8 @@ def test_criterion_02_oracle_equivalence():
         for d in selmer.admissible_twists_between(p, -120, 120):
             td = selmer.build_twist(p, d)
             graph = selmer.selmer_rank_graph(td)
-            brute = selmer.selmer_group_bruteforce(td)
-            assert brute.dim_f2 == 2 + 2 * graph.t, (p, d, brute.dim_f2, graph.t)
+            oracle_dim = selmer.selmer_group_bruteforce(td)
+            assert oracle_dim == 2 + 2 * graph.t, (p, d, oracle_dim, graph.t)
             # survivor sets are groups containing the torsion image:
             # verified inside the oracle; re-assert the membership here
             for cand in torsion_image(td):
@@ -62,14 +62,13 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_single_split_twist():
     td = selmer.build_twist(7, -11)
     graph = selmer.selmer_rank_graph(td)
-    brute = selmer.selmer_group_bruteforce(td)
-    assert graph.rank == 3 and brute.dim_f2 == 4
+    assert graph.rank == 3 and selmer.selmer_group_bruteforce(td) == 4
     f = td.split3[0][1]
     sym = residue_symbol(td.ctx, f, quadfield.places_above(td.ctx, 7)[0])
     if sym == 1:
-        pair = (selmer.SelmerCandidate(0b010, 0), selmer.SelmerCandidate(0, 0b100))
+        pair = ((0b010, 0), (0, 0b100))
     else:
-        pair = (selmer.SelmerCandidate(0b100, 0), selmer.SelmerCandidate(0, 0b010))
+        pair = ((0b100, 0), (0, 0b010))
     assert all(member_local(td, c) for c in pair)
 
 
@@ -82,7 +81,7 @@ def test_criterion_04_minimality():
         assert not (td.split3 or td.split1)
         assert 1 + sum(q % 4 == 3 for q in td.inert) == bound
         assert selmer.selmer_rank_graph(td).rank == rank
-        assert selmer.selmer_group_bruteforce(td).dim_f2 == rank + 1
+        assert selmer.selmer_group_bruteforce(td) == rank + 1
 
 
 @criterion(5, "local square laws at all inert Q < 200 for p in {7,23,31}")

@@ -102,16 +102,10 @@ def test_every_public_name_has_a_caller():
 # the fields no code in the package reads: the cuspidal group that the
 # promised `cuspidal_group_invariants` returns, whose invariants the
 # benchmark checks and whose fields the `cuspidal-invariants` goldens
-# print, and the oracle's candidates and survivor sets, which leave the
-# package with its exhaustive walk
+# print
 UNREAD_FIELDS = {
     "etacusp.CuspidalGroupReport.invariants",
     "etacusp.CuspidalGroupReport.closed_form_12",
-    "selmer.SelmerCandidate.alpha_bits",
-    "selmer.SelmerCandidate.beta_bits",
-    "selmer.BruteForceResult.basis",
-    "selmer.BruteForceResult.alpha_survivors",
-    "selmer.BruteForceResult.beta_survivors",
 }
 
 

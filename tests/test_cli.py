@@ -185,14 +185,13 @@ def test_determinism_two_runs():
 
 def test_internal_consistency_exit(monkeypatch):
     import eisq.cli as cli_mod
-    from eisq.selmer import BruteForceResult
 
     def broken_oracle(td):
-        return BruteForceResult(dim_f2=99, basis=(), alpha_survivors=(), beta_survivors=())
+        return 99
 
     monkeypatch.setattr(cli_mod.selmer, "selmer_group_bruteforce", broken_oracle)
-    code, _ = run_cli("selmer", "--p", "7", "--d", "5", "--oracle")
-    assert code == 3
+    code, _, err = run_cli_err("selmer", "--p", "7", "--d", "5", "--oracle")
+    assert code == 3 and "oracle disagrees with graph at p=7, d=5: 99 vs 2" in err, err
 
 
 def _shift_t(monkeypatch, shift):
