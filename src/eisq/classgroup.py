@@ -139,12 +139,6 @@ def compose(f1: Triple, f2: Triple) -> Triple:
     return _compose(f1, f2, disc)
 
 
-def form_pow(f: Triple, n: int) -> Triple:
-    disc = _positive_definite(f)
-    a, b, c = f
-    return _pow(_reduce(a, -b if n < 0 else b, c), abs(n), disc)
-
-
 def _check_enumerable(disc: int):
     _check_disc(disc)
     if -disc > MAX_ENUMERATED_DISC:

@@ -12,7 +12,6 @@ stdout early, as `| head` does, ends the command with 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -215,27 +214,29 @@ def _cmd_eta(args, out) -> int:
     if args.special:
         etacusp.is_special(n, r, image)  # raises unless the divisor has its closed form
     divs = image.divisors()
+    exponents = [r.get(d, 0) for d in divs]
     doc = {
         "level": n,
-        "exponents": [r.get(d, 0) for d in divs],
+        "exponents": exponents,
         "divisors": divs,
-        "ligozat": {**dataclasses.asdict(report), "ok": report.ok},
+        "ligozat": {**vars(report), "ok": report.ok},  # its four bool fields
+        "divisor": {str(d): image.coeff(d) for d in divs},
     }
-    lines = [
-        f"level {n}, exponents {[r.get(d, 0) for d in divs]} on divisors {divs}",
-        f"rationality: sum_zero={report.sum_zero} weighted_mod24={report.weighted_mod24} "
-        f"dual_mod24={report.dual_mod24} square_product={report.square_product} -> ok={report.ok}",
-    ]
-    doc["divisor"] = {str(d): image.coeff(d) for d in divs}
-    lines.append(f"divisor: {image}")
-    if report.ok and image.is_integral():
-        nonzero = any(image.coeffs)
-        if nonzero:
-            base = _primitive_part(image)
-            order = etacusp.cuspidal_class_order(n, base)
-            doc["class_order"] = order
-            doc["primitive_divisor"] = {str(d): base.coeff(d) for d in divs}
-            lines.append(f"primitive divisor {base} has class order {order}")
+    base = None
+    if report.ok and image.is_integral() and any(image.coeffs):
+        base = _primitive_part(image)
+        doc["class_order"] = etacusp.cuspidal_class_order(n, base)
+        doc["primitive_divisor"] = {str(d): base.coeff(d) for d in divs}
+    lines = []  # built only when the table is printed
+    if args.format == "table":
+        lines = [
+            f"level {n}, exponents {exponents} on divisors {divs}",
+            f"rationality: sum_zero={report.sum_zero} weighted_mod24={report.weighted_mod24} "
+            f"dual_mod24={report.dual_mod24} square_product={report.square_product} -> ok={report.ok}",
+            f"divisor: {image}",
+        ]
+        if base is not None:
+            lines.append(f"primitive divisor {base} has class order {doc['class_order']}")
     _emit(doc, args.format, lines, out)
     return EXIT_OK
 
@@ -287,14 +288,14 @@ def _cmd_heegner(args, out) -> int:
             "u_mod_8": ns.u_mod_8,
             "two_eisenstein_simple": ns.two_eisenstein_simple,
         }
-        lines = [
-            f"p = {p}: u^2 + 64 form: {ns.is_ns_prime}"
-            + (f", u = {ns.u}, u mod 8 = {ns.u_mod_8}, simple: {ns.two_eisenstein_simple}" if ns.is_ns_prime else "")
-        ]
-        if args.K is not None:
-            v = descent.verdict_ns_curve(p, args.K)
+        v = None if args.K is None else descent.verdict_ns_curve(p, args.K)
+        if v is not None:
             doc["verdict"] = _verdict_doc(v)
-            lines += _verdict_lines(v)
+        lines = []  # built only when the table is printed
+        if args.format == "table":
+            found = f", u = {ns.u}, u mod 8 = {ns.u_mod_8}, simple: {ns.two_eisenstein_simple}"
+            lines = [f"p = {p}: u^2 + 64 form: {ns.is_ns_prime}" + (found if ns.is_ns_prime else "")]
+            lines += [] if v is None else _verdict_lines(v)
         _emit(doc, args.format, lines, out)
         return EXIT_OK
     if args.p2 is not None:
@@ -312,7 +313,7 @@ def _cmd_heegner(args, out) -> int:
             raise ValidationError("heegner --p needs --q")
     else:
         raise ValidationError("heegner needs one of --p, --p2, --ns")
-    _emit(_verdict_doc(v), args.format, _verdict_lines(v), out)
+    _emit(_verdict_doc(v), args.format, _verdict_lines(v) if args.format == "table" else [], out)
     return EXIT_OK
 
 
@@ -337,15 +338,15 @@ def _cmd_eigencheck(args, out) -> int:
         ],
         "ok": report.ok,
     }
-    lines = [f"p = {report.p}, precision {report.prec}"]
-    for r in report.results:
-        extra = f" (first discrepancy at {r.first_discrepancy})" if r.status == "fail" else ""
-        lines.append(f"  {r.operator}_{r.ell}: {r.status} [{r.retained} coefficients]{extra}")
-    if report.insufficient:
-        lines.append(
-            f"warning: insufficient precision for ell in {list(report.insufficient)}"
-        )
-    lines.append("all pass" if report.ok else "NOT all pass")
+    lines = []  # built only when the table is printed
+    if args.format == "table":
+        lines = [f"p = {report.p}, precision {report.prec}"]
+        for r in report.results:
+            extra = f" (first discrepancy at {r.first_discrepancy})" if r.status == "fail" else ""
+            lines.append(f"  {r.operator}_{r.ell}: {r.status} [{r.retained} coefficients]{extra}")
+        if report.insufficient:
+            lines.append(f"warning: insufficient precision for ell in {list(report.insufficient)}")
+        lines.append("all pass" if report.ok else "NOT all pass")
     _emit(doc, args.format, lines, out)
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
@@ -369,10 +370,15 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the parser of each subcommand by name, filled once by `build_parser`
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call; every call returns that one
-    object, which `main` reuses, so callers must not modify it."""
+    object, which `main` reuses, so callers must not modify it.  Its
+    subcommands' parsers are kept in `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="eisq",
         description="Exact computations for 2-Selmer ranks of CM twists, "
@@ -417,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--primes", help="comma-separated Hecke primes (default: up to 13)")
     _fmt_arg(g)
     g.set_defaults(func=_cmd_eigencheck)
+    _COMMANDS.update(classnum=c, selmer=s, eta=e, heegner=h, eigencheck=g)
     return parser
 
 
@@ -425,7 +432,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_dash_values(list(argv))
-    args = parser.parse_args(argv)
+    # a known subcommand's options go straight to its own parser; the top
+    # parser sees only what it answers itself: help, no argv, an unknown command
+    command = _COMMANDS.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit

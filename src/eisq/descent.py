@@ -74,11 +74,12 @@ class HeegnerSetup:
 
     def prime_power_order(self, k: int) -> Optional[int]:
         """Order of the class of P^k for a prime P above p, or None when p
-        does not split; computed on each call."""
+        does not split; computed on each call from the order o of P, as
+        o / gcd(o, k)."""
         if not self.split_ok:
             return None
-        f = classgroup.form_pow(classgroup.prime_form(self.k_disc, self.p), k)
-        return classgroup.class_order(f, self.h_k)
+        o = classgroup.class_order(classgroup.prime_form(self.k_disc, self.p), self.h_k)
+        return o // math.gcd(o, k)
 
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
@@ -244,7 +245,6 @@ def verdict_rational_divisor(
         raise ValidationError(
             f"eta-product divisor {etacusp.eta_divisor(level, r)} is not n*D = {div.scale(n)} with n = {n}"
         )
-    image = div.scale(n)
     if n % q:
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
     setup = heegner_setup(level, k_disc)
@@ -260,7 +260,8 @@ def verdict_rational_divisor(
         val_text = f"v_{q}({h_r}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(a_r) = {o_r}"
     else:
         nontrivial, val_ok, val_text = False, False, "not evaluated"
-    special = etacusp.is_special(level, r, image)
+    # n*D is the divisor of r, checked by the class order
+    special = etacusp._is_special(level, r, level, [n * c for c in div.int_vector()])
     trace = (
         TraceEntry("n*D = div(eta-product)", f"n = {n}", True),
         TraceEntry("Heegner hypothesis", str(setup.split_ok), setup.split_ok),

@@ -64,8 +64,14 @@ def _check_divisors(divs: list[int], ds: Iterable[int]) -> None:
 
 
 def _validated_exponents(divs: list[int], r: EtaExponents) -> dict[int, int]:
+    """r as an int at every divisor; an exponent that is not an integer
+    raises, where an integral Fraction or float is read as its int."""
     _check_divisors(divs, r)
-    return {d: int(r.get(d, 0)) for d in divs}
+    exps = {d: int(r.get(d, 0)) for d in divs}
+    for d, v in r.items():
+        if v != exps[d]:
+            raise ValidationError(f"exponent {v} at divisor {d} is not an integer")
+    return exps
 
 
 def _prime_exponent(divs: list[int], r: EtaExponents) -> int:
@@ -153,21 +159,34 @@ def eta_divisor(n: int, r: EtaExponents) -> CuspDivisor:
     an actual rational function (Ligozat conditions).
     """
     divs = divisors(n)
-    return _eta_divisor(divs, _validated_exponents(divs, r))
+    return _cusp_divisor(divs, _eta_divisor(divs, _validated_exponents(divs, r)))
 
 
-def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> CuspDivisor:
+def _denominators(divs: Sequence[int]) -> list[int]:
+    """24*gcd(c^2, N) at each cusp level c: the denominator of the order of
+    every eta-product there."""
+    n = divs[-1]
+    return [24 * math.gcd(c * c, n) for c in divs]
+
+
+def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> list[int]:
+    """The divisor of r as integer numerators over `_denominators(divs)`,
+    one per cusp level c: sum_d r_d*gcd(c,d)^2*(N/d)."""
     n = divs[-1]
     nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) for c in divs]
-    dens = [24 * math.gcd(c * c, n) for c in divs]
-    out = CuspDivisor(n, tuple(map(Fraction, nums, dens)))
+    dens = _denominators(divs)
     # valence formula: the degree is (sum r_d / 2) [SL2(Z) : Gamma0(N)] / 12,
     # so it vanishes exactly at weight 0; 24N times it is a sum of integers
     if sum(r.values()) == 0 and sum(s * a * (24 * n // b) for s, a, b in zip(_orbit_sizes(divs), nums, dens)):
         raise InternalCheckError(
-            f"eta divisor of weight 0 has degree {out.degree()} at level {n}: {dict(r)}"
+            f"eta divisor of weight 0 has degree {_cusp_divisor(divs, nums).degree()} at level {n}: {dict(r)}"
         )
-    return out
+    return nums
+
+
+def _cusp_divisor(divs: Sequence[int], nums: Sequence[int]) -> CuspDivisor:
+    """The divisor whose coefficients are `nums` over `_denominators(divs)`."""
+    return CuspDivisor(divs[-1], tuple(map(Fraction, nums, _denominators(divs))))
 
 
 # --- the eta lattice and cuspidal orders -----------------------------------
@@ -187,22 +206,30 @@ def _basis(divs: Sequence[int]) -> list[dict[int, int]]:
     return [{1: -m, p: m}] + [{1: -m2, n: m2}] * (n != p)
 
 
-def _images(divs: Sequence[int], basis: Sequence[EtaExponents]) -> list[tuple[int, ...]]:
+def _images(divs: Sequence[int], basis: Sequence[EtaExponents]) -> list[list[int]]:
     """The divisor of each basis vector, without its last cusp, which degree
     0 determines: coordinates (m_1) at level p and (m_1, m_p) at p^2."""
-    return [_eta_divisor(divs, r).int_vector()[:-1] for r in basis]
+    dens = _denominators(divs)[:-1]
+    images = []
+    for r in basis:
+        nums = _eta_divisor(divs, r)
+        if any(a % b for a, b in zip(nums, dens)):
+            raise ValidationError(f"divisor is not integral: {_cusp_divisor(divs, nums)}")
+        images.append([a // b for a, b in zip(nums, dens)])
+    return images
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
     return rows[0][0] if len(rows) == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
 
-def _order_and_exponents(divs: Sequence[int], div: CuspDivisor) -> tuple[int, dict[int, int]]:
-    """The order n of div's class and the rational eta-product r with
-    divisor n*div.  By Cramer's rule div has coordinates num_i/det in the
-    divisors of the closed-form basis; n is their common denominator."""
+def _order_and_exponents(divs: Sequence[int], vec: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """The order n of the class of the integral divisor `vec` and the
+    rational eta-product r with divisor n*vec.  By Cramer's rule vec has
+    coordinates num_i/det in the divisors of the closed-form basis; n is
+    their common denominator."""
     basis = _basis(divs)
-    images, target = _images(divs, basis), div.int_vector()[:-1]
+    images, target = _images(divs, basis), list(vec[:-1])
     det = _det(images)
     nums = [_det(images[:i] + [target] + images[i + 1 :]) for i in range(len(images))]
     order = abs(det) // math.gcd(det, *nums)
@@ -224,16 +251,22 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
 
 def _class_order(n: int, div: CuspDivisor) -> tuple[int, dict[int, int]]:
     """`cuspidal_class_order`, with the checked eta-product of n*div, one
-    exponent per divisor of the level."""
+    exponent per divisor of the level.  An integral div is read as ints,
+    and r is checked on the integer numerators of its divisor."""
     divs = divisors(n)
     if div.level != n or len(div.coeffs) != len(divs):
         raise ValidationError("divisor level mismatch")
-    if div.degree() != 0:
-        raise ValidationError(f"divisor has degree {div.degree()}, not 0")
-    order, r = _order_and_exponents(divs, div)
-    image = _eta_divisor(divs, r)
-    if image != div.scale(order):
-        raise InternalCheckError(f"eta-product {r} at level {n} has divisor {image}, not {order}*({div})")
+    integral = div.is_integral()
+    degree = sum(c.numerator * s for c, s in zip(div.coeffs, _orbit_sizes(divs))) if integral else div.degree()
+    if degree != 0:
+        raise ValidationError(f"divisor has degree {degree}, not 0")
+    vec = div.int_vector()
+    order, r = _order_and_exponents(divs, vec)
+    nums = _eta_divisor(divs, r)
+    if any(a != order * v * b for a, v, b in zip(nums, vec, _denominators(divs))):
+        raise InternalCheckError(
+            f"eta-product {r} at level {n} has divisor {_cusp_divisor(divs, nums)}, not {order}*({div})"
+        )
     if any(v.denominator != 1 for v in r.values()) or not _ligozat(divs, r).ok:
         raise InternalCheckError(f"eta-product {r} of {order}*({div}) at level {n} fails Ligozat")
     for ell, _ in factor(order).factors:
@@ -287,6 +320,11 @@ def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
 
     `image` is the divisor of r, already computed by the caller; when r is
     canonical it must pass Ligozat and match its closed form, or this raises."""
+    return _is_special(n, r, image.level, image.coeffs)
+
+
+def _is_special(n: int, r: EtaExponents, level: int, coeffs: Sequence) -> bool:
+    """`is_special`, given the level and coefficients of the divisor of r."""
     try:
         divs = divisors(n)
         canonical = _canonical_eta(divs)
@@ -294,7 +332,7 @@ def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
         return False
     if {d: v for d, v in r.items() if v} != canonical:
         return False
-    _check_special(divs, canonical, image)
+    _check_special(divs, canonical, level, coeffs)
     return True
 
 
@@ -305,15 +343,17 @@ def _canonical_eta(divs: list[int]) -> dict[int, int]:
     return {1: 24 // m, p: -24 // m} if n == p else {1: -1, p: p + 1, n: -p}
 
 
-def _check_special(divs: list[int], r: EtaExponents, image: CuspDivisor) -> None:
-    """Ligozat, and the divisor against its closed form: a([1] - [p]) with
-    a = (p-1)/m at level p, a([p] - (p-1)[p^2]) with a = (p^2-1)/24 at p^2."""
+def _check_special(divs: list[int], r: EtaExponents, level: int, coeffs: Sequence) -> None:
+    """Ligozat, and the divisor (level, coeffs) against its closed form,
+    which is integral: a([1] - [p]) with a = (p-1)/m at level p, and
+    a([p] - (p-1)[p^2]) with a = (p^2-1)/24 at p^2."""
     n, p = divs[-1], divs[1]
     a = (p - 1) // math.gcd(p - 1, 12) if n == p else (n - 1) // 24
-    expected = CuspDivisor(n, tuple(map(Fraction, (a, -a) if n == p else (0, a, -a * (p - 1)))))
+    expected = (a, -a) if n == p else (0, a, -a * (p - 1))
     if not _ligozat(divs, r).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
-    if image != expected:
+    if level != n or tuple(coeffs) != expected:
         raise InternalCheckError(
-            f"special function divisor mismatch at level {n}: {image} vs {expected}"
+            f"special function divisor mismatch at level {n}: "
+            f"{CuspDivisor(level, tuple(coeffs))} vs {CuspDivisor(n, tuple(map(Fraction, expected)))}"
         )

@@ -17,7 +17,6 @@ from eisq.classgroup import (
     class_order,
     compose,
     field_disc,
-    form_pow,
     fundamental_class_number,
     is_fundamental,
     prime_form,
@@ -43,6 +42,16 @@ def principal_form(disc):
 def disc_of(f):
     a, b, c = f
     return b * b - 4 * a * c
+
+
+def form_pow(f, n):
+    """f^n: the reduced form of f, or of its inverse (a, -b, c) when n < 0,
+    raised to |n| by squaring on the private kernel.  The package itself
+    never powers a prime class: `HeegnerSetup.prime_power_order(k)` reads
+    ord(P^k) off ord(P), and this is its oracle."""
+    disc = classgroup._positive_definite(f)
+    a, b, c = f
+    return classgroup._pow(classgroup._reduce(a, -b if n < 0 else b, c), abs(n), disc)
 
 
 def reduce_form(f):

@@ -543,3 +543,39 @@ def test_every_argv_ends_in_a_documented_exit(argv):
         assert err.getvalue() == "", argv
     else:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+def _exit_of(call):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_DISPATCH_ARGV = (
+    [[command, "-h"] for command in ("classnum", "selmer", "eta", "heegner", "eigencheck")]
+    + [["selmer", "--d", "5"], ["eta", "--special"], ["eigencheck", "--prec", "20"]]  # a missing required option
+    + [["classnum", "--bogus"], ["heegner", "--p", "11", "--K", "-7", "--q", "5", "-x"], ["eta", "--N", "11", "extra"]]
+    + [[], ["-h"], ["--help"], ["bogus"], ["bogus", "--p", "7"], ["--format", "json", "classnum"]]
+)
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_direct_dispatch_matches_the_top_parser(argv):
+    # main hands a known subcommand's argv to that subcommand's parser; the
+    # exit code and stdout are those of the whole argv through the top parser
+    from eisq.cli import build_parser
+
+    code, out, err = _exit_of(lambda: main(list(argv)))
+    top_code, top_out, top_err = _exit_of(lambda: build_parser().parse_args(list(argv)))
+    assert (code, out) == (top_code, top_out)
+    assert code == (0 if {"-h", "--help"} & set(argv) else EXIT_VALIDATION)
+    # only an unrecognized argument is named by the subcommand's own parser
+    last, top_last = err.splitlines()[-1:], top_err.splitlines()[-1:]
+    if top_last and top_last[0].startswith("eisq: error: unrecognized arguments"):
+        assert last == [top_last[0].replace("eisq:", f"eisq {argv[0]}:", 1)]
+    else:
+        assert err == top_err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eisq import etacusp
-from eisq.classgroup import form_pow, prime_form
+from eisq.classgroup import prime_form
 from eisq.descent import (
     INCONCLUSIVE,
     NONTORSION,
@@ -23,7 +23,7 @@ from eisq.descent import (
 )
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
 from eisq.etacusp import CuspDivisor, prime_exponent, special_function
-from test_classgroup import class_number_of_disc
+from test_classgroup import class_number_of_disc, form_pow
 
 # fundamental discriminants with small class numbers, for verdict tables
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40, -43, -47, -52, -67, -79, -163)
@@ -348,3 +348,43 @@ def test_prime_power_order_with_nontrivial_group():
     o = s.prime_power_order(k)
     assert k == 6 and o in (1, 5) and s.h_k == 5
     assert form_pow(form_pow(prime_form(-79, 11), k), o) == (1, 1, 20)
+
+
+def test_prime_power_order_against_powering():
+    # ord(P^k) = ord(P)/gcd(ord(P), k) against the order of P^k itself, for
+    # every k in -p..p, at (13, -23) (h = 3: ord(P) = 3, ord(P^6) = 1) and at
+    # 30 random split (K, p) with |K| <= 10^6
+    import random
+
+    from eisq.arith import is_prime
+    from eisq.classgroup import class_order, is_fundamental
+
+    rng = random.Random(29)
+    pairs = [(13, -23)]
+    while len(pairs) < 31:
+        disc, p = -rng.randrange(3, 10**6), rng.choice([q for q in range(5, 150) if is_prime(q)])
+        if disc % 4 in (0, 1) and is_fundamental(disc) and disc % p and splits_in(disc, p):
+            pairs.append((p, disc))
+    differ = 0
+    for p, disc in pairs:
+        s = heegner_setup(p, disc)
+        base, order = prime_form(disc, p), s.prime_power_order(1)
+        for k in range(-p, p + 1):
+            want = class_order(form_pow(base, k), s.h_k)
+            assert s.prime_power_order(k) == want, (p, disc, k)
+            differ += want != order
+    s = heegner_setup(13, -23)
+    assert (s.h_k, s.prime_power_order(1), s.prime_power_order(6), s.prime_power_order(-3)) == (3, 3, 1, 1)
+    assert differ > 100
+
+
+def test_canonical_verdict_compositions(monkeypatch):
+    # one canonical verdict at (101^2, -9983, 17), h = 92: the order 92 of P
+    # takes 18 compositions, and ord(P^50) = 92/gcd(92, 50) = 46 takes no more
+    import eisq.classgroup as classgroup
+
+    r, div = special_function(101**2), CuspDivisor.from_map(101**2, {101: 1, 101**2: -100})
+    calls = _counting(monkeypatch, classgroup, "_compose")
+    v = verdict_rational_divisor(101**2, r, div, -9983, 17)
+    assert v.trace[3].value == "v_17(2) = 0 vs v_17(425) = 1, o(a_r) = 46"
+    assert len(calls) == 18

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eisq.arith import is_prime
+from eisq import etacusp
+from eisq.arith import factor, is_prime
 from eisq.errors import InternalCheckError, ValidationError
 from eisq.etacusp import (
     CuspDivisor,
@@ -17,6 +18,7 @@ from eisq.etacusp import (
     eta_divisor,
     is_special,
     ligozat_check,
+    prime_exponent,
     special_function,
 )
 
@@ -467,3 +469,123 @@ def test_cusp_divisor_coeff_rejects_a_non_divisor():
     d = CuspDivisor.from_map(121, {1: 1, 121: -1})
     with pytest.raises(ValidationError, match="7 does not divide the level 121"):
         d.coeff(7)
+
+
+def test_non_integral_exponents_raise():
+    # an exponent is read as an int only when it is one: 25/2 is not read as
+    # 12, 1.9 not as 1 and 0.5 not as 0; integral Fractions and floats are
+    for call in (
+        lambda: ligozat_check(25, {1: Fraction(25, 2), 5: Fraction(-25, 2)}),
+        lambda: eta_divisor(25, {1: 1.9, 5: -1.9}),
+        lambda: prime_exponent(25, {1: 0.5, 5: 0.7}),
+    ):
+        with pytest.raises(ValidationError, match=r"^exponent (25/2|1\.9|0\.5) at divisor 1 is not an integer$"):
+            call()
+    with pytest.raises(ValidationError, match="^exponent -1/3 at divisor 25 is not an integer$"):
+        eta_divisor(25, {1: 1, 5: 0, 25: Fraction(-1, 3)})
+    assert ligozat_check(11, {1: Fraction(24, 2), 11: Fraction(-12)}).ok
+    assert eta_divisor(49, {1: -1.0, 7: Fraction(16, 2), 49: -7}) == eta_divisor(49, {1: -1, 7: 8, 49: -7})
+    assert prime_exponent(169, {1: Fraction(-1), 13: 14.0, 169: -13}) == -12
+
+
+def _fraction_eta_divisor(divs, r):
+    n = divs[-1]
+    nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) for c in divs]
+    return CuspDivisor(n, tuple(Fraction(a, 24 * math.gcd(c * c, n)) for a, c in zip(nums, divs)))
+
+
+def _fraction_class_order(n, div):
+    """The class order and its checks on divisors of Fractions, as the
+    package computed them before they moved to integer numerators: the
+    oracle of `etacusp._class_order`, down to its exceptions' words."""
+    divs = divisors(n)
+    if div.level != n or len(div.coeffs) != len(divs):
+        raise ValidationError("divisor level mismatch")
+    if div.degree() != 0:
+        raise ValidationError(f"divisor has degree {div.degree()}, not 0")
+    basis = _basis(divs)
+    images = [_fraction_eta_divisor(divs, b).int_vector()[:-1] for b in basis]
+    target = div.int_vector()[:-1]
+    rows = [list(v) for v in images]
+    det = _determinant(rows)
+    nums = [_determinant(rows[:i] + [list(target)] + rows[i + 1 :]) for i in range(len(rows))]
+    order = abs(det) // math.gcd(det, *nums)
+    coords = [order * num // det for num in nums]
+    r = {d: sum(c * b.get(d, 0) for c, b in zip(coords, basis)) for d in divs}
+    image = _fraction_eta_divisor(divs, r)
+    if image != div.scale(order):
+        raise InternalCheckError(f"eta-product {r} at level {n} has divisor {image}, not {order}*({div})")
+    if not ligozat_check(n, r).ok:
+        raise InternalCheckError(f"eta-product {r} of {order}*({div}) at level {n} fails Ligozat")
+    for ell, _ in factor(order).factors:
+        if all(v % ell == 0 for v in r.values()) and ligozat_check(n, {d: v // ell for d, v in r.items()}).ok:
+            raise InternalCheckError(f"{order // ell}*({div}) at level {n} is already the divisor of a rational eta-product")
+    return order, r
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValidationError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_class_order_against_fractions():
+    # at every level p and p^2, 5 <= p < 200: random integral degree-0
+    # divisors, the canonical ones, and inputs that must be rejected (not
+    # integral, of nonzero degree, of another level or length), each with
+    # the same (order, r) or the same exception and words on both paths
+    rng = random.Random(29)
+    count = rejected = 0
+    for p in (q for q in range(5, 200) if is_prime(q)):
+        for n in (p, p * p):
+            divs = divisors(n)
+            sizes = _orbit_sizes(divs)
+            cases = [CuspDivisor.from_map(n, {1: 1, n: -1}), _eta_divisor_scaled_to_primitive(n)]
+            if n != p:
+                cases.append(CuspDivisor.from_map(n, {p: 1, n: -(p - 1)}))
+            for _ in range(6):
+                head = [rng.randrange(-60, 61) for _ in divs[:-1]]
+                cases.append(CuspDivisor.from_map(n, dict(zip(divs, head + [-sum(c * s for c, s in zip(head, sizes))]))))
+            half = Fraction(1, 2)
+            cases += [
+                CuspDivisor(n, (half,) + (Fraction(0),) * (len(divs) - 2) + (-half,)),  # degree 0, not integral
+                CuspDivisor(n, (half,) + (Fraction(0),) * (len(divs) - 1)),  # degree 1/2
+                CuspDivisor.from_map(n, {1: 1}),  # degree 1
+                CuspDivisor.from_map(n, {1: 2, n: -1}),
+                CuspDivisor.from_map(p if n != p else p * p, {1: 1, p: -1}),  # the other level
+                CuspDivisor(n, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))),  # too many coefficients
+            ]
+            for div in cases:
+                want = _outcome(lambda: _fraction_class_order(n, div))
+                assert _outcome(lambda: etacusp._class_order(n, div)) == want, (n, div)
+                rejected += isinstance(want[0], type)
+                count += 1
+    # 44 primes, 14 cases at p and 15 at p^2, 6 of them rejected at each level
+    assert count == 44 * 29 and rejected == 44 * 2 * 6
+
+
+def _eta_divisor_scaled_to_primitive(n):
+    # the canonical eta-product's divisor over the gcd of its entries
+    vec = eta_divisor(n, special_function(n)).int_vector()
+    g = math.gcd(*vec)
+    return CuspDivisor(n, tuple(Fraction(x // g) for x in vec))
+
+
+def test_class_order_makes_no_fraction(monkeypatch):
+    # on integral input the class order and the verdict read the divisor as
+    # ints and check r on integer numerators: no Fraction is made
+    from eisq import descent
+
+    divs = {p: CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}) for p in (11, 101, 1153)}
+    prime = CuspDivisor.from_map(11, {1: 1, 11: -1})
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(etacusp, "Fraction", no_fraction)
+    assert cuspidal_class_order(11, prime) == 5
+    for p, div in divs.items():
+        assert cuspidal_class_order(p * p, div) == (p * p - 1) // 24
+    v = descent.verdict_rational_divisor(101**2, special_function(101**2), divs[101], -9983, 17)
+    assert v.trace[0].value == "n = 425"

@@ -33,12 +33,14 @@ OPTIMIZED_CASES = (
     "heegner-p61-json",
     "heegner-p73-q2-json",
     "heegner-p2-41-json",
+    "heegner-p2-101",
     "heegner-ns73",
     "heegner-bad-q",
     "eigencheck-p7-json",
     "class-orders",
     "cuspidal-invariants",
     "verdict-p2-level",
+    "verdict-p2-level-1153",
 )
 
 RUNNER = """
