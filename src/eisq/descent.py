@@ -260,8 +260,7 @@ def verdict_rational_divisor(
         val_text = f"v_{q}({h_r}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(a_r) = {o_r}"
     else:
         nontrivial, val_ok, val_text = False, False, "not evaluated"
-    # n*D is the divisor of r, checked by the class order
-    special = etacusp._is_special(level, r, level, [n * c for c in div.int_vector()])
+    special = etacusp.is_special(level, r, div.scale(n))
     trace = (
         TraceEntry("n*D = div(eta-product)", f"n = {n}", True),
         TraceEntry("Heegner hypothesis", str(setup.split_ok), setup.split_ok),

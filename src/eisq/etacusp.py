@@ -251,15 +251,13 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
 
 def _class_order(n: int, div: CuspDivisor) -> tuple[int, dict[int, int]]:
     """`cuspidal_class_order`, with the checked eta-product of n*div, one
-    exponent per divisor of the level.  An integral div is read as ints,
-    and r is checked on the integer numerators of its divisor."""
+    exponent per divisor of the level.  div is read as ints, and r is
+    checked on the integer numerators of its divisor."""
     divs = divisors(n)
     if div.level != n or len(div.coeffs) != len(divs):
         raise ValidationError("divisor level mismatch")
-    integral = div.is_integral()
-    degree = sum(c.numerator * s for c, s in zip(div.coeffs, _orbit_sizes(divs))) if integral else div.degree()
-    if degree != 0:
-        raise ValidationError(f"divisor has degree {degree}, not 0")
+    if div.degree() != 0:
+        raise ValidationError(f"divisor has degree {div.degree()}, not 0")
     vec = div.int_vector()
     order, r = _order_and_exponents(divs, vec)
     nums = _eta_divisor(divs, r)
@@ -320,11 +318,6 @@ def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
 
     `image` is the divisor of r, already computed by the caller; when r is
     canonical it must pass Ligozat and match its closed form, or this raises."""
-    return _is_special(n, r, image.level, image.coeffs)
-
-
-def _is_special(n: int, r: EtaExponents, level: int, coeffs: Sequence) -> bool:
-    """`is_special`, given the level and coefficients of the divisor of r."""
     try:
         divs = divisors(n)
         canonical = _canonical_eta(divs)
@@ -332,7 +325,7 @@ def _is_special(n: int, r: EtaExponents, level: int, coeffs: Sequence) -> bool:
         return False
     if {d: v for d, v in r.items() if v} != canonical:
         return False
-    _check_special(divs, canonical, level, coeffs)
+    _check_special(divs, canonical, image)
     return True
 
 
@@ -343,17 +336,17 @@ def _canonical_eta(divs: list[int]) -> dict[int, int]:
     return {1: 24 // m, p: -24 // m} if n == p else {1: -1, p: p + 1, n: -p}
 
 
-def _check_special(divs: list[int], r: EtaExponents, level: int, coeffs: Sequence) -> None:
-    """Ligozat, and the divisor (level, coeffs) against its closed form,
-    which is integral: a([1] - [p]) with a = (p-1)/m at level p, and
-    a([p] - (p-1)[p^2]) with a = (p^2-1)/24 at p^2."""
+def _check_special(divs: list[int], r: EtaExponents, image: CuspDivisor) -> None:
+    """Ligozat, and the divisor against its closed form, which is integral:
+    a([1] - [p]) with a = (p-1)/m at level p, a([p] - (p-1)[p^2]) with
+    a = (p^2-1)/24 at p^2."""
     n, p = divs[-1], divs[1]
     a = (p - 1) // math.gcd(p - 1, 12) if n == p else (n - 1) // 24
     expected = (a, -a) if n == p else (0, a, -a * (p - 1))
     if not _ligozat(divs, r).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
-    if level != n or tuple(coeffs) != expected:
+    if image.level != n or image.coeffs != expected:
         raise InternalCheckError(
             f"special function divisor mismatch at level {n}: "
-            f"{CuspDivisor(level, tuple(coeffs))} vs {CuspDivisor(n, tuple(map(Fraction, expected)))}"
+            f"{image} vs {CuspDivisor(n, tuple(map(Fraction, expected)))}"
         )

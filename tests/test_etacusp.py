@@ -572,9 +572,12 @@ def _eta_divisor_scaled_to_primitive(n):
     return CuspDivisor(n, tuple(Fraction(x // g) for x in vec))
 
 
-def test_class_order_makes_no_fraction(monkeypatch):
-    # on integral input the class order and the verdict read the divisor as
-    # ints and check r on integer numerators: no Fraction is made
+def test_class_order_calls_no_fraction_in_etacusp(monkeypatch):
+    # on integral input the class order and the verdict check r on the
+    # integer numerators of its divisor and the canonical divisor against
+    # an int closed form: etacusp builds no Fraction of its own.  Arithmetic
+    # on the input's Fraction coefficients (its degree, n*D) does not go
+    # through this name and is not seen here.
     from eisq import descent
 
     divs = {p: CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}) for p in (11, 101, 1153)}
