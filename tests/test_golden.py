@@ -122,6 +122,8 @@ CLI_CASES = {
     "heegner-p11-not-fundamental": ["heegner", "--p", "11", "--K", "-36", "--q", "5"],
     "heegner-p2-13-not-fundamental-even": ["heegner", "--p2", "13", "--K", "-24012", "--q", "7"],
     "heegner-p1009-disc1000015-q7": ["heegner", "--p", "1009", "--K", "-1000015", "--q", "7"],
+    # 11 is inert in Q(sqrt(-3)): the order of a prime class above it is not evaluated
+    "heegner-p11-inert": ["heegner", "--p", "11", "--K", "-3", "--q", "5"],
     "eigencheck-p5": ["eigencheck", "--p", "5", "--prec", "200"],
     "eigencheck-p7-json": ["eigencheck", "--p", "7", "--prec", "40", "--format", "json"],
     "eigencheck-primes-json": ["eigencheck", "--p", "11", "--prec", "60", "--primes", "2,3,11", "--format", "json"],
