@@ -113,13 +113,14 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
         raise InternalCheckError(f"q = {q} shares a factor with w_K = {setup.w_k} at K = {k_disc}")
     vq_h = valuation(setup.h_k, q)
     vq_n = valuation(n, q)
+    o_p = setup.prime_power_order(1) if setup.split_ok else "not evaluated"
     trace = (
         TraceEntry("q divides n", f"q={q}, n={n}", True),
         TraceEntry("gcd(q, 6w_K) = 1", f"w_K={setup.w_k}", True),
         TraceEntry(f"{p} splits in K", str(setup.split_ok), setup.split_ok),
         TraceEntry(
             "v_q(h_K) < v_q(n)",
-            f"v_{q}({setup.h_k}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(p-class) = {setup.prime_power_order(1)}",
+            f"v_{q}({setup.h_k}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(p-class) = {o_p}",
             vq_h < vq_n,
         ),
         TraceEntry("J[m_q](K)^- = 0", "Z/q + mu_q torsion structure (cited)", True, assumed=True),
