@@ -7,6 +7,7 @@ that the criterion does not apply."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -74,12 +75,23 @@ class HeegnerSetup:
 
     def prime_power_order(self, k: int) -> Optional[int]:
         """Order of the class of P^k for a prime P above p, or None when p
-        does not split; computed on each call from the order o of P, as
-        o / gcd(o, k)."""
+        does not split: o / gcd(o, k) from the order o of P, which is
+        computed once per (K, p, h_K) per process."""
         if not self.split_ok:
             return None
-        o = classgroup.class_order(classgroup.prime_form(self.k_disc, self.p), self.h_k)
+        o = _prime_class_order(self.k_disc, self.p, self.h_k)
         return o // math.gcd(o, k)
+
+
+# typed, as the class-number memo beside it: a non-int key is not read back
+@functools.lru_cache(maxsize=classgroup.CLASS_NUMBER_MEMO, typed=True)
+def _prime_class_order(k_disc: int, p: int, h_k: int) -> int:
+    """The checked order of the class of a prime above a split p, given h_K.
+
+    Kept in a memo of the last `CLASS_NUMBER_MEMO` keys, so the verdicts
+    at one (K, p) compute it once; a call that raises keeps nothing.  h_K is
+    part of the key: a hand-built set-up gets the order of its own h_K."""
+    return classgroup.class_order(classgroup.prime_form(k_disc, p), h_k)
 
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
@@ -239,17 +251,18 @@ def verdict_rational_divisor(
     if all(v == 0 for v in r.values()):
         raise ValidationError("zero exponent vector has no associated order")
     _check_q(q)
-    n, r_div = etacusp._class_order(level, div)
+    divs = etacusp.divisors(level)
+    n, r_div = etacusp._class_order(divs, div)
     # the class order checked the divisor of r_div; the eta-divisor map is
     # invertible, so r has divisor n*D exactly when it is r_div
-    if etacusp._validated_exponents(etacusp.divisors(level), r) != r_div:
+    if etacusp._validated_exponents(divs, r) != r_div:
         raise ValidationError(
             f"eta-product divisor {etacusp.eta_divisor(level, r)} is not n*D = {div.scale(n)} with n = {n}"
         )
     if n % q:
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
     setup = heegner_setup(level, k_disc)
-    exponent = etacusp.prime_exponent(level, r)
+    exponent = etacusp._prime_exponent(divs, r_div)
     if exponent % 2:
         raise InternalCheckError(f"odd prime exponent {exponent} in the eta-product of n*D at level {level}")
     if setup.split_ok:

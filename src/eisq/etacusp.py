@@ -246,14 +246,15 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
     each check a raise: r has divisor n*div exactly, r is rational
     (Ligozat), and r/l is not, for each prime l | n.
     """
-    return _class_order(n, div)[0]
+    return _class_order(divisors(n), div)[0]
 
 
-def _class_order(n: int, div: CuspDivisor) -> tuple[int, dict[int, int]]:
-    """`cuspidal_class_order`, with the checked eta-product of n*div, one
-    exponent per divisor of the level.  div is read as ints, and r is
-    checked on the integer numerators of its divisor."""
-    divs = divisors(n)
+def _class_order(divs: list[int], div: CuspDivisor) -> tuple[int, dict[int, int]]:
+    """`cuspidal_class_order` at the level with divisors `divs`, with the
+    checked eta-product of n*div, one exponent per divisor of the level.
+    div is read as ints, and r is checked on the integer numerators of its
+    divisor."""
+    n = divs[-1]
     if div.level != n or len(div.coeffs) != len(divs):
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:

@@ -18,13 +18,16 @@ import eisq
 SRC = Path(eisq.__file__).parent
 
 # README library API with no caller inside the package: composition, the
-# cusp constants, the validating divisor constructor, the CLI entry point,
-# and the two results no subcommand prints (the cuspidal group of X0(p^2)
-# and the general rational-divisor verdict), which the benchmark calls
+# cusp constants, the validating divisor constructor, the p-exponent of an
+# eta-product (the verdict reads it off the checked eta-product of the
+# class order), the CLI entry point, and the two results no subcommand
+# prints (the cuspidal group of X0(p^2) and the general rational-divisor
+# verdict), which the benchmark calls
 PROMISED = {
     "classgroup.compose",
     "modforms.delta_cusp_constants",
     "etacusp.CuspDivisor.from_map",
+    "etacusp.prime_exponent",
     "cli.main",
     "etacusp.cuspidal_group_invariants",
     "descent.verdict_rational_divisor",

@@ -70,7 +70,7 @@ def _counting(monkeypatch, module, name):
 
 def test_each_piece_of_work_once_per_call(monkeypatch):
     # the level is parsed once per public etacusp call, and the prime-class
-    # order is computed only by the verdicts that print it
+    # order is computed only by the verdicts that print it, once per (K, p)
     import eisq.classgroup as classgroup
     import eisq.etacusp as etacusp
     from eisq.cli import main
@@ -85,20 +85,23 @@ def test_each_piece_of_work_once_per_call(monkeypatch):
         # cuspidal_class_order, one parse each (50 before)
         assert len(parses) <= 5, (p, len(parses))
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):
-        del orders[:]
-        r = special_function(p * p)
-        verdict_rational_divisor(p * p, r, CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}), disc, q)
+        r, div = special_function(p * p), CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
+        del orders[:], parses[:]
+        verdict_rational_divisor(p * p, r, div, disc, q)
         assert len(orders) == 1, (p, disc)
+        # divisors, heegner_setup and is_special, one parse each (5 before)
+        assert len(parses) <= 3, (p, disc, len(parses))
     del orders[:]
     verdict_prime_level_2(73, -19)
     verdict_prime_level_2(73, -9983951)
     verdict_ns_curve(73, -19)
     verdict_ns_curve(73, -9990047)
     assert orders == []
-    # the verdicts that print it compute it once
+    # one computation per (K, p) per process: (-79, 11) is new, while
+    # (-23, 13) was met by the rational-divisor verdict above
     verdict_prime_level_odd_q(11, -79, 5)
     verdict_p2_level(13, -23, 7)
-    assert len(orders) == 2
+    assert len(orders) == 1
     # a second identical verdict reads h_K back from the memo: no root table
     counts = _counting(monkeypatch, classgroup, "_two_adic_roots")
     r, div = special_function(101**2), CuspDivisor.from_map(101**2, {101: 1, 101**2: -100})

@@ -558,7 +558,7 @@ def test_integer_class_order_against_fractions():
             ]
             for div in cases:
                 want = _outcome(lambda: _fraction_class_order(n, div))
-                assert _outcome(lambda: etacusp._class_order(n, div)) == want, (n, div)
+                assert _outcome(lambda: etacusp._class_order(divs, div)) == want, (n, div)
                 rejected += isinstance(want[0], type)
                 count += 1
     # 44 primes, 14 cases at p and 15 at p^2, 6 of them rejected at each level

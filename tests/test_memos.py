@@ -1,22 +1,29 @@
-"""The per-process memos: h of a fundamental discriminant, and the last
-sigma table built by each of the two sieves.  A hit must equal a fresh
-computation, each memo is bounded, an input that raises raises again
-(nothing is kept for it), and no caller can change what a memo holds.
-`conftest.py` empties all three before every test."""
+"""The per-process memos: h of a fundamental discriminant, the order of
+the class of a prime above p in K, and the last sigma table built by each
+of the two sieves.  A hit must equal a fresh computation, each memo is
+bounded, an input that raises raises again (nothing is kept for it), and
+no caller can change what a memo holds.  `conftest.py` empties all four
+before every test."""
 
 import importlib
 import inspect
+import io
+import math
 import pkgutil
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import eisq
-from eisq import classgroup, etacusp, modforms
+from eisq import classgroup, descent, etacusp, modforms
+from eisq.arith import factor, is_prime, jacobi
 from eisq.cli import main
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
+from test_classgroup import form_pow
 
 count_h = classgroup._fundamental_class_number
+prime_order = descent._prime_class_order
 sieve = modforms._sigma_table
 pairs = modforms._pair_sigma_table
 
@@ -59,6 +66,7 @@ def test_class_number_callers_share_the_memo():
 
 def test_memos_are_bounded_by_module_constants():
     assert count_h.cache_info().maxsize == classgroup.CLASS_NUMBER_MEMO
+    assert prime_order.cache_info().maxsize == classgroup.CLASS_NUMBER_MEMO
 
 
 def test_class_number_memo_keys_on_type():
@@ -108,6 +116,88 @@ def test_failed_build_is_retried(monkeypatch):
     monkeypatch.setattr(classgroup, "_two_adic_roots", roots)
     assert classgroup.fundamental_class_number(-47) == 5
     assert (count_h.cache_info().misses, count_h.cache_info().currsize) == (3, 1)
+
+
+def _split_prime(rng, disc):
+    """A random prime 5 <= p < 2000 that splits in the field of discriminant disc."""
+    while True:
+        p = rng.randrange(5, 2000)
+        if is_prime(p) and disc % p and jacobi(disc, p) == 1:
+            return p
+
+
+def test_prime_class_order_hit_equals_fresh_order():
+    rng = random.Random(30)
+    discs = [-3, -4, -7, -8] + _fundamental_sample(rng, 5, 10**4, 12)
+    discs += _fundamental_sample(rng, 10**4, 10**6, 10) + _fundamental_sample(rng, 10**6, 10**7, 6)
+    setups = [descent.heegner_setup(p, d) for d, p in ((d, _split_prime(rng, d)) for d in discs)]
+    assert all(s.split_ok for s in setups)
+    first = [s.prime_power_order(1) for s in setups]
+    assert (prime_order.cache_info().misses, prime_order.cache_info().hits) == (len(setups), 0)
+    assert [s.prime_power_order(k) for s in setups for k in (1, 6)] == [
+        o // math.gcd(o, k) for o in first for k in (1, 6)
+    ]
+    assert (prime_order.cache_info().misses, prime_order.cache_info().hits) == (len(setups), 2 * len(setups))
+    for s, o in zip(setups, first):
+        f = classgroup.prime_form(s.k_disc, s.p)
+        assert o == classgroup.class_order(f, s.h_k) == prime_order.__wrapped__(s.k_disc, s.p, s.h_k)
+        # the oracle: f^o is principal and f^(o/l) is not, for each prime l | o
+        one = classgroup._principal(s.k_disc)
+        assert form_pow(f, o) == one, (s.k_disc, s.p)
+        assert all(form_pow(f, o // ell) != one for ell, _ in factor(o).factors), (s.k_disc, s.p)
+
+
+def test_prime_class_order_keys_on_the_class_number():
+    # a hand-built set-up gets the order of its own h_K: a multiple of h_K
+    # gives the same order under its own key, and an h_K the order does not
+    # divide raises on every call and is never kept
+    right = descent.heegner_setup(11, -79)
+    assert right.prime_power_order(1) == 5
+    double = descent.HeegnerSetup(11, -79, 10, 2, True)
+    assert double.prime_power_order(1) == 5
+    wrong = descent.HeegnerSetup(11, -79, 7, 2, True)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="does not divide the class number 7"):
+            wrong.prime_power_order(1)
+    assert (prime_order.cache_info().misses, prime_order.cache_info().currsize) == (4, 2)
+    # a non-split p never reaches the memo
+    assert descent.heegner_setup(11, -3).prime_power_order(1) is None
+    assert prime_order.cache_info().misses == 4
+
+
+def test_failed_prime_class_order_is_retried(monkeypatch):
+    # a class order that fails on a miss fails again on the next call, and
+    # the order is computed once the failure is gone
+    order = classgroup.class_order
+
+    def broken(f, h):
+        raise InternalCheckError(f"order of {f} does not divide the class number {h}")
+
+    monkeypatch.setattr(classgroup, "class_order", broken)
+    setup = descent.heegner_setup(11, -79)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for _ in range(2):
+            with pytest.raises(InternalCheckError, match="does not divide the class number 5"):
+                setup.prime_power_order(1)
+            assert main(["heegner", "--p", "11", "--K", "-79", "--q", "5"]) == 3
+    assert prime_order.cache_info().currsize == 0
+    monkeypatch.setattr(classgroup, "class_order", order)
+    assert setup.prime_power_order(1) == 5
+    assert (prime_order.cache_info().misses, prime_order.cache_info().currsize) == (5, 1)
+
+
+def test_verdicts_at_one_field_share_the_prime_class_order():
+    # heegner --p, heegner --p2 and the rational-divisor verdict at
+    # (K, p) = (-9983, 101) compute the order once and read it back twice
+    p = 101
+    with redirect_stdout(io.StringIO()):
+        assert main(["heegner", "--p", str(p), "--K", "-9983", "--q", "5"]) == 0
+        assert main(["heegner", "--p2", str(p), "--K", "-9983", "--q", "17"]) == 0
+    r = etacusp.special_function(p * p)
+    div = etacusp.CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
+    assert descent.verdict_rational_divisor(p * p, r, div, -9983, 17).trace[0].value == "n = 425"
+    info = prime_order.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_sigma_hit_equals_cold_build():
