@@ -223,7 +223,7 @@ def _cmd_eta(args, out) -> int:
         "divisor": {str(d): image.coeff(d) for d in divs},
     }
     base = None
-    if report.ok and image.is_integral() and any(image.coeffs):
+    if report.ok and image.den == 1 and any(image.nums):
         base = _primitive_part(image)
         doc["class_order"] = etacusp.cuspidal_class_order(n, base)
         doc["primitive_divisor"] = {str(d): base.coeff(d) for d in divs}
@@ -243,8 +243,7 @@ def _cmd_eta(args, out) -> int:
 
 def _primitive_part(div: etacusp.CuspDivisor) -> etacusp.CuspDivisor:
     vec = div.int_vector()
-    g = math.gcd(*vec)
-    return etacusp.CuspDivisor(div.level, tuple(Fraction(x, g) for x in vec))
+    return etacusp.CuspDivisor(div.level, vec, math.gcd(*vec))
 
 
 # --- heegner ----------------------------------------------------------------

@@ -108,85 +108,84 @@ def ligozat_check(n: int, r: EtaExponents) -> LigozatReport:
 class CuspDivisor:
     """A divisor supported on cusps, constant on Galois orbits.
 
-    `coeffs[d]` is the multiplicity of each single cusp of level d; the
-    orbit sum D_d corresponds to coeffs with a bare 1 at level d.  Only
-    `from_map` checks the level; the methods read its divisors off it.
+    The multiplicity of each single cusp of level d is nums[i]/den, d the
+    i-th divisor of the level; the orbit sum D_d has a bare 1 at level d.
+    An entry may be any exact number with `as_integer_ratio` (an int, a
+    Fraction); it is stored as an integer numerator over one positive
+    denominator in lowest terms, so equal divisors compare and hash equal.
+    Only `from_map` checks the level; the methods read its divisors off it.
     """
 
     level: int
-    coeffs: tuple[Fraction, ...]  # indexed like divisors(level)
+    nums: tuple[int, ...]  # indexed like divisors(level)
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        ratios = [x.as_integer_ratio() for x in self.nums]
+        den = math.lcm(*[b for _, b in ratios])
+        nums = [a * (den // b) for a, b in ratios]
+        den *= self.den
+        if not den:
+            raise ValidationError("divisor has denominator 0")
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple([a // g for a in nums]))
+        object.__setattr__(self, "den", den // g)
 
     @staticmethod
     def from_map(level: int, coeffs: Mapping[int, int | Fraction]) -> "CuspDivisor":
         divs = divisors(level)
         _check_divisors(divs, coeffs)
-        return CuspDivisor(level, tuple(Fraction(coeffs.get(d, 0)) for d in divs))
+        return CuspDivisor(level, tuple(coeffs.get(d, 0) for d in divs))
 
     def divisors(self) -> list[int]:
         """The divisors of the level, read off the coefficient count."""
-        p0 = self.level if len(self.coeffs) == 2 else math.isqrt(self.level)
-        return [p0**j for j in range(len(self.coeffs))]
+        p0 = self.level if len(self.nums) == 2 else math.isqrt(self.level)
+        return [p0**j for j in range(len(self.nums))]
 
     def coeff(self, d: int) -> Fraction:
         divs = self.divisors()
         _check_divisors(divs, [d])
-        return self.coeffs[divs.index(d)]
+        return Fraction(self.nums[divs.index(d)], self.den)
 
-    def degree(self) -> Fraction:
-        return sum(c * s for c, s in zip(self.coeffs, _orbit_sizes(self.divisors())))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+    def degree(self) -> int | Fraction:
+        total = sum(a * s for a, s in zip(self.nums, _orbit_sizes(self.divisors())))
+        return Fraction(total, self.den) if total else 0
 
     def int_vector(self) -> tuple[int, ...]:
-        if not self.is_integral():
+        if self.den != 1:
             raise ValidationError(f"divisor is not integral: {self}")
-        return tuple(int(c) for c in self.coeffs)
+        return self.nums
 
-    def scale(self, k: int) -> "CuspDivisor":
-        return CuspDivisor(self.level, tuple(c * k for c in self.coeffs))
+    def scale(self, k: int | Fraction) -> "CuspDivisor":
+        return CuspDivisor(self.level, tuple(a * k for a in self.nums), self.den)
 
     def __repr__(self) -> str:
-        parts = [f"{c}*[{d}]" for d, c in zip(self.divisors(), self.coeffs) if c]
+        parts = [f"{Fraction(a, self.den)}*[{d}]" for d, a in zip(self.divisors(), self.nums) if a]
         return " + ".join(parts) if parts else "0"
 
 
 def eta_divisor(n: int, r: EtaExponents) -> CuspDivisor:
     """Divisor of prod_d eta(d z)^{r_d} on X0(N), one entry per cusp orbit.
 
-    Order at a cusp of level c: the integer sum_d r_d*gcd(c,d)^2*(N/d) over 24*gcd(c^2, N).
-    Entries are exact rationals; they are integers whenever the product is
-    an actual rational function (Ligozat conditions).
+    Order at a cusp of level c: the integer sum_d r_d*gcd(c,d)^2*(N/d) over
+    24*gcd(c^2, N).  The entries are integers whenever the product is an
+    actual rational function (Ligozat conditions).
     """
     divs = divisors(n)
-    return _cusp_divisor(divs, _eta_divisor(divs, _validated_exponents(divs, r)))
+    return _eta_divisor(divs, _validated_exponents(divs, r))
 
 
-def _denominators(divs: Sequence[int]) -> list[int]:
-    """24*gcd(c^2, N) at each cusp level c: the denominator of the order of
-    every eta-product there."""
+def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> CuspDivisor:
+    """The divisor of r over 24N: at cusp level c the numerator
+    sum_d r_d*gcd(c,d)^2*(N/d) times N/gcd(c^2, N)."""
     n = divs[-1]
-    return [24 * math.gcd(c * c, n) for c in divs]
-
-
-def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> list[int]:
-    """The divisor of r as integer numerators over `_denominators(divs)`,
-    one per cusp level c: sum_d r_d*gcd(c,d)^2*(N/d)."""
-    n = divs[-1]
-    nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) for c in divs]
-    dens = _denominators(divs)
+    nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) * (n // math.gcd(c * c, n)) for c in divs]
+    div = CuspDivisor(n, tuple(nums), 24 * n)
     # valence formula: the degree is (sum r_d / 2) [SL2(Z) : Gamma0(N)] / 12,
     # so it vanishes exactly at weight 0; 24N times it is a sum of integers
-    if sum(r.values()) == 0 and sum(s * a * (24 * n // b) for s, a, b in zip(_orbit_sizes(divs), nums, dens)):
-        raise InternalCheckError(
-            f"eta divisor of weight 0 has degree {_cusp_divisor(divs, nums).degree()} at level {n}: {dict(r)}"
-        )
-    return nums
-
-
-def _cusp_divisor(divs: Sequence[int], nums: Sequence[int]) -> CuspDivisor:
-    """The divisor whose coefficients are `nums` over `_denominators(divs)`."""
-    return CuspDivisor(divs[-1], tuple(map(Fraction, nums, _denominators(divs))))
+    if sum(r.values()) == 0 and sum(s * a for s, a in zip(_orbit_sizes(divs), nums)):
+        raise InternalCheckError(f"eta divisor of weight 0 has degree {div.degree()} at level {n}: {dict(r)}")
+    return div
 
 
 # --- the eta lattice and cuspidal orders -----------------------------------
@@ -206,17 +205,10 @@ def _basis(divs: Sequence[int]) -> list[dict[int, int]]:
     return [{1: -m, p: m}] + [{1: -m2, n: m2}] * (n != p)
 
 
-def _images(divs: Sequence[int], basis: Sequence[EtaExponents]) -> list[list[int]]:
+def _images(divs: Sequence[int], basis: Sequence[EtaExponents]) -> list[tuple[int, ...]]:
     """The divisor of each basis vector, without its last cusp, which degree
     0 determines: coordinates (m_1) at level p and (m_1, m_p) at p^2."""
-    dens = _denominators(divs)[:-1]
-    images = []
-    for r in basis:
-        nums = _eta_divisor(divs, r)
-        if any(a % b for a, b in zip(nums, dens)):
-            raise ValidationError(f"divisor is not integral: {_cusp_divisor(divs, nums)}")
-        images.append([a // b for a, b in zip(nums, dens)])
-    return images
+    return [_eta_divisor(divs, r).int_vector()[:-1] for r in basis]
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -251,21 +243,16 @@ def cuspidal_class_order(n: int, div: CuspDivisor) -> int:
 
 def _class_order(divs: list[int], div: CuspDivisor) -> tuple[int, dict[int, int]]:
     """`cuspidal_class_order` at the level with divisors `divs`, with the
-    checked eta-product of n*div, one exponent per divisor of the level.
-    div is read as ints, and r is checked on the integer numerators of its
-    divisor."""
+    checked eta-product of n*div, one exponent per divisor of the level."""
     n = divs[-1]
-    if div.level != n or len(div.coeffs) != len(divs):
+    if div.level != n or len(div.nums) != len(divs):
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:
         raise ValidationError(f"divisor has degree {div.degree()}, not 0")
-    vec = div.int_vector()
-    order, r = _order_and_exponents(divs, vec)
-    nums = _eta_divisor(divs, r)
-    if any(a != order * v * b for a, v, b in zip(nums, vec, _denominators(divs))):
-        raise InternalCheckError(
-            f"eta-product {r} at level {n} has divisor {_cusp_divisor(divs, nums)}, not {order}*({div})"
-        )
+    order, r = _order_and_exponents(divs, div.int_vector())
+    image = _eta_divisor(divs, r)
+    if image != div.scale(order):
+        raise InternalCheckError(f"eta-product {r} at level {n} has divisor {image}, not {order}*({div})")
     if any(v.denominator != 1 for v in r.values()) or not _ligozat(divs, r).ok:
         raise InternalCheckError(f"eta-product {r} of {order}*({div}) at level {n} fails Ligozat")
     for ell, _ in factor(order).factors:
@@ -343,11 +330,8 @@ def _check_special(divs: list[int], r: EtaExponents, image: CuspDivisor) -> None
     a = (p^2-1)/24 at p^2."""
     n, p = divs[-1], divs[1]
     a = (p - 1) // math.gcd(p - 1, 12) if n == p else (n - 1) // 24
-    expected = (a, -a) if n == p else (0, a, -a * (p - 1))
+    expected = CuspDivisor(n, (a, -a) if n == p else (0, a, -a * (p - 1)))
     if not _ligozat(divs, r).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
-    if image.level != n or image.coeffs != expected:
-        raise InternalCheckError(
-            f"special function divisor mismatch at level {n}: "
-            f"{image} vs {CuspDivisor(n, tuple(map(Fraction, expected)))}"
-        )
+    if image != expected:
+        raise InternalCheckError(f"special function divisor mismatch at level {n}: {image} vs {expected}")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,7 @@ def test_eta_divisor_examples():
     )
     assert eta_divisor(11, {1: 12, 11: -12}) == CuspDivisor.from_map(11, {1: 5, 11: -5})
     zero = eta_divisor(49, {})
-    assert all(c == 0 for c in zero.coeffs)
+    assert zero.nums == (0, 0, 0) and zero.den == 1
 
 
 def _eta_divisor_per_term(n, r):
@@ -85,7 +86,7 @@ def test_eta_divisor_against_per_term_formula():
                 r = dict(zip(divs, vec))
                 image = eta_divisor(n, r)
                 assert image == _eta_divisor_per_term(n, r), (n, vec)
-                non_integral += not image.is_integral()
+                non_integral += image.den != 1
                 failing += not ligozat_check(n, r).ok
     assert non_integral > 1000 and failing > 4000
 
@@ -106,7 +107,7 @@ def test_eta_divisor_map_is_invertible():
             continue
         for n, det in ((p, Fraction(p * p - 1, 576)), (p * p, Fraction(p * (p * p - 1) ** 2, 13824))):
             divs = divisors(n)
-            columns = [eta_divisor(n, {d: 1}).coeffs for d in divs]
+            columns = [[eta_divisor(n, {d: 1}).coeff(c) for c in divs] for d in divs]
             assert _determinant([list(row) for row in zip(*columns)]) == det, n
 
 
@@ -124,7 +125,7 @@ def test_eta_divisor_degree_zero_on_lattice():
             assert ligozat_check(n, combo).ok
             image = eta_divisor(n, combo)
             assert image.degree() == 0
-            assert image.is_integral()
+            assert image.den == 1
 
 
 def test_eta_divisor_degree_by_valence_formula():
@@ -303,9 +304,10 @@ def test_is_special():
         r = special_function(n)
         image = eta_divisor(n, r)
         assert is_special(n, r, image)
-        # a canonical r must come with its own divisor
-        with pytest.raises(InternalCheckError, match="divisor mismatch"):
-            is_special(n, r, image.scale(2))
+        # a canonical r must come with its own divisor, numerators and denominator
+        for wrong in (image.scale(2), image.scale(Fraction(1, 2))):
+            with pytest.raises(InternalCheckError, match="divisor mismatch"):
+                is_special(n, r, wrong)
     r = {1: 24, 49: -24}
     assert not is_special(49, r, eta_divisor(49, r))
     # below p = 5 and away from the levels p and p^2 nothing is special
@@ -452,12 +454,40 @@ def test_class_order_check_exits_3(monkeypatch, corrupt, message):
 def test_divisor_representation():
     d = CuspDivisor.from_map(49, {7: 1, 49: -6})
     assert d.coeff(7) == 1 and d.coeff(1) == 0
+    assert all(type(d.coeff(c)) is Fraction for c in (1, 7, 49))
     assert d.degree() == 0
-    assert d.int_vector() == (0, 1, -6)
+    assert d.int_vector() == (0, 1, -6) and d.den == 1
     frac = CuspDivisor(49, (Fraction(1, 2), Fraction(0), Fraction(0)))
-    assert not frac.is_integral()
-    with pytest.raises(ValidationError):
+    assert frac.nums == (1, 0, 0) and frac.den == 2 and frac.coeff(1) == Fraction(1, 2)
+    assert frac.scale(2) == CuspDivisor(49, (1, 0, 0)) and frac.scale(Fraction(2, 3)).coeff(1) == Fraction(1, 3)
+    with pytest.raises(ValidationError, match=r"^divisor is not integral: 1/2\*\[1\]$"):
         frac.int_vector()
+    # one divisor from every form: the positional tuple of Fractions, from_map
+    # on ints, and the canonical divisor over (n - 1)/24; equal divisors hash equal
+    for p in (5, 11, 101):
+        n = p * p
+        forms = [
+            CuspDivisor(n, (Fraction(0), Fraction(1), Fraction(-(p - 1)))),
+            CuspDivisor.from_map(n, {p: 1, n: -(p - 1)}),
+            eta_divisor(n, special_function(n)).scale(Fraction(1, (n - 1) // 24)),
+        ]
+        assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms), n
+        assert forms[0].nums == (0, 1, -(p - 1)) and forms[0].den == 1, n
+    # from_map reads any exact number Fraction() did, float and Decimal too
+    assert CuspDivisor.from_map(49, {7: 0.5, 49: Decimal(-3)}) == CuspDivisor(49, (0, 1, -6), 2)
+    # lowest terms over a positive denominator, whatever the input's signs
+    negative = CuspDivisor(49, (2, 0, -2), -4)
+    assert negative.nums == (-1, 0, 1) and negative.den == 2
+    assert negative == CuspDivisor(49, (Fraction(-1, 2), 0, Fraction(1, 2)))
+    with pytest.raises(ValidationError, match="denominator 0"):
+        CuspDivisor(49, (0, 0, 0), 0)
+    # `eta --N 49 --r 1,-1,0` (golden eta-49-r-failing) prints this divisor
+    failing = eta_divisor(49, {1: 1, 7: -1, 49: 0})
+    assert repr(failing) == "7/4*[1] + -1/4*[7] + -1/4*[49]" and failing.den == 4
+    assert repr(eta_divisor(49, {})) == "0"
+    # the constructor checks no level: the class order does
+    with pytest.raises(ValidationError, match="divisor level mismatch"):
+        cuspidal_class_order(11, CuspDivisor(12, ()))
 
 
 def test_cusp_divisor_rejects_a_non_divisor():
@@ -491,35 +521,50 @@ def test_non_integral_exponents_raise():
 def _fraction_eta_divisor(divs, r):
     n = divs[-1]
     nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) for c in divs]
-    return CuspDivisor(n, tuple(Fraction(a, 24 * math.gcd(c * c, n)) for a, c in zip(nums, divs)))
+    return [Fraction(a, 24 * math.gcd(c * c, n)) for a, c in zip(nums, divs)]
+
+
+def _render(divs, coeffs):
+    return " + ".join(f"{c}*[{d}]" for d, c in zip(divs, coeffs) if c) or "0"
+
+
+def _integral(divs, coeffs):
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValidationError(f"divisor is not integral: {_render(divs, coeffs)}")
+    return [int(c) for c in coeffs]
 
 
 def _fraction_class_order(n, div):
-    """The class order and its checks on divisors of Fractions, as the
-    package computed them before they moved to integer numerators: the
-    oracle of `etacusp._class_order`, down to its exceptions' words."""
+    """The class order and its checks on lists of Fractions, as the package
+    computed them before they moved to integer numerators: the oracle of
+    `etacusp._class_order`, down to its exceptions' words.  It reads the
+    divisor only through `div.coeff(d)`, besides its level and divisors."""
     divs = divisors(n)
-    if div.level != n or len(div.coeffs) != len(divs):
+    if div.level != n or div.divisors() != divs:
         raise ValidationError("divisor level mismatch")
-    if div.degree() != 0:
-        raise ValidationError(f"divisor has degree {div.degree()}, not 0")
+    coeffs = [div.coeff(d) for d in divs]
+    shown = _render(divs, coeffs)
+    degree = sum(c * s for c, s in zip(coeffs, _orbit_sizes(divs)))
+    if degree != 0:
+        raise ValidationError(f"divisor has degree {degree}, not 0")
     basis = _basis(divs)
-    images = [_fraction_eta_divisor(divs, b).int_vector()[:-1] for b in basis]
-    target = div.int_vector()[:-1]
-    rows = [list(v) for v in images]
+    rows = [_integral(divs, _fraction_eta_divisor(divs, b))[:-1] for b in basis]
+    target = _integral(divs, coeffs)[:-1]
     det = _determinant(rows)
-    nums = [_determinant(rows[:i] + [list(target)] + rows[i + 1 :]) for i in range(len(rows))]
+    nums = [_determinant(rows[:i] + [target] + rows[i + 1 :]) for i in range(len(rows))]
     order = abs(det) // math.gcd(det, *nums)
     coords = [order * num // det for num in nums]
     r = {d: sum(c * b.get(d, 0) for c, b in zip(coords, basis)) for d in divs}
     image = _fraction_eta_divisor(divs, r)
-    if image != div.scale(order):
-        raise InternalCheckError(f"eta-product {r} at level {n} has divisor {image}, not {order}*({div})")
+    if image != [order * c for c in coeffs]:
+        raise InternalCheckError(
+            f"eta-product {r} at level {n} has divisor {_render(divs, image)}, not {order}*({shown})"
+        )
     if not ligozat_check(n, r).ok:
-        raise InternalCheckError(f"eta-product {r} of {order}*({div}) at level {n} fails Ligozat")
+        raise InternalCheckError(f"eta-product {r} of {order}*({shown}) at level {n} fails Ligozat")
     for ell, _ in factor(order).factors:
         if all(v % ell == 0 for v in r.values()) and ligozat_check(n, {d: v // ell for d, v in r.items()}).ok:
-            raise InternalCheckError(f"{order // ell}*({div}) at level {n} is already the divisor of a rational eta-product")
+            raise InternalCheckError(f"{order // ell}*({shown}) at level {n} is already the divisor of a rational eta-product")
     return order, r
 
 
@@ -573,22 +618,26 @@ def _eta_divisor_scaled_to_primitive(n):
 
 
 def test_class_order_calls_no_fraction_in_etacusp(monkeypatch):
-    # on integral input the class order and the verdict check r on the
-    # integer numerators of its divisor and the canonical divisor against
-    # an int closed form: etacusp builds no Fraction of its own.  Arithmetic
-    # on the input's Fraction coefficients (its degree, n*D) does not go
-    # through this name and is not seen here.
+    # a divisor of ints stays ints: from_map, its degree, n*D, the class
+    # order, its check of r on the divisor of r, and the canonical divisor
+    # against its closed form make no Fraction in etacusp, in a warm
+    # class order and a warm verdict alike
     from eisq import descent
 
-    divs = {p: CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}) for p in (11, 101, 1153)}
-    prime = CuspDivisor.from_map(11, {1: 1, 11: -1})
+    def verdict(div):
+        return descent.verdict_rational_divisor(101**2, special_function(101**2), div, -9983, 17)
+
+    verdict(CuspDivisor.from_map(101**2, {101: 1, 101**2: -100}))  # warm the class data
 
     def no_fraction(*args):
         raise AssertionError("a Fraction was made")
 
     monkeypatch.setattr(etacusp, "Fraction", no_fraction)
+    divs = {p: CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}) for p in (11, 101, 1153)}
+    prime = CuspDivisor.from_map(11, {1: 1, 11: -1})
     assert cuspidal_class_order(11, prime) == 5
     for p, div in divs.items():
+        assert div.degree() == 0 and div.scale(p) == CuspDivisor.from_map(p * p, {p: p, p * p: -p * (p - 1)})
         assert cuspidal_class_order(p * p, div) == (p * p - 1) // 24
-    v = descent.verdict_rational_divisor(101**2, special_function(101**2), divs[101], -9983, 17)
+    v = verdict(divs[101])
     assert v.trace[0].value == "n = 425"

@@ -16,8 +16,8 @@ from test_golden import GOLDEN
 SRC = Path(eisq.__file__).parent
 
 # every layer: class numbers and orders, Selmer with the oracle (quadfield's
-# local data and split generators), eta products and the lattice, verdicts
-# of every kind, eigenchecks, and exits 2 and 4
+# local data and split generators), eta products (with divisors integral or
+# not) and the lattice, verdicts of every kind, eigenchecks, and exits 2 and 4
 OPTIMIZED_CASES = (
     "classnum-disc1003-json",
     "classnum-disc3999996-json",
@@ -28,6 +28,8 @@ OPTIMIZED_CASES = (
     "selmer-p71-range-1000-tsv",
     "eta-169-special-json",
     "eta-1018081-special-json",
+    "eta-121-r-failing-json",
+    "eta-49-r-failing",
     "eta-bad-level",
     "heegner-p11",
     "heegner-p61-json",
