@@ -56,13 +56,6 @@ def roots_of_unity(k_disc: int) -> int:
     return 2
 
 
-def splits_in(k_disc: int, q: int) -> bool:
-    """Whether an odd prime q not dividing the discriminant splits in K."""
-    if q == 2 or not is_prime(q) or k_disc % q == 0:
-        raise ValidationError(f"need an odd prime not dividing {k_disc}, got {q}")
-    return jacobi(k_disc, q) == 1
-
-
 @dataclass(frozen=True)
 class HeegnerSetup:
     """The class data of K that every verdict reads."""
@@ -96,38 +89,29 @@ def _prime_class_order(k_disc: int, p: int, h_k: int) -> int:
 
 def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
     """Class data of K at level p or p^2.  `fundamental_class_number` tests
-    the cap on |D|, then that D is fundamental (a memo hit skips both)."""
-    if k_disc >= 0 or k_disc % 4 not in (0, 1):
-        raise ValidationError(f"not a negative discriminant: {k_disc}")
+    that D is a negative discriminant, the cap on |D|, then that D is
+    fundamental (a memo hit skips all three); p splits when (D/p) = 1."""
     h = classgroup.fundamental_class_number(k_disc)
     p0 = etacusp.level_prime(level)[0]
-    split_ok = k_disc % p0 != 0 and splits_in(k_disc, p0)
+    split_ok = k_disc % p0 != 0 and jacobi(k_disc, p0) == 1
     return HeegnerSetup(p0, k_disc, h, roots_of_unity(k_disc), split_ok)
-
-
-def eisenstein_order_prime_level(p: int) -> int:
-    """Order of the difference of cusps on X0(p): (p-1)/gcd(12, p-1)."""
-    etacusp._check_level_prime(p)
-    return (p - 1) // math.gcd(12, p - 1)
 
 
 def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
     """Prime level, odd q dividing the cuspidal order n: the Heegner point
     projects to a point of infinite order on the q-Eisenstein quotient
-    when p splits in K and v_q(h_K) < v_q(n)."""
-    n = eisenstein_order_prime_level(p)
+    when p splits in K and v_q(h_K) < v_q(n), n = n_p of `canonical_orders`."""
+    n = etacusp.canonical_orders(p)[0]
     _check_q(q)
     if n % q:
         raise ValidationError(f"q = {q} does not divide the cuspidal order n = {n}")
     setup = heegner_setup(p, k_disc)
-    # w_K is 2, 4 or 6, so gcd(q, w_K) = 1 is automatic here; recorded anyway
-    if math.gcd(q, setup.w_k) != 1:
-        raise InternalCheckError(f"q = {q} shares a factor with w_K = {setup.w_k} at K = {k_disc}")
     vq_h = valuation(setup.h_k, q)
     vq_n = valuation(n, q)
     o_p = setup.prime_power_order(1) if setup.split_ok else "not evaluated"
     trace = (
         TraceEntry("q divides n", f"q={q}, n={n}", True),
+        # w_K is 2, 4 or 6 and q is coprime to 6, so this always holds
         TraceEntry("gcd(q, 6w_K) = 1", f"w_K={setup.w_k}", True),
         TraceEntry(f"{p} splits in K", str(setup.split_ok), setup.split_ok),
         TraceEntry(
@@ -142,8 +126,8 @@ def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
 
 def verdict_prime_level_2(p: int, k_disc: int) -> Verdict:
     """Prime level, q = 2: infinite order on the 2-Eisenstein quotient when
-    2 | n, p splits in K and h_K is odd."""
-    n = eisenstein_order_prime_level(p)
+    2 | n, p splits in K and h_K is odd, n = n_p of `canonical_orders`."""
+    n = etacusp.canonical_orders(p)[0]
     if n % 2:
         raise ValidationError(f"2 does not divide the cuspidal order n = {n}")
     setup = heegner_setup(p, k_disc)
@@ -200,9 +184,8 @@ def verdict_ns_curve(p: int, k_disc: int) -> Verdict:
 
 def verdict_p2_level(p: int, k_disc: int, q: int) -> Verdict:
     """Level p^2, odd q with q | (p+1): non-torsion projection when p
-    splits in K and v_q(h_K / o(p-class)) < v_q(n), n = (p^2-1)/24."""
-    etacusp._check_level_prime(p)
-    n = (p * p - 1) // 24
+    splits in K and v_q(h_K / o(p-class)) < v_q(n), n = n_p2 of `canonical_orders`."""
+    n = etacusp.canonical_orders(p)[1]
     _check_q(q)
     if (p + 1) % q:
         raise ValidationError(f"q = {q} does not divide p + 1 = {p + 1}")

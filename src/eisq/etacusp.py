@@ -34,10 +34,13 @@ def divisors(n: int) -> list[int]:
     return [p0**j for j in range(k + 1)]
 
 
-def _check_level_prime(p: int) -> None:
-    """The one test of a prime p >= 5, the prime of a level p or p^2."""
+def canonical_orders(p: int) -> tuple[int, int]:
+    """(n_p, n_p2): the orders of the canonical cuspidal classes on X0(p)
+    and X0(p^2), (p-1)/(p-1, 12) (Mazur) and (p^2-1)/24 (Ling).  The one
+    test of a prime p >= 5, the prime of a level p or p^2."""
     if p < 5 or not is_prime(p):
         raise ValidationError(f"need a prime p >= 5, got {p}")
+    return (p - 1) // math.gcd(p - 1, 12), (p * p - 1) // 24
 
 
 def _orbit_sizes(divs: list[int]) -> list[int]:
@@ -113,7 +116,8 @@ class CuspDivisor:
     An entry may be any exact number with `as_integer_ratio` (an int, a
     Fraction); it is stored as an integer numerator over one positive
     denominator in lowest terms, so equal divisors compare and hash equal.
-    Only `from_map` checks the level; the methods read its divisors off it.
+    There are 3 entries at a square level and 2 at any other; `from_map`
+    also checks that the level is p or p^2.
     """
 
     level: int
@@ -121,6 +125,8 @@ class CuspDivisor:
     den: int = 1
 
     def __post_init__(self) -> None:
+        if len(self.nums) != (size := 3 if self.level > 0 and math.isqrt(self.level) ** 2 == self.level else 2):
+            raise ValidationError(f"a divisor at level {self.level} has {size} entries, got {len(self.nums)}")
         ratios = [x.as_integer_ratio() for x in self.nums]
         den = math.lcm(*[b for _, b in ratios])
         nums = [a * (den // b) for a, b in ratios]
@@ -245,7 +251,7 @@ def _class_order(divs: list[int], div: CuspDivisor) -> tuple[int, dict[int, int]
     """`cuspidal_class_order` at the level with divisors `divs`, with the
     checked eta-product of n*div, one exponent per divisor of the level."""
     n = divs[-1]
-    if div.level != n or len(div.nums) != len(divs):
+    if div.level != n:
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:
         raise ValidationError(f"divisor has degree {div.degree()}, not 0")
@@ -267,7 +273,7 @@ def _class_order(divs: list[int], div: CuspDivisor) -> tuple[int, dict[int, int]
 class CuspidalGroupReport:
     p: int
     invariants: tuple[int, ...]  # structure of the rational cuspidal group
-    closed_form_12: tuple[int, int]  # ((p-1)/(p-1,12), (p+1)/(p+1,12)) = (a, b): invariants (a, a*b)
+    closed_form_12: tuple[int, int]  # (a, b) = (n_p, n_p2/n_p) of `canonical_orders`: invariants (a, a*b)
 
 
 def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
@@ -277,17 +283,16 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
     inside the rank-2 lattice of rational degree-0 cuspidal divisors, in
     the coordinates (m_1, m_p).  Its invariants are d1, the gcd of their
     four entries, and |det|/d1; they are checked against Ling's closed form
-    (a, a*b), a = (p-1)/(p-1, 12), b = (p+1)/(p+1, 12), less its 1s.
+    (n_p, n_p2) of `canonical_orders`, less its 1s.
     """
-    _check_level_prime(p)
+    n_p, n_p2 = canonical_orders(p)
     divs = (1, p, p * p)
     images = _images(divs, _basis(divs))
     d1 = math.gcd(*images[0], *images[1])
     inv = tuple(d for d in (d1, abs(_det(images)) // d1) if d != 1)
-    a, b = ((p + s) // math.gcd(p + s, 12) for s in (-1, 1))
-    if inv != tuple(d for d in (a, a * b) if d != 1):
-        raise InternalCheckError(f"cuspidal group of X0({p}^2) has invariants {inv}, not Ling's ({a}, {a * b})")
-    return CuspidalGroupReport(p=p, invariants=inv, closed_form_12=(a, b))
+    if inv != tuple(d for d in (n_p, n_p2) if d != 1):
+        raise InternalCheckError(f"cuspidal group of X0({p}^2) has invariants {inv}, not Ling's ({n_p}, {n_p2})")
+    return CuspidalGroupReport(p=p, invariants=inv, closed_form_12=(n_p, n_p2 // n_p))
 
 
 # --- the two special eta-products ------------------------------------------
@@ -298,40 +303,34 @@ def special_function(n: int) -> dict[int, int]:
     divisor generates the relevant cuspidal class: (24/m, -24/m) at level p
     with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2.  `is_special`
     checks them against their divisor, which the caller computes once."""
-    return _canonical_eta(divisors(n))
+    divs = divisors(n)
+    return _canonical_eta(divs, canonical_orders(divs[1])[0])
 
 
 def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
     """Whether r is the canonical eta-product of level n (never below p = 5).
 
     `image` is the divisor of r, already computed by the caller; when r is
-    canonical it must pass Ligozat and match its closed form, or this raises."""
+    canonical it must pass Ligozat and equal its closed form, which is
+    integral: n_p([1] - [p]) at level p, n_p2([p] - (p-1)[p^2]) at p^2,
+    from `canonical_orders`.  Otherwise this raises."""
     try:
         divs = divisors(n)
-        canonical = _canonical_eta(divs)
+        n_p, n_p2 = canonical_orders(divs[1])
     except ValidationError:
         return False
+    p, canonical = divs[1], _canonical_eta(divs, n_p)
     if {d: v for d, v in r.items() if v} != canonical:
         return False
-    _check_special(divs, canonical, image)
-    return True
-
-
-def _canonical_eta(divs: list[int]) -> dict[int, int]:
-    n, p = divs[-1], divs[1]
-    _check_level_prime(p)
-    m = math.gcd(p - 1, 12)
-    return {1: 24 // m, p: -24 // m} if n == p else {1: -1, p: p + 1, n: -p}
-
-
-def _check_special(divs: list[int], r: EtaExponents, image: CuspDivisor) -> None:
-    """Ligozat, and the divisor against its closed form, which is integral:
-    a([1] - [p]) with a = (p-1)/m at level p, a([p] - (p-1)[p^2]) with
-    a = (p^2-1)/24 at p^2."""
-    n, p = divs[-1], divs[1]
-    a = (p - 1) // math.gcd(p - 1, 12) if n == p else (n - 1) // 24
-    expected = CuspDivisor(n, (a, -a) if n == p else (0, a, -a * (p - 1)))
-    if not _ligozat(divs, r).ok:
+    expected = CuspDivisor(n, (n_p, -n_p) if n == p else (0, n_p2, -n_p2 * (p - 1)))
+    if not _ligozat(divs, canonical).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
     if image != expected:
         raise InternalCheckError(f"special function divisor mismatch at level {n}: {image} vs {expected}")
+    return True
+
+
+def _canonical_eta(divs: list[int], n_p: int) -> dict[int, int]:
+    n, p = divs[-1], divs[1]
+    e = 24 * n_p // (p - 1)  # 24/(p-1, 12)
+    return {1: e, p: -e} if n == p else {1: -1, p: p + 1, n: -p}

@@ -144,6 +144,42 @@ def test_every_field_is_read():
     assert _unread_fields() == sorted(UNREAD_FIELDS)
 
 
+# the private names that one module of the package reads off another:
+# selmer reads quadfield's local data and square classes, and the general
+# verdict in descent reads etacusp's checked class order, exponents and
+# prime exponent; a new private reach-in fails until it is listed here
+PRIVATE_READS = {
+    "selmer -> quadfield._local_data",
+    "selmer -> quadfield._is_square_class",
+    "descent -> etacusp._class_order",
+    "descent -> etacusp._validated_exponents",
+    "descent -> etacusp._prime_exponent",
+}
+
+
+def _private_reads():
+    """`importer -> module._name` for each private name that a module reads
+    off a sibling, as an attribute of the module or by a relative import."""
+    trees = _trees()
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner, names = node.value.id, [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                owner, names = node.module, [alias.name for alias in node.names]
+            else:
+                continue
+            if owner in trees and owner != module:
+                found.update(f"{module} -> {owner}.{name}" for name in names if name[0] == "_" and name[:2] != "__")
+    return sorted(found)
+
+
+def test_private_reads_across_modules_are_listed():
+    # exactly the listed reads happen, so the list cannot go stale
+    assert _private_reads() == sorted(PRIVATE_READS)
+
+
 def test_promised_names_exist():
     defined = {
         f"{path.stem}.{qual}"

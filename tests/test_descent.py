@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 from eisq import etacusp
+from eisq.arith import is_prime, jacobi
 from eisq.classgroup import prime_form
 from eisq.descent import (
     INCONCLUSIVE,
     NONTORSION,
-    eisenstein_order_prime_level,
     heegner_setup,
     neumann_setzer,
     roots_of_unity,
-    splits_in,
     verdict_ns_curve,
     verdict_p2_level,
     verdict_prime_level_2,
@@ -22,7 +21,7 @@ from eisq.descent import (
     verdict_rational_divisor,
 )
 from eisq.errors import InternalCheckError, ResourceCapError, ValidationError
-from eisq.etacusp import CuspDivisor, prime_exponent, special_function
+from eisq.etacusp import CuspDivisor, canonical_orders, cuspidal_class_order, prime_exponent, special_function
 from test_classgroup import class_number_of_disc, form_pow
 
 # fundamental discriminants with small class numbers, for verdict tables
@@ -120,9 +119,10 @@ def test_heegner_setup():
         heegner_setup(11, -12)
     with pytest.raises(ValidationError, match="not fundamental"):
         heegner_setup(11, -63)  # 1 mod 4, divisible by 3^2
-    with pytest.raises(ValidationError, match="not a negative discriminant"):
+    # fundamental_class_number tests the sign and the residue mod 4 first
+    with pytest.raises(ValidationError, match="^need a negative discriminant = 0,1 mod 4, got -5$"):
         heegner_setup(11, -5)
-    with pytest.raises(ValidationError, match="not a negative discriminant"):
+    with pytest.raises(ValidationError, match="^need a negative discriminant = 0,1 mod 4, got 5$"):
         heegner_setup(11, 5)
     # the cap on |D| is tested before fundamentality, as classnum does
     with pytest.raises(ResourceCapError):
@@ -130,10 +130,20 @@ def test_heegner_setup():
 
 
 def test_eisenstein_order():
-    assert eisenstein_order_prime_level(11) == 5
-    assert eisenstein_order_prime_level(13) == 1
-    assert eisenstein_order_prime_level(73) == 6
-    assert eisenstein_order_prime_level(67) == 11
+    # canonical_orders(p) = (n_p, n_p2), the closed forms every verdict
+    # reads, against the orders that Cramer's rule finds for [1] - [p] at
+    # level p and [p] - (p-1)[p^2] at p^2, at every prime 5 <= p < 500
+    assert [canonical_orders(p)[0] for p in (11, 13, 73, 67)] == [5, 1, 6, 11]
+    primes = [p for p in range(5, 500) if is_prime(p)]
+    for p in primes:
+        n_p = cuspidal_class_order(p, CuspDivisor.from_map(p, {1: 1, p: -1}))
+        n_p2 = cuspidal_class_order(p * p, CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)}))
+        assert canonical_orders(p) == (n_p, n_p2), p
+    assert len(primes) == 93
+    # the one test of a prime p >= 5: below 5, and at composites and squares
+    for p in (2, 3, 4, 9, 15, 49):
+        with pytest.raises(ValidationError, match=f"^need a prime p >= 5, got {p}$"):
+            canonical_orders(p)
 
 
 def test_prime_level_odd_q_examples():
@@ -146,7 +156,7 @@ def test_prime_level_odd_q_examples():
     assert failed == ["v_q(h_K) < v_q(n)"]
     # split check decides for p = 67, K = Q(sqrt(-7)): n = 11
     v3 = verdict_prime_level_odd_q(67, -7, 11)
-    assert v3.conclusion == (NONTORSION if splits_in(-7, 67) else INCONCLUSIVE)
+    assert v3.conclusion == (NONTORSION if jacobi(-7, 67) == 1 else INCONCLUSIVE)
 
 
 def test_prime_level_odd_q_preconditions():
@@ -202,7 +212,7 @@ def test_p2_level_examples():
 def test_p2_level_inconclusive_on_large_h():
     # q = 7 with h(-71) = 7: the verdict must match the computed h/o valuation
     assert class_number_of_disc(-71) == 7
-    if splits_in(-71, 13):
+    if jacobi(-71, 13) == 1:
         v = verdict_p2_level(13, -71, 7)
         o = heegner_setup(169, -71).prime_power_order(1)
         h_over_o = class_number_of_disc(-71) // o
@@ -213,7 +223,7 @@ def test_p2_level_inconclusive_on_large_h():
 def test_rational_divisor_specializes_to_prime_level():
     pairs = 0
     for p in (11, 17, 19, 37, 41, 61, 67, 73, 97, 101):
-        n = eisenstein_order_prime_level(p)
+        n = canonical_orders(p)[0]
         qs = [q for q in (5, 7, 11, 13) if n % q == 0]
         if not qs:
             continue
@@ -298,7 +308,7 @@ def test_monotonicity_in_class_number():
     # same (p, q), class number valuation pushed past v_q(n): verdict flips
     nontorsion_disc, inconclusive_disc = -7, -79
     assert class_number_of_disc(-79) == 5
-    assert splits_in(-79, 11)
+    assert jacobi(-79, 11) == 1
     v1 = verdict_prime_level_odd_q(11, nontorsion_disc, 5)
     v2 = verdict_prime_level_odd_q(11, inconclusive_disc, 5)
     assert v1.conclusion == NONTORSION and v2.conclusion == INCONCLUSIVE
@@ -337,7 +347,7 @@ def test_rational_divisor_rejects_an_odd_prime_exponent(monkeypatch):
     # Unforced, no r gets there: the eta-divisor map is invertible
     # (test_etacusp), so r is the rational eta-product of n*D, of even e
     r = {1: -27, 17: 27}
-    assert prime_exponent(17, r) == 27 and splits_in(-4, 17)
+    assert prime_exponent(17, r) == 27 and jacobi(-4, 17) == 1
     div = etacusp.eta_divisor(17, r).scale(Fraction(1, 5))
     monkeypatch.setattr(etacusp, "_class_order", lambda level, d: (5, r))
     with pytest.raises(InternalCheckError, match="odd prime exponent 27"):
@@ -359,14 +369,13 @@ def test_prime_power_order_against_powering():
     # 30 random split (K, p) with |K| <= 10^6
     import random
 
-    from eisq.arith import is_prime
     from eisq.classgroup import class_order, is_fundamental
 
     rng = random.Random(29)
     pairs = [(13, -23)]
     while len(pairs) < 31:
         disc, p = -rng.randrange(3, 10**6), rng.choice([q for q in range(5, 150) if is_prime(q)])
-        if disc % 4 in (0, 1) and is_fundamental(disc) and disc % p and splits_in(disc, p):
+        if disc % 4 in (0, 1) and is_fundamental(disc) and jacobi(disc, p) == 1:
             pairs.append((p, disc))
     differ = 0
     for p, disc in pairs:

@@ -322,19 +322,21 @@ def test_special_divisor_computed_once(monkeypatch):
     # other divisors are the closed-form basis vectors' (1 at level p, 2 at
     # p^2) and the class order's check of its eta-product; the Ligozat checks
     # are the printed report's, `is_special`'s and the class order's.
-    # `_eta_divisor` checks its degree by the weight, with no Ligozat check
+    # `_eta_divisor` checks its degree by the weight, with no Ligozat check.
+    # The closed forms are read by `special_function`, for the exponents, and
+    # by `is_special`, which makes the one check against the closed form
     import io
     from contextlib import redirect_stdout
 
     import eisq.etacusp as etacusp
     from eisq.cli import main
 
-    calls = {name: [] for name in ("_eta_divisor", "_ligozat", "_check_special")}
+    calls = {name: [] for name in ("_eta_divisor", "_ligozat", "canonical_orders", "is_special")}
     for name, seen in calls.items():
         real = getattr(etacusp, name)
         monkeypatch.setattr(etacusp, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
     # a repeated call does the same work: nothing is kept between calls
-    for n, counts in ((613, (3, 3, 1)), (613**2, (4, 3, 1)), (11, (3, 3, 1)), (49, (4, 3, 1)), (49, (4, 3, 1))):
+    for n, counts in ((613, (3, 3, 2, 1)), (613**2, (4, 3, 2, 1)), (11, (3, 3, 2, 1)), (49, (4, 3, 2, 1)), (49, (4, 3, 2, 1))):
         for seen in calls.values():
             seen.clear()
         with redirect_stdout(io.StringIO()):
@@ -485,9 +487,14 @@ def test_divisor_representation():
     failing = eta_divisor(49, {1: 1, 7: -1, 49: 0})
     assert repr(failing) == "7/4*[1] + -1/4*[7] + -1/4*[49]" and failing.den == 4
     assert repr(eta_divisor(49, {})) == "0"
-    # the constructor checks no level: the class order does
+    # the constructor checks the entry count against the level: 3 at a
+    # square level, 2 at any other; the class order checks the level
+    for level, nums in ((11, (1, -1, 0)), (49, (1, -1)), (12, ()), (-9, (1,))):
+        size = 3 if level == 49 else 2
+        with pytest.raises(ValidationError, match=f"^a divisor at level {level} has {size} entries, got {len(nums)}$"):
+            CuspDivisor(level, nums)
     with pytest.raises(ValidationError, match="divisor level mismatch"):
-        cuspidal_class_order(11, CuspDivisor(12, ()))
+        cuspidal_class_order(11, CuspDivisor(12, (1, -1)))
 
 
 def test_cusp_divisor_rejects_a_non_divisor():
@@ -578,8 +585,9 @@ def _outcome(call):
 def test_integer_class_order_against_fractions():
     # at every level p and p^2, 5 <= p < 200: random integral degree-0
     # divisors, the canonical ones, and inputs that must be rejected (not
-    # integral, of nonzero degree, of another level or length), each with
-    # the same (order, r) or the same exception and words on both paths
+    # integral, of nonzero degree, of another level), each with the same
+    # (order, r) or the same exception and words on both paths; a divisor
+    # with too many coefficients is rejected by the constructor
     rng = random.Random(29)
     count = rejected = 0
     for p in (q for q in range(5, 200) if is_prime(q)):
@@ -599,15 +607,16 @@ def test_integer_class_order_against_fractions():
                 CuspDivisor.from_map(n, {1: 1}),  # degree 1
                 CuspDivisor.from_map(n, {1: 2, n: -1}),
                 CuspDivisor.from_map(p if n != p else p * p, {1: 1, p: -1}),  # the other level
-                CuspDivisor(n, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))),  # too many coefficients
             ]
+            with pytest.raises(ValidationError, match=f"^a divisor at level {n} has {len(divs)} entries, got 4$"):
+                CuspDivisor(n, (Fraction(1), Fraction(-1), Fraction(0), Fraction(0)))
             for div in cases:
                 want = _outcome(lambda: _fraction_class_order(n, div))
                 assert _outcome(lambda: etacusp._class_order(divs, div)) == want, (n, div)
                 rejected += isinstance(want[0], type)
                 count += 1
-    # 44 primes, 14 cases at p and 15 at p^2, 6 of them rejected at each level
-    assert count == 44 * 29 and rejected == 44 * 2 * 6
+    # 44 primes, 13 cases at p and 14 at p^2, 5 of them rejected at each level
+    assert count == 44 * 27 and rejected == 44 * 2 * 5
 
 
 def _eta_divisor_scaled_to_primitive(n):

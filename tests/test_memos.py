@@ -84,7 +84,7 @@ def test_errors_are_not_kept():
         with pytest.raises(ValidationError):
             etacusp.cuspidal_group_invariants(15)
         with pytest.raises(ValidationError):
-            etacusp.cuspidal_class_order(12, etacusp.CuspDivisor(12, ()))
+            etacusp.cuspidal_class_order(12, etacusp.CuspDivisor(12, (1, -1)))
         assert main(["eta", "--N", "12", "--special"]) == 2
     assert count_h.cache_info().currsize == 0
 

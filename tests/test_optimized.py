@@ -17,7 +17,9 @@ SRC = Path(eisq.__file__).parent
 
 # every layer: class numbers and orders, Selmer with the oracle (quadfield's
 # local data and split generators), eta products (with divisors integral or
-# not) and the lattice, verdicts of every kind, eigenchecks, and exits 2 and 4
+# not) and the lattice, verdicts of every kind, eigenchecks, and exits 2 and 4;
+# the rejection of p < 5, the closed form at level p and the rejection of a
+# non-discriminant by the class number, each decided in one place
 OPTIMIZED_CASES = (
     "classnum-disc1003-json",
     "classnum-disc3999996-json",
@@ -31,12 +33,15 @@ OPTIMIZED_CASES = (
     "eta-121-r-failing-json",
     "eta-49-r-failing",
     "eta-bad-level",
+    "eta-9-special",
+    "eta-11-special",
     "heegner-p11",
     "heegner-p61-json",
     "heegner-p73-q2-json",
     "heegner-p2-41-json",
     "heegner-p2-101",
     "heegner-ns73",
+    "heegner-ns73-not-disc-json",
     "heegner-bad-q",
     "eigencheck-p7-json",
     "class-orders",
