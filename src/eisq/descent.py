@@ -64,7 +64,7 @@ class HeegnerSetup:
     k_disc: int
     h_k: int
     w_k: int
-    split_ok: bool  # every prime of the level splits in K
+    split_ok: bool  # p splits in K
 
     def prime_power_order(self, k: int) -> Optional[int]:
         """Order of the class of P^k for a prime P above p, or None when p
@@ -87,14 +87,26 @@ def _prime_class_order(k_disc: int, p: int, h_k: int) -> int:
     return classgroup.class_order(classgroup.prime_form(k_disc, p), h_k)
 
 
-def heegner_setup(level: int, k_disc: int) -> HeegnerSetup:
-    """Class data of K at level p or p^2.  `fundamental_class_number` tests
-    that D is a negative discriminant, the cap on |D|, then that D is
-    fundamental (a memo hit skips all three); p splits when (D/p) = 1."""
+def heegner_setup(p: int, k_disc: int) -> HeegnerSetup:
+    """Class data of K at the prime p of a level p or p^2; the level itself
+    is never read.  `fundamental_class_number` tests that D is a negative
+    discriminant, the cap on |D|, then that D is fundamental (a memo hit
+    skips all three); `canonical_orders` tests p >= 5 prime; p splits when
+    (D/p) = 1."""
     h = classgroup.fundamental_class_number(k_disc)
-    p0 = etacusp.level_prime(level)[0]
-    split_ok = k_disc % p0 != 0 and jacobi(k_disc, p0) == 1
-    return HeegnerSetup(p0, k_disc, h, roots_of_unity(k_disc), split_ok)
+    etacusp.canonical_orders(p)
+    return HeegnerSetup(p, k_disc, h, roots_of_unity(k_disc), jacobi(k_disc, p) == 1)
+
+
+def _q_part(setup: HeegnerSetup, k: int, q: int, n: int, label: str) -> tuple[bool, str]:
+    """Whether v_q(h_K/o) < v_q(n), o the order of the class of P^k, with
+    its trace text; not evaluated when p does not split."""
+    if not setup.split_ok:
+        return False, "not evaluated"
+    o = setup.prime_power_order(k)
+    h = setup.h_k // o
+    vq_h, vq_n = valuation(h, q), valuation(n, q)
+    return vq_h < vq_n, f"v_{q}({h}) = {vq_h} vs v_{q}({n}) = {vq_n}, {label} = {o}"
 
 
 def verdict_prime_level_odd_q(p: int, k_disc: int, q: int) -> Verdict:
@@ -191,15 +203,8 @@ def verdict_p2_level(p: int, k_disc: int, q: int) -> Verdict:
         raise ValidationError(f"q = {q} does not divide p + 1 = {p + 1}")
     if n % q:
         raise ValidationError(f"q = {q} does not divide n = {n}")
-    setup = heegner_setup(p * p, k_disc)
-    if setup.split_ok:
-        o_p = setup.prime_power_order(1)
-        h = setup.h_k // o_p
-        vq_h, vq_n = valuation(h, q), valuation(n, q)
-        val_ok = vq_h < vq_n
-        val_text = f"v_{q}({h}) = {vq_h} vs v_{q}({n}) = {vq_n}, o = {o_p}"
-    else:
-        val_ok, val_text = False, "not evaluated"
+    setup = heegner_setup(p, k_disc)
+    val_ok, val_text = _q_part(setup, 1, q, n, "o")
     trace = (
         TraceEntry("q | (p+1) and q | n", f"q={q}, n={n}", True),
         TraceEntry(f"{p} splits in K", str(setup.split_ok), setup.split_ok),
@@ -244,19 +249,12 @@ def verdict_rational_divisor(
         )
     if n % q:
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
-    setup = heegner_setup(level, k_disc)
+    setup = heegner_setup(divs[1], k_disc)
     exponent = etacusp._prime_exponent(divs, r_div)
     if exponent % 2:
         raise InternalCheckError(f"odd prime exponent {exponent} in the eta-product of n*D at level {level}")
-    if setup.split_ok:
-        o_r = setup.prime_power_order(-exponent // 2)
-        h_r = setup.h_k // o_r
-        nontrivial = exponent != 0
-        vq_h, vq_n = valuation(h_r, q), valuation(n, q)
-        val_ok = vq_h < vq_n
-        val_text = f"v_{q}({h_r}) = {vq_h} vs v_{q}({n}) = {vq_n}, o(a_r) = {o_r}"
-    else:
-        nontrivial, val_ok, val_text = False, False, "not evaluated"
+    nontrivial = setup.split_ok and exponent != 0
+    val_ok, val_text = _q_part(setup, -exponent // 2, q, n, "o(a_r)")
     special = etacusp.is_special(level, r, div.scale(n))
     trace = (
         TraceEntry("n*D = div(eta-product)", f"n = {n}", True),

@@ -1,8 +1,8 @@
 """Eta-products on X0(N) for N = p or p^2: rationality conditions, divisors
 at cusps, and orders and the group of rational cuspidal divisor classes,
-read off a closed-form basis of the rational eta-products.  Each public
-function parses its level once; private helpers take its divisors [1, p]
-or [1, p, p^2]."""
+read off a closed-form basis of the rational eta-products.  `divisors` is
+the one parse of a level; each public function calls it once and hands
+[1, p] or [1, p, p^2] to private helpers."""
 
 from __future__ import annotations
 
@@ -18,19 +18,13 @@ from .errors import InternalCheckError, ValidationError
 EtaExponents = Mapping[int, int]
 
 
-def level_prime(n: int) -> tuple[int, int]:
-    """(p, k) with n = p^k, k in {1, 2}: the one place that decides which
-    of the two supported levels n is, by one primality test."""
+def divisors(n: int) -> list[int]:
+    """[1, p] at level p and [1, p, p^2] at level p^2: the one place that
+    decides which of the two supported levels n is, by one primality test."""
     root = math.isqrt(max(n, 0))
     p0, k = (root, 2) if root * root == n else (n, 1)
-    if is_prime(p0):
-        return p0, k
-    raise ValidationError(f"supported levels are p and p^2, got {n}")
-
-
-def divisors(n: int) -> list[int]:
-    """1, p and, at level p^2, p^2: the divisors of a level n = p^k."""
-    p0, k = level_prime(n)
+    if not is_prime(p0):
+        raise ValidationError(f"supported levels are p and p^2, got {n}")
     return [p0**j for j in range(k + 1)]
 
 

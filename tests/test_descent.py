@@ -46,8 +46,8 @@ def test_no_form_enumeration_per_setup_and_verdict(monkeypatch):
         return enumerate_forms(disc)
 
     monkeypatch.setattr(classgroup, "reduced_forms", counted)
-    for level, disc in ((11, -7), (97, -1003), (13 * 13, -23), (61 * 61, -2711), (97, -9983951)):
-        heegner_setup(level, disc)
+    for p, disc in ((11, -7), (97, -1003), (13, -23), (61, -2711), (97, -9983951)):
+        heegner_setup(p, disc)
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):
         r = special_function(p * p)
         div = CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
@@ -68,13 +68,14 @@ def _counting(monkeypatch, module, name):
 
 
 def test_each_piece_of_work_once_per_call(monkeypatch):
-    # the level is parsed once per public etacusp call, and the prime-class
-    # order is computed only by the verdicts that print it, once per (K, p)
+    # the level is parsed once per public etacusp call and never by
+    # heegner_setup, and the prime-class order is computed only by the
+    # verdicts that print it, once per (K, p)
     import eisq.classgroup as classgroup
     import eisq.etacusp as etacusp
     from eisq.cli import main
 
-    parses = _counting(monkeypatch, etacusp, "level_prime")
+    parses = _counting(monkeypatch, etacusp, "divisors")
     orders = _counting(monkeypatch, classgroup, "class_order")
     for p in (11, 13, 613):
         del parses[:]
@@ -88,8 +89,9 @@ def test_each_piece_of_work_once_per_call(monkeypatch):
         del orders[:], parses[:]
         verdict_rational_divisor(p * p, r, div, disc, q)
         assert len(orders) == 1, (p, disc)
-        # divisors, heegner_setup and is_special, one parse each (5 before)
-        assert len(parses) <= 3, (p, disc, len(parses))
+        # the verdict's own divisors call and is_special's (3 while
+        # heegner_setup parsed the level too)
+        assert len(parses) <= 2, (p, disc, len(parses))
     del orders[:]
     verdict_prime_level_2(73, -19)
     verdict_prime_level_2(73, -9983951)
@@ -127,6 +129,11 @@ def test_heegner_setup():
     # the cap on |D| is tested before fundamentality, as classnum does
     with pytest.raises(ResourceCapError):
         heegner_setup(11, -4 * 10**29)
+    # the set-up is keyed on the prime p >= 5 of the level, never on a level:
+    # 9 and 121 are not read as the levels 3^2 and 11^2
+    for p in (2, 3, 4, 9, 15, 121):
+        with pytest.raises(ValidationError, match=f"^need a prime p >= 5, got {p}$"):
+            heegner_setup(p, -7)
 
 
 def test_eisenstein_order():
@@ -214,7 +221,7 @@ def test_p2_level_inconclusive_on_large_h():
     assert class_number_of_disc(-71) == 7
     if jacobi(-71, 13) == 1:
         v = verdict_p2_level(13, -71, 7)
-        o = heegner_setup(169, -71).prime_power_order(1)
+        o = heegner_setup(13, -71).prime_power_order(1)
         h_over_o = class_number_of_disc(-71) // o
         expect = INCONCLUSIVE if h_over_o % 7 == 0 else NONTORSION
         assert v.conclusion == expect
@@ -330,13 +337,13 @@ def test_traces_are_complete():
 def test_prime_power_order_of_eta_data():
     # level p^2 canonical exponents over a class-number-one Heegner field
     r = {1: -1, 13: 14, 169: -13}
-    s = heegner_setup(169, -3)
+    s = heegner_setup(13, -3)
     assert s.h_k == 1 and s.prime_power_order(-prime_exponent(169, r) // 2) == 1
     # zero exponents give the principal class
     assert prime_exponent(121, {1: 0, 11: 0, 121: 0}) == 0
-    assert heegner_setup(121, -7).prime_power_order(0) == 1
+    assert heegner_setup(11, -7).prime_power_order(0) == 1
     # no order where the level prime does not split
-    assert heegner_setup(49, -23).prime_power_order(1) is None
+    assert heegner_setup(7, -23).prime_power_order(1) is None
 
 
 def test_rational_divisor_rejects_an_odd_prime_exponent(monkeypatch):
