@@ -1,6 +1,5 @@
 """Exact integer primitives: Jacobi symbols, primality, factoring, square
-roots modulo prime powers, the Chinese remainder join and the Cornacchia
-step for s^2 + p*t^2 = 4m."""
+roots modulo prime powers and the Cornacchia step for s^2 + p*t^2 = 4m."""
 
 from __future__ import annotations
 
@@ -283,12 +282,6 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
         qk *= q
         roots = [x for r in roots for x in range(r, qk, qk // q) if (x * x - a) % qk == 0]
     return sorted(roots)
-
-
-def crt(xs: list[int], m: int, ys: list[int], n: int) -> list[int]:
-    """Every z mod m*n with z = x (mod m) and z = y (mod n), m and n coprime."""
-    u = m * pow(m, -1, n)  # 0 mod m, 1 mod n
-    return [(x + (y - x) * u) % (m * n) for x in xs for y in ys]
 
 
 def cornacchia(p: int, r: int, m: int) -> Optional[tuple[int, int]]:

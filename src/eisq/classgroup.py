@@ -14,19 +14,30 @@ int triple the list holds.  So a list costs about sqrt(|D|) plus its output.
 At a fundamental discriminant the class number is counted from the number
 of those roots, and of the band's roots that pass, with no form built; the
 list stays the independent oracle the rest of the package leans on.
+
+What no D enters is kept once per process, in one sieve that the list
+and the count share, up to a power of two >= sqrt(|D|/3): the smallest
+prime factors, the split of each odd m into a prime power q and m/q, and
+the CRT multipliers of those splits and of each a, checked when they are
+made.  A larger D rebuilds it and a smaller one reads a prefix.  Per D
+only the roots mod each prime power and their joins are found, with
+(D/l) decided by one power at each prime.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from bisect import bisect_right
+from typing import Iterable, NamedTuple
 
-from .arith import crt, factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
+from .arith import factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 
 # caps reduced_forms and fundamental_class_number: near |D| = 10^9 one
-# enumeration lists 7-62 thousand forms in 0.04-0.11 s (2-core Xeon VM)
+# enumeration lists 7-62 thousand forms in 0.04-0.11 s (2-core Xeon VM); it
+# also bounds the kept sieve at a <= isqrt(10^9 // 3) = 18257, about 1.5 MB
+# (0.15 MB at a <= 2048, enough for |D| < 1.26 * 10^7)
 MAX_ENUMERATED_DISC = 10**9
 # bounds the class-number memo: the h of the last 4096 fundamental D counted
 # in this process, about 0.9 MB when full; a sweep over every fundamental D
@@ -187,52 +198,120 @@ def _two_adic_roots(disc: int, amax: int) -> list[list[int]]:
     return two
 
 
-def _odd_root_table(disc: int, spf: list[int], wanted: Iterable[int]) -> list:
-    """odd[m] for each odd m in `wanted`: the x mod m with x^2 = D (mod m), unsorted.
+class _Sieve(NamedTuple):
+    """The half of form enumeration that no discriminant enters, for every
+    leading coefficient a <= size, as flat int lists (all but `primes`
+    indexed by a)."""
 
-    A prime power l^e takes its roots from `sqrt_mod_prime_power`, any other
-    m = l^e * r (l = spf[m]) one CRT join of the sets of l^e and r, so a
-    prime with no root empties the sets of all its multiples.  A pass down
-    from the largest m marks the sets that the wanted ones are joined from,
-    a pass up fills the marked ones, each once; the rest stay None."""
-    odd: list = [None] * len(spf)
-    part = [0] * len(spf)  # part[m]: marked 1, then the power of spf[m] exactly dividing m
-    for m in wanted:
-        part[m] = 1
-    for m in range((len(spf) - 2) | 1, 2, -2):
-        if part[m]:
+    size: int
+    spf: list[int]  # the smallest prime factor of a
+    primes: list[int]  # the odd primes up to size, increasing
+    part: list[int]  # at odd a: q, the power of spf[a] exactly dividing a
+    join: list[int]  # at odd a > q: u = 0 (mod q) and u = 1 (mod a/q)
+    lift: list[int]  # at a = 2^k m, m odd: u = 0 (mod 2^(k+1)) and u = 1 (mod m)
+
+
+# the one sieve this process keeps, replaced only by a larger one
+_kept: list[_Sieve] = []
+
+
+def _sieve(amax: int) -> _Sieve:
+    """The kept sieve, rebuilt first when amax is past its size: at the next
+    power of two >= amax, never past the amax of the cap, so a sweep of
+    growing |D| builds it once per power of two and a smaller D reads a
+    prefix of it."""
+    if not _kept or _kept[0].size < amax:
+        _kept[:] = [_build_sieve(min(1 << (amax - 1).bit_length(), math.isqrt(MAX_ENUMERATED_DISC // 3)))]
+    return _kept[0]
+
+
+def _build_sieve(size: int) -> _Sieve:
+    """The sieve for a <= size.  Each CRT multiplier is checked as it is made,
+    so a wrong one raises before the sieve is kept and never lists a form."""
+    spf = smallest_prime_factors(size)
+    part, join, lift = [0] * (size + 1), [0] * (size + 1), [0] * (size + 1)
+    for m in range(1, size + 1, 2):
+        if m > 1:
             ell = q = spf[m]
             while m // q % ell == 0:
                 q *= ell
-            if q < m:
-                part[q] = part[m // q] = 1
             part[m] = q
+            if q < m:
+                join[m] = _checked(q * pow(q, -1, m // q), q, m // q)
+        # at a = 2^k m, u = 2^(k+1) w with w = h^(k+1) mod m, h = (m+1)/2 the inverse of 2 mod m
+        a, low, h = m, 2, (m + 1) // 2
+        w = h % m
+        while a <= size:
+            lift[a] = _checked(low * w, low, m)
+            a, low, w = 2 * a, 2 * low, w * h % m
+    return _Sieve(size, spf, [m for m in range(3, size + 1, 2) if spf[m] == m], part, join, lift)
+
+
+def _checked(u: int, q: int, r: int) -> int:
+    """u, once u = 0 (mod q) and u = 1 (mod r) hold."""
+    if u % q or (u - 1) % r:
+        raise InternalCheckError(f"CRT multiplier {u} is not 0 mod {q} and 1 mod {r}")
+    return u
+
+
+def _odd_root_table(disc: int, sieve: _Sieve, amax: int) -> list:
+    """odd[m] for odd m <= amax: the x mod m with x^2 = D (mod m), unsorted,
+    set here at 1 and at each prime l but a residue l = 1 (mod 4), and None
+    elsewhere until `_join_odd_roots` fills it.
+
+    One power decides (D/l): at l = 3 (mod 4) x = D^((l+1)/4) is a root
+    exactly when there is one, and at l = 1 (mod 4) Euler's criterion
+    D^((l-1)/2) = 1 says whether there are two.  l | D takes its one root
+    from `sqrt_mod_prime_power`."""
+    odd: list = [None] * (amax + 1)
     odd[1] = [0]
-    for m in range(3, len(spf), 2):
-        q = part[m]
-        if q == m:
-            ell, e = spf[m], 1
-            while ell**e < m:
-                e += 1
-            odd[m] = sqrt_mod_prime_power(disc, ell, e)
-        elif q:
-            r = m // q
-            odd[m] = crt(odd[q], q, odd[r], r) if odd[q] and odd[r] else []
+    for ell in sieve.primes[: bisect_right(sieve.primes, amax)]:
+        d = disc % ell
+        if not d:
+            odd[ell] = sqrt_mod_prime_power(disc, ell, 1)
+        elif ell & 2:
+            x = pow(d, (ell + 1) >> 2, ell)
+            odd[ell] = [x, ell - x] if x * x % ell == d else []
+        elif pow(d, ell >> 1, ell) != 1:
+            odd[ell] = []
     return odd
 
 
-def _roots_with_leading(leading: Iterable[int], two: list[list[int]], odd: list):
+def _join_odd_roots(disc: int, sieve: _Sieve, odd: list, wanted: Iterable[int]) -> None:
+    """Fill odd[m] for each m in `wanted`, and the sets it is joined from,
+    where they are None: a prime power l^e from `sqrt_mod_prime_power`
+    (none when l has none), any other m = q*r (q = part[m]) one CRT join of
+    the sets of q and r by the kept multiplier, so a prime with no root
+    empties the sets of all its multiples.  An increasing `wanted` that
+    holds every odd m up to a bound finds both sets filled already."""
+    spf, part, join = sieve.spf, sieve.part, sieve.join
+    for m in wanted:
+        if odd[m] is not None:
+            continue
+        q = part[m]
+        if q < m:
+            r = m // q
+            if odd[q] is None or odd[r] is None:
+                _join_odd_roots(disc, sieve, odd, (q, r))
+            xs, ys, u = odd[q], odd[r], join[m]
+            odd[m] = [(x + (y - x) * u) % m for x in xs for y in ys]
+        else:
+            ell, e = spf[m], 1
+            while ell**e < m:
+                e += 1
+            odd[m] = sqrt_mod_prime_power(disc, ell, e) if odd[ell] != [] else []
+
+
+def _roots_with_leading(leading: Iterable[int], two: list[list[int]], odd: list, lift: list[int]):
     """(a, bs) for each a in `leading` with roots: bs the b in (-a, a] with
     b^2 = D (mod 4a), sorted.  For a = 2^k m with m odd they are the CRT join
-    of two[k] (mod 2^(k+1)) and odd[m], by one multiplier u per a, with
-    u = 0 (mod 2^(k+1)) and u = 1 (mod m): b + a - 1 = x*(1 - u) + y*u + a - 1
-    (mod 2a) lies in [0, 2a)."""
+    of two[k] (mod 2^(k+1)) and odd[m], by the kept multiplier u = lift[a]:
+    b + a - 1 = x*(1 - u) + y*u + a - 1 (mod 2a) lies in [0, 2a)."""
     for a in leading:
         k = (a & -a).bit_length() - 1
         xs, ys = two[k], odd[a >> k]
         if xs and ys:
-            n, s = 2 * a, a - 1
-            u = (2 << k) * pow(2 << k, -1, a >> k)
+            n, s, u = 2 * a, a - 1, lift[a]
             v = 1 - u
             bs = [(x * v + y * u + s) % n - s for x in xs for y in ys]
             bs.sort()
@@ -246,20 +325,22 @@ def reduced_forms(disc: int) -> list[Triple]:
     For each a <= sqrt(|D|/3) the b with b^2 = D (mod 4a) are a set of
     residues mod 2a: with a = 2^k m and m odd, the roots mod 2^(k+2), read
     mod 2^(k+1), joined by CRT to the roots mod m.  The roots mod every odd
-    m are joined over a smallest-prime-factor sieve from the roots mod its
-    prime powers.  Each root is a form (a, b, c) with c = (b^2 - D)/4a, and
-    c >= a without a test while a <= sqrt(|D|/4); above that, c >= a and
-    b >= 0 where c = a are tested.  gcd(a, b, c) = 1 is tested only at a
-    non-fundamental D.  Cost O(|D|^(1/2+eps)) plus the output (Cohen,
-    GTM 138, sections 1.5 and 5.3).
+    m are joined, over the kept sieve, from the roots mod its prime powers.
+    Each root is a form (a, b, c) with c = (b^2 - D)/4a, and c >= a without
+    a test while a <= sqrt(|D|/4); above that, c >= a and b >= 0 where
+    c = a are tested.  gcd(a, b, c) = 1 is tested only at a non-fundamental
+    D.  Cost O(|D|^(1/2+eps)) plus the output (Cohen, GTM 138, sections 1.5
+    and 5.3).
     """
     _check_enumerable(disc)
     amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
+    sieve = _sieve(amax)
     two = _two_adic_roots(disc, amax)
-    odd = _odd_root_table(disc, smallest_prime_factors(amax), range(1, amax + 1, 2))
+    odd = _odd_root_table(disc, sieve, amax)
+    _join_odd_roots(disc, sieve, odd, range(3, amax + 1, 2))
     primitive = is_fundamental(disc)
     gcd, forms = math.gcd, []
-    for a, bs in _roots_with_leading(range(1, amax + 1), two, odd):
+    for a, bs in _roots_with_leading(range(1, amax + 1), two, odd, sieve.lift):
         a4 = 4 * a
         if a > half:  # c >= a, i.e. b^2 >= 4a^2 + D, and b >= 0 when c = a
             tie = a4 * a + disc
@@ -280,8 +361,9 @@ def fundamental_class_number(disc: int) -> int:
     the odd l^e exactly dividing a, 1 + (D/l) when l does not divide D, 1
     when e = 1 and l | D, and 0 when e > 1 and l | D.  Only the band
     sqrt(|D|/4) < a <= sqrt(|D|/3) finds its roots, and counts those with
-    c >= a, and b >= 0 where c = a.  One Jacobi symbol per odd prime up to
-    sqrt(|D|/3), no form built (Cohen, GTM 138, section 5.3).
+    c >= a, and b >= 0 where c = a.  One power per odd prime up to
+    sqrt(|D|/3) decides (D/l), the kept sieve gives the rest, and no form
+    is built (Cohen, GTM 138, section 5.3).
 
     Each D is counted once per process: the count is kept in a memo of the
     last `CLASS_NUMBER_MEMO` discriminants, so a sweep or a library loop
@@ -298,22 +380,24 @@ def _fundamental_class_number(disc: int) -> int:
     if not is_fundamental(disc):
         raise ValidationError(f"discriminant {disc} is not fundamental")
     amax, half = math.isqrt(-disc // 3), math.isqrt(-disc // 4)
-    spf = smallest_prime_factors(amax)
+    sieve = _sieve(amax)
+    spf, part = sieve.spf, sieve.part
     two = _two_adic_roots(disc, amax)
+    odd = _odd_root_table(disc, sieve, amax)
     # count[m]: the number of x mod m with x^2 = D (mod m) for odd m, 0 at even m
     count = [0, 1] + [0] * (amax - 1)
     for m in range(3, amax + 1, 2):
-        ell = spf[m]
-        if ell == m:
-            count[m] = 1 + jacobi(disc, m)
-        elif (m // ell) % ell:
-            count[m] = count[ell] * count[m // ell]
-        elif disc % ell:
-            count[m] = count[m // ell]
+        q = part[m]
+        if q < m:
+            count[m] = count[q] * count[m // q]
+        elif spf[m] == m:  # a residue l = 1 (mod 4), still None, has two roots
+            count[m] = 2 if odd[m] is None else len(odd[m])
+        elif disc % spf[m]:
+            count[m] = count[spf[m]]
     h = sum(len(two[k]) * sum(count[: (half >> k) + 1]) for k in range(len(two)))
     band = [a for a in range(half + 1, amax + 1) if count[a // (a & -a)] and two[(a & -a).bit_length() - 1]]
-    odd = _odd_root_table(disc, spf, {a // (a & -a) for a in band})
-    for a, bs in _roots_with_leading(band, two, odd):
+    _join_odd_roots(disc, sieve, odd, {a // (a & -a) for a in band})
+    for a, bs in _roots_with_leading(band, two, odd, sieve.lift):
         tie = 4 * a * a + disc
         h += sum(b * b >= tie + (b < 0) for b in bs)
     return h

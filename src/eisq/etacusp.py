@@ -176,16 +176,22 @@ def eta_divisor(n: int, r: EtaExponents) -> CuspDivisor:
 
 
 def _eta_divisor(divs: Sequence[int], r: EtaExponents) -> CuspDivisor:
-    """The divisor of r over 24N: at cusp level c the numerator
+    """The divisor of r over 24N."""
+    return CuspDivisor(divs[-1], tuple(_eta_numerators(divs, r)), 24 * divs[-1])
+
+
+def _eta_numerators(divs: Sequence[int], r: EtaExponents) -> list[int]:
+    """The numerators of the divisor of r over 24N: at cusp level c,
     sum_d r_d*gcd(c,d)^2*(N/d) times N/gcd(c^2, N)."""
     n = divs[-1]
     nums = [sum(rd * math.gcd(c, d) ** 2 * (n // d) for d, rd in r.items()) * (n // math.gcd(c * c, n)) for c in divs]
-    div = CuspDivisor(n, tuple(nums), 24 * n)
     # valence formula: the degree is (sum r_d / 2) [SL2(Z) : Gamma0(N)] / 12,
     # so it vanishes exactly at weight 0; 24N times it is a sum of integers
-    if sum(r.values()) == 0 and sum(s * a for s, a in zip(_orbit_sizes(divs), nums)):
-        raise InternalCheckError(f"eta divisor of weight 0 has degree {div.degree()} at level {n}: {dict(r)}")
-    return div
+    if sum(r.values()) == 0 and (total := sum(s * a for s, a in zip(_orbit_sizes(divs), nums))):
+        raise InternalCheckError(
+            f"eta divisor of weight 0 has degree {Fraction(total, 24 * n)} at level {n}: {dict(r)}"
+        )
+    return nums
 
 
 # --- the eta lattice and cuspidal orders -----------------------------------
@@ -207,8 +213,15 @@ def _basis(divs: Sequence[int]) -> list[dict[int, int]]:
 
 def _images(divs: Sequence[int], basis: Sequence[EtaExponents]) -> list[tuple[int, ...]]:
     """The divisor of each basis vector, without its last cusp, which degree
-    0 determines: coordinates (m_1) at level p and (m_1, m_p) at p^2."""
-    return [_eta_divisor(divs, r).int_vector()[:-1] for r in basis]
+    0 determines: coordinates (m_1) at level p and (m_1, m_p) at p^2.  Each
+    divisor must be integral: its numerators over 24N are multiples of 24N."""
+    den, images = 24 * divs[-1], []
+    for r in basis:
+        nums = _eta_numerators(divs, r)
+        if any(a % den for a in nums):
+            raise ValidationError(f"divisor is not integral: {_eta_divisor(divs, r)}")
+        images.append(tuple(a // den for a in nums[:-1]))
+    return images
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

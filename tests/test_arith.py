@@ -12,7 +12,6 @@ from eisq import arith
 from eisq.arith import (
     Factorization,
     cornacchia,
-    crt,
     factor,
     hensel_lift,
     is_prime,
@@ -284,18 +283,6 @@ def test_root_checks_run_under_optimize():
     assert out.stdout == "raised\n", out.stderr
 
 
-def test_crt_against_brute_force():
-    for m in range(1, 30):
-        for n in range(1, 30):
-            if math.gcd(m, n) != 1:
-                continue
-            xs, ys = list(range(0, m, 2)), list(range(1, n, 3))
-            want = [z for z in range(m * n) if z % m in xs and z % n in ys]
-            got = crt(xs, m, ys, n)
-            assert sorted(got) == want and len(got) == len(xs) * len(ys), (m, n)
-    assert crt([], 3, [1], 5) == crt([2], 3, [], 5) == []
-
-
 def test_cornacchia_examples():
     assert cornacchia(7, 2, 11) == cornacchia(7, 9, 11) == (4, 2)
     assert cornacchia_4m(7, 29) == {(2, 4)}
@@ -351,7 +338,9 @@ def test_cornacchia_on_large_squarefree_m_against_brute_force():
         assert factor(m).is_squarefree() and len(factor(m).factors) >= 3
         roots, modulus = [0], 1
         for q, _ in factor(m).factors:
-            roots, modulus = crt(roots, modulus, sqrt_mod_prime_power(-p, q, 1), q), modulus * q
+            u = modulus * pow(modulus, -1, q)  # 0 mod the primes so far, 1 mod q
+            roots = [(x + (y - x) * u) % (modulus * q) for x in roots for y in sqrt_mod_prime_power(-p, q, 1)]
+            modulus *= q
         want = set(norm_equation_sweep(p, m))
         assert want and cornacchia_4m(p, m, roots) == want, (p, m)
 

@@ -1,3 +1,4 @@
+import builtins
 import math
 import os
 import random
@@ -8,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from eisq import arith, classgroup
-from eisq.arith import factor, jacobi, smallest_prime_factors, sqrt_mod_prime_power, valuation
+from eisq.arith import factor, jacobi, sqrt_mod_prime_power, valuation
 from eisq.classgroup import (
     MAX_ENUMERATED_DISC,
+    _build_sieve,
+    _join_odd_roots,
     _normalize,
     _odd_root_table,
     _two_adic_roots,
@@ -182,15 +185,105 @@ def test_band_edge_ties():
 
 def test_odd_root_table_against_brute_force():
     # the whole table, and a few entries together with the sets they are joined from
+    sieve = _build_sieve(300)
     for disc in (-3, -4, -23, -84, -4375, -4 * 3**6 * 7, -3 * 5**4 * 11**2, -999983):
-        spf = smallest_prime_factors(300)
         want = {m: sorted(x for x in range(m) if (x * x - disc) % m == 0) for m in range(1, 301, 2)}
-        full = _odd_root_table(disc, spf, range(1, 301, 2))
+        full = _odd_root_table(disc, sieve, 300)
+        _join_odd_roots(disc, sieve, full, range(3, 301, 2))
         assert {m: sorted(full[m]) for m in range(1, 301, 2)} == want, disc
-        part = _odd_root_table(disc, spf, [225, 231, 289])
+        part = _odd_root_table(disc, sieve, 300)
+        _join_odd_roots(disc, sieve, part, [225, 231, 289])
         for m in (225, 9, 25, 231, 3, 77, 7, 11, 289):
             assert part[m] is not None and sorted(part[m]) == want[m], (disc, m)
-        assert part[17] is None and part[229] is None  # 289 is a prime power
+        # no set is joined that no wanted one is joined from; 121 = 11^2 is a prime power
+        assert [part[m] for m in (15, 45, 121, 299)] == [None] * 4, disc
+
+
+def test_prime_decisions_are_jacobi_symbols():
+    # one power per prime: a non-residue gets no root, l | D the root 0, a
+    # residue l = 3 (mod 4) the two roots of that power, and a residue
+    # l = 1 (mod 4) is left for sqrt_mod_prime_power
+    sieve = _build_sieve(20000)
+    assert sieve.primes[-1] == 19997 and len(sieve.primes) == 2261
+    rng = random.Random(34)
+    kinds = {}
+    for _ in range(50):
+        disc = -rng.randrange(3, MAX_ENUMERATED_DISC)
+        odd = _odd_root_table(disc, sieve, 20000)
+        for ell in sieve.primes:
+            xs = odd[ell]
+            chi = 1 if xs is None else len(xs) - 1
+            assert chi == jacobi(disc, ell), (disc, ell)
+            assert xs is None or all((x * x - disc) % ell == 0 for x in xs), (disc, ell)
+            kind = (ell % 4, chi, xs is None)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert sorted(kinds) == [(1, -1, False), (1, 0, False), (1, 1, True), (3, -1, False), (3, 0, False), (3, 1, False)]
+
+
+def _cold(disc):
+    """The list and, at a fundamental D, the count, from a sieve built for D alone."""
+    classgroup._kept.clear()
+    forms = reduced_forms(disc)
+    classgroup._kept.clear()
+    return forms, classgroup._fundamental_class_number.__wrapped__(disc) if is_fundamental(disc) else None
+
+
+def test_kept_sieve_prefix_equals_a_cold_sieve():
+    # after a large D has grown the sieve, a small D reads a prefix of it
+    # and lists and counts exactly what a sieve built for it alone gives
+    discs = [d for d in range(-3, -4000, -1) if d % 4 in (0, 1)] + [-999983, -1000004, -4 * 3**10]
+    cold = {d: _cold(d) for d in discs}
+    classgroup._kept.clear()
+    assert len(reduced_forms(-9999991)) == len(_reduced_forms_by_loop(-9999991))
+    assert classgroup._kept[0].size == 2048
+    for d in discs:
+        count = classgroup._fundamental_class_number.__wrapped__(d) if is_fundamental(d) else None
+        assert (reduced_forms(d), count) == cold[d], d
+    assert classgroup._kept[0].size == 2048
+
+
+def test_sweep_builds_the_sieve_once_per_power_of_two(monkeypatch):
+    built = []
+    build = classgroup._build_sieve
+    monkeypatch.setattr(classgroup, "_build_sieve", lambda size: built.append(size) or build(size))
+    rng = random.Random(34)
+    sweep = sorted((-rng.randrange(10**e, 10**(e + 1)) for e in range(3, 7) for _ in range(6)), reverse=True)
+    sweep += [-10**7 - 19, -3 * 2048**2]  # sqrt(|D|/3) = 2048 exactly: the size, no rebuild
+    for disc in sweep:
+        if disc % 4 in (0, 1):
+            reduced_forms(disc)
+            if is_fundamental(disc):
+                fundamental_class_number(disc)
+    sizes = {1 << (math.isqrt(-d // 3) - 1).bit_length() for d in sweep if d % 4 in (0, 1)}
+    assert built == sorted(set(built)) and set(built) <= sizes and built[-1] == 2048
+    # going back down builds nothing: every smaller D reads a prefix
+    first = list(built)
+    for disc in sweep[::-1]:
+        if disc % 4 in (0, 1):
+            reduced_forms(disc)
+            classgroup._fundamental_class_number.cache_clear()
+            if is_fundamental(disc):
+                fundamental_class_number(disc)
+    assert built == first
+
+
+def test_kept_sieve_stops_at_the_cap():
+    # past 2^14 the next power of two would be 32768; the sieve stops at the
+    # largest a that any D under the cap needs
+    cap = math.isqrt(MAX_ENUMERATED_DISC // 3)
+    assert cap == 18257
+    disc = next(d for d in range(-MAX_ENUMERATED_DISC, 0) if d % 4 in (0, 1) and is_fundamental(d))
+    assert math.isqrt(-disc // 3) == cap
+    h = fundamental_class_number(disc)
+    assert classgroup._kept[0].size == cap
+    assert len(classgroup._kept[0].lift) == cap + 1
+    assert h == len(reduced_forms(disc)) and classgroup._kept[0].size == cap
+    disc = -3 * (2**14 + 1) ** 2  # sqrt(|D|/3) = 2^14 + 1, past the 2^14 sieve
+    classgroup._kept.clear()
+    reduced_forms(-3 * 2**28)
+    assert classgroup._kept[0].size == 2**14
+    reduced_forms(disc)
+    assert classgroup._kept[0].size == cap
 
 
 def _is_fundamental_by_definition(disc):
@@ -662,6 +755,55 @@ def test_form_checks_run_under_optimize():
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "raised\n"
+
+
+def _wrong_inverse(x, e, m):
+    """pow, one off wherever it inverts."""
+    return builtins.pow(x, e, m) + (e == -1)
+
+
+def test_sieve_checks_its_multipliers(monkeypatch):
+    # a wrong multiplier raises while the sieve is built, and no sieve that
+    # holds one is kept: the one built before stays.  The sieve of -47 (a <= 4)
+    # has no composite odd m, the one of -479 (a <= 16) has 15 = 3 * 5
+    assert reduced_forms(-47) == [(1, 1, 12), (2, -1, 6), (2, 1, 6), (3, -1, 4), (3, 1, 4)]
+    kept = classgroup._kept[0]
+    monkeypatch.setattr(classgroup, "pow", _wrong_inverse, raising=False)
+    for disc in (-479, -9999991):
+        with pytest.raises(InternalCheckError, match="^CRT multiplier 9 is not 0 mod 3 and 1 mod 5$"):
+            reduced_forms(disc)
+        with pytest.raises(InternalCheckError, match="^CRT multiplier 9 is not 0 mod 3 and 1 mod 5$"):
+            fundamental_class_number(disc)
+        assert classgroup._kept == [kept]
+    assert reduced_forms(-47) == [(1, 1, 12), (2, -1, 6), (2, 1, 6), (3, -1, 4), (3, 1, 4)]
+    # every multiplier goes through the check once: one per composite odd m,
+    # and one per a, where a 2-adic multiplier that is 1 mod m raises too
+    monkeypatch.undo()
+    checked, real = [], classgroup._checked
+    monkeypatch.setattr(classgroup, "_checked", lambda u, q, r: checked.append((q, r)) or real(u, q, r))
+    sieve = _build_sieve(64)
+    joins = [(sieve.part[m], m // sieve.part[m]) for m in range(3, 65, 2) if sieve.part[m] < m]
+    lifts = [(2 * (a & -a), a // (a & -a)) for a in range(1, 65)]
+    assert sorted(checked) == sorted(joins + lifts) and len(joins) == 10
+    with pytest.raises(InternalCheckError, match="^CRT multiplier 8 is not 0 mod 4 and 1 mod 3$"):
+        real(8, 4, 3)
+
+
+def test_sieve_checks_run_under_optimize():
+    # the multiplier check is a raise, not an assert, so python -O keeps it
+    code = (
+        "import builtins\n"
+        "from eisq import classgroup as cg\n"
+        "from eisq.errors import InternalCheckError\n"
+        "cg.pow = lambda x, e, m: builtins.pow(x, e, m) + (e == -1)\n"
+        "try:\n"
+        "    cg.reduced_forms(-479)\n"
+        "except InternalCheckError:\n"
+        "    print('raised', cg._kept)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "raised []\n"
 
 
 def test_form_enumeration_tests_no_primality(monkeypatch):

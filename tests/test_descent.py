@@ -288,10 +288,11 @@ def test_rational_divisor_validation():
 
 def test_rational_divisor_reads_r_off_the_class_order(monkeypatch):
     # the class order's checked eta-product stands for r's divisor, so a
-    # verdict at level p^2 computes 3 divisors (the two basis vectors and the
-    # class order's check), and r's own only where a wrong r's message
-    # prints it, in the same words as when every verdict computed it
-    calls = _counting(monkeypatch, etacusp, "_eta_divisor")
+    # verdict at level p^2 computes 3 divisors (the numerators of the two
+    # basis vectors and the class order's check), and r's own only where a
+    # wrong r's message prints it, in the same words as when every verdict
+    # computed it
+    calls = _counting(monkeypatch, etacusp, "_eta_numerators")
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (101, -9983, 17)):
         level = p * p
         div = CuspDivisor.from_map(level, {p: 1, level: -(p - 1)})

@@ -320,9 +320,10 @@ def test_special_divisor_computed_once(monkeypatch):
     # `eta --special` checks the canonical eta-product on the divisor it
     # prints, so `special_function` computes no divisor of its own.  The
     # other divisors are the closed-form basis vectors' (1 at level p, 2 at
-    # p^2) and the class order's check of its eta-product; the Ligozat checks
-    # are the printed report's, `is_special`'s and the class order's.
-    # `_eta_divisor` checks its degree by the weight, with no Ligozat check.
+    # p^2, numerators only) and the class order's check of its eta-product;
+    # the Ligozat checks are the printed report's, `is_special`'s and the
+    # class order's.  `_eta_numerators`, under every divisor, checks its
+    # degree by the weight, with no Ligozat check.
     # The closed forms are read by `special_function`, for the exponents, and
     # by `is_special`, which makes the one check against the closed form
     import io
@@ -331,7 +332,7 @@ def test_special_divisor_computed_once(monkeypatch):
     import eisq.etacusp as etacusp
     from eisq.cli import main
 
-    calls = {name: [] for name in ("_eta_divisor", "_ligozat", "canonical_orders", "is_special")}
+    calls = {name: [] for name in ("_eta_numerators", "_ligozat", "canonical_orders", "is_special")}
     for name, seen in calls.items():
         real = getattr(etacusp, name)
         monkeypatch.setattr(etacusp, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
@@ -344,7 +345,7 @@ def test_special_divisor_computed_once(monkeypatch):
         assert tuple(map(len, calls.values())) == counts, n
         # the printed divisor, and the class order's check of its eta-product:
         # the primitive part of the canonical divisor has the canonical product
-        assert [r for _, r in calls["_eta_divisor"]].count(special_function(n)) == 2, n
+        assert [r for _, r in calls["_eta_numerators"]].count(special_function(n)) == 2, n
 
 
 def test_cuspidal_invariants_against_sympy():
@@ -650,3 +651,23 @@ def test_class_order_calls_no_fraction_in_etacusp(monkeypatch):
         assert cuspidal_class_order(p * p, div) == (p * p - 1) // 24
     v = verdict(divs[101])
     assert v.trace[0].value == "n = 425"
+
+
+def test_images_read_integer_numerators(monkeypatch):
+    # the basis images come from the integer numerators of each divisor, with
+    # no CuspDivisor built, and keep both of its checks as raises: the
+    # divisor must be integral, and of degree 0 at weight 0
+    built = []
+    post_init = CuspDivisor.__post_init__
+    monkeypatch.setattr(CuspDivisor, "__post_init__", lambda self: built.append(self.level) or post_init(self))
+    for n in (11, 13, 121, 10201):
+        divs = etacusp.divisors(n)
+        images = etacusp._images(divs, _basis(divs))
+        assert built == [], n
+        assert images == [eta_divisor(n, r).int_vector()[:-1] for r in _basis(divs)], n
+        built.clear()
+    with pytest.raises(ValidationError, match=r"^divisor is not integral: -5/12\*\[1\] \+ 5/12\*\[11\]$"):
+        etacusp._images(etacusp.divisors(11), [{1: -1, 11: 1}])
+    monkeypatch.setattr(etacusp, "_orbit_sizes", lambda divs: [2] + [1] * (len(divs) - 1))
+    with pytest.raises(InternalCheckError, match=r"^eta divisor of weight 0 has degree -5 at level 11: \{1: -12, 11: 12\}$"):
+        etacusp._images(etacusp.divisors(11), _basis(etacusp.divisors(11)))

@@ -1,15 +1,16 @@
 """Heegner verdicts against Heegner points computed on the curve.
 
-At three prime levels the Eisenstein quotient that a verdict speaks of is
+At four prime levels the Eisenstein quotient that a verdict speaks of is
 an elliptic curve E of conductor p, the optimal quotient of X0(p):
 
 - 11a1, y^2 + y = x^3 - x^2 - 10x - 20, which is X0(11), for
   `heegner --p 11 --q 5` (n = 5);
 - 17a1, y^2 + xy + y = x^3 - x^2 - x - 14, which is X0(17), for
   `heegner --p 17` with q = 2 (n = 4);
-- the Neumann-Setzer curve 73a1, y^2 + xy = x^3 - x^2 + 4x - 3, for
-  `heegner --ns 73`: p = u^2 + 64 with u = 3, E: y^2 + xy =
-  x^3 - ((u+1)/4)x^2 + 4x - u (Setzer, *J. London Math. Soc.* 1975).
+- the Neumann-Setzer curves of p = u^2 + 64, E: y^2 + xy =
+  x^3 - ((u+1)/4)x^2 + 4x - u (Setzer, *J. London Math. Soc.* 1975), for
+  `heegner --ns p`: 73a1, y^2 + xy = x^3 - x^2 + 4x - 3 (u = 3), and at
+  p = 89, y^2 + xy = x^3 + x^2 + 4x + 5 (u = -5).
 
 A verdict `nontorsion` claims that the Heegner point P_K has infinite
 order on E.  Here P_K is computed in floats, with nothing from `descent`
@@ -51,6 +52,7 @@ CURVES = {
     11: ([0, -1, 1, -10, -20], 3000),
     17: ([1, -1, 1, -1, -14], 3000),
     73: ([1, -1, 0, 4, -3], 1500),
+    89: ([1, 1, 0, 4, 5], 1500),
 }
 TERMS = 36  # a q-series stops once |q|^n < e^-TERMS
 # distance from an integer that counts as integral: the torsion points
@@ -219,7 +221,7 @@ def _verdicts(p, disc):
         ]
     if p == 17:
         return [descent.verdict_prime_level_2(17, disc)]
-    return [descent.verdict_ns_curve(73, disc)]
+    return [descent.verdict_ns_curve(p, disc)]
 
 
 # level: (split fundamental D, nontorsion verdicts of each criterion, D with P_K torsion)
@@ -227,6 +229,7 @@ COUNTS = {
     11: (421, {"prime_level_odd_q": 339, "rational_divisor": 417}, 3),
     17: (431, {"prime_level_2": 109}, 4),
     73: (228, {"ns_corollary": 59}, 0),
+    89: (232, {"ns_corollary": 57}, 1),
 }
 
 

@@ -2,8 +2,8 @@
 the class of a prime above p in K, and the last sigma table built by each
 of the two sieves.  A hit must equal a fresh computation, each memo is
 bounded, an input that raises raises again (nothing is kept for it), and
-no caller can change what a memo holds.  `conftest.py` empties all four
-before every test."""
+no caller can change what a memo holds.  `conftest.py` empties all four,
+and the sieve that form enumeration keeps, before every test."""
 
 import importlib
 import inspect
@@ -298,6 +298,15 @@ def _memos():
             if hasattr(obj, "cache_info"):
                 found[f"{obj.__module__}.{obj.__qualname__}"] = obj
     return found
+
+
+def test_kept_sieve_starts_empty():
+    # the sieve of form enumeration has no cache_info, so the scan below
+    # cannot see it: conftest empties it too, and it holds one sieve at most
+    assert classgroup._kept == []
+    classgroup.reduced_forms(-9999991)
+    classgroup.fundamental_class_number(-999983)
+    assert [s.size for s in classgroup._kept] == [2048]
 
 
 def test_every_memo_starts_empty_and_is_bounded():
