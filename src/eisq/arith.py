@@ -193,33 +193,6 @@ def smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def sqrt_mod(a: int, q: int) -> Optional[int]:
-    """Square root of a modulo an odd prime q, or None.
-
-    Returns the smaller of the two roots (in [0, q-1]) for determinism.
-    Tonelli-Shanks, with the q = 3 (mod 4) shortcut.
-    """
-    if q < 3 or not is_prime(q):
-        raise ValidationError(f"sqrt_mod requires an odd prime, got {q}")
-    return _sqrt_mod_prime(a, q)
-
-
-def _sqrt_mod_prime(a: int, q: int) -> Optional[int]:
-    """`sqrt_mod` for a q the caller knows is an odd prime, untested."""
-    a %= q
-    if a == 0:
-        return 0
-    if jacobi(a, q) != 1:
-        return None
-    if q % 4 == 3:
-        x = pow(a, (q + 1) // 4, q)
-    else:
-        x = _tonelli_shanks(a, q)
-    if x * x % q != a:
-        raise InternalCheckError(f"{x} is not a square root of {a} mod {q}")
-    return min(x, q - x)
-
-
 def _tonelli_shanks(a: int, q: int) -> int:
     """A square root of a quadratic residue a mod a prime q = 1 (mod 4)."""
     # write q-1 = d * 2^s with d odd
@@ -268,13 +241,18 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     """All x in [0, q^e) with x^2 = a (mod q^e), sorted, for a prime q and e >= 1.
 
     When q does not divide 2a, the two roots are the Hensel lifts of the
-    root mod q; otherwise the roots are lifted one power of q at a time by
-    trying the q lifts of each, from the root a mod q (x^2 = x mod 2)."""
+    root mod q, found by the q = 3 (mod 4) shortcut or by Tonelli-Shanks
+    (Cohen, GTM 138, section 1.5) and checked; otherwise the roots are
+    lifted one power of q at a time by trying the q lifts of each, from
+    the root a mod q (x^2 = x mod 2)."""
     qe = q**e
     if q != 2 and a % q:
-        r = _sqrt_mod_prime(a, q)
-        if r is None:
+        aq = a % q
+        if jacobi(aq, q) != 1:
             return []
+        r = pow(aq, (q + 1) // 4, q) if q % 4 == 3 else _tonelli_shanks(aq, q)
+        if r * r % q != aq:
+            raise InternalCheckError(f"{r} is not a square root of {aq} mod {q}")
         x = hensel_lift(r, a, q, e) if e > 1 else r
         return sorted((x, qe - x))
     roots, qk = [a % q], q

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
-from .arith import factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod, sqrt_mod_prime_power
+from .arith import factor, is_prime, jacobi, smallest_prime_factors, sqrt_mod_prime_power
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 
 # caps reduced_forms and fundamental_class_number: near |D| = 10^9 one
@@ -454,9 +454,10 @@ def prime_form(disc: int, q: int) -> Triple:
         return q, b, c
     if jacobi(disc, q) != 1:
         raise ValidationError(f"{q} is inert for discriminant {disc}")
-    b = sqrt_mod(disc % q, q)
-    if b is None:
+    roots = sqrt_mod_prime_power(disc, q, 1)
+    if not roots:
         raise InternalCheckError(f"no square root of {disc} mod the split prime {q}")
+    b = roots[0]
     if (b - disc) % 2:
         b = q - b
     c, rem = divmod(b * b - disc, 4 * q)

@@ -253,10 +253,7 @@ def _verdict_doc(v: descent.Verdict) -> dict:
     return {
         "criterion": v.criterion_tag,
         "conclusion": v.conclusion,
-        "trace": [
-            {"name": t.name, "value": t.value, "passed": t.passed, "assumed": t.assumed}
-            for t in v.trace
-        ],
+        "trace": [vars(t) for t in v.trace],  # each entry's four fields
     }
 
 
@@ -280,13 +277,7 @@ def _cmd_heegner(args, out) -> int:
     if args.ns is not None:
         p = args.ns
         ns = descent.neumann_setzer(p)
-        doc = {
-            "p": p,
-            "is_ns_prime": ns.is_ns_prime,
-            "u": ns.u,
-            "u_mod_8": ns.u_mod_8,
-            "two_eisenstein_simple": ns.two_eisenstein_simple,
-        }
+        doc = {"p": p, **vars(ns)}  # the report's four fields
         v = None if args.K is None else descent.verdict_ns_curve(p, args.K)
         if v is not None:
             doc["verdict"] = _verdict_doc(v)

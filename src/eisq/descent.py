@@ -66,12 +66,11 @@ class HeegnerSetup:
     w_k: int
     split_ok: bool  # p splits in K
 
-    def prime_power_order(self, k: int) -> Optional[int]:
-        """Order of the class of P^k for a prime P above p, or None when p
-        does not split: o / gcd(o, k) from the order o of P, which is
-        computed once per (K, p, h_K) per process."""
-        if not self.split_ok:
-            return None
+    def prime_power_order(self, k: int) -> int:
+        """Order of the class of P^k for a prime P above p: o / gcd(o, k)
+        from the order o of P, which is computed once per (K, p, h_K) per
+        process.  The verdicts ask only at a split p; at a ramified p, P is
+        the ramified prime, and an inert p raises in `prime_form`."""
         o = _prime_class_order(self.k_disc, self.p, self.h_k)
         return o // math.gcd(o, k)
 

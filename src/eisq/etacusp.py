@@ -18,14 +18,20 @@ from .errors import InternalCheckError, ValidationError
 EtaExponents = Mapping[int, int]
 
 
-def divisors(n: int) -> list[int]:
-    """[1, p] at level p and [1, p, p^2] at level p^2: the one place that
-    decides which of the two supported levels n is, by one primality test."""
+def _shape(n: int) -> list[int]:
+    """[1, r, n] when n = r^2 > 0, and [1, n] otherwise: the one decision of
+    the shape of a level, which `divisors` and `CuspDivisor` read."""
     root = math.isqrt(max(n, 0))
-    p0, k = (root, 2) if root * root == n else (n, 1)
-    if not is_prime(p0):
+    return [1, root, n] if n > 0 and root * root == n else [1, n]
+
+
+def divisors(n: int) -> list[int]:
+    """[1, p] at level p and [1, p, p^2] at level p^2: the shape of n, and
+    one primality test of its middle entry decides whether n is supported."""
+    divs = _shape(n)
+    if not is_prime(divs[1]):
         raise ValidationError(f"supported levels are p and p^2, got {n}")
-    return [p0**j for j in range(k + 1)]
+    return divs
 
 
 def canonical_orders(p: int) -> tuple[int, int]:
@@ -119,7 +125,7 @@ class CuspDivisor:
     den: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.nums) != (size := 3 if self.level > 0 and math.isqrt(self.level) ** 2 == self.level else 2):
+        if len(self.nums) != (size := len(_shape(self.level))):
             raise ValidationError(f"a divisor at level {self.level} has {size} entries, got {len(self.nums)}")
         ratios = [x.as_integer_ratio() for x in self.nums]
         den = math.lcm(*[b for _, b in ratios])
@@ -138,9 +144,8 @@ class CuspDivisor:
         return CuspDivisor(level, tuple(coeffs.get(d, 0) for d in divs))
 
     def divisors(self) -> list[int]:
-        """The divisors of the level, read off the coefficient count."""
-        p0 = self.level if len(self.nums) == 2 else math.isqrt(self.level)
-        return [p0**j for j in range(len(self.nums))]
+        """The divisors of the level, one per coefficient."""
+        return _shape(self.level)
 
     def coeff(self, d: int) -> Fraction:
         divs = self.divisors()
@@ -262,9 +267,11 @@ def _class_order(divs: list[int], div: CuspDivisor) -> tuple[int, dict[int, int]
         raise ValidationError("divisor level mismatch")
     if div.degree() != 0:
         raise ValidationError(f"divisor has degree {div.degree()}, not 0")
-    order, r = _order_and_exponents(divs, div.int_vector())
-    image = _eta_divisor(divs, r)
-    if image != div.scale(order):
+    vec = div.int_vector()
+    order, r = _order_and_exponents(divs, vec)
+    # the divisor of r over 24N against order*div, on integer numerators
+    if _eta_numerators(divs, r) != [24 * n * order * a for a in vec]:
+        image = _eta_divisor(divs, r)
         raise InternalCheckError(f"eta-product {r} at level {n} has divisor {image}, not {order}*({div})")
     if any(v.denominator != 1 for v in r.values()) or not _ligozat(divs, r).ok:
         raise InternalCheckError(f"eta-product {r} of {order}*({div}) at level {n} fails Ligozat")
@@ -329,11 +336,12 @@ def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
     p, canonical = divs[1], _canonical_eta(divs, n_p)
     if {d: v for d, v in r.items() if v} != canonical:
         return False
-    expected = CuspDivisor(n, (n_p, -n_p) if n == p else (0, n_p2, -n_p2 * (p - 1)))
     if not _ligozat(divs, canonical).ok:
         raise InternalCheckError(f"special function fails rationality at level {n}")
-    if image != expected:
-        raise InternalCheckError(f"special function divisor mismatch at level {n}: {image} vs {expected}")
+    # the closed form is integral, so it is compared on integer numerators
+    expected = (n_p, -n_p) if n == p else (0, n_p2, -n_p2 * (p - 1))
+    if (image.level, image.den, image.nums) != (n, 1, expected):
+        raise InternalCheckError(f"special function divisor mismatch at level {n}: {image} vs {CuspDivisor(n, expected)}")
     return True
 
 

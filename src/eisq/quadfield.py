@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .arith import cornacchia, is_prime, jacobi, sqrt_mod, sqrt_mod_prime_power, valuation
+from .arith import cornacchia, is_prime, jacobi, sqrt_mod_prime_power, valuation
 from .errors import InternalCheckError, ValidationError
 
 SPLIT_FACTOR = "split_factor"
@@ -105,9 +105,10 @@ def places_above(ctx: FieldCtx, q: int) -> list[PlaceK]:
 
 def _omega_roots(ctx: FieldCtx, q: int) -> tuple[int, int]:
     # The two roots of z^2 - z + (1+p)/4 mod a split prime q, smaller first.
-    s = sqrt_mod(-ctx.p % q, q)
-    if s is None:
+    roots = sqrt_mod_prime_power(-ctx.p, q, 1)
+    if not roots:
         raise InternalCheckError(f"no square root of -{ctx.p} mod the split prime {q}")
+    s = roots[0]
     inv2 = pow(2, -1, q)
     r1, r2 = (1 + s) * inv2 % q, (1 - s) * inv2 % q
     if (r1 + r2) % q != 1 or r1 == r2:

@@ -17,7 +17,6 @@ from eisq.arith import (
     is_prime,
     jacobi,
     smallest_prime_factors,
-    sqrt_mod,
     sqrt_mod_prime_power,
     valuation,
 )
@@ -188,24 +187,24 @@ def test_factor_budget_is_honest(monkeypatch):
         factor(n)
 
 
-def test_sqrt_mod_examples():
-    assert sqrt_mod(-7, 11) == 2
-    assert sqrt_mod(3, 5) is None
-    assert sqrt_mod(0, 7) == 0
-    with pytest.raises(ValidationError):
-        sqrt_mod(3, 9)
+def test_sqrt_mod_prime_examples():
+    # the roots mod a prime, the smaller first: none at a non-residue, 0 alone at a = 0
+    assert sqrt_mod_prime_power(-7, 11, 1) == [2, 9]
+    assert sqrt_mod_prime_power(3, 5, 1) == []
+    assert sqrt_mod_prime_power(0, 7, 1) == [0]
 
 
-def test_sqrt_mod_property():
+def test_sqrt_mod_prime_property():
     rng = random.Random(11)
     primes = [q for q in range(3, 5000) if is_prime(q)]
     for _ in range(400):
         q = rng.choice(primes)
         a = rng.randrange(q)
-        r = sqrt_mod(a, q)
-        if r is None:
+        roots = sqrt_mod_prime_power(a, q, 1)
+        if not roots:
             assert jacobi(a, q) == -1
         else:
+            r = roots[0]
             assert r * r % q == a % q
             assert r <= q - r  # deterministic smaller root
 
@@ -241,8 +240,9 @@ def test_hensel_lift_against_brute_force():
                 for r in (x % q, x % q - q, x % q + q):
                     assert hensel_lift(r, a, q, e) == x, (r, a, q, e)
     big = 10**9 + 7
-    x = hensel_lift(sqrt_mod(-23, big), -23, big, 5)
-    assert (x * x + 23) % big**5 == 0 and x % big == sqrt_mod(-23, big)
+    r = sqrt_mod_prime_power(-23, big, 1)[0]
+    x = hensel_lift(r, -23, big, 5)
+    assert (x * x + 23) % big**5 == 0 and x % big == r
 
 
 def test_root_checks_raise():
@@ -260,7 +260,7 @@ def test_square_root_and_factor_checks_raise(monkeypatch):
     real = arith.jacobi
     monkeypatch.setattr(arith, "jacobi", lambda a, n: 1 if (a % n, n) == (3, 7) else real(a, n))
     with pytest.raises(InternalCheckError):
-        sqrt_mod(3, 7)
+        sqrt_mod_prime_power(3, 7, 1)
     monkeypatch.setattr(arith, "_pollard_rho", lambda n, budget: 3)
     with pytest.raises(InternalCheckError):
         factor(10007 * 10009)

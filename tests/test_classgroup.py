@@ -639,7 +639,7 @@ def test_prime_form_norm_compatibility():
     # equivalently q is a norm: cross-checked against the norm equation
     # s^2 + p*t^2 = 4q, by an exhaustive t-sweep at inert q and by the
     # Cornacchia step at split q
-    from eisq.arith import cornacchia, is_prime, sqrt_mod
+    from eisq.arith import cornacchia, is_prime, sqrt_mod_prime_power
 
     for p in (7, 11, 19, 43, 67, 163):
         assert class_number_of_disc(-p) == 1
@@ -654,7 +654,7 @@ def test_prime_form_norm_compatibility():
                 assert all(math.isqrt(r) ** 2 != r for r in rems)
                 continue
             assert reduce_form(f) == principal_form(-p)
-            assert cornacchia(p, sqrt_mod(-p, q), q) is not None
+            assert cornacchia(p, sqrt_mod_prime_power(-p, q, 1)[0], q) is not None
 
 
 def test_prime_form_represents_its_prime():
@@ -733,10 +733,10 @@ def test_reduce_form_postcondition_raises(monkeypatch):
 
 def test_prime_form_checks_its_root(monkeypatch):
     # 1 is the root of -47 mod 3; a wrong root or none must not give a form
-    monkeypatch.setattr(classgroup, "sqrt_mod", lambda a, q: 0)
+    monkeypatch.setattr(classgroup, "sqrt_mod_prime_power", lambda a, q, e: [0])
     with pytest.raises(InternalCheckError):
         prime_form(-47, 3)
-    monkeypatch.setattr(classgroup, "sqrt_mod", lambda a, q: None)
+    monkeypatch.setattr(classgroup, "sqrt_mod_prime_power", lambda a, q, e: [])
     with pytest.raises(InternalCheckError):
         prime_form(-47, 3)
 
@@ -746,7 +746,7 @@ def test_form_checks_run_under_optimize():
     code = (
         "from eisq import classgroup as cg\n"
         "from eisq.errors import InternalCheckError\n"
-        "cg.sqrt_mod = lambda a, q: 0\n"
+        "cg.sqrt_mod_prime_power = lambda a, q, e: [0]\n"
         "try:\n"
         "    cg.prime_form(-47, 3)\n"
         "except InternalCheckError:\n"
@@ -807,8 +807,9 @@ def test_sieve_checks_run_under_optimize():
 
 
 def test_form_enumeration_tests_no_primality(monkeypatch):
-    # the roots mod each odd prime come from the sieve's primes, so neither
-    # the list nor the count re-tests them through arith.sqrt_mod
+    # the roots mod each odd prime come from the sieve's primes, and
+    # arith.sqrt_mod_prime_power tests no primality, so neither the list
+    # nor the count re-tests them
     calls = []
     is_prime = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
@@ -816,7 +817,6 @@ def test_form_enumeration_tests_no_primality(monkeypatch):
         assert is_fundamental(disc)
         assert fundamental_class_number(disc) == len(reduced_forms(disc))
     assert calls == []
-    assert arith.sqrt_mod(-23, 101) is not None and calls == [101]
 
 
 def test_form_pow():

@@ -343,8 +343,17 @@ def test_prime_power_order_of_eta_data():
     # zero exponents give the principal class
     assert prime_exponent(121, {1: 0, 11: 0, 121: 0}) == 0
     assert heegner_setup(11, -7).prime_power_order(0) == 1
-    # no order where the level prime does not split
-    assert heegner_setup(7, -23).prime_power_order(1) is None
+    # an inert level prime has no prime class: prime_form raises
+    with pytest.raises(ValidationError, match="^7 is inert for discriminant -23$"):
+        heegner_setup(7, -23).prime_power_order(1)
+    # a ramified one has the class of the ramified prime: at -35 (h = 2, 5
+    # and 7 ramify) it is not principal and its square is, against powering
+    for p in (5, 7):
+        s = heegner_setup(p, -35)
+        assert not s.split_ok and s.h_k == 2
+        assert (s.prime_power_order(1), s.prime_power_order(2)) == (2, 1)
+        f = prime_form(-35, p)
+        assert form_pow(f, 1) != (1, 1, 9) and form_pow(f, 2) == (1, 1, 9)
 
 
 def test_rational_divisor_rejects_an_odd_prime_exponent(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -488,9 +489,10 @@ def test_divisor_representation():
     failing = eta_divisor(49, {1: 1, 7: -1, 49: 0})
     assert repr(failing) == "7/4*[1] + -1/4*[7] + -1/4*[49]" and failing.den == 4
     assert repr(eta_divisor(49, {})) == "0"
-    # the constructor checks the entry count against the level: 3 at a
-    # square level, 2 at any other; the class order checks the level
-    for level, nums in ((11, (1, -1, 0)), (49, (1, -1)), (12, ()), (-9, (1,))):
+    # the constructor checks the entry count against the level: 3 at the
+    # square of a positive integer, 2 at any other level, 0 included; the
+    # class order checks the level
+    for level, nums in ((11, (1, -1, 0)), (49, (1, -1)), (12, ()), (-9, (1,)), (0, (1, 2, 3))):
         size = 3 if level == 49 else 2
         with pytest.raises(ValidationError, match=f"^a divisor at level {level} has {size} entries, got {len(nums)}$"):
             CuspDivisor(level, nums)
@@ -671,3 +673,51 @@ def test_images_read_integer_numerators(monkeypatch):
     monkeypatch.setattr(etacusp, "_orbit_sizes", lambda divs: [2] + [1] * (len(divs) - 1))
     with pytest.raises(InternalCheckError, match=r"^eta divisor of weight 0 has degree -5 at level 11: \{1: -12, 11: 12\}$"):
         etacusp._images(etacusp.divisors(11), _basis(etacusp.divisors(11)))
+
+
+def test_divisor_checks_build_no_divisor(monkeypatch):
+    # the class order checks the divisor of r against order*D, and
+    # `is_special` its image against the closed form, on integer numerators:
+    # a warm verdict builds only n*D, which it hands to `is_special`, and
+    # `eta --special` only the printed divisor and its primitive part.  A
+    # divisor is built for a raise's message, which stays as it was
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from eisq import descent
+    from eisq.cli import main
+
+    n, r = 101**2, special_function(101**2)
+    div = CuspDivisor.from_map(n, {101: 1, n: -100})
+
+    def verdict():
+        return descent.verdict_rational_divisor(n, r, div, -9983, 17)
+
+    def eta_special():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["eta", "--N", str(n), "--special", "--format", "json"])
+        return code, err.getvalue()
+
+    verdict()  # warm the class data
+    built = []
+    post_init = CuspDivisor.__post_init__
+    monkeypatch.setattr(CuspDivisor, "__post_init__", lambda self: built.append(self.level) or post_init(self))
+    assert verdict().trace[0].value == "n = 425" and built == [n]
+    built.clear()
+    assert eta_special() == (0, "") and built == [n, n]
+    monkeypatch.undo()
+    # an order twice too large: the divisor of r is not 850*D
+    real = etacusp._order_and_exponents
+    monkeypatch.setattr(etacusp, "_order_and_exponents", lambda divs, vec: (2 * real(divs, vec)[0], real(divs, vec)[1]))
+    message = f"eta-product {r} at level {n} has divisor {eta_divisor(n, r)}, not 850*({div})"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        verdict()
+    monkeypatch.undo()
+    # a closed form twice too large at level p^2: n_p2 = 850 where it is 425
+    real_orders = etacusp.canonical_orders
+    monkeypatch.setattr(etacusp, "canonical_orders", lambda p: (real_orders(p)[0], 2 * real_orders(p)[1]))
+    message = f"special function divisor mismatch at level {n}: {eta_divisor(n, r)} vs 850*[101] + -85000*[10201]"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        is_special(n, r, eta_divisor(n, r))
+    assert eta_special() == (3, f"internal consistency failure: {message}\n")

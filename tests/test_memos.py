@@ -160,9 +160,11 @@ def test_prime_class_order_keys_on_the_class_number():
         with pytest.raises(InternalCheckError, match="does not divide the class number 7"):
             wrong.prime_power_order(1)
     assert (prime_order.cache_info().misses, prime_order.cache_info().currsize) == (4, 2)
-    # a non-split p never reaches the memo
-    assert descent.heegner_setup(11, -3).prime_power_order(1) is None
-    assert prime_order.cache_info().misses == 4
+    # an inert p has no prime class: it misses the memo, raises in
+    # prime_form and is never kept
+    with pytest.raises(ValidationError, match="^11 is inert for discriminant -3$"):
+        descent.heegner_setup(11, -3).prime_power_order(1)
+    assert (prime_order.cache_info().misses, prime_order.cache_info().currsize) == (5, 2)
 
 
 def test_failed_prime_class_order_is_retried(monkeypatch):

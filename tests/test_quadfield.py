@@ -127,6 +127,18 @@ def test_places_above():
         places_above(CTX7, 2)
 
 
+def test_omega_roots_check_their_root(monkeypatch):
+    # the roots of w mod a split q come from the smaller square root of -p;
+    # no root, or the root 0, which gives one double root, must not make places
+    assert quadfield._omega_roots(CTX7, 11) == (5, 7)  # z^2 - z + 2 = (z - 5)(z - 7) mod 11
+    monkeypatch.setattr(quadfield, "sqrt_mod_prime_power", lambda a, q, e: [])
+    with pytest.raises(InternalCheckError, match="^no square root of -7 mod the split prime 11$"):
+        places_above(CTX7, 11)
+    monkeypatch.setattr(quadfield, "sqrt_mod_prime_power", lambda a, q, e: [0])
+    with pytest.raises(InternalCheckError, match=r"^roots 6, 6 of w mod 11 are not a conjugate pair \(p = 7\)$"):
+        places_above(CTX7, 11)
+
+
 def test_split_generator_examples():
     assert split_generator(CTX7, 11, 1) == (1, 2)
     assert split_generator(CTX7, 29, 1) == (-3, 4)
