@@ -211,8 +211,6 @@ def _cmd_eta(args, out) -> int:
         raise ValidationError("eta needs --r or --special")
     report = etacusp.ligozat_check(n, r)
     image = etacusp.eta_divisor(n, r)
-    if args.special:
-        etacusp.is_special(n, r, image)  # raises unless the divisor has its closed form
     divs = image.divisors()
     exponents = [r.get(d, 0) for d in divs]
     doc = {

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from . import classgroup, etacusp
 from .arith import is_prime, jacobi, valuation
-from .errors import InternalCheckError, ValidationError
+from .errors import ValidationError
 
 NONTORSION = "nontorsion"
 INCONCLUSIVE = "inconclusive"
@@ -231,30 +231,17 @@ def verdict_rational_divisor(
     the root ideal is nontrivial.
 
     With p split in K the divisor ideals are powers of one prime P above
-    p, so the product collapses to P^e, e from `etacusp.prime_exponent`,
-    and a_r = P^(-e/2).  e is even: the eta-divisor map is invertible, so r
-    is the rational eta-product of n*D, for which prod_d d^{r_d} = p^e is
-    a square."""
+    p, so the product collapses to P^e, e the prime exponent of the
+    eta-product, which `etacusp` checks to be even, and a_r = P^(-e/2)."""
     if all(v == 0 for v in r.values()):
         raise ValidationError("zero exponent vector has no associated order")
     _check_q(q)
-    divs = etacusp.divisors(level)
-    n, r_div = etacusp._class_order(divs, div)
-    # the class order checked the divisor of r_div; the eta-divisor map is
-    # invertible, so r has divisor n*D exactly when it is r_div
-    if etacusp._validated_exponents(divs, r) != r_div:
-        raise ValidationError(
-            f"eta-product divisor {etacusp.eta_divisor(level, r)} is not n*D = {div.scale(n)} with n = {n}"
-        )
+    p, n, exponent, special = etacusp._rational_eta_product(level, r, div)
     if n % q:
         raise ValidationError(f"q = {q} does not divide the class order n = {n}")
-    setup = heegner_setup(divs[1], k_disc)
-    exponent = etacusp._prime_exponent(divs, r_div)
-    if exponent % 2:
-        raise InternalCheckError(f"odd prime exponent {exponent} in the eta-product of n*D at level {level}")
+    setup = heegner_setup(p, k_disc)
     nontrivial = setup.split_ok and exponent != 0
     val_ok, val_text = _q_part(setup, -exponent // 2, q, n, "o(a_r)")
-    special = etacusp.is_special(level, r, div.scale(n))
     trace = (
         TraceEntry("n*D = div(eta-product)", f"n = {n}", True),
         TraceEntry("Heegner hypothesis", str(setup.split_ok), setup.split_ok),

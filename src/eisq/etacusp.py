@@ -315,37 +315,48 @@ def cuspidal_group_invariants(p: int) -> CuspidalGroupReport:
 def special_function(n: int) -> dict[int, int]:
     """Exponents of the canonical eta-product of level n = p or p^2, whose
     divisor generates the relevant cuspidal class: (24/m, -24/m) at level p
-    with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2.  `is_special`
-    checks them against their divisor, which the caller computes once."""
+    with m = gcd(p-1, 12), and (-1, p+1, -p) at level p^2.  Every call
+    checks them, each check a raise: they pass Ligozat, and their divisor is
+    the closed form, which is integral: n_p([1] - [p]) at level p and
+    n_p2([p] - (p-1)[p^2]) at p^2, from `canonical_orders`."""
     divs = divisors(n)
-    return _canonical_eta(divs, canonical_orders(divs[1])[0])
+    p = divs[1]
+    n_p, n_p2 = canonical_orders(p)
+    e = 24 * n_p // (p - 1)  # 24/(p-1, 12)
+    r = {1: e, p: -e} if n == p else {1: -1, p: p + 1, n: -p}
+    if not _ligozat(divs, r).ok:
+        raise InternalCheckError(f"special function fails rationality at level {n}")
+    # the closed form is integral, so it is compared on integer numerators over 24N
+    expected = (n_p, -n_p) if n == p else (0, n_p2, -n_p2 * (p - 1))
+    if _eta_numerators(divs, r) != [24 * n * a for a in expected]:
+        raise InternalCheckError(
+            f"special function divisor mismatch at level {n}: {_eta_divisor(divs, r)} vs {CuspDivisor(n, expected)}"
+        )
+    return r
 
 
-def is_special(n: int, r: EtaExponents, image: CuspDivisor) -> bool:
-    """Whether r is the canonical eta-product of level n (never below p = 5).
-
-    `image` is the divisor of r, already computed by the caller; when r is
-    canonical it must pass Ligozat and equal its closed form, which is
-    integral: n_p([1] - [p]) at level p, n_p2([p] - (p-1)[p^2]) at p^2,
-    from `canonical_orders`.  Otherwise this raises."""
+def is_special(n: int, r: EtaExponents) -> bool:
+    """Whether the nonzero exponents of r are `special_function(n)`, which
+    checks them; never at a level other than p or p^2, nor below p = 5."""
     try:
-        divs = divisors(n)
-        n_p, n_p2 = canonical_orders(divs[1])
+        canonical = special_function(n)
     except ValidationError:
         return False
-    p, canonical = divs[1], _canonical_eta(divs, n_p)
-    if {d: v for d, v in r.items() if v} != canonical:
-        return False
-    if not _ligozat(divs, canonical).ok:
-        raise InternalCheckError(f"special function fails rationality at level {n}")
-    # the closed form is integral, so it is compared on integer numerators
-    expected = (n_p, -n_p) if n == p else (0, n_p2, -n_p2 * (p - 1))
-    if (image.level, image.den, image.nums) != (n, 1, expected):
-        raise InternalCheckError(f"special function divisor mismatch at level {n}: {image} vs {CuspDivisor(n, expected)}")
-    return True
+    return {d: v for d, v in r.items() if v} == canonical
 
 
-def _canonical_eta(divs: list[int], n_p: int) -> dict[int, int]:
-    n, p = divs[-1], divs[1]
-    e = 24 * n_p // (p - 1)  # 24/(p-1, 12)
-    return {1: e, p: -e} if n == p else {1: -1, p: p + 1, n: -p}
+def _rational_eta_product(level: int, r: EtaExponents, div: CuspDivisor) -> tuple[int, int, int, bool]:
+    """The prime p of the level, the checked order n of the class of div,
+    the prime exponent e of r and whether r is canonical, for the general
+    Heegner criterion; r must have divisor n*div.  e is even: the
+    eta-divisor map is invertible, so r is the rational eta-product of
+    n*div, and prod_d d^{r_d} = p^e is a square."""
+    divs = divisors(level)
+    n, r_div = _class_order(divs, div)
+    # the class order checked that r_div has divisor n*div, and no other r has
+    if _validated_exponents(divs, r) != r_div:
+        raise ValidationError(f"eta-product divisor {eta_divisor(level, r)} is not n*D = {div.scale(n)} with n = {n}")
+    e = _prime_exponent(divs, r_div)
+    if e % 2:
+        raise InternalCheckError(f"odd prime exponent {e} in the eta-product of n*D at level {level}")
+    return divs[1], n, e, is_special(level, r)

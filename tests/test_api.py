@@ -146,14 +146,13 @@ def test_every_field_is_read():
 
 # the private names that one module of the package reads off another:
 # selmer reads quadfield's local data and square classes, and the general
-# verdict in descent reads etacusp's checked class order, exponents and
-# prime exponent; a new private reach-in fails until it is listed here
+# verdict in descent reads etacusp's one entry for its eta-product (the
+# checked class order, prime exponent and canonical test); a new private
+# reach-in fails until it is listed here
 PRIVATE_READS = {
     "selmer -> quadfield._local_data",
     "selmer -> quadfield._is_square_class",
-    "descent -> etacusp._class_order",
-    "descent -> etacusp._validated_exponents",
-    "descent -> etacusp._prime_exponent",
+    "descent -> etacusp._rational_eta_product",
 }
 
 

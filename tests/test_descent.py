@@ -81,16 +81,16 @@ def test_each_piece_of_work_once_per_call(monkeypatch):
         del parses[:]
         with redirect_stdout(io.StringIO()):
             assert main(["eta", "--N", str(p * p), "--special"]) == 0
-        # special_function, ligozat_check, eta_divisor, is_special and
+        # special_function, ligozat_check, eta_divisor and
         # cuspidal_class_order, one parse each (50 before)
-        assert len(parses) <= 5, (p, len(parses))
+        assert len(parses) <= 4, (p, len(parses))
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (61, -2711, 5), (101, -9983, 17)):
         r, div = special_function(p * p), CuspDivisor.from_map(p * p, {p: 1, p * p: -(p - 1)})
         del orders[:], parses[:]
         verdict_rational_divisor(p * p, r, div, disc, q)
         assert len(orders) == 1, (p, disc)
-        # the verdict's own divisors call and is_special's (3 while
-        # heegner_setup parsed the level too)
+        # `_rational_eta_product`'s own divisors call and
+        # `special_function`'s (3 while heegner_setup parsed the level too)
         assert len(parses) <= 2, (p, disc, len(parses))
     del orders[:]
     verdict_prime_level_2(73, -19)
@@ -288,18 +288,18 @@ def test_rational_divisor_validation():
 
 def test_rational_divisor_reads_r_off_the_class_order(monkeypatch):
     # the class order's checked eta-product stands for r's divisor, so a
-    # verdict at level p^2 computes 3 divisors (the numerators of the two
-    # basis vectors and the class order's check), and r's own only where a
-    # wrong r's message prints it, in the same words as when every verdict
-    # computed it
+    # verdict at level p^2 computes 4 divisors (the numerators of the two
+    # basis vectors, the class order's check and `special_function`'s check
+    # of the canonical product), and r's own only where a wrong r's message
+    # prints it, in the same words as when every verdict computed it
     calls = _counting(monkeypatch, etacusp, "_eta_numerators")
     for p, disc, q in ((11, -7, 5), (13, -23, 7), (101, -9983, 17)):
         level = p * p
         div = CuspDivisor.from_map(level, {p: 1, level: -(p - 1)})
-        n = etacusp.cuspidal_class_order(level, div)
+        n, r = etacusp.cuspidal_class_order(level, div), special_function(level)
         del calls[:]
-        verdict_rational_divisor(level, special_function(level), div, disc, q)
-        assert len(calls) == 3, p
+        verdict_rational_divisor(level, r, div, disc, q)
+        assert len(calls) == 4, p
         for wrong in ({1: -2, p: 2 * p + 2, level: -2 * p}, {1: 1, p: -1}):
             image = etacusp.eta_divisor(level, wrong)
             del calls[:]

@@ -300,33 +300,52 @@ def test_special_functions():
         special_function(15)
 
 
-def test_is_special():
-    for n in (11, 13, 49, 121, 1009, 1009**2):
-        r = special_function(n)
-        image = eta_divisor(n, r)
-        assert is_special(n, r, image)
-        # a canonical r must come with its own divisor, numerators and denominator
-        for wrong in (image.scale(2), image.scale(Fraction(1, 2))):
-            with pytest.raises(InternalCheckError, match="divisor mismatch"):
-                is_special(n, r, wrong)
-    r = {1: 24, 49: -24}
-    assert not is_special(49, r, eta_divisor(49, r))
+def test_is_special(monkeypatch):
+    levels = (11, 13, 49, 121, 1009, 1009**2)
+    for n in levels:
+        assert is_special(n, special_function(n))
+    assert not is_special(49, {1: 24, 49: -24})
     # below p = 5 and away from the levels p and p^2 nothing is special
-    r = {1: 3, 3: -4, 9: 1}
-    assert not is_special(9, r, eta_divisor(9, r))
-    assert not is_special(15, {1: 1}, CuspDivisor(15, (Fraction(0), Fraction(0))))
+    assert not is_special(9, {1: 3, 3: -4, 9: 1})
+    assert not is_special(15, {1: 1})
+    # `special_function` checks the canonical product's own divisor against
+    # the closed form, numerators and denominator, on every call, and so
+    # does every `is_special` call: a divisor twice or half too large, or
+    # wrong past its first cusp, raises
+    real = etacusp._eta_numerators
+    for wrong in (
+        lambda nums: [2 * a for a in nums],
+        lambda nums: [a // 2 for a in nums],
+        lambda nums: nums[:1] + [2 * a for a in nums[1:]],
+    ):
+        monkeypatch.setattr(etacusp, "_eta_numerators", lambda divs, r, wrong=wrong: wrong(real(divs, r)))
+        for n in levels:
+            for call in (special_function, lambda n: is_special(n, {1: 1})):
+                with pytest.raises(InternalCheckError, match=f"^special function divisor mismatch at level {n}: "):
+                    call(n)
+    # the message names the divisor computed and the closed form
+    monkeypatch.setattr(etacusp, "_eta_numerators", lambda divs, r: [a // 2 for a in real(divs, r)])
+    message = "special function divisor mismatch at level 11: 5/2*[1] + -5/2*[11] vs 5*[1] + -5*[11]"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        special_function(11)
+    # the canonical product must be rational too
+    monkeypatch.setattr(etacusp, "_ligozat", lambda divs, r: etacusp.LigozatReport(True, True, True, False))
+    for n in levels:
+        with pytest.raises(InternalCheckError, match=f"^special function fails rationality at level {n}$"):
+            is_special(n, {})
 
 
 def test_special_divisor_computed_once(monkeypatch):
-    # `eta --special` checks the canonical eta-product on the divisor it
-    # prints, so `special_function` computes no divisor of its own.  The
-    # other divisors are the closed-form basis vectors' (1 at level p, 2 at
-    # p^2, numerators only) and the class order's check of its eta-product;
-    # the Ligozat checks are the printed report's, `is_special`'s and the
-    # class order's.  `_eta_numerators`, under every divisor, checks its
-    # degree by the weight, with no Ligozat check.
-    # The closed forms are read by `special_function`, for the exponents, and
-    # by `is_special`, which makes the one check against the closed form
+    # `eta --special` computes the divisor of the canonical eta-product
+    # twice: `special_function`'s check against the closed form, and the
+    # printed divisor.  The other divisors are the closed-form basis
+    # vectors' (1 at level p, 2 at p^2, numerators only) and the class
+    # order's check of its eta-product; the Ligozat checks are
+    # `special_function`'s, the printed report's and the class order's.
+    # `_eta_numerators`, under every divisor, checks its degree by the
+    # weight, with no Ligozat check.  The closed forms are read once, by
+    # `special_function`, for the exponents and the one check against the
+    # closed form; the command makes no `is_special` call
     import io
     from contextlib import redirect_stdout
 
@@ -338,15 +357,16 @@ def test_special_divisor_computed_once(monkeypatch):
         real = getattr(etacusp, name)
         monkeypatch.setattr(etacusp, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
     # a repeated call does the same work: nothing is kept between calls
-    for n, counts in ((613, (3, 3, 2, 1)), (613**2, (4, 3, 2, 1)), (11, (3, 3, 2, 1)), (49, (4, 3, 2, 1)), (49, (4, 3, 2, 1))):
+    for n, counts in ((613, (4, 3, 1, 0)), (613**2, (5, 3, 1, 0)), (11, (4, 3, 1, 0)), (49, (5, 3, 1, 0)), (49, (5, 3, 1, 0))):
         for seen in calls.values():
             seen.clear()
         with redirect_stdout(io.StringIO()):
             assert main(["eta", "--N", str(n), "--special"]) == 0
         assert tuple(map(len, calls.values())) == counts, n
-        # the printed divisor, and the class order's check of its eta-product:
-        # the primitive part of the canonical divisor has the canonical product
-        assert [r for _, r in calls["_eta_numerators"]].count(special_function(n)) == 2, n
+        # `special_function`'s check, the printed divisor, and the class
+        # order's check of its eta-product: the primitive part of the
+        # canonical divisor has the canonical product
+        assert [r for _, r in calls["_eta_numerators"]].count(special_function(n)) == 3, n
 
 
 def test_cuspidal_invariants_against_sympy():
@@ -677,8 +697,8 @@ def test_images_read_integer_numerators(monkeypatch):
 
 def test_divisor_checks_build_no_divisor(monkeypatch):
     # the class order checks the divisor of r against order*D, and
-    # `is_special` its image against the closed form, on integer numerators:
-    # a warm verdict builds only n*D, which it hands to `is_special`, and
+    # `special_function` the canonical divisor against the closed form, on
+    # integer numerators: a warm verdict builds no divisor, and
     # `eta --special` only the printed divisor and its primitive part.  A
     # divisor is built for a raise's message, which stays as it was
     import io
@@ -703,7 +723,7 @@ def test_divisor_checks_build_no_divisor(monkeypatch):
     built = []
     post_init = CuspDivisor.__post_init__
     monkeypatch.setattr(CuspDivisor, "__post_init__", lambda self: built.append(self.level) or post_init(self))
-    assert verdict().trace[0].value == "n = 425" and built == [n]
+    assert verdict().trace[0].value == "n = 425" and built == []
     built.clear()
     assert eta_special() == (0, "") and built == [n, n]
     monkeypatch.undo()
@@ -718,6 +738,7 @@ def test_divisor_checks_build_no_divisor(monkeypatch):
     real_orders = etacusp.canonical_orders
     monkeypatch.setattr(etacusp, "canonical_orders", lambda p: (real_orders(p)[0], 2 * real_orders(p)[1]))
     message = f"special function divisor mismatch at level {n}: {eta_divisor(n, r)} vs 850*[101] + -85000*[10201]"
-    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
-        is_special(n, r, eta_divisor(n, r))
+    for call in (special_function, lambda n: is_special(n, r), lambda n: verdict()):
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+            call(n)
     assert eta_special() == (3, f"internal consistency failure: {message}\n")

@@ -1,6 +1,6 @@
 """Heegner verdicts against Heegner points computed on the curve.
 
-At four prime levels the Eisenstein quotient that a verdict speaks of is
+At six prime levels the Eisenstein quotient that a verdict speaks of is
 an elliptic curve E of conductor p, the optimal quotient of X0(p):
 
 - 11a1, y^2 + y = x^3 - x^2 - 10x - 20, which is X0(11), for
@@ -9,8 +9,11 @@ an elliptic curve E of conductor p, the optimal quotient of X0(p):
   `heegner --p 17` with q = 2 (n = 4);
 - the Neumann-Setzer curves of p = u^2 + 64, E: y^2 + xy =
   x^3 - ((u+1)/4)x^2 + 4x - u (Setzer, *J. London Math. Soc.* 1975), for
-  `heegner --ns p`: 73a1, y^2 + xy = x^3 - x^2 + 4x - 3 (u = 3), and at
-  p = 89, y^2 + xy = x^3 + x^2 + 4x + 5 (u = -5).
+  `heegner --ns p`, with u = 3 (mod 4): 73a1, y^2 + xy = x^3 - x^2 + 4x - 3
+  (u = 3); at p = 89, y^2 + xy = x^3 + x^2 + 4x + 5 (u = -5); at p = 113,
+  y^2 + xy = x^3 - 2x^2 + 4x - 7 (u = 7), where u = 7 (mod 8) and the
+  corollary claims nothing; and at p = 233, y^2 + xy = x^3 + 3x^2 + 4x + 13
+  (u = -13).
 
 A verdict `nontorsion` claims that the Heegner point P_K has infinite
 order on E.  Here P_K is computed in floats, with nothing from `descent`
@@ -53,6 +56,8 @@ CURVES = {
     17: ([1, -1, 1, -1, -14], 3000),
     73: ([1, -1, 0, 4, -3], 1500),
     89: ([1, 1, 0, 4, 5], 1500),
+    113: ([1, -2, 0, 4, -7], 1500),
+    233: ([1, 3, 0, 4, 13], 1500),
 }
 TERMS = 36  # a q-series stops once |q|^n < e^-TERMS
 # distance from an integer that counts as integral: the torsion points
@@ -230,6 +235,8 @@ COUNTS = {
     17: (431, {"prime_level_2": 109}, 4),
     73: (228, {"ns_corollary": 59}, 0),
     89: (232, {"ns_corollary": 57}, 1),
+    113: (231, {"ns_corollary": 0}, 1),
+    233: (226, {"ns_corollary": 61}, 2),
 }
 
 

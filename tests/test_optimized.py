@@ -19,7 +19,8 @@ SRC = Path(eisq.__file__).parent
 # local data and split generators), eta products (with divisors integral or
 # not) and the lattice, verdicts of every kind, eigenchecks, and exits 2 and 4;
 # the rejection of p < 5, the closed form at level p and the rejection of a
-# non-discriminant by the class number, each decided in one place
+# non-discriminant by the class number, each decided in one place, and the
+# general verdict's checks of its eta-product at level p as at p^2
 OPTIMIZED_CASES = (
     "classnum-disc1003-json",
     "classnum-disc3999996-json",
@@ -46,6 +47,7 @@ OPTIMIZED_CASES = (
     "eigencheck-p7-json",
     "class-orders",
     "cuspidal-invariants",
+    "verdict-prime-level",
     "verdict-p2-level",
     "verdict-p2-level-1153",
 )
