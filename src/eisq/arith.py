@@ -98,8 +98,6 @@ class Factorization:
 
 def _pollard_rho(n: int, budget: int) -> Optional[int]:
     # Floyd cycle finding with deterministic polynomial constants
-    if n % 2 == 0:
-        return 2
     spent = 0
     for c in range(1, 64):
         x = y = 2
@@ -142,8 +140,6 @@ def factor(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

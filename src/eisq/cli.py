@@ -4,9 +4,11 @@ Subcommands: classnum, selmer, eta, heegner, eigencheck.  Output formats:
 table (default), json, tsv.  All numbers are exact: integers, or rationals
 rendered as [numerator, denominator] pairs; no floats anywhere.  JSON is
 canonical (sorted keys, compact separators) so equal results are
-byte-identical.  Exit codes: 0 ok, 2 validation error, 3 internal
-consistency failure, 4 resource cap exceeded.  A reader that closes
-stdout early, as `| head` does, ends the command with 0.
+byte-identical, and each TSV cell is the canonical JSON of its value.
+Table lines are built only for `--format table`.  Exit codes: 0 ok, 2
+validation error, 3 internal consistency failure, 4 resource cap exceeded.
+A reader that closes stdout early, as `| head` does, ends the command
+with 0.
 """
 
 from __future__ import annotations
@@ -61,19 +63,34 @@ def canonical_json(obj) -> str:
 
 
 def _write_tsv_row(row: dict, out):
-    """One line of tab-separated values in sorted key order, each a compact JSON value."""
-    flat = _jsonable(row)
-    out.write("\t".join(json.dumps(flat[k], separators=(",", ":")) for k in sorted(flat)) + "\n")
+    """One line of tab-separated values in sorted key order, each the canonical JSON of its value."""
+    out.write("\t".join(canonical_json(row[k]) for k in sorted(row)) + "\n")
 
 
-def _emit(doc: dict, fmt: str, table_lines, out):
+def _emit(doc: dict, fmt: str, table, out):
+    """Write doc in fmt; `table` is called, for the lines to print, only for the table format."""
     if fmt == "json":
         out.write(canonical_json(doc) + "\n")
     elif fmt == "tsv":
         _write_tsv_row(doc, out)
     else:
-        for line in table_lines:
+        for line in table():
             out.write(line + "\n")
+
+
+def _exactly_one(command: str, *options: tuple[str, object]) -> tuple[str, object]:
+    """The one (flag, value) of `options` given: a value of None, or False
+    for a flag, is an option left out.  None or more than one given is a
+    validation error."""
+    given = [(flag, value) for flag, value in options if value is not None and value is not False]
+    if len(given) == 1:
+        return given[0]
+    flags = [flag for flag, _ in options]
+    choice = " or ".join(flags) if len(flags) == 2 else "one of " + ", ".join(flags)
+    if not given:
+        raise ValidationError(f"{command} needs {choice}")
+    excess = "not both" if len(flags) == 2 else "got " + " and ".join(flag for flag, _ in given)
+    raise ValidationError(f"{command} takes {choice}, {excess}")
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -92,20 +109,14 @@ def _fmt_arg(sub):
 
 
 def _cmd_classnum(args, out) -> int:
-    if args.disc is None and args.p is None:
-        raise ValidationError("classnum needs --p or --disc")
-    if args.disc is not None and args.p is not None:
-        raise ValidationError("classnum takes --p or --disc, not both")
-    if args.disc is not None:
-        disc, doc, label = args.disc, {"disc": args.disc}, f"disc {args.disc}"
+    flag, value = _exactly_one("classnum", ("--p", args.p), ("--disc", args.disc))
+    if flag == "--disc":
+        disc, doc, label = value, {"disc": value}, f"disc {value}"
     else:
-        disc, doc, label = classgroup.field_disc(args.p), {"p": args.p}, f"p = {args.p}"
+        disc, doc, label = classgroup.field_disc(value), {"p": value}, f"p = {value}"
     forms = classgroup.reduced_forms(disc)
     doc.update(h=len(forms), forms=forms)  # each form is a tuple, so a JSON array as it is
-    lines = []  # one line per form, built only when the table is printed
-    if args.format == "table":
-        lines = [f"{label}: h = {len(forms)}"] + [f"  ({a},{b},{c})" for a, b, c in forms]
-    _emit(doc, args.format, lines, out)
+    _emit(doc, args.format, lambda: [f"{label}: h = {len(forms)}"] + [f"  ({a},{b},{c})" for a, b, c in forms], out)
     return EXIT_OK
 
 
@@ -136,53 +147,47 @@ def _selmer_row(p: int, d: int, with_oracle: bool) -> dict:
     return row
 
 
-def _cmd_selmer(args, out) -> int:
-    with_oracle = args.oracle
-    if args.d is not None and args.d_range is not None:
-        raise ValidationError("selmer takes --d or --d-range, not both")
-    if args.d_range:
-        try:
-            lo, hi = (int(x) for x in args.d_range.split(".."))
-        except ValueError:
-            raise ValidationError(f"bad range {args.d_range!r}, expected LO..HI")
-        if lo > hi:
-            raise ValidationError(f"empty range {args.d_range!r}: LO exceeds HI")
-        rows = []
-        for d in selmer.admissible_twists_between(args.p, lo, hi):
-            row = _selmer_row(args.p, d, with_oracle)
-            if args.format == "tsv":
-                # streamed, one summary row per twist as it is computed
-                keys = ("p", "d", "t", "rank", "dim_f2", "oracle_dim_f2")
-                _write_tsv_row({k: row[k] for k in keys if k in row}, out)
-                out.flush()
-            else:
-                rows.append(row)
-        if args.format == "tsv":
-            return EXIT_OK
-        doc = {"rows": rows}
-        lines = [
-            f"p={r['p']} d={r['d']}: rank {r['rank']} (t={r['t']}, dim {r['dim_f2']})"
-            for r in rows
-        ]
-        _emit(doc, args.format, lines, out)
-        return EXIT_OK
-    if args.d is None:
-        raise ValidationError("selmer needs --d or --d-range")
-    row = _selmer_row(args.p, args.d, with_oracle)
-    lines = [
-        f"p = {row['p']}, d = {row['d']}",
-        f"generators: {' '.join(row['generators'])}",
-        "arrows:",
-    ]
+def _selmer_table(row: dict):
+    yield f"p = {row['p']}, d = {row['d']}"
+    yield f"generators: {' '.join(row['generators'])}"
+    yield "arrows:"
     for label, arrow_row in zip(row["generators"], row["arrows"]):
-        lines.append(f"  {label:>12} -> {' '.join(str(x) for x in arrow_row)}")
-    lines.append(
-        f"t = {row['t']} (nontrivial even partitions: {row['nontrivial_even_partitions']})"
-    )
-    lines.append(f"rank = {row['rank']}, dim_F2 = {row['dim_f2']}")
-    if with_oracle:
-        lines.append(f"oracle dim_F2 = {row['oracle_dim_f2']} (agrees)")
-    _emit(row, args.format, lines, out)
+        yield f"  {label:>12} -> {' '.join(str(x) for x in arrow_row)}"
+    yield f"t = {row['t']} (nontrivial even partitions: {row['nontrivial_even_partitions']})"
+    yield f"rank = {row['rank']}, dim_F2 = {row['dim_f2']}"
+    if "oracle_dim_f2" in row:
+        yield f"oracle dim_F2 = {row['oracle_dim_f2']} (agrees)"
+
+
+def _sweep_table(rows: list[dict]):
+    for r in rows:
+        yield f"p={r['p']} d={r['d']}: rank {r['rank']} (t={r['t']}, dim {r['dim_f2']})"
+
+
+def _cmd_selmer(args, out) -> int:
+    flag, value = _exactly_one("selmer", ("--d", args.d), ("--d-range", args.d_range))
+    if flag == "--d":
+        row = _selmer_row(args.p, value, args.oracle)
+        _emit(row, args.format, lambda: _selmer_table(row), out)
+        return EXIT_OK
+    try:
+        lo, hi = (int(x) for x in value.split(".."))
+    except ValueError:
+        raise ValidationError(f"bad range {value!r}, expected LO..HI")
+    if lo > hi:
+        raise ValidationError(f"empty range {value!r}: LO exceeds HI")
+    rows = []
+    for d in selmer.admissible_twists_between(args.p, lo, hi):
+        row = _selmer_row(args.p, d, args.oracle)
+        if args.format == "tsv":
+            # streamed, one summary row per twist as it is computed
+            keys = ("p", "d", "t", "rank", "dim_f2", "oracle_dim_f2")
+            _write_tsv_row({k: row[k] for k in keys if k in row}, out)
+            out.flush()
+        else:
+            rows.append(row)
+    if args.format != "tsv":
+        _emit({"rows": rows}, args.format, lambda: _sweep_table(rows), out)
     return EXIT_OK
 
 
@@ -201,14 +206,8 @@ def _parse_exponents(n: int, text: str) -> dict[int, int]:
 
 def _cmd_eta(args, out) -> int:
     n = args.N
-    if args.special and args.r is not None:
-        raise ValidationError("eta takes --r or --special, not both")
-    if args.special:
-        r = etacusp.special_function(n)
-    elif args.r is not None:
-        r = _parse_exponents(n, args.r)
-    else:
-        raise ValidationError("eta needs --r or --special")
+    flag, value = _exactly_one("eta", ("--r", args.r), ("--special", args.special))
+    r = etacusp.special_function(n) if flag == "--special" else _parse_exponents(n, value)
     report = etacusp.ligozat_check(n, r)
     image = etacusp.eta_divisor(n, r)
     divs = image.divisors()
@@ -222,26 +221,22 @@ def _cmd_eta(args, out) -> int:
     }
     base = None
     if report.ok and image.den == 1 and any(image.nums):
-        base = _primitive_part(image)
+        base = etacusp.CuspDivisor(n, image.nums, math.gcd(*image.nums))  # reduced to the primitive part
         doc["class_order"] = etacusp.cuspidal_class_order(n, base)
         doc["primitive_divisor"] = {str(d): base.coeff(d) for d in divs}
-    lines = []  # built only when the table is printed
-    if args.format == "table":
-        lines = [
-            f"level {n}, exponents {exponents} on divisors {divs}",
+
+    def table():
+        yield f"level {n}, exponents {exponents} on divisors {divs}"
+        yield (
             f"rationality: sum_zero={report.sum_zero} weighted_mod24={report.weighted_mod24} "
-            f"dual_mod24={report.dual_mod24} square_product={report.square_product} -> ok={report.ok}",
-            f"divisor: {image}",
-        ]
+            f"dual_mod24={report.dual_mod24} square_product={report.square_product} -> ok={report.ok}"
+        )
+        yield f"divisor: {image}"
         if base is not None:
-            lines.append(f"primitive divisor {base} has class order {doc['class_order']}")
-    _emit(doc, args.format, lines, out)
+            yield f"primitive divisor {base} has class order {doc['class_order']}"
+
+    _emit(doc, args.format, table, out)
     return EXIT_OK
-
-
-def _primitive_part(div: etacusp.CuspDivisor) -> etacusp.CuspDivisor:
-    vec = div.int_vector()
-    return etacusp.CuspDivisor(div.level, vec, math.gcd(*vec))
 
 
 # --- heegner ----------------------------------------------------------------
@@ -255,53 +250,48 @@ def _verdict_doc(v: descent.Verdict) -> dict:
     }
 
 
-def _verdict_lines(v: descent.Verdict) -> list[str]:
-    lines = [f"[{v.criterion_tag}] conclusion: {v.conclusion.upper()}"]
+def _verdict_table(v: descent.Verdict):
+    yield f"[{v.criterion_tag}] conclusion: {v.conclusion.upper()}"
     for t in v.trace:
         mark = "ok" if t.passed else "FAIL"
         star = " (assumed)" if t.assumed else ""
-        lines.append(f"  {mark:>4}  {t.name}: {t.value}{star}")
+        yield f"  {mark:>4}  {t.name}: {t.value}{star}"
     if v.conclusion == descent.INCONCLUSIVE:
-        lines.append("  note: inconclusive does not mean torsion; the criterion is one-way")
-    return lines
+        yield "  note: inconclusive does not mean torsion; the criterion is one-way"
 
 
 def _cmd_heegner(args, out) -> int:
-    given = [flag for flag, value in (("--p", args.p), ("--p2", args.p2), ("--ns", args.ns)) if value is not None]
-    if len(given) > 1:
-        raise ValidationError(f"heegner takes one of --p, --p2, --ns, got {' and '.join(given)}")
-    if args.ns is not None and args.q is not None:
-        raise ValidationError("heegner --ns takes no --q")
-    if args.ns is not None:
-        p = args.ns
+    flag, p = _exactly_one("heegner", ("--p", args.p), ("--p2", args.p2), ("--ns", args.ns))
+    if flag == "--ns":
+        if args.q is not None:
+            raise ValidationError("heegner --ns takes no --q")
         ns = descent.neumann_setzer(p)
         doc = {"p": p, **vars(ns)}  # the report's four fields
         v = None if args.K is None else descent.verdict_ns_curve(p, args.K)
         if v is not None:
             doc["verdict"] = _verdict_doc(v)
-        lines = []  # built only when the table is printed
-        if args.format == "table":
+
+        def table():
             found = f", u = {ns.u}, u mod 8 = {ns.u_mod_8}, simple: {ns.two_eisenstein_simple}"
-            lines = [f"p = {p}: u^2 + 64 form: {ns.is_ns_prime}" + (found if ns.is_ns_prime else "")]
-            lines += [] if v is None else _verdict_lines(v)
-        _emit(doc, args.format, lines, out)
+            yield f"p = {p}: u^2 + 64 form: {ns.is_ns_prime}" + (found if ns.is_ns_prime else "")
+            if v is not None:
+                yield from _verdict_table(v)
+
+        _emit(doc, args.format, table, out)
         return EXIT_OK
-    if args.p2 is not None:
+    if flag == "--p2":
         if args.K is None or args.q is None:
             raise ValidationError("heegner --p2 needs --K and --q")
-        v = descent.verdict_p2_level(args.p2, args.K, args.q)
-    elif args.p is not None:
-        if args.K is None:
-            raise ValidationError("heegner --p needs --K")
-        if args.q == 2:
-            v = descent.verdict_prime_level_2(args.p, args.K)
-        elif args.q is not None:
-            v = descent.verdict_prime_level_odd_q(args.p, args.K, args.q)
-        else:
-            raise ValidationError("heegner --p needs --q")
+        v = descent.verdict_p2_level(p, args.K, args.q)
+    elif args.K is None:
+        raise ValidationError("heegner --p needs --K")
+    elif args.q is None:
+        raise ValidationError("heegner --p needs --q")
+    elif args.q == 2:
+        v = descent.verdict_prime_level_2(p, args.K)
     else:
-        raise ValidationError("heegner needs one of --p, --p2, --ns")
-    _emit(_verdict_doc(v), args.format, _verdict_lines(v) if args.format == "table" else [], out)
+        v = descent.verdict_prime_level_odd_q(p, args.K, args.q)
+    _emit(_verdict_doc(v), args.format, lambda: _verdict_table(v), out)
     return EXIT_OK
 
 
@@ -326,36 +316,30 @@ def _cmd_eigencheck(args, out) -> int:
         ],
         "ok": report.ok,
     }
-    lines = []  # built only when the table is printed
-    if args.format == "table":
-        lines = [f"p = {report.p}, precision {report.prec}"]
+
+    def table():
+        yield f"p = {report.p}, precision {report.prec}"
         for r in report.results:
             extra = f" (first discrepancy at {r.first_discrepancy})" if r.status == "fail" else ""
-            lines.append(f"  {r.operator}_{r.ell}: {r.status} [{r.retained} coefficients]{extra}")
+            yield f"  {r.operator}_{r.ell}: {r.status} [{r.retained} coefficients]{extra}"
         if report.insufficient:
-            lines.append(f"warning: insufficient precision for ell in {list(report.insufficient)}")
-        lines.append("all pass" if report.ok else "NOT all pass")
-    _emit(doc, args.format, lines, out)
+            yield f"warning: insufficient precision for ell in {list(report.insufficient)}"
+        yield "all pass" if report.ok else "NOT all pass"
+
+    _emit(doc, args.format, table, out)
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
 # --- driver -----------------------------------------------------------------
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
+def _merge_dash_values(argv: list[str]):
     # let range values like "-199..199" follow their flag without being
     # mistaken for an option
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--d-range" and i + 1 < len(argv):
-            out.append(f"--d-range={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
-    return out
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--d-range" else None
+        yield tok if value is None else f"--d-range={value}"
 
 
 # the parser of each subcommand by name, filled once by `build_parser`
@@ -419,7 +403,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_dash_values(list(argv))
+    argv = list(_merge_dash_values(argv))
     # a known subcommand's options go straight to its own parser; the top
     # parser sees only what it answers itself: help, no argv, an unknown command
     command = _COMMANDS.get(argv[0]) if argv else None

@@ -200,8 +200,6 @@ def verdict_p2_level(p: int, k_disc: int, q: int) -> Verdict:
     _check_q(q)
     if (p + 1) % q:
         raise ValidationError(f"q = {q} does not divide p + 1 = {p + 1}")
-    if n % q:
-        raise ValidationError(f"q = {q} does not divide n = {n}")
     setup = heegner_setup(p, k_disc)
     val_ok, val_text = _q_part(setup, 1, q, n, "o")
     trace = (

@@ -190,6 +190,70 @@ CATALOGUE = (
         "u % 8 in (3, 5, 7)",
         "tests/test_heegner_points.py::test_nontorsion_verdicts_have_nontorsion_heegner_points[113]",
     ),
+    # Selmer: the second shape's corank against the first, and the
+    # minimality criterion on twists without a split prime
+    Mutation(
+        "selmer-second-shape-check-dropped",
+        "src/eisq/selmer.py",
+        "    if second != first:\n",
+        "    if False:\n",
+        "tests/test_selmer.py::test_kernel_off_by_one_exits_3",
+    ),
+    Mutation(
+        "selmer-minimality-check-dropped",
+        "src/eisq/selmer.py",
+        "    if rank < bound or (rank == 1) != (bound == 1):\n",
+        "    if False:\n",
+        "tests/test_selmer.py::test_thmm_examples",
+    ),
+    # the cuspidal invariants against Ling's closed form, and an eta
+    # divisor of weight 0 against the valence formula's degree 0
+    Mutation(
+        "ling-invariants-check-dropped",
+        "src/eisq/etacusp.py",
+        "    if inv != tuple(d for d in (n_p, n_p2) if d != 1):\n",
+        "    if False:\n",
+        "tests/test_etacusp.py::test_cuspidal_invariants_against_ling",
+    ),
+    Mutation(
+        "eta-divisor-degree-check-dropped",
+        "src/eisq/etacusp.py",
+        "    if sum(r.values()) == 0 and (total := ",
+        "    if False and (total := ",
+        "tests/test_etacusp.py::test_eta_divisor_degree_check_raises",
+    ),
+    # the identity e(pz) = e(z) + 24 delta that every delta series is checked by
+    Mutation(
+        "delta-identity-check-dropped",
+        "src/eisq/modforms.py",
+        "    if bad:\n",
+        "    if False:\n",
+        "tests/test_modforms.py::test_delta_identity_names_first_bad_index",
+    ),
+    # a class order must divide the h it is given: one more power of l
+    # than h holds is let through
+    Mutation(
+        "class-order-one-power-beyond-h",
+        "src/eisq/classgroup.py",
+        "            if e == 0:\n",
+        "            if e < 0:\n",
+        "tests/test_classgroup.py::test_class_order_rejects_a_non_multiple_of_the_order",
+    ),
+    # the CLI's output holds no float, and of each option group exactly one
+    Mutation(
+        "jsonable-passes-floats",
+        "src/eisq/cli.py",
+        "    if isinstance(obj, (int, str)) or obj is None:",
+        "    if isinstance(obj, (int, str, float)) or obj is None:",
+        "tests/test_cli.py::test_jsonable_nested_values",
+    ),
+    Mutation(
+        "option-group-takes-the-first-of-two",
+        "src/eisq/cli.py",
+        "    if len(given) == 1:\n        return given[0]\n",
+        "    if given:\n        return given[0]\n",
+        "tests/test_cli.py::test_option_group_messages",
+    ),
 )
 
 
@@ -201,7 +265,8 @@ def _pytest(cwd: Path, args: list[str]) -> tuple[int, str]:
 
 
 def _first_failure(output: str) -> str | None:
-    found = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    # a parametrized test's id may hold spaces; its reason follows " - "
+    found = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", output, re.MULTILINE)
     return found.group(1) if found else None
 
 

@@ -602,6 +602,9 @@ def test_prime_form_examples():
     assert disc_of(f3) == -23 and f3[0] in (2, 3)
     with pytest.raises(ValidationError):
         prime_form(-7, 5)  # inert
+    for q in (2, 9):  # odd primes only
+        with pytest.raises(ValidationError, match=f"^prime_form requires an odd prime, got {q}$"):
+            prime_form(-23, q)
 
 
 def _ramified_form_by_loop(disc, q):

@@ -277,6 +277,8 @@ def test_jsonable_nested_values():
     for bad in ({"x": [1, [2, 1.5]]}, (1, 2.0), [Fraction(1, 2), {"y": (0.5,)}]):
         with pytest.raises(InternalCheckError, match="floats are not allowed"):
             _jsonable(bad)
+    with pytest.raises(InternalCheckError, match="^cannot serialize <class 'object'>$"):
+        _jsonable(object())
 
 
 def test_jsonable_passes_int_rows_and_rejects_floats_in_them():
@@ -400,6 +402,79 @@ def test_conflicting_flags_exit_2():
         code, out, err = run_cli_err(*argv)
         assert code == EXIT_VALIDATION, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# each group of options of which a command takes exactly one: none given, and
+# every two (for heegner, all three too); `--d-range=` gives an empty range
+OPTION_GROUP_ERRORS = [
+    (("classnum",), "classnum needs --p or --disc"),
+    (("classnum", "--p", "7", "--disc", "-23"), "classnum takes --p or --disc, not both"),
+    (("selmer", "--p", "7"), "selmer needs --d or --d-range"),
+    (("selmer", "--p", "7", "--d", "5", "--d-range", "1..10"), "selmer takes --d or --d-range, not both"),
+    (("selmer", "--p", "7", "--d-range="), "bad range '', expected LO..HI"),
+    (("eta", "--N", "49"), "eta needs --r or --special"),
+    (("eta", "--N", "49", "--r", "1,2,3", "--special"), "eta takes --r or --special, not both"),
+    (("heegner", "--K", "-7", "--q", "5"), "heegner needs one of --p, --p2, --ns"),
+    (("heegner", "--p2", "13", "--p", "11", "--K", "-7", "--q", "5"), "heegner takes one of --p, --p2, --ns, got --p and --p2"),
+    (("heegner", "--ns", "73", "--p", "11", "--K", "-19"), "heegner takes one of --p, --p2, --ns, got --p and --ns"),
+    (("heegner", "--p2", "13", "--ns", "73", "--K", "-3"), "heegner takes one of --p, --p2, --ns, got --p2 and --ns"),
+    (
+        ("heegner", "--ns", "73", "--p2", "13", "--p", "11", "--K", "-3", "--q", "7"),
+        "heegner takes one of --p, --p2, --ns, got --p and --p2 and --ns",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", OPTION_GROUP_ERRORS, ids=[" ".join(argv) for argv, _ in OPTION_GROUP_ERRORS])
+def test_option_group_messages(argv, message):
+    assert run_cli_err(*argv) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
+def test_eigencheck_rejects_a_composite_hecke_index():
+    assert run_cli_err("eigencheck", "--p", "5", "--primes", "4") == (EXIT_VALIDATION, "", "error: 4 is not prime\n")
+
+
+def _table_raises(*args):
+    raise AssertionError("a table line was built for another format")
+
+
+def test_tables_are_built_only_for_the_table_format(monkeypatch):
+    import eisq.cli as cli_mod
+
+    single = ("selmer", "--p", "7", "--d", "-11", "--oracle")
+    sweep = ("selmer", "--p", "23", "--d-range", "-40..40")
+    tables = [run_cli(*argv) for argv in (single, sweep)]
+    assert [code for code, _ in tables] == [EXIT_OK, EXIT_OK]
+    monkeypatch.setattr(cli_mod, "_selmer_table", _table_raises)
+    monkeypatch.setattr(cli_mod, "_sweep_table", _table_raises)
+    for argv in (single, sweep):
+        for fmt in ("json", "tsv"):
+            code, out = run_cli(*argv, "--format", fmt)
+            assert code == EXIT_OK and out, (argv, fmt)
+    with pytest.raises(AssertionError, match="a table line was built"):
+        run_cli(*single)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("heegner", "--p", "11", "--K", "-7", "--q", "5"),
+        ("heegner", "--ns", "73", "--K", "-19"),
+        ("eigencheck", "--p", "5", "--prec", "40"),
+        ("eta", "--N", "49", "--special"),
+        ("classnum", "--disc", "-84"),
+        ("selmer", "--p", "7", "--d", "-11", "--oracle"),
+    ],
+    ids=" ".join,
+)
+def test_tsv_cells_are_the_canonical_json_of_the_document(argv):
+    # one JSON encoding: each cell, nested dicts included, is written as
+    # `--format json` writes the same key's value
+    _, doc = run_cli(*argv, "--format", "json")
+    code, row = run_cli(*argv, "--format", "tsv")
+    doc = json.loads(doc)
+    assert code == EXIT_OK and row.endswith("\n") and row.count("\n") == 1
+    assert row[:-1].split("\t") == [canonical_json(doc[k]) for k in sorted(doc)]
 
 
 def test_large_split_prime_with_oracle():

@@ -216,6 +216,20 @@ def test_p2_level_examples():
         verdict_p2_level(13, -3, 3)
 
 
+def test_p2_level_q_dividing_p_plus_1_divides_n():
+    # q | p + 1 and gcd(q, 6) = 1 give q | p^2 - 1 = 24 n with gcd(q, 24) = 1,
+    # so q | n: the verdict needs no test of it, and raises nothing here
+    cases = 0
+    for p in filter(is_prime, range(5, 2000)):
+        for q in range(5, p + 2):
+            if (p + 1) % q == 0 and is_prime(q):
+                assert canonical_orders(p)[1] % q == 0, (p, q)
+                v = verdict_p2_level(p, -3, q)
+                assert v.trace[0].passed and v.trace[0].value == f"q={q}, n={canonical_orders(p)[1]}"
+                cases += 1
+    assert cases == 380
+
+
 def test_p2_level_inconclusive_on_large_h():
     # q = 7 with h(-71) = 7: the verdict must match the computed h/o valuation
     assert class_number_of_disc(-71) == 7

@@ -124,8 +124,11 @@ CLI_CASES = {
     "heegner-p1009-disc1000015-q7": ["heegner", "--p", "1009", "--K", "-1000015", "--q", "7"],
     # 11 is inert in Q(sqrt(-3)): the order of a prime class above it is not evaluated
     "heegner-p11-inert": ["heegner", "--p", "11", "--K", "-3", "--q", "5"],
+    # a TSV row whose cell holds nested dicts: each is canonical JSON, keys sorted
+    "heegner-p11-tsv": ["heegner", "--p", "11", "--K", "-7", "--q", "5", "--format", "tsv"],
     "eigencheck-p5": ["eigencheck", "--p", "5", "--prec", "200"],
     "eigencheck-p7-json": ["eigencheck", "--p", "7", "--prec", "40", "--format", "json"],
+    "eigencheck-p5-tsv": ["eigencheck", "--p", "5", "--prec", "40", "--format", "tsv"],
     "eigencheck-primes-json": ["eigencheck", "--p", "11", "--prec", "60", "--primes", "2,3,11", "--format", "json"],
     "eigencheck-p1009-prec10000-json": ["eigencheck", "--p", "1009", "--prec", "10000", "--format", "json"],
     "eigencheck-p2-prec5000": ["eigencheck", "--p", "2", "--prec", "5000"],

@@ -240,6 +240,8 @@ def test_hecke_examples():
         hecke_u(d5, 3)
     with pytest.raises(ValidationError):
         hecke_t(d5, 4)
+    with pytest.raises(ValidationError, match="^Hecke index must be prime, got 4$"):
+        hecke_u(d5, 4)
 
 
 def test_hecke_linear_and_commuting():
@@ -282,6 +284,8 @@ def test_cusp_constants():
     assert delta_cusp_constants(5) == (Fraction(1, 5), Fraction(-4, 5))
     assert delta_cusp_constants(7) == (Fraction(2, 7), Fraction(-12, 7))
     assert delta_cusp_constants(11) == (Fraction(5, 11), Fraction(-50, 11))
+    with pytest.raises(ValidationError, match="^p must be prime, got 4$"):
+        delta_cusp_constants(4)
 
 
 def test_precision_bookkeeping():

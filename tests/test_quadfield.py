@@ -219,6 +219,13 @@ def test_split_generator_needs_two_split():
         split_generator(FieldCtx(19), 5, 1)
 
 
+def test_split_generator_needs_a_split_prime_and_an_odd_power():
+    with pytest.raises(ValidationError, match=r"^5 does not split in Q\(sqrt\(-7\)\)$"):
+        split_generator(FieldCtx(7), 5, 1)  # inert
+    with pytest.raises(ValidationError, match="^class number must be odd and positive, got 2$"):
+        split_generator(FieldCtx(7), 11, 2)
+
+
 def test_residue_symbol_examples():
     pi_place = places_above(CTX7, 7)[0]
     assert residue_symbol(CTX7, (-3, 0), pi_place) == 1
